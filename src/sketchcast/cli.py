@@ -15,7 +15,6 @@ from .entropy import entropy_to_bits
 from .harness import (
     CHECK_THRESHOLDS,
     ExperimentSpec,
-    bench_kernels,
     check_summary,
     comm_scaling,
     run_experiment,
@@ -107,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     comms.add_argument("--seed", type=int, default=0)
     comms.add_argument("--summary", help="write scaling JSON here")
 
-    kern = bsub.add_parser("kernels", help="compiled vs pure-numpy kernel timings")
-    kern.add_argument("--size", type=int, default=10**6)
-    kern.add_argument("--repeat", type=int, default=3)
-    kern.add_argument("--seed", type=int, default=0)
-
     return parser
 
 
@@ -166,24 +160,17 @@ def _run_experiment_command(args: argparse.Namespace) -> int:
 
 
 def _run_bench_command(args: argparse.Namespace) -> int:
-    if args.target == "comms":
-        depths = tuple(int(d) for d in args.depths.split(","))
-        result = comm_scaling(depths=depths, eps=args.eps, p=args.p, n=args.n,
-                              trials=args.trials, seed=args.seed)
-        for row in result["rows"]:
-            print(f"d={row['d']} bits_per_row={row['bits_per_row']:.3f} "
-                  f"baseline_ratio={row['baseline_ratio']:.2f}")
-        fit = result["fit"]
-        print(f"fit: slope={fit['slope']:.4f} intercept={fit['intercept']:.4f} "
-              f"max_rel_residual={fit['max_rel_residual']:.4f}")
-        if args.summary:
-            write_summary(args.summary, result)
-        return 0
-    result = bench_kernels(size=args.size, repeat=args.repeat, seed=args.seed)
-    for backend, timings in result["backends"].items():
-        for name, t in timings.items():
-            shown = "unavailable" if t is None else f"{t*1e3:.2f} ms"
-            print(f"{backend:6s} {name:18s} {shown}")
+    depths = tuple(int(d) for d in args.depths.split(","))
+    result = comm_scaling(depths=depths, eps=args.eps, p=args.p, n=args.n,
+                          trials=args.trials, seed=args.seed)
+    for row in result["rows"]:
+        print(f"d={row['d']} bits_per_row={row['bits_per_row']:.3f} "
+              f"baseline_ratio={row['baseline_ratio']:.2f}")
+    fit = result["fit"]
+    print(f"fit: slope={fit['slope']:.4f} intercept={fit['intercept']:.4f} "
+          f"max_rel_residual={fit['max_rel_residual']:.4f}")
+    if args.summary:
+        write_summary(args.summary, result)
     return 0
 
 

@@ -62,20 +62,6 @@ class CommStats:
         return CommStats(per_edge_bits=combined, rounds=max(self.rounds, other.rounds))
 
 
-@dataclass(frozen=True)
-class NodeInput:
-    """One player's non-negative integer payload, entries bounded by M."""
-
-    player: int
-    payload: np.ndarray
-
-    def validate(self, M: int) -> "NodeInput":
-        arr = np.asarray(self.payload)
-        if arr.size and (arr.min() < 0 or arr.max() > M):
-            raise ValueError(f"player {self.player}: payload outside [0, {M}]")
-        return self
-
-
 def baseline_codec_bits(count: int) -> int:
     """Bits to ship ``count`` scalars at the flat 64-bit baseline."""
     return 64 * int(count)
@@ -126,6 +112,17 @@ class RoundedVector:
 
 
 class RoundedVectorCodec:
+    """Wire format of a rounded value vector, lane by lane.
+
+    A lane truncated to zero costs the single bit ``1``.  Any other lane
+    is ``0``, a sign bit, then the Elias gamma code of zigzag(exponent) + 1
+    (see ``bitcodec``), so it costs 2 + gamma_len(zigzag(exponent) + 1)
+    bits.  Exponents come from ``kernels.round_to_grid`` and the lengths
+    from ``kernels.rounded_bits``.  The code is prefix-free, so lanes
+    concatenate without separators; the message's 1-bit subtree flag is
+    added by :func:`run_convergecast`.
+    """
+
     def __init__(self, params: RoundingParams):
         self.params = params
 
@@ -183,6 +180,12 @@ class ExactVector:
 
 
 class ExactVectorCodec:
+    """Wire format of an exact vector: one raw 64-bit float per lane.
+
+    This is the flat communication baseline every other family is
+    measured against; the 1-bit subtree flag comes on top.
+    """
+
     def bits(self, msg: ExactVector) -> int:
         return baseline_codec_bits(msg.values.shape[0])
 
@@ -221,12 +224,16 @@ class CounterVector:
 
 
 class CounterVectorCodec:
-    """Per lane: 8-bit base tag plus two fixed ``state_bits``-wide state fields.
+    """Wire format of a signed Morris counter vector.
 
-    The field width is chosen from public parameters (update-mass bound and
-    base), never from the realized states, so a message's bit length is the
-    same on every edge of every tree.  A state outside the field models the
-    "safely fail" event: exceeding it raises.
+    Per lane: an 8-bit base tag, then the insertion state and the deletion
+    state, each as a fixed ``state_bits``-wide unsigned integer, so a lane
+    costs 8 + 2 * state_bits bits.  The field width is chosen from public
+    parameters (update-mass bound and base), never from the realized
+    states, so a message's bit length is the same on every edge of every
+    tree.  A state outside the field models the "safely fail" event:
+    exceeding it raises :class:`CounterOverflowError`.  The 1-bit subtree
+    flag comes on top.
     """
 
     def __init__(self, state_bits: int):

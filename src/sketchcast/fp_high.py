@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CommStats, NodeInput, exact_sum_convergecast, rounded_sum_convergecast
+from .engine import CommStats, exact_sum_convergecast, rounded_sum_convergecast
 from .rounding import RoundingParams, gamma_for
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_SKETCH, substream
@@ -36,37 +36,10 @@ def lower_median(values: np.ndarray) -> float:
 
 
 def as_count_matrix(inputs, m: int) -> np.ndarray:
-    """Normalize player inputs to an (m, n) non-negative float matrix.
-
-    Accepts either an (m, n) array or an iterable of NodeInput /
-    (player, vector) pairs; players without an entry hold zeros.
-    """
-    if isinstance(inputs, np.ndarray):
-        data = np.asarray(inputs, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] != m:
-            raise ValueError(f"inputs must be (m={m}, n), got {data.shape}")
-    else:
-        pairs = []
-        for item in inputs:
-            if isinstance(item, NodeInput):
-                pairs.append((item.player, np.asarray(item.payload, dtype=np.float64)))
-            else:
-                player, vec = item
-                pairs.append((int(player), np.asarray(vec, dtype=np.float64)))
-        if not pairs:
-            raise ValueError("no player inputs given")
-        n = pairs[0][1].shape[0]
-        data = np.zeros((m, n))
-        seen = set()
-        for player, vec in pairs:
-            if not 0 <= player < m:
-                raise ValueError(f"player {player} outside [0, {m})")
-            if player in seen:
-                raise ValueError(f"duplicate input for player {player}")
-            if vec.shape != (n,):
-                raise ValueError("all player vectors must share one length")
-            seen.add(player)
-            data[player] = vec
+    """Validate player inputs as an (m, n) non-negative float matrix."""
+    data = np.asarray(inputs, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] != m:
+        raise ValueError(f"inputs must be (m={m}, n), got {data.shape}")
     if np.any(data < 0):
         raise ValueError("player counts must be non-negative")
     return data
@@ -110,9 +83,9 @@ def estimate_fp_high(inputs, topo: Topology, cfg: FpHighConfig, seed,
                      codec: str = "rounding") -> tuple[float, float, CommStats]:
     """Run one convergecast and return (norm_estimate, fp_estimate, stats).
 
-    ``inputs`` is an (m, n) array of non-negative per-player counts, or a
-    list of NodeInput / (player, vector) pairs.  codec="exact" ships
-    unrounded float64 sketches, useful for isolating rounding error.
+    ``inputs`` is an (m, n) array of non-negative per-player counts.
+    codec="exact" ships unrounded float64 sketches, useful for isolating
+    rounding error.
     """
     m = topo.m
     data = as_count_matrix(inputs, m)
@@ -134,16 +107,3 @@ def estimate_fp_high(inputs, topo: Topology, cfg: FpHighConfig, seed,
     norm = lower_median(np.abs(vec)) / median_abs(cfg.p)
     return norm, norm**cfg.p, stats
 
-
-def truncate_message(r: float, layer: int, params: RoundingParams) -> float:
-    """Zero out values below the per-layer floor (mK)^-(d+3-layer).
-
-    Applied by the convergecast before rounding; the floor grows by a
-    factor of mK per layer so truncation error telescopes up the tree.
-    Compared in log space because deep-tree floors underflow float64.
-    """
-    if r == 0.0:
-        return 0.0
-    if math.log(abs(r)) < params.log_floor(layer):
-        return 0.0
-    return r

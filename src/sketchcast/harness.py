@@ -444,40 +444,3 @@ def comm_scaling(depths=(4, 16, 64, 256), eps: float = 0.25, p: float = 1.5,
                 "max_rel_residual": float(resid.max())},
     }
 
-
-def bench_kernels(size: int = 10**6, repeat: int = 3, seed: int = 0) -> dict:
-    """Wall-time comparison of the compiled and pure-numpy kernel backends."""
-    from . import kernels
-
-    rng = np.random.default_rng(seed)
-    u = rng.random(size)
-    w = rng.standard_exponential(size)
-    x = rng.standard_normal(size) * 100.0
-    ur = rng.random(size)
-    totals = np.full(4096, 1e6)
-    log_b = math.log1p(0.05)
-
-    cases = {
-        "cms_symmetric": lambda f: f(0.5, math.pi * (u - 0.5), w),
-        "round_to_grid": lambda f: f(x, ur, math.log(1.5), -700.0, -2048, 2048),
-        "morris_add_batch": lambda f: f(np.random.default_rng(seed),
-                                        np.zeros(totals.size), totals, log_b),
-    }
-    out = {"size": size, "repeat": repeat, "backends": {}}
-    for backend in ("numba", "numpy"):
-        timings = {}
-        for name, call in cases.items():
-            try:
-                fn = kernels.impl(name, backend)
-            except (KeyError, ValueError):
-                timings[name] = None
-                continue
-            call(fn)  # warm-up / jit compile
-            best = math.inf
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                call(fn)
-                best = min(best, time.perf_counter() - t0)
-            timings[name] = best
-        out["backends"][backend] = timings
-    return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CommStats, exact_sum_convergecast, rounded_sum_convergecast
-from .fp_high import as_count_matrix, lower_median
+from .fp_high import as_count_matrix
 from .rounding import gamma_for
 from .streams import DOMAIN_HASHES, generator
 from .topology import Topology, center, spanning_tree

@@ -1,65 +1,27 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels, vectorised in numpy.
 
-Every kernel exists twice: an ``@njit`` scalar-loop version and a
-vectorized numpy version.  The active backend is chosen at import time
-from the ``SKETCHCAST_BACKEND`` environment variable:
-
-    numba   force the jitted kernels (error if numba is missing)
-    numpy   force the pure-numpy fallback
-    auto    numba when importable, numpy otherwise (default)
-
-The rounding and stable-transform kernels consume pre-drawn uniforms in
-the same order on both backends, so they agree to floating-point
-round-off.  The Morris-counter kernels draw internally with different
-batching per backend; there the two implementations are equal in
-distribution rather than value for value (the counter chain is sampled
-via run-length skipping either way).  ``bench kernels`` times both.
+Six kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
+stable transforms (``cms_symmetric``, ``cms_skewed_one``), stochastic
+rounding onto the (1+gamma) grid and its wire length (``round_to_grid``,
+``rounded_bits``), and the Morris counter batch update and merge
+(``morris_add_batch``, ``morris_merge``).  The transforms and the
+rounding consume pre-drawn uniforms; the Morris kernels draw from the
+generator they are given.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    import numba
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
+# Kept for run metadata; numpy is the only backend.
+BACKEND = "numpy"
 
 _LN2 = math.log(2.0)
 # Floor for exponential/cosine factors inside the stable transforms; keeps
 # a zero-probability draw from producing inf without moving any quantile.
 _TINY = 1e-300
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get("SKETCHCAST_BACKEND", "auto").lower()
-    if choice == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("SKETCHCAST_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    raise RuntimeError(f"unknown SKETCHCAST_BACKEND {choice!r} (use numba|numpy|auto)")
-
-
-BACKEND = _resolve_backend()
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +37,7 @@ BACKEND = _resolve_backend()
 # ---------------------------------------------------------------------------
 
 
-def _cms_symmetric_np(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.maximum(w, _TINY)
     if p == 1.0:
         return np.tan(u)
@@ -85,44 +47,13 @@ def _cms_symmetric_np(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     )
 
 
-@njit(cache=True)
-def _cms_symmetric_nb(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:  # pragma: no cover
-    out = np.empty(u.shape[0], dtype=np.float64)
-    for i in range(u.shape[0]):
-        wi = w[i] if w[i] > _TINY else _TINY
-        if p == 1.0:
-            out[i] = np.tan(u[i])
-        else:
-            cu = np.cos(u[i])
-            if cu < _TINY:
-                cu = _TINY
-            out[i] = (np.sin(p * u[i]) / cu ** (1.0 / p)) * (
-                np.cos((1.0 - p) * u[i]) / wi
-            ) ** ((1.0 - p) / p)
-    return out
-
-
-def _cms_skewed_one_np(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.maximum(w, _TINY)
     hp = 0.5 * np.pi
     a = hp + beta * u
     return (2.0 / np.pi) * (
         a * np.tan(u) - beta * np.log((hp * w * np.maximum(np.cos(u), _TINY)) / a)
     )
-
-
-@njit(cache=True)
-def _cms_skewed_one_nb(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:  # pragma: no cover
-    out = np.empty(u.shape[0], dtype=np.float64)
-    hp = 0.5 * np.pi
-    for i in range(u.shape[0]):
-        wi = w[i] if w[i] > _TINY else _TINY
-        cu = np.cos(u[i])
-        if cu < _TINY:
-            cu = _TINY
-        a = hp + beta * u[i]
-        out[i] = (2.0 / np.pi) * (a * np.tan(u[i]) - beta * np.log((hp * wi * cu) / a))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +67,7 @@ def _cms_skewed_one_nb(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _round_to_grid_np(
+def round_to_grid(
     x: np.ndarray,
     unif: np.ndarray,
     log_gamma: float,
@@ -144,14 +75,18 @@ def _round_to_grid_np(
     exp_min: int,
     exp_max: int,
 ):
+    """Round each lane of ``x``; returns (exponents, is_zero, decoded, ok).
+
+    ``ok`` is False when a live exponent left [exp_min, exp_max].
+    """
     ax = np.abs(x)
     nonzero = ax > 0.0
     lax = np.full(x.shape, -np.inf)
     np.log(ax, out=lax, where=nonzero)
-    is_zero = lax < log_floor
+    # exact zeros stay zero even when there is no floor (log_floor = -inf)
+    is_zero = ~nonzero | (lax < log_floor)
 
     live = ~is_zero
-    e0 = np.zeros(x.shape, dtype=np.int64)
     lv = np.where(live, lax, 0.0)
     e0 = np.floor(lv / log_gamma).astype(np.int64)
     # one-step boundary corrections; the float division is off by at most 1
@@ -175,55 +110,9 @@ def _round_to_grid_np(
     return exponents, is_zero, decoded, ok
 
 
-@njit(cache=True)
-def _round_to_grid_nb(
-    x: np.ndarray,
-    unif: np.ndarray,
-    log_gamma: float,
-    log_floor: float,
-    exp_min: int,
-    exp_max: int,
-):  # pragma: no cover
-    n = x.shape[0]
-    exponents = np.zeros(n, dtype=np.int64)
-    is_zero = np.zeros(n, dtype=np.bool_)
-    decoded = np.zeros(n, dtype=np.float64)
-    ok = True
-    for i in range(n):
-        ax = abs(x[i])
-        if ax <= 0.0 or np.log(ax) < log_floor:
-            is_zero[i] = True
-            continue
-        lv = np.log(ax)
-        e0 = np.int64(np.floor(lv / log_gamma))
-        for _ in range(2):
-            if (e0 + 1) * log_gamma <= lv:
-                e0 += 1
-        for _ in range(2):
-            if e0 * log_gamma > lv:
-                e0 -= 1
-        lo = np.exp(e0 * log_gamma)
-        hi = np.exp((e0 + 1) * log_gamma)
-        pr = (ax - lo) / (hi - lo)
-        if pr < 0.0:
-            pr = 0.0
-        elif pr > 1.0:
-            pr = 1.0
-        e = e0 + 1 if unif[i] < pr else e0
-        if e < exp_min or e > exp_max:
-            ok = False
-        exponents[i] = e
-        val = np.exp(e * log_gamma)
-        decoded[i] = -val if x[i] < 0 else val
-    return exponents, is_zero, decoded, ok
-
-
 # ---------------------------------------------------------------------------
-# Wire-length accounting.
-#
-# A rounded message costs 1 bit when truncated to zero, else
-# 2 + gamma_len(zigzag(exponent) + 1) bits (zero flag, sign, Elias gamma).
-# A Morris counter pair costs 8 + gamma_len(C_ins + 1) + gamma_len(C_del + 1).
+# Wire-length accounting for the lane format stated on
+# engine.RoundedVectorCodec.
 # ---------------------------------------------------------------------------
 
 
@@ -233,29 +122,11 @@ def _floor_log2_f64(v: np.ndarray) -> np.ndarray:
     return (e - 1).astype(np.int64)
 
 
-def _rounded_bits_np(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
+def rounded_bits(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
+    """Wire length in bits of each rounded lane."""
     zz = np.where(exponents >= 0, 2 * exponents, -2 * exponents - 1)
     glen = 2 * _floor_log2_f64((zz + 1).astype(np.float64)) + 1
     return np.where(is_zero, 1, 2 + glen).astype(np.int64)
-
-
-@njit(cache=True)
-def _rounded_bits_nb(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:  # pragma: no cover
-    n = exponents.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        if is_zero[i]:
-            out[i] = 1
-            continue
-        e = exponents[i]
-        zz = 2 * e if e >= 0 else -2 * e - 1
-        v = zz + 1
-        b = 0
-        while v > 1:
-            v >>= 1
-            b += 1
-        out[i] = 2 + 2 * b + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,49 +159,7 @@ _RARE_P = 1e-8
 _POISSON_LAM_MAX = 1e17
 
 
-@njit(cache=True)
-def _rare_failures_nb(gen, lam: float) -> float:  # pragma: no cover
-    if lam > _POISSON_LAM_MAX:
-        return max(np.rint(gen.normal(lam, np.sqrt(lam))), 0.0)
-    return float(gen.poisson(lam))
-
-
-@njit(cache=True)
-def _morris_add_batch_nb(gen, c: np.ndarray, u: np.ndarray, log_b: float):  # pragma: no cover
-    for i in range(c.shape[0]):
-        ci = c[i]
-        rem = u[i]
-        while rem >= 1.0:
-            if (ci + rem) * log_b <= _RARE_P:
-                lam = log_b * (ci * rem + 0.5 * rem * (rem - 1.0))
-                f = min(_rare_failures_nb(gen, lam), rem)
-                ci += rem - f
-                rem = 0.0
-            elif ci * log_b <= _LN2:
-                # q >= 1/2: survival through j steps is exp(-log_b*(j*ci + j(j-1)/2))
-                t = -np.log1p(-gen.random())
-                a = 2.0 * ci - 1.0
-                js = 0.5 * (-a + np.sqrt(a * a + 8.0 * t / log_b))
-                big = np.floor(js) + 1.0
-                if big > rem:
-                    ci += rem
-                    rem = 0.0
-                else:
-                    ci += big - 1.0
-                    rem -= big
-            else:
-                q = np.exp(-ci * log_b)
-                gap = np.floor(np.log1p(-gen.random()) / np.log1p(-q)) + 1.0
-                if gap > rem:
-                    rem = 0.0
-                else:
-                    ci += 1.0
-                    rem -= gap
-        c[i] = ci
-    return c
-
-
-def _rare_failures_np(gen, lam: np.ndarray) -> np.ndarray:
+def _rare_failures(gen, lam: np.ndarray) -> np.ndarray:
     f = np.empty_like(lam)
     big = lam > _POISSON_LAM_MAX
     f[~big] = gen.poisson(lam[~big])
@@ -339,7 +168,8 @@ def _rare_failures_np(gen, lam: np.ndarray) -> np.ndarray:
     return f
 
 
-def _morris_add_batch_np(gen, c: np.ndarray, u: np.ndarray, log_b: float):
+def morris_add_batch(gen, c: np.ndarray, u: np.ndarray, log_b: float):
+    """Play u[i] updates into counter state c[i] in place; returns c."""
     rem = u.astype(np.float64).copy()
     active = rem >= 1.0
     while active.any():
@@ -348,7 +178,7 @@ def _morris_add_batch_np(gen, c: np.ndarray, u: np.ndarray, log_b: float):
         ri = idx[rare]
         if ri.size:
             lam = log_b * (c[ri] * rem[ri] + 0.5 * rem[ri] * (rem[ri] - 1.0))
-            f = np.minimum(_rare_failures_np(gen, lam), rem[ri])
+            f = np.minimum(_rare_failures(gen, lam), rem[ri])
             c[ri] += rem[ri] - f
             rem[ri] = 0.0
             idx = idx[~rare]
@@ -378,34 +208,8 @@ def _morris_add_batch_np(gen, c: np.ndarray, u: np.ndarray, log_b: float):
     return c
 
 
-@njit(cache=True)
-def _morris_merge_nb(gen, cx: np.ndarray, cy: np.ndarray, log_b: float):  # pragma: no cover
-    for i in range(cx.shape[0]):
-        z = cx[i]
-        y = cy[i]
-        rem = y
-        while rem >= 1.0:
-            w = z - y + rem
-            if w <= 0.0:
-                z += rem
-                break
-            p = -np.expm1(-w * log_b)
-            if p <= _RARE_P:
-                f = min(_rare_failures_nb(gen, p * rem), rem)
-                z += rem - f
-                break
-            # successes before the first failure; success prob exp(-w*log_b)
-            runs = np.floor(-np.log1p(-gen.random()) / (w * log_b))
-            if runs >= rem:
-                z += rem
-                break
-            z += runs
-            rem -= runs + 1.0
-        cx[i] = z
-    return cx
-
-
-def _morris_merge_np(gen, cx: np.ndarray, cy: np.ndarray, log_b: float):
+def morris_merge(gen, cx: np.ndarray, cy: np.ndarray, log_b: float):
+    """Fold counter states cy into cx in place; returns cx."""
     y = cy.astype(np.float64)
     rem = y.copy()
     active = rem >= 1.0
@@ -421,7 +225,7 @@ def _morris_merge_np(gen, cx: np.ndarray, cy: np.ndarray, log_b: float):
         rare = ~free & (p <= _RARE_P)
         ri = idx[rare]
         if ri.size:
-            f = np.minimum(_rare_failures_np(gen, p[rare] * rem[ri]), rem[ri])
+            f = np.minimum(_rare_failures(gen, p[rare] * rem[ri]), rem[ri])
             cx[ri] += rem[ri] - f
             rem[ri] = 0.0
         keep = ~free & ~rare
@@ -436,39 +240,3 @@ def _morris_merge_np(gen, cx: np.ndarray, cy: np.ndarray, log_b: float):
         active = rem >= 1.0
     return cx
 
-
-# ---------------------------------------------------------------------------
-# Backend dispatch table.
-# ---------------------------------------------------------------------------
-
-_IMPLS = {
-    "numpy": {
-        "cms_symmetric": _cms_symmetric_np,
-        "cms_skewed_one": _cms_skewed_one_np,
-        "round_to_grid": _round_to_grid_np,
-        "rounded_bits": _rounded_bits_np,
-        "morris_add_batch": _morris_add_batch_np,
-        "morris_merge": _morris_merge_np,
-    },
-    "numba": {
-        "cms_symmetric": _cms_symmetric_nb,
-        "cms_skewed_one": _cms_skewed_one_nb,
-        "round_to_grid": _round_to_grid_nb,
-        "rounded_bits": _rounded_bits_nb,
-        "morris_add_batch": _morris_add_batch_nb,
-        "morris_merge": _morris_merge_nb,
-    },
-}
-
-
-def impl(name: str, backend: str | None = None):
-    """Fetch a kernel by name for ``backend`` (default: the active one)."""
-    return _IMPLS[backend or BACKEND][name]
-
-
-cms_symmetric = impl("cms_symmetric")
-cms_skewed_one = impl("cms_skewed_one")
-round_to_grid = impl("round_to_grid")
-rounded_bits = impl("rounded_bits")
-morris_add_batch = impl("morris_add_batch")
-morris_merge = impl("morris_merge")

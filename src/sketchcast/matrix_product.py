@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -112,29 +111,3 @@ def sketch_product(x_total: np.ndarray, y_total: np.ndarray, cfg: AmpConfig,
     s = sketch_matrix(x.shape[0], cfg.k, seed)
     return (s @ x).T @ (s @ y)
 
-
-def write_matrix(path, mat: np.ndarray) -> None:
-    """Dense text format: header "n t", then n rows of t values."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {mat.shape}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_matrix(path) -> np.ndarray:
-    """Inverse of write_matrix."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"bad matrix header {header!r}")
-            n, t = int(header[0]), int(header[1])
-            mat = np.loadtxt(fh, ndmin=2)
-    except OSError as exc:
-        raise OSError(f"cannot read matrix file {Path(path)}: {exc}") from exc
-    if mat.shape != (n, t):
-        raise ValueError(f"matrix body {mat.shape} does not match header ({n}, {t})")
-    return mat

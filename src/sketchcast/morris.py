@@ -3,34 +3,26 @@
 A counter in state C absorbs an update by incrementing with probability
 b^-C, and estimates the count as (b^C - b)/(b - 1) + 1, equivalently
 expm1(C ln b)/(b - 1), which is exactly unbiased with variance
-(b-1) n (n+1) / 2 after n updates.  ``add_batch`` absorbs many updates in
-O(final state) time instead of O(n) by run-length sampling, and ``merge``
-folds one counter into another so that merge(counter(n1), counter(n2)) is
-distributed as counter(n1 + n2).
+(b-1) n (n+1) / 2 after n updates.  ``kernels.morris_add_batch`` absorbs
+many updates in O(final state) time instead of O(n) by run-length
+sampling, and ``kernels.morris_merge`` folds one counter into another so
+that merge(counter(n1), counter(n2)) is distributed as counter(n1 + n2).
+This module holds the estimator and its bounds.
 
 A signed counter is an (insertions, deletions) pair whose estimate is the
 difference.  States are kept as integer-valued float64: beyond 2^53 the
 state no longer advances by exact units, which perturbs estimates at
 relative order 1e-16, far below the counter's own statistical noise.
 
-Wire format per counter pair: an 8-bit base tag plus the Elias gamma code
-of each state plus one (see WIRE.md).
+The wire format of a counter vector is stated on
+``engine.CounterVectorCodec``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import kernels
-from .bitcodec import gamma_len
-
-
-def _check_base(b: float) -> None:
-    if not 1.0 < b <= 2.0:
-        raise ValueError(f"base must be in (1,2], got {b}")
 
 
 def estimate_from_state(state: float, b_minus_1: float) -> float:
@@ -64,77 +56,3 @@ def estimates_signed(ins: np.ndarray, dels: np.ndarray, b_minus_1: float) -> np.
     lb = math.log1p(b_minus_1)
     return (np.expm1(np.asarray(ins) * lb) - np.expm1(np.asarray(dels) * lb)) / b_minus_1
 
-
-@dataclass
-class MorrisCounter:
-    b: float
-    C: float = 0.0
-
-    def __post_init__(self):
-        _check_base(self.b)
-
-    @property
-    def log_b(self) -> float:
-        return math.log1p(self.b - 1.0)
-
-    def increment(self, rng: np.random.Generator) -> "MorrisCounter":
-        if rng.random() < math.exp(-self.C * self.log_b):
-            self.C += 1.0
-        return self
-
-    def add_batch(self, u: float, rng: np.random.Generator) -> "MorrisCounter":
-        """Absorb u updates; distributed as u sequential increments."""
-        if u < 0:
-            raise ValueError(f"update count must be non-negative, got {u}")
-        state = np.array([self.C])
-        kernels.morris_add_batch(rng, state, np.array([float(u)]), self.log_b)
-        self.C = float(state[0])
-        return self
-
-    def merge(self, other: "MorrisCounter", rng: np.random.Generator) -> "MorrisCounter":
-        """Fold ``other`` into self; result distributed as the joint count."""
-        if other.b != self.b:
-            raise ValueError("cannot merge counters with different bases")
-        state = np.array([self.C])
-        kernels.morris_merge(rng, state, np.array([other.C]), self.log_b)
-        self.C = float(state[0])
-        return self
-
-    def estimate(self) -> float:
-        return estimate_from_state(self.C, self.b - 1.0)
-
-    def wire_bits(self) -> int:
-        return 8 + gamma_len(int(self.C) + 1)
-
-
-@dataclass
-class SignedMorrisCounter:
-    b: float
-    ins: MorrisCounter = field(default=None)  # type: ignore[assignment]
-    dels: MorrisCounter = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        _check_base(self.b)
-        if self.ins is None:
-            self.ins = MorrisCounter(self.b)
-        if self.dels is None:
-            self.dels = MorrisCounter(self.b)
-
-    def add_batch(self, signed_count: float, rng: np.random.Generator) -> "SignedMorrisCounter":
-        """Absorb |signed_count| insertions (positive) or deletions (negative)."""
-        if signed_count >= 0:
-            self.ins.add_batch(signed_count, rng)
-        else:
-            self.dels.add_batch(-signed_count, rng)
-        return self
-
-    def merge(self, other: "SignedMorrisCounter", rng: np.random.Generator) -> "SignedMorrisCounter":
-        self.ins.merge(other.ins, rng)
-        self.dels.merge(other.dels, rng)
-        return self
-
-    def estimate(self) -> float:
-        return self.ins.estimate() - self.dels.estimate()
-
-    def wire_bits(self) -> int:
-        return 8 + gamma_len(int(self.ins.C) + 1) + gamma_len(int(self.dels.C) + 1)

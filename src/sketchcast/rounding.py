@@ -6,23 +6,19 @@ p_r*hi + (1-p_r)*lo = r exactly, so the rounding is unbiased no matter how
 accurately lo and hi themselves were computed.  The variance is at most
 (gamma * r)^2.
 
-Messages travel as (zero flag, sign, Elias-gamma of zigzag(exponent) + 1);
-see WIRE.md.  The grid ratio comes from
-gamma = (eps*delta / (d * log2(n*m)))^C, and the legal exponent window is
-derived from the truncation bound K = (M*n*m)^2 / gamma: admissible
-magnitudes lie in [(mK)^-(d+3), K^6], and a convergecast node at layer l
-truncates below (mK)^-(d+3-l).  Those floors underflow float64 at large
-depth, so all floor comparisons happen in log space.
+The rounding itself runs in ``kernels.round_to_grid``; the message format
+is stated once, on ``engine.RoundedVectorCodec``.  The grid ratio comes
+from gamma = (eps*delta / (d * log2(n*m)))^C, and the legal exponent
+window is derived from the truncation bound K = (M*n*m)^2 / gamma:
+admissible magnitudes lie in [(mK)^-(d+3), K^6], and a convergecast node
+at layer l truncates below (mK)^-(d+3-l).  Those floors underflow float64
+at large depth, so all floor comparisons happen in log space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .bitcodec import gamma_decode, gamma_encode, gamma_len, unzigzag, zigzag
 
 
 class WindowError(ValueError):
@@ -59,75 +55,6 @@ class RoundingParams:
         if self.log_mk is None or self.depth is None:
             return -math.inf
         return -(self.depth + 3 - layer) * self.log_mk
-
-
-@dataclass(frozen=True)
-class RoundedMessage:
-    is_zero: bool
-    sign: int = 1
-    exponent: int = 0
-
-
-def _grid_interpolation(ax: float, log_gamma: float) -> tuple[int, float, float, float]:
-    """Exponent i with (1+g)^i <= ax, the bracketing grid values, and p_r."""
-    lv = math.log(ax)
-    i = math.floor(lv / log_gamma)
-    for _ in range(2):
-        if (i + 1) * log_gamma <= lv:
-            i += 1
-    for _ in range(2):
-        if i * log_gamma > lv:
-            i -= 1
-    lo = math.exp(i * log_gamma)
-    hi = math.exp((i + 1) * log_gamma)
-    pr = min(1.0, max(0.0, (ax - lo) / (hi - lo)))
-    return i, lo, hi, pr
-
-
-def round_stochastic(r: float, params: RoundingParams, rng: np.random.Generator) -> RoundedMessage:
-    """Round r onto the grid; exact zeros stay zero.
-
-    Callers enforce truncation floors before calling; this routine only
-    validates the exponent window.
-    """
-    if r == 0.0:
-        return RoundedMessage(is_zero=True)
-    i, _, _, pr = _grid_interpolation(abs(r), params.log_gamma)
-    e = i + 1 if rng.random() < pr else i
-    if not params.exponent_min <= e <= params.exponent_max:
-        raise WindowError(
-            f"exponent {e} outside [{params.exponent_min}, {params.exponent_max}] for value {r!r}"
-        )
-    return RoundedMessage(is_zero=False, sign=1 if r > 0 else -1, exponent=e)
-
-
-def decode(msg: RoundedMessage, params: RoundingParams) -> float:
-    if msg.is_zero:
-        return 0.0
-    return msg.sign * math.exp(msg.exponent * params.log_gamma)
-
-
-def message_bits(msg: RoundedMessage) -> int:
-    """Exact wire length: 1 bit if zero, else 2 + gamma_len(zigzag(e)+1)."""
-    if msg.is_zero:
-        return 1
-    return 2 + gamma_len(zigzag(msg.exponent) + 1)
-
-
-def encode_bits(msg: RoundedMessage) -> str:
-    if msg.is_zero:
-        return "1"
-    sign = "0" if msg.sign > 0 else "1"
-    return "0" + sign + gamma_encode(zigzag(msg.exponent) + 1)
-
-
-def decode_bits(bits: str, pos: int = 0) -> tuple[RoundedMessage, int]:
-    """Inverse of :func:`encode_bits`; returns (message, next position)."""
-    if bits[pos] == "1":
-        return RoundedMessage(is_zero=True), pos + 1
-    sign = 1 if bits[pos + 1] == "0" else -1
-    v, nxt = gamma_decode(bits, pos + 2)
-    return RoundedMessage(is_zero=False, sign=sign, exponent=unzigzag(v - 1)), nxt
 
 
 def gamma_for(

@@ -142,10 +142,3 @@ def test_bench_comms_smoke(tmp_path, capsys):
     assert "fit: slope=" in stdout
     loaded = json.loads(summary.read_text(encoding="ascii"))
     assert [r["d"] for r in loaded["rows"]] == [2, 4]
-
-
-def test_bench_kernels_smoke(capsys):
-    code, stdout, _ = run_cli(capsys, "bench", "kernels", "--size", "2000",
-                              "--repeat", "1")
-    assert code == 0
-    assert "cms_symmetric" in stdout and "numpy" in stdout

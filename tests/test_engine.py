@@ -11,7 +11,6 @@ from sketchcast.engine import (
     CounterOverflowError,
     CounterVector,
     CounterVectorCodec,
-    NodeInput,
     baseline_codec_bits,
     exact_sum_convergecast,
     morris_sum_convergecast,
@@ -104,14 +103,6 @@ def test_comm_stats_merge_is_edgewise():
     c = a.merged(b)
     assert c.per_edge_bits == {(1, 0): 7, (2, 0): 3, (3, 0): 9}
     assert c.max_edge_bits == 9 and c.total_bits == 19 and c.rounds == 2
-
-
-def test_node_input_validation():
-    NodeInput(0, np.array([1.0, 2.0])).validate(2)
-    with pytest.raises(ValueError):
-        NodeInput(0, np.array([-1.0])).validate(5)
-    with pytest.raises(ValueError):
-        NodeInput(1, np.array([9.0])).validate(5)
 
 
 def test_baseline_codec_bits():

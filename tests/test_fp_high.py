@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from sketchcast import kernels
 from sketchcast.bitcodec import gamma_len, zigzag
-from sketchcast.engine import NodeInput
 from sketchcast.fp_high import (
     FpHighConfig,
     as_count_matrix,
     estimate_fp_high,
     lower_median,
-    truncate_message,
 )
 from sketchcast.oracles import frequency_moment, lp_norm
 from sketchcast.stable import build_sketch, median_abs
@@ -38,30 +37,11 @@ def test_as_count_matrix_rejects_bad_array_shape():
         as_count_matrix(np.zeros(4), m=4)
 
 
-def test_as_count_matrix_fills_missing_players_with_zeros():
-    out = as_count_matrix([(2, np.array([1.0, 4.0]))], m=4)
-    assert out.shape == (4, 2)
-    assert np.array_equal(out[2], [1.0, 4.0])
-    assert not out[[0, 1, 3]].any()
-
-
-def test_as_count_matrix_accepts_node_inputs():
-    out = as_count_matrix([NodeInput(0, np.array([2.0])),
-                           NodeInput(1, np.array([5.0]))], m=2)
-    assert np.array_equal(out, [[2.0], [5.0]])
-
-
 def test_as_count_matrix_rejections():
     with pytest.raises(ValueError):
-        as_count_matrix([], m=2)
-    with pytest.raises(ValueError):
-        as_count_matrix([(5, np.array([1.0]))], m=2)
-    with pytest.raises(ValueError):
-        as_count_matrix([(0, np.array([1.0])), (0, np.array([2.0]))], m=2)
-    with pytest.raises(ValueError):
-        as_count_matrix([(0, np.array([1.0])), (1, np.array([1.0, 2.0]))], m=2)
-    with pytest.raises(ValueError):
         as_count_matrix(np.array([[-1.0]]), m=1)
+    with pytest.raises(ValueError):
+        as_count_matrix(np.array([[2.0, -0.5], [1.0, 1.0]]), m=2)
 
 
 def test_config_validation():
@@ -82,22 +62,32 @@ def test_config_row_count():
     assert FpHighConfig(p=1.5, eps=0.45, c_k=1.0).k == 16
 
 
+def truncated_at(x, layer, params):
+    """Zero-flag lanes of one layer's rounding, as the convergecast runs it."""
+    x = np.asarray(x, dtype=np.float64)
+    out = kernels.round_to_grid(x, np.full(x.shape, 0.5), params.log_gamma,
+                                params.log_floor(layer), params.exponent_min,
+                                params.exponent_max)
+    assert out[3]
+    return out[1], out[2]
+
+
 def test_truncate_message_cases():
     cfg = FpHighConfig(p=1.5, eps=0.25)
     params = cfg.rounding_params(n=64, m=16, depth=4, M=10.0)
-    assert truncate_message(0.0, 0, params) == 0.0
     floor0 = math.exp(params.log_floor(0))
-    assert truncate_message(2 * floor0, 0, params) == 2 * floor0
-    assert truncate_message(-2 * floor0, 0, params) == -2 * floor0
-    assert truncate_message(floor0 / 2, 0, params) == 0.0
+    is_zero, decoded = truncated_at([0.0, 2 * floor0, -2 * floor0, floor0 / 2], 0, params)
+    assert list(is_zero) == [True, False, False, True]
+    assert decoded[0] == decoded[3] == 0.0
+    assert decoded[1] > 0.0 > decoded[2]
 
 
 def test_truncation_floor_rises_with_layer():
     cfg = FpHighConfig(p=1.5, eps=0.25)
     params = cfg.rounding_params(n=64, m=16, depth=4, M=10.0)
     r = 2 * math.exp(params.log_floor(0))
-    assert truncate_message(r, 0, params) == r
-    assert truncate_message(r, 4, params) == 0.0
+    assert not truncated_at([r], 0, params)[0][0]
+    assert truncated_at([r], 4, params)[0][0]
 
 
 def test_all_zero_inputs_cost_one_bit_per_edge():

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchcast import harness
 from sketchcast.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -307,10 +306,3 @@ def test_comm_scaling_smoke():
         assert row["bits_per_row"] > 0
         assert row["baseline_ratio"] == 64.0 / row["bits_per_row"]
     assert set(out["fit"]) == {"slope", "intercept", "max_rel_residual"}
-
-
-def test_bench_kernels_reports_both_backends():
-    out = harness.bench_kernels(size=2000, repeat=1)
-    assert set(out["backends"]) == {"numba", "numpy"}
-    numpy_times = out["backends"]["numpy"]
-    assert all(t is None or t >= 0.0 for t in numpy_times.values())

@@ -1,4 +1,4 @@
-"""Approximate matrix product: config, sketches, file formats, accuracy."""
+"""Approximate matrix product: config, sketches, accuracy."""
 
 import math
 
@@ -8,10 +8,8 @@ import pytest
 from sketchcast.matrix_product import (
     AmpConfig,
     amp_estimate,
-    read_matrix,
     sketch_matrix,
     sketch_product,
-    write_matrix,
 )
 from sketchcast.oracles import matrix_product
 from sketchcast.topology import line, star
@@ -133,22 +131,3 @@ def test_sketch_product_validation():
         sketch_product(np.ones((4, 2)), np.ones((5, 2)), cfg, seed=0)
     with pytest.raises(ValueError):
         sketch_product(np.ones(4), np.ones((4, 2)), cfg, seed=0)
-
-
-def test_matrix_file_round_trip(tmp_path):
-    mat = np.array([[1.5, -2.25], [0.0, 1e-9], [3.0, 4.0]])
-    path = tmp_path / "m.txt"
-    write_matrix(path, mat)
-    assert path.read_text(encoding="ascii").splitlines()[0] == "3 2"
-    assert np.array_equal(read_matrix(path), mat)
-
-
-def test_matrix_file_errors(tmp_path):
-    with pytest.raises(ValueError):
-        write_matrix(tmp_path / "v.txt", np.ones(3))
-    bad = tmp_path / "bad.txt"
-    bad.write_text("2 2\n1 2\n", encoding="ascii")
-    with pytest.raises(ValueError):
-        read_matrix(bad)
-    with pytest.raises(OSError):
-        read_matrix(tmp_path / "missing.txt")

@@ -1,4 +1,4 @@
-"""Stochastic rounding: interpolation identity, codec, and grid derivation."""
+"""Stochastic rounding: the grid kernel, its wire format, and grid derivation."""
 
 import math
 
@@ -7,21 +7,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchcast.bitcodec import gamma_len, zigzag
-from sketchcast.rounding import (
-    RoundedMessage,
-    RoundingParams,
-    WindowError,
-    _grid_interpolation,
-    decode,
-    decode_bits,
-    encode_bits,
-    gamma_for,
-    message_bits,
-    round_stochastic,
-)
+from sketchcast import kernels
+from sketchcast.bitcodec import gamma_decode, gamma_encode, gamma_len, unzigzag, zigzag
+from sketchcast.engine import rounded_sum_convergecast
+from sketchcast.rounding import RoundingParams, WindowError, gamma_for
+from sketchcast.topology import line, spanning_tree
 
 WIDE = RoundingParams(gamma=1.0, exponent_min=-(10**6), exponent_max=10**6)
+
+
+def round_lanes(x, params, unif, log_floor=-math.inf):
+    """kernels.round_to_grid on float lanes under ``params``."""
+    x = np.asarray(x, dtype=np.float64)
+    return kernels.round_to_grid(x, np.broadcast_to(unif, x.shape), params.log_gamma,
+                                 log_floor, params.exponent_min, params.exponent_max)
+
+
+def stratified(k):
+    """k uniforms, one at the midpoint of each 1/k slice of [0, 1)."""
+    return (np.arange(k) + 0.5) / k
+
+
+def encode_lane(is_zero, negative, exponent):
+    """One lane in the RoundedVectorCodec format."""
+    if is_zero:
+        return "1"
+    return "0" + ("1" if negative else "0") + gamma_encode(zigzag(int(exponent)) + 1)
+
+
+def decode_lane(bits, pos):
+    """Inverse of encode_lane; returns (is_zero, negative, exponent, next pos)."""
+    if bits[pos] == "1":
+        return True, False, 0, pos + 1
+    v, nxt = gamma_decode(bits, pos + 2)
+    return False, bits[pos + 1] == "1", unzigzag(v - 1), nxt
 
 
 @given(
@@ -30,82 +49,110 @@ WIDE = RoundingParams(gamma=1.0, exponent_min=-(10**6), exponent_max=10**6)
 )
 @settings(max_examples=300)
 def test_interpolation_identity(r, gamma):
-    # lo*(1-p) + hi*p recovers r exactly; this is the unbiasedness identity.
-    log_gamma = math.log1p(gamma)
-    i, lo, hi, pr = _grid_interpolation(r, log_gamma)
-    assert lo <= r <= hi * (1 + 1e-15)
-    assert math.isclose(lo * (1 - pr) + hi * pr, r, rel_tol=1e-12)
-    assert math.isclose(lo, math.exp(i * log_gamma), rel_tol=1e-12)
+    # Rounding r is unbiased: averaged over stratified uniforms, the
+    # decoded value is r up to one stratum of the bracket width hi - lo.
+    params = RoundingParams(gamma=gamma, exponent_min=-(10**9), exponent_max=10**9)
+    k = 4096
+    # a uniform of 1 never rounds up, so it finds the lower grid point
+    i = round_lanes([r], params, 1.0)[0][0]
+    lo, hi = math.exp(i * params.log_gamma), math.exp((i + 1) * params.log_gamma)
+    assert lo <= r * (1 + 1e-12) and r <= hi * (1 + 1e-12)
+    exponents, _, decoded, ok = round_lanes(np.full(k, r), params, stratified(k))
+    assert ok
+    assert set(exponents) <= {i, i + 1}
+    assert abs(decoded.mean() - r) <= (hi - lo) / k + 1e-12 * r
 
 
 def test_power_of_two_grid_brackets_five():
-    i, lo, hi, pr = _grid_interpolation(5.0, math.log(2.0))
-    assert i == 2
-    assert math.isclose(lo, 4.0, rel_tol=1e-12)
-    assert math.isclose(hi, 8.0, rel_tol=1e-12)
-    assert math.isclose(pr, 0.25, rel_tol=1e-12)
+    k = 4000
+    exponents, _, decoded, _ = round_lanes(np.full(k, 5.0), WIDE, stratified(k))
+    assert set(exponents) == {2, 3}
+    assert math.isclose(decoded.min(), 4.0, rel_tol=1e-12)
+    assert math.isclose(decoded.max(), 8.0, rel_tol=1e-12)
+    assert np.mean(exponents == 3) == 0.25
 
 
 def test_rounding_five_hits_eight_a_quarter_of_the_time():
     rng = np.random.default_rng(5)
-    exps = [round_stochastic(5.0, WIDE, rng).exponent for _ in range(4000)]
-    up = np.mean(np.asarray(exps) == 3)
-    assert set(exps) == {2, 3}
+    exponents, _, _, _ = round_lanes(np.full(4000, 5.0), WIDE, rng.random(4000))
+    up = np.mean(exponents == 3)
+    assert set(exponents) == {2, 3}
     # 4 sigma band around 0.25 at 4000 draws
     assert abs(up - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 4000)
 
 
 def test_grid_points_round_to_themselves():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        msg = round_stochastic(-4.0, WIDE, rng)
-        assert (msg.sign, msg.exponent) == (-1, 2)
-        assert math.isclose(decode(msg, WIDE), -4.0, rel_tol=1e-12)
+    exponents, is_zero, decoded, ok = round_lanes(np.full(50, -4.0), WIDE, rng.random(50))
+    assert ok and not is_zero.any()
+    assert set(exponents) == {2}
+    np.testing.assert_allclose(decoded, -4.0, rtol=1e-12)
 
 
 def test_zero_stays_zero():
-    msg = round_stochastic(0.0, WIDE, np.random.default_rng(0))
-    assert msg.is_zero
-    assert decode(msg, WIDE) == 0.0
-    assert message_bits(msg) == 1
+    exponents, is_zero, decoded, ok = round_lanes([0.0, 0.0], WIDE, 0.5)
+    assert ok and is_zero.all()
+    assert not decoded.any()
+    assert list(kernels.rounded_bits(exponents, is_zero)) == [1, 1]
 
 
 def test_decode_examples():
-    eight = decode(RoundedMessage(is_zero=False, sign=1, exponent=3), WIDE)
-    assert math.isclose(eight, 8.0, rel_tol=1e-12)
+    eight = round_lanes([8.0], WIDE, 0.5)
+    assert eight[0][0] == 3 and math.isclose(eight[2][0], 8.0, rel_tol=1e-12)
     half = RoundingParams(gamma=0.5, exponent_min=-8, exponent_max=8)
-    assert decode(RoundedMessage(is_zero=False, sign=-1, exponent=0), half) == -1.0
+    minus_one = round_lanes([-1.0], half, 0.5)
+    assert minus_one[0][0] == 0 and minus_one[2][0] == -1.0
 
 
 def test_message_bits_hand_counts():
-    assert message_bits(RoundedMessage(is_zero=False, sign=1, exponent=0)) == 3
-    assert message_bits(RoundedMessage(is_zero=False, sign=1, exponent=-3)) == 7
+    bits = kernels.rounded_bits(np.array([0, -3]), np.array([False, False]))
+    assert list(bits) == [3, 7]
 
 
 @pytest.mark.parametrize("exponent", range(-40, 41))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_codec_round_trip_over_window(exponent, sign):
-    msg = RoundedMessage(is_zero=False, sign=sign, exponent=exponent)
-    bits = encode_bits(msg)
-    assert len(bits) == message_bits(msg) == 2 + gamma_len(zigzag(exponent) + 1)
-    back, nxt = decode_bits(bits)
-    assert back == msg
-    assert nxt == len(bits)
+    bits = encode_lane(False, sign < 0, exponent)
+    metered = kernels.rounded_bits(np.array([exponent]), np.array([False]))[0]
+    assert len(bits) == metered == 2 + gamma_len(zigzag(exponent) + 1)
+    assert decode_lane(bits, 0) == (False, sign < 0, exponent, len(bits))
 
 
 def test_zero_codec_round_trip():
-    back, nxt = decode_bits(encode_bits(RoundedMessage(is_zero=True)))
-    assert back.is_zero and nxt == 1
+    bits = encode_lane(True, False, 0)
+    assert len(bits) == kernels.rounded_bits(np.array([0]), np.array([True]))[0]
+    assert decode_lane(bits, 0) == (True, False, 0, 1)
+
+
+def test_rounded_vectors_are_realisable_at_the_metered_length():
+    # Encode every lane the kernel emits, zeros and sub-floor values
+    # included, as one bit string: it must decode back lane for lane and be
+    # exactly as long as the production meter says.
+    rng = np.random.default_rng(12)
+    params = RoundingParams(gamma=0.3, exponent_min=-400, exponent_max=400)
+    x = rng.standard_normal(3000) * 10.0 ** rng.integers(-9, 9, 3000)
+    x[::11] = 0.0
+    exponents, is_zero, _, ok = round_lanes(x, params, rng.random(x.size),
+                                            log_floor=math.log(1e-6))
+    assert ok and is_zero.sum() > x.size // 11
+    negative = x < 0
+    stream = "".join(encode_lane(z, neg, e) for z, neg, e in zip(is_zero, negative, exponents))
+    assert len(stream) == kernels.rounded_bits(exponents, is_zero).sum()
+    pos = 0
+    for z, neg, e in zip(is_zero, negative, exponents):
+        got_zero, got_neg, got_e, pos = decode_lane(stream, pos)
+        assert got_zero == z
+        if not z:
+            assert (got_neg, got_e) == (neg, e)
+    assert pos == len(stream)
 
 
 def test_variance_stays_under_grid_bound():
-    # Var[decode(round(r))] <= (gamma * r)^2 plus 3 sigma of the estimator.
+    # Var[round(r)] <= (gamma * r)^2 plus 3 sigma of the estimator.
     rng = np.random.default_rng(11)
     params = RoundingParams(gamma=0.5, exponent_min=-200, exponent_max=200)
     for r in (1.0, 7.3):
-        vals = np.array(
-            [decode(round_stochastic(r, params, rng), params) for _ in range(20000)]
-        )
+        vals = round_lanes(np.full(20000, r), params, rng.random(20000))[2]
         dev2 = (vals - vals.mean()) ** 2
         slack = 3 * dev2.std() / math.sqrt(vals.size)
         assert dev2.mean() <= (params.gamma * r) ** 2 + slack
@@ -113,8 +160,10 @@ def test_variance_stays_under_grid_bound():
 
 def test_window_violation_raises():
     narrow = RoundingParams(gamma=1.0, exponent_min=-4, exponent_max=4)
+    tree = spanning_tree(line(2), 1)
+    payload = np.array([[1e9], [0.0]])
     with pytest.raises(WindowError):
-        round_stochastic(1e9, narrow, np.random.default_rng(0))
+        rounded_sum_convergecast(payload, tree, narrow, seed=0)
 
 
 def test_params_validation():
@@ -162,11 +211,8 @@ def test_floor_ratio_between_layers():
 
 def test_desk_scale_messages_fit_in_48_bits():
     params = gamma_for(0.1, 0.25, d=4, n=1000, m=16, M=1000)
-    worst = max(
-        message_bits(RoundedMessage(is_zero=False, sign=-1, exponent=e))
-        for e in (params.exponent_min, params.exponent_max)
-    )
-    assert worst <= 48
+    window = np.array([params.exponent_min, params.exponent_max])
+    assert kernels.rounded_bits(window, np.zeros(2, dtype=bool)).max() <= 48
 
 
 def test_window_covers_floor_and_cap():
