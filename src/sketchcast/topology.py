@@ -5,6 +5,15 @@ minimum eccentricity) and run one convergecast round per layer, where
 layer(v) = depth - dist(root, v): leaves of maximal depth sit at layer 0
 and the root at layer = depth.  All tie-breaking is by smallest vertex id
 so runs are reproducible.
+
+The center is found exactly without a BFS from every vertex, by keeping
+lower and upper eccentricity bounds per vertex and probing (one BFS each)
+only vertices that could still be the center (Takes & Kosters, "Computing
+the eccentricity distribution of large graphs", Algorithms 6(1), 2013).
+Grids, lines, trees and stars settle in at most four probes.  The worst
+case is a graph in which every vertex has the same eccentricity, such as
+a cycle: a probe then closes little more than its own vertex, so a cycle
+of m vertices needs m/2 probes, and no graph needs more than m.
 """
 
 from __future__ import annotations
@@ -82,25 +91,45 @@ def _bfs_dist(adj: list[list[int]], src: int) -> list[int]:
     return dist
 
 
-def eccentricities(g: Topology) -> list[int]:
-    adj = g.adjacency()
-    eccs = []
-    for v in range(g.m):
-        dist = _bfs_dist(adj, v)
-        if min(dist) < 0:
-            raise TopologyError("graph is disconnected")
-        eccs.append(max(dist))
-    return eccs
-
-
 def center(g: Topology) -> int:
-    """Vertex of minimum eccentricity, smallest id on ties."""
-    eccs = eccentricities(g)
-    return int(np.argmin(eccs))
+    """Vertex of minimum eccentricity, smallest id on ties.
 
-
-def diameter(g: Topology) -> int:
-    return max(eccentricities(g)) if g.m > 1 else 0
+    A BFS from w with eccentricity e bounds every vertex v at distance d:
+    max(d, e - d) <= ecc(v) <= e + d.  Probes alternate between the open
+    vertex with the smallest lower bound and the one with the largest upper
+    bound, smallest id on ties.  With U the smallest upper bound, a vertex
+    is open while its eccentricity is unknown and either its lower bound is
+    below U, or equals U and its id is below every vertex known to have
+    eccentricity U.  When none is open the radius is U and the answer is
+    the smallest such vertex.  Each probe settles the vertex it starts
+    from, so at most m probes run; a cycle needs m/2, grids, lines, trees
+    and stars at most four.  Raises TopologyError when the graph is
+    disconnected.
+    """
+    adj = g.adjacency()
+    ids = np.arange(g.m)
+    lower = np.zeros(g.m, dtype=np.int64)
+    upper = np.full(g.m, g.m, dtype=np.int64)
+    probes = 0
+    while True:
+        bound = upper.min()
+        exact = lower == upper
+        settled = ids[exact & (upper == bound)]
+        first = settled[0] if settled.size else g.m
+        open_ = ~exact & ((lower < bound) | ((lower == bound) & (ids < first)))
+        if not open_.any():
+            return int(first)
+        if probes % 2 == 0:
+            w = int(np.argmin(np.where(open_, lower, g.m + 1)))
+        else:
+            w = int(np.argmax(np.where(open_, upper, -1)))
+        probes += 1
+        dist = np.asarray(_bfs_dist(adj, w))
+        if dist.min() < 0:
+            raise TopologyError("graph is disconnected")
+        e = dist.max()
+        np.maximum(lower, np.maximum(dist, e - dist), out=lower)
+        np.minimum(upper, e + dist, out=upper)
 
 
 def spanning_tree(g: Topology, root: int) -> SpanningTree:
@@ -183,15 +212,17 @@ def random_connected(m: int, p_edge: float = 0.15, seed=0) -> Topology:
     if m < 1:
         raise TopologyError("random topology needs m >= 1")
     rng = generator(seed, 0)
-    edges = set()
+    parent = np.full(m, -1)
     for v in range(1, m):
-        u = int(rng.integers(0, v))
-        edges.add((u, v))
-    for u in range(m):
-        for v in range(u + 1, m):
-            if (u, v) not in edges and rng.random() < p_edge:
-                edges.add((u, v))
-    return make_topology(m, sorted(edges))
+        parent[v] = int(rng.integers(0, v))
+    edges = [(int(parent[v]), v) for v in range(1, m)]
+    # One uniform per non-tree pair (u, v), u < v, in lexicographic order;
+    # drawn a row at a time so memory stays O(m) rather than O(m^2).
+    for u in range(m - 1):
+        vs = np.arange(u + 1, m)
+        vs = vs[parent[u + 1:] != u]
+        edges.extend((u, v) for v in vs[rng.random(vs.size) < p_edge].tolist())
+    return make_topology(m, edges)
 
 
 # ---------------------------------------------------------------------------

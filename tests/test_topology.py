@@ -3,14 +3,16 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sketchcast import topology
+from sketchcast.streams import generator
 from sketchcast.topology import (
     Topology,
     TopologyError,
     balanced_binary,
     center,
-    diameter,
-    eccentricities,
     from_spec,
     grid,
     line,
@@ -39,6 +41,30 @@ def bfs_distances(g: Topology, src: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 q.append(v)
     return dist
+
+
+def eccentricities(g: Topology) -> list[int]:
+    """Brute force: one BFS from every vertex."""
+    eccs = []
+    for v in range(g.m):
+        dist = bfs_distances(g, v)
+        if min(dist) < 0:
+            raise TopologyError("graph is disconnected")
+        eccs.append(max(dist))
+    return eccs
+
+
+def diameter(g: Topology) -> int:
+    return max(eccentricities(g))
+
+
+def brute_force_center(g: Topology) -> int:
+    eccs = eccentricities(g)
+    return eccs.index(min(eccs))
+
+
+def cycle(m: int) -> Topology:
+    return make_topology(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 SAMPLES = [
@@ -80,8 +106,8 @@ def test_edges_are_canonicalized():
 def test_disconnected_graph_is_flagged_and_unusable():
     g = make_topology(4, [(0, 1), (2, 3)])
     assert not g.connected
-    with pytest.raises(TopologyError):
-        eccentricities(g)
+    with pytest.raises(TopologyError, match="disconnected"):
+        center(g)
     with pytest.raises(TopologyError):
         spanning_tree(g, 0)
 
@@ -94,8 +120,45 @@ def test_center_examples():
 
 def test_center_is_brute_force_argmin():
     for g in SAMPLES:
-        eccs = [max(bfs_distances(g, v)) for v in range(g.m)]
-        assert center(g) == eccs.index(min(eccs))
+        assert center(g) == brute_force_center(g)
+
+
+# Grids up to 12x12 are checked exhaustively below.
+GRAPHS = st.one_of(
+    st.builds(random_connected, st.integers(1, 120), st.floats(0.0, 0.3),
+              st.integers(0, 2**32 - 1)),
+    st.builds(cycle, st.integers(3, 60)),
+    st.builds(balanced_binary, st.integers(1, 200)),
+    st.builds(star, st.integers(1, 200)),
+)
+
+
+@given(GRAPHS)
+@settings(max_examples=150, deadline=None)
+def test_center_matches_brute_force_property(g):
+    assert center(g) == brute_force_center(g)
+
+
+def test_center_matches_brute_force_on_every_small_grid():
+    for r in range(1, 13):
+        for c in range(1, 13):
+            g = grid(r, c)
+            assert center(g) == brute_force_center(g), (r, c)
+
+
+@pytest.mark.parametrize("g", [grid(32, 32), line(257), balanced_binary(1023), star(5000)],
+                         ids=["grid32x32", "line257", "binary1023", "star5000"])
+def test_center_needs_few_bfs_runs(g, monkeypatch):
+    calls = []
+    bfs = topology._bfs_dist
+
+    def counting_bfs(adj, src):
+        calls.append(src)
+        return bfs(adj, src)
+
+    monkeypatch.setattr(topology, "_bfs_dist", counting_bfs)
+    center(g)
+    assert 1 <= len(calls) <= 10
 
 
 def test_diameter_examples():
@@ -156,6 +219,27 @@ def test_center_depth_brackets_diameter():
 def test_random_connected_is_connected():
     for seed in range(5):
         assert random_connected(15, 0.0, seed=seed).connected
+
+
+def random_connected_loop(m: int, p_edge: float, seed) -> Topology:
+    """Reference: one rng.random() per non-tree pair, lexicographic order."""
+    rng = generator(seed, 0)
+    edges = set()
+    for v in range(1, m):
+        edges.add((int(rng.integers(0, v)), v))
+    for u in range(m):
+        for v in range(u + 1, m):
+            if (u, v) not in edges and rng.random() < p_edge:
+                edges.add((u, v))
+    return make_topology(m, sorted(edges))
+
+
+@pytest.mark.parametrize("m, p_edge, seed", [
+    (1, 0.15, 0), (2, 0.15, 3), (20, 0.2, 42), (200, 0.15, 7),
+    (500, 0.05, 9), (57, 0.0, 1), (90, 1.0, 2),
+])
+def test_random_connected_matches_reference_loop(m, p_edge, seed):
+    assert random_connected(m, p_edge, seed) == random_connected_loop(m, p_edge, seed)
 
 
 def test_topology_file_round_trip(tmp_path):
