@@ -1,17 +1,35 @@
 """One-shot convergecast simulation with exact per-edge bit metering.
 
-Vertices are processed leaves-first in layer order; every non-root sends
-exactly one message to its tree parent, and the root combines without
-sending.  ``node_transform`` is a pure function of (vertex, own input,
-children messages, per-node generator), so a run is fully determined by
-(seed, topology, inputs).
-
-A node whose whole subtree holds exact zeros sends the ``ZERO`` sentinel,
-which costs the 1-bit subtree-empty flag and nothing else; every other
-message costs 1 flag bit plus its codec length.  Three message families
-cover all protocols here: stochastically rounded value vectors, exact
+Every non-root vertex sends exactly one message to its tree parent, and
+the root combines without sending.  A vertex whose whole subtree holds
+exact zeros sends only the 1-bit subtree-empty flag; every other message
+costs 1 flag bit plus its codec length.  Three message families cover all
+protocols here: stochastically rounded value vectors, exact
 64-bit-per-scalar vectors (the communication baseline, also used for
 sketch-equivalence checks), and signed Morris counter vectors.
+
+Layer schedule.  ``spanning_tree`` puts every child of a layer-L vertex in
+layer L-1, so the tree is walked one layer at a time, leaves first: a
+layer is one (vertices x lanes) matrix built from its own payload rows and
+the previous layer's messages.  Kernels run on whole layers: one
+``round_to_grid`` call per layer, and for Morris counters two
+``morris_add_batch`` calls per layer and two ``morris_merge`` calls per
+child slot.  Besides the payloads, only the previous layer's messages are
+kept, so working memory is O(widest layer x lanes).
+
+Addition order.  Child sums are formed by child slot: for j = 0, 1, ...,
+``x[rows with a j-th child] += msg[j-th child]``, counting only children
+that send a message, in ``tree.children[v]`` order.  Each vertex thus adds
+its own payload, then its children one by one in the order a
+vertex-at-a-time loop would, so every sum is bit-identical to that loop's
+(``np.add.at`` on the parent index would not keep that order).
+
+Random streams.  Vertex v draws only from ``generator(seed, DOMAIN_NODES,
+v)``, with the same calls in the same order as if it were processed alone;
+the layer kernels route each row's draws to that row's generator.  A
+non-root vertex whose subtree is all zero creates no generator.  A run is
+thus fully determined by (seed, topology, inputs), however its vertices
+are batched.
 """
 
 from __future__ import annotations
@@ -24,18 +42,6 @@ from . import kernels
 from .rounding import RoundingParams, WindowError
 from .streams import DOMAIN_NODES, generator
 from .topology import SpanningTree
-
-
-class _ZeroMessage:
-    """Singleton marker for an all-zero subtree."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ZERO"
-
-
-ZERO = _ZeroMessage()
 
 
 class CounterOverflowError(RuntimeError):
@@ -67,35 +73,68 @@ def baseline_codec_bits(count: int) -> int:
     return 64 * int(count)
 
 
-def run_convergecast(tree, inputs, node_transform, message_codec, seed=0, root_transform=None):
-    """Run one protocol over ``tree``; returns (root output, CommStats).
+def _slots(kids: list[list[int]]) -> list[tuple[slice | np.ndarray, np.ndarray]]:
+    """Per child slot j: (rows with a j-th child, message row of that child).
 
-    ``inputs`` is indexable by vertex id.  ``message_codec.bits(msg)``
-    meters every non-ZERO message; the 1-bit subtree flag is added here.
-    ``root_transform`` (default ``node_transform``) produces the root
-    output instead of a wire message.
+    The rows are ``slice(None)`` when every row has a j-th child.
     """
-    order = sorted(
-        (v for v in range(tree.m) if v != tree.root),
-        key=lambda v: (tree.layer[v], v),
-    )
-    msgs: dict[int, object] = {}
+    slots = []
+    for j in range(max(map(len, kids), default=0)):
+        rows = [i for i, k in enumerate(kids) if len(k) > j]
+        src = np.array([kids[i][j] for i in rows])
+        slots.append((slice(None) if len(rows) == len(kids) else np.array(rows), src))
+    return slots
+
+
+def _add_children(x: np.ndarray, slots, prev, field: str) -> np.ndarray:
+    """Add each row's children's ``prev.<field>`` rows to ``x``, slot by slot."""
+    for rows, src in slots:
+        x[rows] += getattr(prev, field)[src]
+    return x
+
+
+def run_convergecast(tree, inputs, transform, codec, seed=0, root_transform=None):
+    """Run one protocol over ``tree``, a layer at a time; returns (root output, CommStats).
+
+    ``inputs`` holds one payload row per vertex.  For each layer below the
+    root, ``transform(verts, own, prev, slots, gens)`` gets the layer's
+    vertices that send a message (ascending ids), their payload rows as a
+    fresh float64 matrix, the previous layer's message, the child slots
+    (``(rows, src)`` pairs: row ``rows[i]`` has as its j-th child the sender
+    in row ``src[i]`` of ``prev``; ``rows`` is ``slice(None)`` when every
+    row has one) and one generator per vertex; it returns the layer's
+    message.  A layer in which no vertex sends skips the call.
+    ``codec.bits(msg)`` meters each row of the message; the 1-bit subtree
+    flag is added here.  ``root_transform`` (default ``transform``) is
+    called the same way with the root alone, whether or not its subtree
+    holds anything, and its result is the root output.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    has_data = inputs.any(axis=1).tolist()
+    by_layer: list[list[int]] = [[] for _ in range(tree.depth + 1)]
+    for v in range(tree.m):
+        by_layer[tree.layer[v]].append(v)
+    row_of = [-1] * tree.m  # row of a sending vertex in its layer's message
     per_edge: dict[tuple[int, int], int] = {}
-    for v in order:
-        gen = generator(seed, DOMAIN_NODES, v)
-        children = [msgs.pop(c) for c in tree.children[v]]
-        try:
-            msg = node_transform(v, inputs[v], children, gen)
-        except WindowError as err:
-            raise WindowError(f"vertex {v}: {err}") from err
-        per_edge[(v, tree.parent[v])] = 1 + (
-            0 if msg is ZERO else message_codec.bits(msg)
-        )
-        msgs[v] = msg
-    gen = generator(seed, DOMAIN_NODES, tree.root)
-    children = [msgs.pop(c) for c in tree.children[tree.root]]
-    combine = root_transform if root_transform is not None else node_transform
-    out = combine(tree.root, inputs[tree.root], children, gen)
+    prev = None
+    for verts in by_layer[:-1]:
+        kids = {v: [row_of[c] for c in tree.children[v] if row_of[c] >= 0] for v in verts}
+        senders = [v for v in verts if kids[v] or has_data[v]]
+        msg, bits = None, {}
+        if senders:
+            gens = [generator(seed, DOMAIN_NODES, v) for v in senders]
+            msg = transform(senders, inputs[senders], prev,
+                            _slots([kids[v] for v in senders]), gens)
+            bits = dict(zip(senders, (1 + codec.bits(msg)).tolist()))
+            for r, v in enumerate(senders):
+                row_of[v] = r
+        per_edge.update(((v, tree.parent[v]), bits.get(v, 1)) for v in verts)
+        prev = msg
+    root = tree.root
+    combine = root_transform if root_transform is not None else transform
+    kids = [[row_of[c] for c in tree.children[root] if row_of[c] >= 0]]
+    out = combine([root], inputs[[root]], prev, _slots(kids),
+                  [generator(seed, DOMAIN_NODES, root)])
     return out, CommStats(per_edge_bits=per_edge, rounds=tree.depth)
 
 
@@ -120,22 +159,15 @@ class RoundedVectorCodec:
     bits.  Exponents come from ``kernels.round_to_grid`` and the lengths
     from ``kernels.rounded_bits``.  The code is prefix-free, so lanes
     concatenate without separators; the message's 1-bit subtree flag is
-    added by :func:`run_convergecast`.
+    added by :func:`run_convergecast`.  ``bits`` gives one length per row
+    of a layer's message.
     """
 
     def __init__(self, params: RoundingParams):
         self.params = params
 
-    def bits(self, msg: RoundedVector) -> int:
-        return int(kernels.rounded_bits(msg.exponents, msg.is_zero).sum())
-
-
-def _accumulate(own, children):
-    x = np.asarray(own, dtype=np.float64).copy()
-    for c in children:
-        if c is not ZERO:
-            x += c.decoded
-    return x
+    def bits(self, msg: RoundedVector) -> np.ndarray:
+        return kernels.rounded_bits(msg.exponents, msg.is_zero).sum(axis=-1)
 
 
 def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed):
@@ -145,24 +177,24 @@ def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParam
     rounded once on the grid (values under the layer floor truncate to an
     exact zero); the root sum is returned unrounded.
     """
-    lg = params.log_gamma
+    lg, lo, hi = params.log_gamma, params.exponent_min, params.exponent_max
 
-    def transform(v, own, children, gen):
-        x = _accumulate(own, children)
-        if all(c is ZERO for c in children) and not np.any(x):
-            return ZERO
-        unif = gen.random(x.shape[0])
+    def transform(verts, own, prev, slots, gens):
+        x = _add_children(own, slots, prev, "decoded")
+        unif = np.empty_like(x)
+        for row, gen in zip(unif, gens):
+            gen.random(out=row)
         exponents, is_zero, decoded, ok = kernels.round_to_grid(
-            x, unif, lg, params.log_floor(tree.layer[v]), params.exponent_min, params.exponent_max
+            x, unif, lg, params.log_floor(tree.layer[verts[0]]), lo, hi
         )
         if not ok:
-            raise WindowError(
-                f"rounded exponent escaped [{params.exponent_min}, {params.exponent_max}]"
-            )
+            escaped = ~is_zero & ((exponents < lo) | (exponents > hi))
+            v = verts[np.flatnonzero(escaped.any(axis=1))[0]]
+            raise WindowError(f"vertex {v}: rounded exponent escaped [{lo}, {hi}]")
         return RoundedVector(exponents, is_zero, decoded)
 
-    def root_combine(v, own, children, gen):
-        return _accumulate(own, children)
+    def root_combine(verts, own, prev, slots, gens):
+        return _add_children(own, slots, prev, "decoded")[0]
 
     return run_convergecast(
         tree, payloads, transform, RoundedVectorCodec(params), seed, root_combine
@@ -183,31 +215,22 @@ class ExactVectorCodec:
     """Wire format of an exact vector: one raw 64-bit float per lane.
 
     This is the flat communication baseline every other family is
-    measured against; the 1-bit subtree flag comes on top.
+    measured against; the 1-bit subtree flag comes on top.  ``bits`` gives
+    one length per row of a layer's message.
     """
 
-    def bits(self, msg: ExactVector) -> int:
-        return baseline_codec_bits(msg.values.shape[0])
+    def bits(self, msg: ExactVector) -> np.ndarray:
+        return np.full(msg.values.shape[:-1], baseline_codec_bits(msg.values.shape[-1]))
 
 
 def exact_sum_convergecast(payloads, tree: SpanningTree, seed=0):
     """Lossless aggregation; bits metered at 64 per scalar."""
 
-    def transform(v, own, children, gen):
-        x = np.asarray(own, dtype=np.float64).copy()
-        nonzero = np.any(x)
-        for c in children:
-            if c is not ZERO:
-                x += c.values
-                nonzero = True
-        return ExactVector(x) if nonzero else ZERO
+    def transform(verts, own, prev, slots, gens):
+        return ExactVector(_add_children(own, slots, prev, "values"))
 
-    def root_combine(v, own, children, gen):
-        x = np.asarray(own, dtype=np.float64).copy()
-        for c in children:
-            if c is not ZERO:
-                x += c.values
-        return x
+    def root_combine(verts, own, prev, slots, gens):
+        return _add_children(own, slots, prev, "values")[0]
 
     return run_convergecast(tree, payloads, transform, ExactVectorCodec(), seed, root_combine)
 
@@ -232,54 +255,49 @@ class CounterVectorCodec:
     parameters (update-mass bound and base), never from the realized
     states, so a message's bit length is the same on every edge of every
     tree.  A state outside the field models the "safely fail" event:
-    exceeding it raises :class:`CounterOverflowError`.  The 1-bit subtree
-    flag comes on top.
+    exceeding it raises :class:`CounterOverflowError`, naming the first
+    row's largest state.  The 1-bit subtree flag comes on top.  ``bits``
+    gives one length per row of a layer's message.
     """
 
     def __init__(self, state_bits: int):
         self.state_bits = state_bits
 
-    def bits(self, msg: CounterVector) -> int:
-        worst = float(max(msg.ins.max(initial=0.0), msg.dels.max(initial=0.0)))
-        if worst >= 2.0 ** self.state_bits:
+    def bits(self, msg: CounterVector) -> np.ndarray:
+        worst = np.maximum(msg.ins, msg.dels).max(axis=-1, initial=0.0)
+        over = worst >= 2.0 ** self.state_bits
+        if over.any():
             raise CounterOverflowError(
-                f"counter state {worst:.0f} exceeds {self.state_bits}-bit field"
+                f"counter state {worst[over].flat[0]:.0f} exceeds {self.state_bits}-bit field"
             )
-        return msg.ins.size * (8 + 2 * self.state_bits)
+        return np.full(worst.shape, msg.ins.shape[-1] * (8 + 2 * self.state_bits))
 
 
 def morris_sum_convergecast(values, tree: SpanningTree, log_b: float, seed, state_bits=64):
     """Aggregate signed integer-valued payloads via signed Morris counters.
 
     Each player batches its positive part into insertion counters and its
-    negative part into deletion counters, then merges all children
-    lane-wise.  Returns the root's (ins, dels) state arrays.
+    negative part into deletion counters, then merges its children one
+    child slot at a time, insertions before deletions.  Returns the root's
+    (ins, dels) state arrays.
     """
 
-    def fold(v, own, children, gen):
-        x = np.asarray(own, dtype=np.float64)
-        if all(c is ZERO for c in children) and not np.any(x):
-            return None
-        ins = np.zeros(x.shape[0])
-        dels = np.zeros(x.shape[0])
-        kernels.morris_add_batch(gen, ins, np.maximum(x, 0.0), log_b)
-        kernels.morris_add_batch(gen, dels, np.maximum(-x, 0.0), log_b)
-        for c in children:
-            if c is not ZERO:
-                kernels.morris_merge(gen, ins, c.ins, log_b)
-                kernels.morris_merge(gen, dels, c.dels, log_b)
+    def transform(verts, own, prev, slots, gens):
+        ins = np.zeros(own.shape)
+        dels = np.zeros(own.shape)
+        kernels.morris_add_batch(gens, ins, np.maximum(own, 0.0), log_b)
+        kernels.morris_add_batch(gens, dels, np.maximum(-own, 0.0), log_b)
+        for rows, src in slots:
+            for mine, theirs in ((ins, prev.ins), (dels, prev.dels)):
+                # rows without a j-th child merge zero states, which draw nothing
+                child = np.zeros_like(mine)
+                child[rows] = theirs[src]
+                kernels.morris_merge(gens, mine, child, log_b)
         return CounterVector(ins, dels)
 
-    def transform(v, own, children, gen):
-        out = fold(v, own, children, gen)
-        return ZERO if out is None else out
-
-    def root_combine(v, own, children, gen):
-        out = fold(v, own, children, gen)
-        if out is None:
-            width = np.asarray(own).shape[0]
-            return CounterVector(np.zeros(width), np.zeros(width))
-        return out
+    def root_combine(verts, own, prev, slots, gens):
+        out = transform(verts, own, prev, slots, gens)
+        return CounterVector(out.ins[0], out.dels[0])
 
     codec = CounterVectorCodec(state_bits)
     return run_convergecast(tree, values, transform, codec, seed, root_combine)

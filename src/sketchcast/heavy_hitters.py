@@ -94,16 +94,27 @@ class CountSketchSpec:
 def local_table(x: np.ndarray, spec: CountSketchSpec,
                 bucket: np.ndarray | None = None,
                 sign: np.ndarray | None = None) -> np.ndarray:
-    """(rows, width) count-sketch table of one vector."""
+    """(rows, width) count-sketch table of one vector, or (players, rows, width) of a matrix.
+
+    A matrix of players is tabled with one ``bincount`` per sketch row over
+    player * width + bucket.  Each cell still sums its coordinates in
+    ascending order, so every player's table is bit-identical to tabling
+    that player alone.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.n,):
-        raise ValueError(f"expected length-{spec.n} vector, got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.n:
+        raise ValueError(f"expected length-{spec.n} vectors, got {x.shape}")
     bucket = spec.bucket_of() if bucket is None else bucket
     sign = spec.sign_of() if sign is None else sign
-    table = np.empty((spec.rows, spec.width))
+    players = x.reshape(-1, spec.n)
+    count = players.shape[0]
+    offset = np.arange(count)[:, None] * spec.width
+    table = np.empty((count, spec.rows, spec.width))
     for i in range(spec.rows):
-        table[i] = np.bincount(bucket[i], weights=sign[i] * x, minlength=spec.width)
-    return table
+        sums = np.bincount((offset + bucket[i]).ravel(), weights=(sign[i] * players).ravel(),
+                           minlength=count * spec.width)
+        table[:, i] = sums.reshape(count, spec.width)
+    return table.reshape(x.shape[:-1] + (spec.rows, spec.width))
 
 
 def estimates_from_table(table: np.ndarray, spec: CountSketchSpec,
@@ -132,9 +143,7 @@ def point_estimate_all(inputs, topo: Topology, spec: CountSketchSpec, eps: float
     tree = spanning_tree(topo, center(topo))
     bucket, sign = spec.bucket_of(), spec.sign_of()
 
-    payload = np.empty((m, spec.rows * spec.width))
-    for v in range(m):
-        payload[v] = local_table(data[v], spec, bucket, sign).ravel()
+    payload = local_table(data, spec, bucket, sign).reshape(m, -1)
 
     if codec == "rounding":
         M = float(max(1.0, data.max(initial=0.0)))

@@ -81,32 +81,41 @@ def round_to_grid(
     """
     ax = np.abs(x)
     nonzero = ax > 0.0
-    lax = np.full(x.shape, -np.inf)
-    np.log(ax, out=lax, where=nonzero)
+    lv = np.full(x.shape, -np.inf)
+    np.log(ax, out=lv, where=nonzero)
     # exact zeros stay zero even when there is no floor (log_floor = -inf)
-    is_zero = ~nonzero | (lax < log_floor)
-
-    live = ~is_zero
-    lv = np.where(live, lax, 0.0)
+    is_zero = ~nonzero | (lv < log_floor)
+    lv[is_zero] = 0.0
     e0 = np.floor(lv / log_gamma).astype(np.int64)
     # one-step boundary corrections; the float division is off by at most 1
     for _ in range(2):
-        e0 = np.where((e0 + 1) * log_gamma <= lv, e0 + 1, e0)
+        e0 += (e0 + 1) * log_gamma <= lv
     for _ in range(2):
-        e0 = np.where(e0 * log_gamma > lv, e0 - 1, e0)
+        e0 -= e0 * log_gamma > lv
 
-    lo = np.exp(e0 * log_gamma)
+    # The engine rounds a whole tree layer per call, so layer-sized
+    # temporaries set its memory: the rest works in place.
+    # pr = (|x| - lo) / (hi - lo)
+    lo = np.exp(e0 * log_gamma, out=lv)
     hi = np.exp((e0 + 1) * log_gamma)
-    pr = np.clip((ax - lo) / (hi - lo), 0.0, 1.0)
-    exponents = np.where(unif < pr, e0 + 1, e0)
-    exponents = np.where(live, exponents, 0)
+    hi -= lo
+    pr = np.subtract(ax, lo, out=ax)
+    pr /= hi
+    np.clip(pr, 0.0, 1.0, out=pr)
+    exponents = e0
+    exponents += unif < pr
+    exponents[is_zero] = 0
 
+    live = ~is_zero
     ok = bool(
         np.all((exponents[live] >= exp_min) & (exponents[live] <= exp_max))
         if live.any()
         else True
     )
-    decoded = np.where(live, np.sign(x) * np.exp(exponents * log_gamma), 0.0)
+    decoded = np.multiply(exponents, log_gamma, out=hi)
+    np.exp(decoded, out=decoded)
+    decoded *= np.sign(x)
+    decoded[is_zero] = 0.0
     return exponents, is_zero, decoded, ok
 
 
@@ -143,100 +152,171 @@ def rounded_bits(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
 # merge plays counter Y into counter Z = X via the chain that increments Z
 # with probability b^(-Z + i - 1) at step i = 1..Y.  Writing W = Z - i + 1,
 # W stays constant on success and drops by one on failure, so runs of
-# successes are geometric with fixed rate and the loop costs
-# O(min(X, Y) + 1) draws.
+# successes are geometric with fixed rate and the loop costs one iteration
+# per failure.
 #
 # When every step's failure probability p_j is tiny (protocol bases sit
 # within 1e-30 of 1 while batches reach 1e30 updates), both chains reduce
 # to counting rare failures: the total F is within total variation
-# max(p_j) of Poisson(sum p_j) for any number of steps, so one Poisson
-# draw replaces the loop whenever max_p <= 1e-8.  Statistics-scale bases
-# (b ~ 1.05) never take this path.  Beyond lam = 1e17 the Poisson itself
-# is sampled through its normal limit (relative error ~ 1/sqrt(lam)).
+# max(p_j) of Poisson(sum p_j) for any number of steps (Barbour & Hall
+# 1984), so one Poisson draw replaces the loop whenever max_p <= 1e-8.
+# Beyond lam = 1e17 the Poisson itself is sampled through its normal limit
+# (relative error ~ 1/sqrt(lam)).
+#
+# The same draw also replaces the loop where it would run more than
+# _MANY_FAILURES iterations (it runs one per failure, about lam of them)
+# and max_p <= _MANY_FAILURES_P.  A merge of states near 5e24 at
+# log_b ~ 3e-32 has p ~ 1.4e-7 and lam ~ 7e17, which the loop cannot
+# finish.  lam sums the p_j as if no failure had happened yet; each
+# failure lowers the merge's W, or the add chain's state, by one, so lam
+# overstates the true sum by a relative lam/W (merge) or 2 lam/u (add)
+# at most, and the drawn count is within total variation max_p <= 1e-4 of
+# Poisson of the true sum.  At the recorded merge both terms are about
+# 1.4e-7.  Lanes whose loop would finish within _MANY_FAILURES iterations
+# keep the exact loop and its draws, and statistics-scale bases, where
+# max_p > 1e-4 from the first update, take neither shortcut.
+#
+# Lanes may draw from one generator or from one generator per row of a
+# 2-D state array (a tree layer, one row per vertex).  Each row then sees
+# exactly the draws, in the same order, that it would see alone.
 # ---------------------------------------------------------------------------
 
 _RARE_P = 1e-8
+_MANY_FAILURES = 1e4
+_MANY_FAILURES_P = 1e-4
 _POISSON_LAM_MAX = 1e17
 
 
-def _rare_failures(gen, lam: np.ndarray) -> np.ndarray:
-    f = np.empty_like(lam)
+def _poisson_path(lam: np.ndarray, max_p: np.ndarray) -> np.ndarray:
+    # max_p <= _RARE_P, or lam > _MANY_FAILURES with max_p <= _MANY_FAILURES_P
+    return max_p <= np.where(lam > _MANY_FAILURES, _MANY_FAILURES_P, _RARE_P)
+
+
+def _draw(gens, lanes: np.ndarray, width: int, sample) -> np.ndarray:
+    """``sample(gen, lo, hi)`` for each row's run of ``lanes[lo:hi]``, concatenated.
+
+    ``lanes`` are ascending flat lane indices, never empty, into a
+    ``(len(gens), width)`` state array, so each row's lanes form one run.
+    A run that covers all of ``lanes`` goes straight to its generator.
+    """
+    if len(gens) == 1:
+        return sample(gens[0], 0, lanes.size)
+    first, last = int(lanes[0]) // width, int(lanes[-1]) // width
+    if first == last:
+        return sample(gens[first], 0, lanes.size)
+    cuts = np.searchsorted(lanes, np.arange(first + 1, last + 1) * width).tolist()
+    return np.concatenate([sample(gens[row], lo, hi) for row, lo, hi
+                           in zip(range(first, last + 1), [0, *cuts], [*cuts, lanes.size])
+                           if hi > lo])
+
+
+def _uniforms(gens, lanes, width):
+    return _draw(gens, lanes, width, lambda g, lo, hi: g.random(hi - lo))
+
+
+def _rare_failures(gens, lanes, width, lam: np.ndarray) -> np.ndarray:
     big = lam > _POISSON_LAM_MAX
-    f[~big] = gen.poisson(lam[~big])
-    if big.any():
-        f[big] = np.maximum(np.rint(gen.normal(lam[big], np.sqrt(lam[big]))), 0.0)
+    if not big.any():
+        return _draw(gens, lanes, width, lambda g, lo, hi: g.poisson(lam[lo:hi]))
+    f = np.empty_like(lam)
+    small = ~big
+    if small.any():
+        lam_s = lam[small]
+        f[small] = _draw(gens, lanes[small], width, lambda g, lo, hi: g.poisson(lam_s[lo:hi]))
+    lam_b = lam[big]
+    f[big] = np.maximum(np.rint(_draw(
+        gens, lanes[big], width,
+        lambda g, lo, hi: g.normal(lam_b[lo:hi], np.sqrt(lam_b[lo:hi])))), 0.0)
     return f
 
 
+def _streams(gen):
+    return (gen,) if isinstance(gen, np.random.Generator) else gen
+
+
+def _flat_view(c: np.ndarray) -> np.ndarray:
+    if not c.flags.c_contiguous:
+        raise ValueError("counter states must be a C-contiguous array")
+    return c.reshape(-1)
+
+
 def morris_add_batch(gen, c: np.ndarray, u: np.ndarray, log_b: float):
-    """Play u[i] updates into counter state c[i] in place; returns c."""
-    rem = u.astype(np.float64).copy()
+    """Play u[i] updates into counter state c[i] in place; returns c.
+
+    ``gen`` is one Generator, or a sequence of one per row of a 2-D ``c``.
+    """
+    gens, width = _streams(gen), c.shape[-1]
+    cf = _flat_view(c)
+    rem = u.astype(np.float64).reshape(-1)
     active = rem >= 1.0
     while active.any():
-        idx = np.nonzero(active)[0]
-        rare = (c[idx] + rem[idx]) * log_b <= _RARE_P
-        ri = idx[rare]
-        if ri.size:
-            lam = log_b * (c[ri] * rem[ri] + 0.5 * rem[ri] * (rem[ri] - 1.0))
-            f = np.minimum(_rare_failures(gen, lam), rem[ri])
-            c[ri] += rem[ri] - f
+        idx = np.flatnonzero(active)
+        ci, ui = cf[idx], rem[idx]
+        lam = log_b * (ci * ui + 0.5 * ui * (ui - 1.0))
+        rare = _poisson_path(lam, (ci + ui) * log_b)
+        if rare.any():
+            ri = idx[rare]
+            f = np.minimum(_rare_failures(gens, ri, width, lam[rare]), ui[rare])
+            cf[ri] += ui[rare] - f
             rem[ri] = 0.0
             idx = idx[~rare]
             if not idx.size:
                 break
-        ci = c[idx]
-        draws = gen.random(idx.shape[0])
+        ci = cf[idx]
+        draws = _uniforms(gens, idx, width)
         fast = ci * log_b <= _LN2
         # failure-time branch
         fi = idx[fast]
         if fi.size:
             t = -np.log1p(-draws[fast])
-            a = 2.0 * c[fi] - 1.0
+            a = 2.0 * cf[fi] - 1.0
             big = np.floor(0.5 * (-a + np.sqrt(a * a + 8.0 * t / log_b))) + 1.0
             done = big > rem[fi]
-            c[fi] += np.where(done, rem[fi], big - 1.0)
+            cf[fi] += np.where(done, rem[fi], big - 1.0)
             rem[fi] = np.where(done, 0.0, rem[fi] - big)
         # geometric-gap branch
         gi = idx[~fast]
         if gi.size:
-            q = np.exp(-c[gi] * log_b)
+            q = np.exp(-cf[gi] * log_b)
             gap = np.floor(np.log1p(-draws[~fast]) / np.log1p(-q)) + 1.0
             hit = gap <= rem[gi]
-            c[gi] += np.where(hit, 1.0, 0.0)
+            cf[gi] += np.where(hit, 1.0, 0.0)
             rem[gi] = np.where(hit, rem[gi] - gap, 0.0)
         active = rem >= 1.0
     return c
 
 
 def morris_merge(gen, cx: np.ndarray, cy: np.ndarray, log_b: float):
-    """Fold counter states cy into cx in place; returns cx."""
-    y = cy.astype(np.float64)
+    """Fold counter states cy into cx in place; returns cx.
+
+    ``gen`` is one Generator, or a sequence of one per row of a 2-D ``cx``.
+    """
+    gens, width = _streams(gen), cx.shape[-1]
+    xf = _flat_view(cx)
+    y = np.asarray(cy, dtype=np.float64).reshape(-1)
     rem = y.copy()
     active = rem >= 1.0
     while active.any():
         idx = np.nonzero(active)[0]
-        w = cx[idx] - y[idx] + rem[idx]
+        w = xf[idx] - y[idx] + rem[idx]
         free = w <= 0.0
         fi = idx[free]
         if fi.size:
-            cx[fi] += rem[fi]
+            xf[fi] += rem[fi]
             rem[fi] = 0.0
         p = -np.expm1(-w * log_b)
-        rare = ~free & (p <= _RARE_P)
+        rare = ~free & _poisson_path(p * rem[idx], p)
         ri = idx[rare]
         if ri.size:
-            f = np.minimum(_rare_failures(gen, p[rare] * rem[ri]), rem[ri])
-            cx[ri] += rem[ri] - f
+            f = np.minimum(_rare_failures(gens, ri, width, p[rare] * rem[ri]), rem[ri])
+            xf[ri] += rem[ri] - f
             rem[ri] = 0.0
         keep = ~free & ~rare
         gi = idx[keep]
         if gi.size:
-            runs = np.floor(
-                -np.log1p(-gen.random(gi.shape[0])) / (w[keep] * log_b)
-            )
+            runs = np.floor(-np.log1p(-_uniforms(gens, gi, width)) / (w[keep] * log_b))
             done = runs >= rem[gi]
-            cx[gi] += np.where(done, rem[gi], runs)
+            xf[gi] += np.where(done, rem[gi], runs)
             rem[gi] = np.where(done, 0.0, rem[gi] - runs - 1.0)
         active = rem >= 1.0
     return cx
-

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from sketchcast import kernels
 from sketchcast.engine import (
-    ZERO,
     CommStats,
     CounterOverflowError,
     CounterVector,
     CounterVectorCodec,
+    ExactVector,
+    ExactVectorCodec,
+    RoundedVector,
+    RoundedVectorCodec,
     baseline_codec_bits,
     exact_sum_convergecast,
     morris_sum_convergecast,
@@ -18,23 +22,38 @@ from sketchcast.engine import (
     run_convergecast,
 )
 from sketchcast.rounding import RoundingParams, WindowError, gamma_for
-from sketchcast.topology import line, spanning_tree, star
+from sketchcast.streams import DOMAIN_NODES, generator
+from sketchcast.topology import (
+    balanced_binary,
+    center,
+    grid,
+    line,
+    random_connected,
+    spanning_tree,
+    star,
+)
 
 
 class CountingCodec:
-    """Codec stub whose byte-count is the payload itself."""
+    """Codec stub whose bit count is the (one-lane) message value itself."""
 
     def bits(self, msg):
-        return int(msg)
+        return msg[:, 0].astype(np.int64)
 
 
-def sum_transform(v, own, children, gen):
-    return own + sum(c for c in children if c is not ZERO)
+def sum_transform(verts, x, prev, slots, gens):
+    for rows, src in slots:
+        x[rows] += prev[src]
+    return x
+
+
+def column(values):
+    return np.array(values, dtype=np.float64)[:, None]
 
 
 def test_single_vertex_sends_nothing():
     tree = spanning_tree(star(1), 0)
-    out, stats = run_convergecast(tree, [42], sum_transform, CountingCodec())
+    out, stats = run_convergecast(tree, column([42]), sum_transform, CountingCodec())
     assert out == 42
     assert stats.per_edge_bits == {}
     assert stats.max_edge_bits == 0 and stats.total_bits == 0 and stats.rounds == 0
@@ -42,7 +61,7 @@ def test_single_vertex_sends_nothing():
 
 def test_star_sum_meters_every_leaf_edge():
     tree = spanning_tree(star(4), 0)
-    out, stats = run_convergecast(tree, [1, 2, 3, 4], sum_transform, CountingCodec())
+    out, stats = run_convergecast(tree, column([1, 2, 3, 4]), sum_transform, CountingCodec())
     assert out == 10
     assert set(stats.per_edge_bits) == {(1, 0), (2, 0), (3, 0)}
     # leaves forward their own value; the codec charges 1 flag + value bits
@@ -51,29 +70,32 @@ def test_star_sum_meters_every_leaf_edge():
 
 
 def test_zero_sentinel_costs_one_bit():
-    def transform(v, own, children, gen):
-        if own == 0 and all(c is ZERO for c in children):
-            return ZERO
-        return sum_transform(v, own, children, gen)
+    seen = []
+
+    def transform(verts, x, prev, slots, gens):
+        seen.extend(verts)
+        return sum_transform(verts, x, prev, slots, gens)
 
     tree = spanning_tree(star(4), 0)
-    out, stats = run_convergecast(tree, [5, 0, 7, 0], transform, CountingCodec())
+    out, stats = run_convergecast(tree, column([5, 0, 7, 0]), transform, CountingCodec())
     assert out == 12
     assert stats.per_edge_bits[(1, 0)] == 1
     assert stats.per_edge_bits[(3, 0)] == 1
     assert stats.per_edge_bits[(2, 0)] == 1 + 7
+    # all-zero subtrees send only the flag and never reach the transform
+    assert seen == [2, 0]
 
 
 def test_children_are_consumed_before_parents():
     seen = []
 
-    def transform(v, own, children, gen):
-        seen.append(v)
-        return sum_transform(v, own, children, gen)
+    def transform(verts, x, prev, slots, gens):
+        seen.extend(verts)
+        return sum_transform(verts, x, prev, slots, gens)
 
     g = line(6)
     tree = spanning_tree(g, 2)
-    run_convergecast(tree, [1] * 6, transform, CountingCodec())
+    run_convergecast(tree, column([1] * 6), transform, CountingCodec())
     pos = {v: i for i, v in enumerate(seen)}
     for v in range(6):
         if v != tree.root:
@@ -84,7 +106,7 @@ def test_children_are_consumed_before_parents():
 def test_each_vertex_sends_exactly_one_message():
     g = line(7)
     tree = spanning_tree(g, 3)
-    _, stats = run_convergecast(tree, [1] * 7, sum_transform, CountingCodec())
+    _, stats = run_convergecast(tree, column([1] * 7), sum_transform, CountingCodec())
     assert set(stats.per_edge_bits) == {(v, tree.parent[v]) for v in range(7) if v != 3}
     assert stats.rounds == tree.depth == 3
 
@@ -248,3 +270,219 @@ def test_morris_sum_all_zero_returns_zero_states():
                                               math.log1p(1e-30), seed=0)
     assert not counters.ins.any() and not counters.dels.any()
     assert stats.max_edge_bits == 1
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the vertex-at-a-time engine.
+#
+# The reference below is the engine the layer schedule replaced: one
+# vertex at a time, leaves first, each with its own generator, children
+# added or merged in tree.children order, and ZERO for an all-zero
+# subtree.  The layer engine must reproduce its root output and every
+# per-edge bit count exactly.
+# ---------------------------------------------------------------------------
+
+ZERO = object()
+
+
+def reference_convergecast(tree, inputs, node_transform, codec, seed, root_transform):
+    order = sorted((v for v in range(tree.m) if v != tree.root),
+                   key=lambda v: (tree.layer[v], v))
+    msgs = {}
+    per_edge = {}
+    for v in order:
+        gen = generator(seed, DOMAIN_NODES, v)
+        children = [msgs.pop(c) for c in tree.children[v]]
+        try:
+            msg = node_transform(v, inputs[v], children, gen)
+        except WindowError as err:
+            raise WindowError(f"vertex {v}: {err}") from err
+        per_edge[(v, tree.parent[v])] = 1 + (0 if msg is ZERO else int(codec.bits(msg)))
+        msgs[v] = msg
+    gen = generator(seed, DOMAIN_NODES, tree.root)
+    children = [msgs.pop(c) for c in tree.children[tree.root]]
+    out = root_transform(tree.root, inputs[tree.root], children, gen)
+    return out, CommStats(per_edge_bits=per_edge, rounds=tree.depth)
+
+
+def _accumulate(own, children, field):
+    x = np.asarray(own, dtype=np.float64).copy()
+    for c in children:
+        if c is not ZERO:
+            x += getattr(c, field)
+    return x
+
+
+def reference_rounded(payloads, tree, params, seed):
+    def transform(v, own, children, gen):
+        x = _accumulate(own, children, "decoded")
+        if all(c is ZERO for c in children) and not np.any(x):
+            return ZERO
+        unif = gen.random(x.shape[0])
+        exponents, is_zero, decoded, ok = kernels.round_to_grid(
+            x, unif, params.log_gamma, params.log_floor(tree.layer[v]),
+            params.exponent_min, params.exponent_max)
+        if not ok:
+            raise WindowError(f"rounded exponent escaped "
+                              f"[{params.exponent_min}, {params.exponent_max}]")
+        return RoundedVector(exponents, is_zero, decoded)
+
+    def root(v, own, children, gen):
+        return _accumulate(own, children, "decoded")
+
+    return reference_convergecast(tree, payloads, transform, RoundedVectorCodec(params),
+                                  seed, root)
+
+
+def reference_exact(payloads, tree, seed):
+    def transform(v, own, children, gen):
+        x = _accumulate(own, children, "values")
+        nonzero = np.any(own) or any(c is not ZERO for c in children)
+        return ExactVector(x) if nonzero else ZERO
+
+    def root(v, own, children, gen):
+        return _accumulate(own, children, "values")
+
+    return reference_convergecast(tree, payloads, transform, ExactVectorCodec(), seed, root)
+
+
+def reference_morris(values, tree, log_b, seed, state_bits=64):
+    def fold(v, own, children, gen):
+        x = np.asarray(own, dtype=np.float64)
+        if all(c is ZERO for c in children) and not np.any(x):
+            return None
+        ins = np.zeros(x.shape[0])
+        dels = np.zeros(x.shape[0])
+        kernels.morris_add_batch(gen, ins, np.maximum(x, 0.0), log_b)
+        kernels.morris_add_batch(gen, dels, np.maximum(-x, 0.0), log_b)
+        for c in children:
+            if c is not ZERO:
+                kernels.morris_merge(gen, ins, c.ins, log_b)
+                kernels.morris_merge(gen, dels, c.dels, log_b)
+        return CounterVector(ins, dels)
+
+    def transform(v, own, children, gen):
+        out = fold(v, own, children, gen)
+        return ZERO if out is None else out
+
+    def root(v, own, children, gen):
+        out = fold(v, own, children, gen)
+        if out is None:
+            width = np.asarray(own).shape[0]
+            return CounterVector(np.zeros(width), np.zeros(width))
+        return out
+
+    return reference_convergecast(tree, values, transform, CounterVectorCodec(state_bits),
+                                  seed, root)
+
+
+def _raw(out):
+    if isinstance(out, CounterVector):
+        return out.ins.tobytes() + out.dels.tobytes()
+    return np.asarray(out).tobytes()
+
+
+def assert_same_run(layered, reference):
+    assert _raw(layered[0]) == _raw(reference[0])
+    # same edges, bits and insertion order (tracers sum per-layer bits in it)
+    assert list(layered[1].per_edge_bits.items()) == list(reference[1].per_edge_bits.items())
+    assert layered[1].rounds == reference[1].rounds
+
+
+def assert_families_match(topo, seed, lanes=6, zero_share=0.0):
+    tree = spanning_tree(topo, center(topo))
+    rng = np.random.default_rng(seed)
+    payload = rng.standard_normal((topo.m, lanes)) * 30.0
+    payload[rng.random(topo.m) < zero_share] = 0.0
+    params = gamma_for(0.3, 0.25, max(1, tree.depth), lanes, topo.m, M=100)
+    assert_same_run(rounded_sum_convergecast(payload, tree, params, seed),
+                    reference_rounded(payload, tree, params, seed))
+    assert_same_run(exact_sum_convergecast(payload, tree, seed),
+                    reference_exact(payload, tree, seed))
+    counts = np.rint(payload)
+    # a statistics-scale base runs the exact chains, a protocol-scale one
+    # the rare-failure draws
+    for log_b in (math.log(1.05), math.log1p(1e-30)):
+        assert_same_run(morris_sum_convergecast(counts, tree, log_b, seed),
+                        reference_morris(counts, tree, log_b, seed))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (2, 2), (3, 5), (4, 4), (5, 8),
+                                   (7, 7), (6, 11), (12, 12)])
+@pytest.mark.parametrize("zero_share", [0.0, 0.6])
+def test_layers_match_reference_on_grids(shape, zero_share):
+    assert_families_match(grid(*shape), seed=sum(shape), zero_share=zero_share)
+
+
+@pytest.mark.parametrize("m,p_edge,seed", [(2, 0.5, 0), (17, 0.1, 1), (40, 0.05, 2),
+                                           (60, 0.3, 3)])
+def test_layers_match_reference_on_random_graphs(m, p_edge, seed):
+    assert_families_match(random_connected(m, p_edge, seed), seed, zero_share=0.3)
+
+
+@pytest.mark.parametrize("topo", [line(9), line(30), star(12), balanced_binary(31)],
+                         ids=["line9", "line30", "star12", "binary31"])
+def test_layers_match_reference_on_lines_stars_and_trees(topo):
+    assert_families_match(topo, seed=topo.m)
+    assert_families_match(topo, seed=topo.m + 1, zero_share=0.5)
+
+
+def test_all_zero_payload_matches_reference():
+    assert_families_match(grid(4, 5), seed=3, zero_share=1.0)
+
+
+def test_window_error_names_the_reference_vertex():
+    params = RoundingParams(gamma=0.5, exponent_min=-4, exponent_max=4,
+                            log_mk=50.0, depth=2)
+    payload = np.zeros((5, 2))
+    payload[0, 1] = payload[4, 0] = 1e12  # both leaves of layer 0 escape
+    tree = spanning_tree(line(5), 2)
+    with pytest.raises(WindowError) as reference:
+        reference_rounded(payload, tree, params, seed=0)
+    with pytest.raises(WindowError) as layered:
+        rounded_sum_convergecast(payload, tree, params, seed=0)
+    assert str(layered.value) == str(reference.value)
+
+
+def test_counter_overflow_matches_reference():
+    payload = np.zeros((5, 3))
+    payload[0, 2], payload[4, 1] = 5000.0, 7000.0  # both leaves overflow
+    tree = spanning_tree(line(5), 2)
+    log_b = math.log1p(1e-30)
+    with pytest.raises(CounterOverflowError) as reference:
+        reference_morris(payload, tree, log_b, seed=0, state_bits=12)
+    with pytest.raises(CounterOverflowError) as layered:
+        morris_sum_convergecast(payload, tree, log_b, seed=0, state_bits=12)
+    assert str(layered.value) == str(reference.value)
+
+
+# ---------------------------------------------------------------------------
+# One kernel call per layer.
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(kernels, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def test_kernels_run_once_per_layer_on_a_wide_grid(monkeypatch):
+    topo = grid(32, 32)
+    tree = spanning_tree(topo, center(topo))
+    payload = np.random.default_rng(0).standard_normal((topo.m, 8)) * 30.0
+    rounds = _count_calls(monkeypatch, "round_to_grid")
+    merges = _count_calls(monkeypatch, "morris_merge")
+    params = gamma_for(0.3, 0.25, tree.depth, 8, topo.m, M=100)
+    rounded_sum_convergecast(payload, tree, params, seed=0)
+    assert len(rounds) <= tree.depth
+    morris_sum_convergecast(np.rint(payload), tree, math.log1p(1e-30), seed=0)
+    # insertions and deletions, once per child slot of each layer (at most
+    # four children per grid vertex), against 2 * 1023 calls vertex by vertex
+    assert len(merges) <= 2 * 4 * tree.depth

@@ -1,6 +1,7 @@
 """Low-moment estimation: counter-compressed sketches and the log-cosine stream."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sketchcast.fp_low import (
     state_field_bits,
     stream_fp_logcosine,
 )
+from sketchcast.harness import ExperimentSpec, run_experiment
 from sketchcast.oracles import frequency_moment, lp_norm
 from sketchcast.stable import build_sketch, median_abs
 from sketchcast.streams import DOMAIN_SKETCH, substream
@@ -183,3 +185,22 @@ def test_stream_is_deterministic_per_seed():
     c = stream_fp_logcosine(stream, p=0.5, eps=0.2, seed=4)
     assert a == b
     assert a != c
+
+
+def test_deep_line_experiment_with_huge_root_counters_completes():
+    # At this seed the root merge meets counter states near 5e24, where
+    # the Morris merge once looped ~7e17 times; the alarm turns a
+    # regression into a failure instead of a hang.
+    def stalled(signum, frame):
+        raise TimeoutError("fp p=0.5 experiment stalled in the Morris kernels")
+
+    spec = ExperimentSpec("fp", p=0.5, eps=0.25, topology="line", m=257, n=200,
+                          trials=1, seed=1021)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        reports, summary = run_experiment(spec)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(reports) == 1 and reports[0].max_edge_bits > 0 and summary["success_rate"] == 1.0

@@ -191,3 +191,14 @@ def test_linf_guarantee_at_desk_scale():
         xt, _ = point_estimate_all(data, star(m), spec, eps, seed=700 + t)
         hits += np.abs(xt - x).max() <= eps * tail_l2(x, 16)
     assert hits >= 18
+
+
+def test_local_table_of_players_matches_one_at_a_time():
+    spec = CountSketchSpec.build(200, 0.3, seed=4)
+    rng = np.random.default_rng(1)
+    players = rng.integers(-50, 50, (9, 200)).astype(float)
+    players[rng.random(players.shape) < 0.5] = 0.0
+    tables = local_table(players, spec)
+    assert tables.shape == (9, spec.rows, spec.width)
+    for v in range(9):
+        assert tables[v].tobytes() == local_table(players[v], spec).tobytes()

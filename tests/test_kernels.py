@@ -1,8 +1,10 @@
 """Hot kernels: rounding edge cases, wire lengths, and the Morris fast paths."""
 
 import math
+import time
 
 import numpy as np
+import pytest
 
 from sketchcast import kernels
 
@@ -86,3 +88,70 @@ def test_merge_noop_cases():
     kernels.morris_merge(np.random.default_rng(8), x, np.array([0.0]), math.log(1.2))
     assert x[0] == 4.0
 
+
+def test_merge_of_recorded_stall_states_finishes():
+    # The root merge of fp p=0.5 on a 257-vertex line at experiment seed
+    # 1021: p = w * log_b ~ 1.4e-7 is above the rare guard, and the
+    # geometric-run loop would need ~7e17 iterations.  The failure count
+    # is drawn at once instead: about Poisson(p * rem).
+    log_b = 2.79e-32
+    cx, cy = np.array([5.0e24]), np.array([4.7e24])
+    start = time.perf_counter()
+    out = kernels.morris_merge(np.random.default_rng(1021), cx.copy(), cy, log_b)
+    assert time.perf_counter() - start < 1.0
+    lam = -math.expm1(-cx[0] * log_b) * cy[0]
+    failures = cx[0] + cy[0] - out[0]
+    assert abs(failures - lam) < 8.0 * math.sqrt(lam) + 1e-9 * lam
+
+
+def test_add_batch_with_many_failures_finishes():
+    # u * log_b = 1e-7 is above the rare guard and the failure-time loop
+    # would take ~5e5 iterations (one per failure).
+    log_b, u = 1e-20, 1e13
+    c = np.zeros(4)
+    start = time.perf_counter()
+    kernels.morris_add_batch(np.random.default_rng(2), c, np.full(4, u), log_b)
+    assert time.perf_counter() - start < 1.0
+    lam = log_b * 0.5 * u * (u - 1.0)
+    assert np.all(np.abs((u - c) - lam) < 8.0 * math.sqrt(lam))
+
+
+def test_poisson_path_takes_only_rare_or_long_loops():
+    # (expected failures, largest failure probability) -> one Poisson draw?
+    cases = {
+        (1e6, 1e-9): True,     # rare: every step's p under the guard
+        (5e3, 1e-7): False,    # the exact loop finishes in ~5e3 iterations
+        (2e4, 1e-7): True,     # the loop would run ~2e4 iterations
+        (1e6, 1e-3): False,    # p too large for the Poisson law
+    }
+    lam = np.array([k[0] for k in cases])
+    max_p = np.array([k[1] for k in cases])
+    assert list(kernels._poisson_path(lam, max_p)) == list(cases.values())
+
+
+def test_layer_kernels_draw_each_row_from_its_own_generator():
+    # A (rows x lanes) call must give each row what a one-row call with
+    # that row's generator gives, whatever the other rows hold.
+    rng = np.random.default_rng(0)
+    u = np.rint(np.abs(rng.standard_cauchy((5, 7))) * 50.0)
+    u[2] = 0.0
+    y = np.rint(np.abs(rng.standard_cauchy((5, 7))) * 50.0)
+    y[[1, 4]] = 0.0
+    for log_b in (math.log(1.05), 1e-21, 1e-9):
+        layer = np.zeros((5, 7))
+        gens = [np.random.default_rng(10 + r) for r in range(5)]
+        kernels.morris_add_batch(gens, layer, u, log_b)
+        kernels.morris_merge(gens, layer, y, log_b)
+        for r in range(5):
+            alone = np.zeros(7)
+            gen = np.random.default_rng(10 + r)
+            kernels.morris_add_batch(gen, alone, u[r], log_b)
+            kernels.morris_merge(gen, alone, y[r], log_b)
+            assert np.array_equal(layer[r], alone)
+            assert gen.bit_generator.state == gens[r].bit_generator.state
+
+
+def test_layer_kernels_reject_non_contiguous_states():
+    c = np.zeros((3, 4))[:, ::2]
+    with pytest.raises(ValueError, match="contiguous"):
+        kernels.morris_add_batch(np.random.default_rng(0), c, np.ones((3, 2)), 0.1)
