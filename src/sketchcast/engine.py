@@ -3,10 +3,18 @@
 Every non-root vertex sends exactly one message to its tree parent, and
 the root combines without sending.  A vertex whose whole subtree holds
 exact zeros sends only the 1-bit subtree-empty flag; every other message
-costs 1 flag bit plus its codec length.  Three message families cover all
+costs 1 flag bit plus its wire length.  Three message families cover all
 protocols here: stochastically rounded value vectors, exact
 64-bit-per-scalar vectors (the communication baseline, also used for
 sketch-equivalence checks), and signed Morris counter vectors.
+
+A family is two plain functions.  ``combine(verts, own, prev, slots,
+gens)`` builds a layer's state from its own payload rows and its
+children's messages; row 0 of the root's state is the run's output.
+``send(verts, state, gens)`` returns the layer's message and each row's
+wire length; its docstring states the family's wire format.  Messages are
+plain arrays: rounded and exact vectors send their decoded values, Morris
+counters a :class:`CounterVector` of insertion and deletion states.
 
 Layer schedule.  ``spanning_tree`` puts every child of a layer-L vertex in
 layer L-1, so the tree is walked one layer at a time, leaves first: a
@@ -35,6 +43,7 @@ are batched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -86,28 +95,19 @@ def _slots(kids: list[list[int]]) -> list[tuple[slice | np.ndarray, np.ndarray]]
     return slots
 
 
-def _add_children(x: np.ndarray, slots, prev, field: str) -> np.ndarray:
-    """Add each row's children's ``prev.<field>`` rows to ``x``, slot by slot."""
-    for rows, src in slots:
-        x[rows] += getattr(prev, field)[src]
-    return x
-
-
-def run_convergecast(tree, inputs, transform, codec, seed=0, root_transform=None):
+def run_convergecast(tree, inputs, combine, send, seed=0):
     """Run one protocol over ``tree``, a layer at a time; returns (root output, CommStats).
 
     ``inputs`` holds one payload row per vertex.  For each layer below the
-    root, ``transform(verts, own, prev, slots, gens)`` gets the layer's
-    vertices that send a message (ascending ids), their payload rows as a
-    fresh float64 matrix, the previous layer's message, the child slots
-    (``(rows, src)`` pairs: row ``rows[i]`` has as its j-th child the sender
-    in row ``src[i]`` of ``prev``; ``rows`` is ``slice(None)`` when every
-    row has one) and one generator per vertex; it returns the layer's
-    message.  A layer in which no vertex sends skips the call.
-    ``codec.bits(msg)`` meters each row of the message; the 1-bit subtree
-    flag is added here.  ``root_transform`` (default ``transform``) is
-    called the same way with the root alone, whether or not its subtree
-    holds anything, and its result is the root output.
+    root, ``combine`` gets the layer's vertices that send a message
+    (ascending ids), their payload rows as a fresh float64 matrix, the
+    previous layer's message, the child slots (``(rows, src)`` pairs: row
+    ``rows[i]`` has as its j-th child the sender in row ``src[i]`` of
+    ``prev``; ``rows`` is ``slice(None)`` when every row has one) and one
+    generator per vertex; ``send`` gets the vertices, the state and the
+    generators.  The 1-bit subtree flag is added to each wire length here.
+    A layer in which no vertex sends skips both calls.  The root's
+    ``combine`` runs whether or not its subtree holds anything.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     has_data = inputs.any(axis=1).tolist()
@@ -123,19 +123,29 @@ def run_convergecast(tree, inputs, transform, codec, seed=0, root_transform=None
         msg, bits = None, {}
         if senders:
             gens = [generator(seed, DOMAIN_NODES, v) for v in senders]
-            msg = transform(senders, inputs[senders], prev,
+            state = combine(senders, inputs[senders], prev,
                             _slots([kids[v] for v in senders]), gens)
-            bits = dict(zip(senders, (1 + codec.bits(msg)).tolist()))
+            msg, lengths = send(senders, state, gens)
+            bits = dict(zip(senders, (1 + lengths).tolist()))
             for r, v in enumerate(senders):
                 row_of[v] = r
         per_edge.update(((v, tree.parent[v]), bits.get(v, 1)) for v in verts)
         prev = msg
     root = tree.root
-    combine = root_transform if root_transform is not None else transform
     kids = [[row_of[c] for c in tree.children[root] if row_of[c] >= 0]]
     out = combine([root], inputs[[root]], prev, _slots(kids),
                   [generator(seed, DOMAIN_NODES, root)])
-    return out, CommStats(per_edge_bits=per_edge, rounds=tree.depth)
+    return out[0], CommStats(per_edge_bits=per_edge, rounds=tree.depth)
+
+
+def add_children(verts, own, prev, slots, gens):
+    """Combine of the value families: each payload row plus its children's messages.
+
+    Children are added one child slot at a time (see "Addition order").
+    """
+    for rows, src in slots:
+        own[rows] += prev[src]
+    return own
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +153,31 @@ def run_convergecast(tree, inputs, transform, codec, seed=0, root_transform=None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundedVector:
-    exponents: np.ndarray
-    is_zero: np.ndarray
-    decoded: np.ndarray
+def send_rounded(verts, x, gens, *, tree: SpanningTree, params: RoundingParams):
+    """Round a layer's sums once on the grid; the message is the decoded values.
 
-
-class RoundedVectorCodec:
-    """Wire format of a rounded value vector, lane by lane.
-
-    A lane truncated to zero costs the single bit ``1``.  Any other lane
-    is ``0``, a sign bit, then the Elias gamma code of zigzag(exponent) + 1
-    (see ``bitcodec``), so it costs 2 + gamma_len(zigzag(exponent) + 1)
-    bits.  Exponents come from ``kernels.round_to_grid`` and the lengths
-    from ``kernels.rounded_bits``.  The code is prefix-free, so lanes
-    concatenate without separators; the message's 1-bit subtree flag is
-    added by :func:`run_convergecast`.  ``bits`` gives one length per row
-    of a layer's message.
+    Wire format, lane by lane: a lane truncated to zero costs the single
+    bit ``1``.  Any other lane is ``0``, a sign bit, then the Elias gamma
+    code of zigzag(exponent) + 1, so it costs
+    2 + gamma_len(zigzag(exponent) + 1) bits (``kernels.rounded_bits``).
+    The code is prefix-free, so lanes concatenate without separators;
+    ``tests/bitcodec.py`` holds a reference encoder that realises it.
+    Values under the layer floor truncate to an exact zero, and a live
+    exponent outside the parameter window raises :class:`WindowError`
+    naming the first such vertex.
     """
-
-    def __init__(self, params: RoundingParams):
-        self.params = params
-
-    def bits(self, msg: RoundedVector) -> np.ndarray:
-        return kernels.rounded_bits(msg.exponents, msg.is_zero).sum(axis=-1)
+    lo, hi = params.exponent_min, params.exponent_max
+    unif = np.empty_like(x)
+    for row, gen in zip(unif, gens):
+        gen.random(out=row)
+    exponents, is_zero, decoded, ok = kernels.round_to_grid(
+        x, unif, params.log_gamma, params.log_floor(tree.layer[verts[0]]), lo, hi
+    )
+    if not ok:
+        escaped = ~is_zero & ((exponents < lo) | (exponents > hi))
+        v = verts[np.flatnonzero(escaped.any(axis=1))[0]]
+        raise WindowError(f"vertex {v}: rounded exponent escaped [{lo}, {hi}]")
+    return decoded, kernels.rounded_bits(exponents, is_zero).sum(axis=-1)
 
 
 def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed):
@@ -177,62 +187,42 @@ def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParam
     rounded once on the grid (values under the layer floor truncate to an
     exact zero); the root sum is returned unrounded.
     """
-    lg, lo, hi = params.log_gamma, params.exponent_min, params.exponent_max
-
-    def transform(verts, own, prev, slots, gens):
-        x = _add_children(own, slots, prev, "decoded")
-        unif = np.empty_like(x)
-        for row, gen in zip(unif, gens):
-            gen.random(out=row)
-        exponents, is_zero, decoded, ok = kernels.round_to_grid(
-            x, unif, lg, params.log_floor(tree.layer[verts[0]]), lo, hi
-        )
-        if not ok:
-            escaped = ~is_zero & ((exponents < lo) | (exponents > hi))
-            v = verts[np.flatnonzero(escaped.any(axis=1))[0]]
-            raise WindowError(f"vertex {v}: rounded exponent escaped [{lo}, {hi}]")
-        return RoundedVector(exponents, is_zero, decoded)
-
-    def root_combine(verts, own, prev, slots, gens):
-        return _add_children(own, slots, prev, "decoded")[0]
-
-    return run_convergecast(
-        tree, payloads, transform, RoundedVectorCodec(params), seed, root_combine
-    )
+    send = partial(send_rounded, tree=tree, params=params)
+    return run_convergecast(tree, payloads, add_children, send, seed)
 
 
 # ---------------------------------------------------------------------------
-# Exact vectors: the 64-bit baseline codec.
+# Exact vectors: the 64-bit baseline.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactVector:
-    values: np.ndarray
+def send_exact(verts, values, gens):
+    """Send a layer's sums as they are.
 
-
-class ExactVectorCodec:
-    """Wire format of an exact vector: one raw 64-bit float per lane.
-
-    This is the flat communication baseline every other family is
-    measured against; the 1-bit subtree flag comes on top.  ``bits`` gives
-    one length per row of a layer's message.
+    Wire format: one raw 64-bit float per lane.  This is the flat
+    communication baseline every other family is measured against.
     """
-
-    def bits(self, msg: ExactVector) -> np.ndarray:
-        return np.full(msg.values.shape[:-1], baseline_codec_bits(msg.values.shape[-1]))
+    return values, np.full(len(verts), baseline_codec_bits(values.shape[-1]))
 
 
 def exact_sum_convergecast(payloads, tree: SpanningTree, seed=0):
     """Lossless aggregation; bits metered at 64 per scalar."""
+    return run_convergecast(tree, payloads, add_children, send_exact, seed)
 
-    def transform(verts, own, prev, slots, gens):
-        return ExactVector(_add_children(own, slots, prev, "values"))
 
-    def root_combine(verts, own, prev, slots, gens):
-        return _add_children(own, slots, prev, "values")[0]
+def sum_convergecast(codec: str, payloads, tree: SpanningTree, seed, params):
+    """Aggregate value vectors with the family ``codec`` names.
 
-    return run_convergecast(tree, payloads, transform, ExactVectorCodec(), seed, root_combine)
+    ``"rounding"`` runs :func:`rounded_sum_convergecast` with the
+    RoundingParams ``params()`` returns; ``params`` is called for it only.
+    ``"exact"`` runs :func:`exact_sum_convergecast`.  Any other name
+    raises ValueError.
+    """
+    if codec == "rounding":
+        return rounded_sum_convergecast(payloads, tree, params(), seed)
+    if codec == "exact":
+        return exact_sum_convergecast(payloads, tree, seed)
+    raise ValueError(f"unknown codec {codec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,62 +232,61 @@ def exact_sum_convergecast(payloads, tree: SpanningTree, seed=0):
 
 @dataclass(frozen=True)
 class CounterVector:
+    """Insertion and deletion counter states; indexing selects rows of both."""
+
     ins: np.ndarray
     dels: np.ndarray
 
+    def __getitem__(self, rows) -> "CounterVector":
+        return CounterVector(self.ins[rows], self.dels[rows])
 
-class CounterVectorCodec:
-    """Wire format of a signed Morris counter vector.
 
-    Per lane: an 8-bit base tag, then the insertion state and the deletion
-    state, each as a fixed ``state_bits``-wide unsigned integer, so a lane
-    costs 8 + 2 * state_bits bits.  The field width is chosen from public
-    parameters (update-mass bound and base), never from the realized
-    states, so a message's bit length is the same on every edge of every
-    tree.  A state outside the field models the "safely fail" event:
-    exceeding it raises :class:`CounterOverflowError`, naming the first
-    row's largest state.  The 1-bit subtree flag comes on top.  ``bits``
-    gives one length per row of a layer's message.
+def merge_counters(verts, own, prev, slots, gens, *, log_b: float):
+    """Combine of the Morris family.
+
+    Each row batches its positive part into insertion counters and its
+    negative part into deletion counters, then merges its children one
+    child slot at a time, insertions before deletions.
     """
+    ins = np.zeros(own.shape)
+    dels = np.zeros(own.shape)
+    kernels.morris_add_batch(gens, ins, np.maximum(own, 0.0), log_b)
+    kernels.morris_add_batch(gens, dels, np.maximum(-own, 0.0), log_b)
+    for rows, src in slots:
+        for mine, theirs in ((ins, prev.ins), (dels, prev.dels)):
+            # rows without a j-th child merge zero states, which draw nothing
+            child = np.zeros_like(mine)
+            child[rows] = theirs[src]
+            kernels.morris_merge(gens, mine, child, log_b)
+    return CounterVector(ins, dels)
 
-    def __init__(self, state_bits: int):
-        self.state_bits = state_bits
 
-    def bits(self, msg: CounterVector) -> np.ndarray:
-        worst = np.maximum(msg.ins, msg.dels).max(axis=-1, initial=0.0)
-        over = worst >= 2.0 ** self.state_bits
-        if over.any():
-            raise CounterOverflowError(
-                f"counter state {worst[over].flat[0]:.0f} exceeds {self.state_bits}-bit field"
-            )
-        return np.full(worst.shape, msg.ins.shape[-1] * (8 + 2 * self.state_bits))
+def send_counters(verts, counters: CounterVector, gens, *, state_bits: int):
+    """Send the counter states as they are.
+
+    Wire format, lane by lane: an 8-bit base tag, then the insertion state
+    and the deletion state, each as a fixed ``state_bits``-wide unsigned
+    integer, so a lane costs 8 + 2 * state_bits bits.  The field width is
+    chosen from public parameters (update-mass bound and base), never from
+    the realized states, so a message's bit length is the same on every
+    edge of every tree.  A state outside the field models the "safely
+    fail" event: exceeding it raises :class:`CounterOverflowError`, naming
+    the first row's largest state.
+    """
+    worst = np.maximum(counters.ins, counters.dels).max(axis=-1, initial=0.0)
+    over = worst >= 2.0 ** state_bits
+    if over.any():
+        raise CounterOverflowError(
+            f"counter state {worst[over].flat[0]:.0f} exceeds {state_bits}-bit field"
+        )
+    return counters, np.full(worst.shape, counters.ins.shape[-1] * (8 + 2 * state_bits))
 
 
 def morris_sum_convergecast(values, tree: SpanningTree, log_b: float, seed, state_bits=64):
     """Aggregate signed integer-valued payloads via signed Morris counters.
 
-    Each player batches its positive part into insertion counters and its
-    negative part into deletion counters, then merges its children one
-    child slot at a time, insertions before deletions.  Returns the root's
-    (ins, dels) state arrays.
+    Returns the root's :class:`CounterVector`, merged as in
+    :func:`merge_counters`.
     """
-
-    def transform(verts, own, prev, slots, gens):
-        ins = np.zeros(own.shape)
-        dels = np.zeros(own.shape)
-        kernels.morris_add_batch(gens, ins, np.maximum(own, 0.0), log_b)
-        kernels.morris_add_batch(gens, dels, np.maximum(-own, 0.0), log_b)
-        for rows, src in slots:
-            for mine, theirs in ((ins, prev.ins), (dels, prev.dels)):
-                # rows without a j-th child merge zero states, which draw nothing
-                child = np.zeros_like(mine)
-                child[rows] = theirs[src]
-                kernels.morris_merge(gens, mine, child, log_b)
-        return CounterVector(ins, dels)
-
-    def root_combine(verts, own, prev, slots, gens):
-        out = transform(verts, own, prev, slots, gens)
-        return CounterVector(out.ins[0], out.dels[0])
-
-    codec = CounterVectorCodec(state_bits)
-    return run_convergecast(tree, values, transform, codec, seed, root_combine)
+    return run_convergecast(tree, values, partial(merge_counters, log_b=log_b),
+                            partial(send_counters, state_bits=state_bits), seed)

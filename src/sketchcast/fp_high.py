@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CommStats, exact_sum_convergecast, rounded_sum_convergecast
+from .engine import CommStats, sum_convergecast
 from .rounding import RoundingParams, gamma_for
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_SKETCH, substream
@@ -96,13 +96,8 @@ def estimate_fp_high(inputs, topo: Topology, cfg: FpHighConfig, seed,
     sk = build_sketch(cfg.k, n, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
     payload = data @ sk.scaled().T
 
-    if codec == "rounding":
-        params = cfg.rounding_params(n, m, tree.depth, M)
-        vec, stats = rounded_sum_convergecast(payload, tree, params, seed)
-    elif codec == "exact":
-        vec, stats = exact_sum_convergecast(payload, tree, seed)
-    else:
-        raise ValueError(f"unknown codec {codec!r}")
+    vec, stats = sum_convergecast(codec, payload, tree, seed,
+                                  lambda: cfg.rounding_params(n, m, tree.depth, M))
 
     norm = lower_median(np.abs(vec)) / median_abs(cfg.p)
     return norm, norm**cfg.p, stats

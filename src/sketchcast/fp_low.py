@@ -102,11 +102,6 @@ def estimate_fp_low(inputs, topo: Topology, cfg: FpLowConfig, seed) -> tuple[flo
     n = data.shape[1]
     tree = spanning_tree(topo, center(topo))
 
-    if not data.any():
-        single = CommStats(per_edge_bits={(v, tree.parent[v]): 1 for v in range(m) if v != tree.root},
-                           rounds=tree.depth)
-        return 0.0, single
-
     M = float(max(1.0, data.max()))
     entry_cap = (M * n * m) ** 3
     bm1 = cfg.base_minus_one(n)

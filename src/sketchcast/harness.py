@@ -1,12 +1,11 @@
 """Experiment orchestration: data generation, trial loops, reports.
 
 An ExperimentSpec names a protocol, a topology, a data distribution, and
-accuracy/trial parameters; run_experiment executes the trials (optionally
-thread-parallel, reduction order fixed by trial index), scores each one
-against the exact oracles, and emits a CSV row per trial plus a JSON
-summary.  Outputs contain no timestamps or wall-clock fields, so a (spec,
-seed) pair reproduces byte-identical files; per-trial wall time lives
-only on the in-memory TrialReport.
+accuracy/trial parameters; run_experiment executes the trials in trial
+order, scores each one against the exact oracles, and emits a CSV row per
+trial plus a JSON summary.  Outputs contain no timestamps or wall-clock
+fields, so a (spec, seed) pair reproduces byte-identical files; per-trial
+wall time lives only on the in-memory TrialReport.
 
 Distribution specs:
     zipf:s            per-player multinomial over exact zipf(s) weights
@@ -28,9 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -321,23 +318,9 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
     )
 
 
-def thread_count() -> int:
-    """Worker count from SKETCHCAST_THREADS; 1 means sequential."""
-    try:
-        return max(1, int(os.environ.get("SKETCHCAST_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialReport], dict]:
     """All trials plus a summary dict; deterministic given (spec, seed)."""
-    workers = thread_count()
-    trials = range(spec.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda t: run_trial(spec, t), trials))
-    else:
-        reports = [run_trial(spec, t) for t in trials]
+    reports = [run_trial(spec, t) for t in range(spec.trials)]
     return reports, summarize(spec, reports)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CommStats, exact_sum_convergecast, rounded_sum_convergecast
+from .engine import CommStats, sum_convergecast
 from .fp_high import as_count_matrix
 from .rounding import gamma_for
 from .streams import DOMAIN_HASHES, generator
@@ -145,15 +145,9 @@ def point_estimate_all(inputs, topo: Topology, spec: CountSketchSpec, eps: float
 
     payload = local_table(data, spec, bucket, sign).reshape(m, -1)
 
-    if codec == "rounding":
-        M = float(max(1.0, data.max(initial=0.0)))
-        params = gamma_for(eps, delta, max(1, tree.depth), spec.n, m,
-                           C_exponent=C_exponent, M=M)
-        vec, stats = rounded_sum_convergecast(payload, tree, params, seed)
-    elif codec == "exact":
-        vec, stats = exact_sum_convergecast(payload, tree, seed)
-    else:
-        raise ValueError(f"unknown codec {codec!r}")
+    M = float(max(1.0, data.max(initial=0.0)))
+    vec, stats = sum_convergecast(codec, payload, tree, seed, lambda: gamma_for(
+        eps, delta, max(1, tree.depth), spec.n, m, C_exponent=C_exponent, M=M))
 
     table = vec.reshape(spec.rows, spec.width)
     return estimates_from_table(table, spec, bucket, sign), stats

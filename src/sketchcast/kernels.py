@@ -121,7 +121,7 @@ def round_to_grid(
 
 # ---------------------------------------------------------------------------
 # Wire-length accounting for the lane format stated on
-# engine.RoundedVectorCodec.
+# engine.send_rounded.
 # ---------------------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CommStats, exact_sum_convergecast, rounded_sum_convergecast
+from .engine import CommStats, sum_convergecast
 from .rounding import gamma_for
 from .streams import DOMAIN_SKETCH, generator
 from .topology import Topology, center, spanning_tree
@@ -87,14 +87,9 @@ def amp_estimate(x_inputs, y_inputs, topo: Topology, cfg: AmpConfig, seed,
         payload[v, :split] = (s @ xs[v]).ravel()
         payload[v, split:] = (s @ ys[v]).ravel()
 
-    if codec == "rounding":
-        M = float(max(1.0, xs.max(initial=0.0), ys.max(initial=0.0)))
-        params = gamma_for(cfg.eps0, cfg.delta, max(1, tree.depth), n, m, M=M)
-        vec, stats = rounded_sum_convergecast(payload, tree, params, seed)
-    elif codec == "exact":
-        vec, stats = exact_sum_convergecast(payload, tree, seed)
-    else:
-        raise ValueError(f"unknown codec {codec!r}")
+    M = float(max(1.0, xs.max(initial=0.0), ys.max(initial=0.0)))
+    vec, stats = sum_convergecast(codec, payload, tree, seed, lambda: gamma_for(
+        cfg.eps0, cfg.delta, max(1, tree.depth), n, m, M=M))
 
     rx = vec[:split].reshape(cfg.k, cfg.t1)
     ry = vec[split:].reshape(cfg.k, cfg.t2)

@@ -15,7 +15,7 @@ state no longer advances by exact units, which perturbs estimates at
 relative order 1e-16, far below the counter's own statistical noise.
 
 The wire format of a counter vector is stated on
-``engine.CounterVectorCodec``.
+``engine.send_counters``.
 """
 
 from __future__ import annotations

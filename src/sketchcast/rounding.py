@@ -7,7 +7,7 @@ accurately lo and hi themselves were computed.  The variance is at most
 (gamma * r)^2.
 
 The rounding itself runs in ``kernels.round_to_grid``; the message format
-is stated once, on ``engine.RoundedVectorCodec``.  The grid ratio comes
+is stated once, on ``engine.send_rounded``.  The grid ratio comes
 from gamma = (eps*delta / (d * log2(n*m)))^C, and the legal exponent
 window is derived from the truncation bound K = (M*n*m)^2 / gamma:
 admissible magnitudes lie in [(mK)^-(d+3), K^6], and a convergecast node

@@ -84,19 +84,15 @@ class StableParams:
 class SketchMatrix:
     """Integer-precision stable sketch: entries equal round(sample / eta).
 
-    Regenerating from the same (seed, k, n, p, beta, gamma_scale, eta) is
-    bit-identical.  ``entries`` is float64 but integer-valued, so
-    eta^-1 * S is exactly integral; ``scaled()`` returns eta * entries.
+    ``build_sketch`` regenerates it bit-identically from the same
+    arguments.  ``entries`` is float64 but integer-valued, so eta^-1 * S
+    is exactly integral; ``scaled()`` returns eta * entries.
     """
 
     k: int
     n: int
-    p: float
     eta: float
     entries: np.ndarray = field(repr=False)
-    seed: tuple
-    beta: float = 0.0
-    gamma_scale: float = 1.0
 
     def scaled(self) -> np.ndarray:
         return self.entries * self.eta
@@ -188,13 +184,4 @@ def build_sketch(
     if entry_cap is not None:
         np.clip(z, -entry_cap, entry_cap, out=z)
     entries = np.rint(z / eta)
-    return SketchMatrix(
-        k=k,
-        n=n,
-        p=p,
-        eta=eta,
-        entries=entries,
-        seed=(seq.entropy, tuple(seq.spawn_key)),
-        beta=beta,
-        gamma_scale=gamma_scale,
-    )
+    return SketchMatrix(k=k, n=n, eta=eta, entries=entries)

@@ -1,4 +1,4 @@
-"""Prefix-free integer codes used on the simulated wire.
+"""Reference encoders for the prefix-free integer codes of the simulated wire.
 
 Two small pieces live here: zigzag mapping of signed integers onto the
 non-negative integers, and the Elias gamma code for positive integers.
@@ -6,8 +6,9 @@ Gamma codes ``v >= 1`` as ``floor(log2 v)`` zero bits followed by the
 binary expansion of ``v``, for a total of ``2*floor(log2 v) + 1`` bits.
 
 Bit strings are plain ``str`` of '0'/'1'.  The simulator never ships real
-bytes; it meters exact bit counts, and these reference encoders exist so
-the counts can be checked against an actual prefix-free encoding.
+bytes; it meters exact bit counts (``engine.send_rounded`` states the
+rounded lane format), and the tests encode lanes with these functions to
+check the counts against an actual prefix-free encoding.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sketchcast.bitcodec import gamma_decode, gamma_encode, gamma_len, unzigzag, zigzag
+from bitcodec import gamma_decode, gamma_encode, gamma_len, unzigzag, zigzag
 
 
 def test_zigzag_interleaves_small_integers():

@@ -1,9 +1,13 @@
 """CLI verbs: argument wiring, outputs, exit codes, rerun determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sketchcast
 from sketchcast.cli import build_parser, main
 
 
@@ -11,6 +15,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_every_package_module():
+    # a module the command line never imports is one that only tests call
+    package = Path(sketchcast.__file__).parent
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import sketchcast.cli; "
+             "print('\\n'.join(sorted(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", probe, str(package.parent)],
+                            capture_output=True, text=True, check=True, timeout=60).stdout
+    modules = {f"sketchcast.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__"}
+    assert modules <= set(loaded.split())
 
 
 def test_parser_requires_a_command():

@@ -5,21 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from bitcodec import gamma_len, zigzag
 from sketchcast import kernels
 from sketchcast.engine import (
     CommStats,
     CounterOverflowError,
     CounterVector,
-    CounterVectorCodec,
-    ExactVector,
-    ExactVectorCodec,
-    RoundedVector,
-    RoundedVectorCodec,
     baseline_codec_bits,
     exact_sum_convergecast,
     morris_sum_convergecast,
     rounded_sum_convergecast,
     run_convergecast,
+    send_counters,
 )
 from sketchcast.rounding import RoundingParams, WindowError, gamma_for
 from sketchcast.streams import DOMAIN_NODES, generator
@@ -35,13 +32,13 @@ from sketchcast.topology import (
 
 
 class CountingCodec:
-    """Codec stub whose bit count is the (one-lane) message value itself."""
+    """Send stub: the message is the state, its bit count the (one-lane) value itself."""
 
-    def bits(self, msg):
-        return msg[:, 0].astype(np.int64)
+    def __call__(self, verts, state, gens):
+        return state, state[:, 0].astype(np.int64)
 
 
-def sum_transform(verts, x, prev, slots, gens):
+def sum_combine(verts, x, prev, slots, gens):
     for rows, src in slots:
         x[rows] += prev[src]
     return x
@@ -53,7 +50,7 @@ def column(values):
 
 def test_single_vertex_sends_nothing():
     tree = spanning_tree(star(1), 0)
-    out, stats = run_convergecast(tree, column([42]), sum_transform, CountingCodec())
+    out, stats = run_convergecast(tree, column([42]), sum_combine, CountingCodec())
     assert out == 42
     assert stats.per_edge_bits == {}
     assert stats.max_edge_bits == 0 and stats.total_bits == 0 and stats.rounds == 0
@@ -61,10 +58,10 @@ def test_single_vertex_sends_nothing():
 
 def test_star_sum_meters_every_leaf_edge():
     tree = spanning_tree(star(4), 0)
-    out, stats = run_convergecast(tree, column([1, 2, 3, 4]), sum_transform, CountingCodec())
+    out, stats = run_convergecast(tree, column([1, 2, 3, 4]), sum_combine, CountingCodec())
     assert out == 10
     assert set(stats.per_edge_bits) == {(1, 0), (2, 0), (3, 0)}
-    # leaves forward their own value; the codec charges 1 flag + value bits
+    # leaves forward their own value; the send stub charges 1 flag + value bits
     assert stats.per_edge_bits[(3, 0)] == 1 + 4
     assert stats.rounds == 1
 
@@ -72,30 +69,30 @@ def test_star_sum_meters_every_leaf_edge():
 def test_zero_sentinel_costs_one_bit():
     seen = []
 
-    def transform(verts, x, prev, slots, gens):
+    def combine(verts, x, prev, slots, gens):
         seen.extend(verts)
-        return sum_transform(verts, x, prev, slots, gens)
+        return sum_combine(verts, x, prev, slots, gens)
 
     tree = spanning_tree(star(4), 0)
-    out, stats = run_convergecast(tree, column([5, 0, 7, 0]), transform, CountingCodec())
+    out, stats = run_convergecast(tree, column([5, 0, 7, 0]), combine, CountingCodec())
     assert out == 12
     assert stats.per_edge_bits[(1, 0)] == 1
     assert stats.per_edge_bits[(3, 0)] == 1
     assert stats.per_edge_bits[(2, 0)] == 1 + 7
-    # all-zero subtrees send only the flag and never reach the transform
+    # all-zero subtrees send only the flag and never reach combine
     assert seen == [2, 0]
 
 
 def test_children_are_consumed_before_parents():
     seen = []
 
-    def transform(verts, x, prev, slots, gens):
+    def combine(verts, x, prev, slots, gens):
         seen.extend(verts)
-        return sum_transform(verts, x, prev, slots, gens)
+        return sum_combine(verts, x, prev, slots, gens)
 
     g = line(6)
     tree = spanning_tree(g, 2)
-    run_convergecast(tree, column([1] * 6), transform, CountingCodec())
+    run_convergecast(tree, column([1] * 6), combine, CountingCodec())
     pos = {v: i for i, v in enumerate(seen)}
     for v in range(6):
         if v != tree.root:
@@ -106,7 +103,7 @@ def test_children_are_consumed_before_parents():
 def test_each_vertex_sends_exactly_one_message():
     g = line(7)
     tree = spanning_tree(g, 3)
-    _, stats = run_convergecast(tree, column([1] * 7), sum_transform, CountingCodec())
+    _, stats = run_convergecast(tree, column([1] * 7), sum_combine, CountingCodec())
     assert set(stats.per_edge_bits) == {(v, tree.parent[v]) for v in range(7) if v != 3}
     assert stats.rounds == tree.depth == 3
 
@@ -216,17 +213,21 @@ def test_exact_sum_zero_subtree_uses_flag():
 # ---------------------------------------------------------------------------
 
 
+def counter_bits(msg, state_bits):
+    sent, bits = send_counters([0], msg, [], state_bits=state_bits)
+    assert sent is msg
+    return bits
+
+
 def test_counter_codec_bits_ignore_values():
-    codec = CounterVectorCodec(state_bits=12)
     small = CounterVector(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
     large = CounterVector(np.array([4000.0, 1.0]), np.array([0.0, 0.0]))
-    assert codec.bits(small) == codec.bits(large) == 2 * (8 + 24)
+    assert counter_bits(small, 12) == counter_bits(large, 12) == 2 * (8 + 24)
 
 
 def test_counter_codec_overflow_raises():
-    codec = CounterVectorCodec(state_bits=4)
     with pytest.raises(CounterOverflowError):
-        codec.bits(CounterVector(np.array([16.0]), np.array([0.0])))
+        counter_bits(CounterVector(np.array([16.0]), np.array([0.0])), 4)
 
 
 def test_morris_sum_recovers_exact_counts_at_protocol_base():
@@ -278,14 +279,17 @@ def test_morris_sum_all_zero_returns_zero_states():
 # The reference below is the engine the layer schedule replaced: one
 # vertex at a time, leaves first, each with its own generator, children
 # added or merged in tree.children order, and ZERO for an all-zero
-# subtree.  The layer engine must reproduce its root output and every
-# per-edge bit count exactly.
+# subtree.  Each node transform returns its message and the message's bit
+# length, which the reference works out on its own: from the reference
+# encoder's code lengths for rounded lanes, at 64 bits per exact lane, and
+# from the counter field width for Morris lanes.  The layer engine must
+# reproduce its root output and every per-edge bit count exactly.
 # ---------------------------------------------------------------------------
 
 ZERO = object()
 
 
-def reference_convergecast(tree, inputs, node_transform, codec, seed, root_transform):
+def reference_convergecast(tree, inputs, node_transform, seed, root_transform):
     order = sorted((v for v in range(tree.m) if v != tree.root),
                    key=lambda v: (tree.layer[v], v))
     msgs = {}
@@ -294,10 +298,10 @@ def reference_convergecast(tree, inputs, node_transform, codec, seed, root_trans
         gen = generator(seed, DOMAIN_NODES, v)
         children = [msgs.pop(c) for c in tree.children[v]]
         try:
-            msg = node_transform(v, inputs[v], children, gen)
+            msg, bits = node_transform(v, inputs[v], children, gen)
         except WindowError as err:
             raise WindowError(f"vertex {v}: {err}") from err
-        per_edge[(v, tree.parent[v])] = 1 + (0 if msg is ZERO else int(codec.bits(msg)))
+        per_edge[(v, tree.parent[v])] = 1 + bits
         msgs[v] = msg
     gen = generator(seed, DOMAIN_NODES, tree.root)
     children = [msgs.pop(c) for c in tree.children[tree.root]]
@@ -305,19 +309,19 @@ def reference_convergecast(tree, inputs, node_transform, codec, seed, root_trans
     return out, CommStats(per_edge_bits=per_edge, rounds=tree.depth)
 
 
-def _accumulate(own, children, field):
+def _accumulate(own, children):
     x = np.asarray(own, dtype=np.float64).copy()
     for c in children:
         if c is not ZERO:
-            x += getattr(c, field)
+            x += c
     return x
 
 
 def reference_rounded(payloads, tree, params, seed):
     def transform(v, own, children, gen):
-        x = _accumulate(own, children, "decoded")
+        x = _accumulate(own, children)
         if all(c is ZERO for c in children) and not np.any(x):
-            return ZERO
+            return ZERO, 0
         unif = gen.random(x.shape[0])
         exponents, is_zero, decoded, ok = kernels.round_to_grid(
             x, unif, params.log_gamma, params.log_floor(tree.layer[v]),
@@ -325,25 +329,26 @@ def reference_rounded(payloads, tree, params, seed):
         if not ok:
             raise WindowError(f"rounded exponent escaped "
                               f"[{params.exponent_min}, {params.exponent_max}]")
-        return RoundedVector(exponents, is_zero, decoded)
+        bits = sum(1 if z else 2 + gamma_len(zigzag(int(e)) + 1)
+                   for z, e in zip(is_zero, exponents))
+        return decoded, bits
 
     def root(v, own, children, gen):
-        return _accumulate(own, children, "decoded")
+        return _accumulate(own, children)
 
-    return reference_convergecast(tree, payloads, transform, RoundedVectorCodec(params),
-                                  seed, root)
+    return reference_convergecast(tree, payloads, transform, seed, root)
 
 
 def reference_exact(payloads, tree, seed):
     def transform(v, own, children, gen):
-        x = _accumulate(own, children, "values")
+        x = _accumulate(own, children)
         nonzero = np.any(own) or any(c is not ZERO for c in children)
-        return ExactVector(x) if nonzero else ZERO
+        return (x, 64 * x.size) if nonzero else (ZERO, 0)
 
     def root(v, own, children, gen):
-        return _accumulate(own, children, "values")
+        return _accumulate(own, children)
 
-    return reference_convergecast(tree, payloads, transform, ExactVectorCodec(), seed, root)
+    return reference_convergecast(tree, payloads, transform, seed, root)
 
 
 def reference_morris(values, tree, log_b, seed, state_bits=64):
@@ -363,7 +368,13 @@ def reference_morris(values, tree, log_b, seed, state_bits=64):
 
     def transform(v, own, children, gen):
         out = fold(v, own, children, gen)
-        return ZERO if out is None else out
+        if out is None:
+            return ZERO, 0
+        worst = max(out.ins.max(), out.dels.max())
+        if worst >= 2.0 ** state_bits:
+            raise CounterOverflowError(
+                f"counter state {worst:.0f} exceeds {state_bits}-bit field")
+        return out, out.ins.size * (8 + 2 * state_bits)
 
     def root(v, own, children, gen):
         out = fold(v, own, children, gen)
@@ -372,8 +383,7 @@ def reference_morris(values, tree, log_b, seed, state_bits=64):
             return CounterVector(np.zeros(width), np.zeros(width))
         return out
 
-    return reference_convergecast(tree, values, transform, CounterVectorCodec(state_bits),
-                                  seed, root)
+    return reference_convergecast(tree, values, transform, seed, root)
 
 
 def _raw(out):

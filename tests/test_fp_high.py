@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from bitcodec import gamma_len, zigzag
 from sketchcast import kernels
-from sketchcast.bitcodec import gamma_len, zigzag
 from sketchcast.fp_high import (
     FpHighConfig,
     as_count_matrix,

@@ -75,6 +75,13 @@ def test_all_zero_inputs_cost_one_bit_per_edge():
     assert len(stats.per_edge_bits) == 5
 
 
+@pytest.mark.parametrize("value", [0.0, 3.0])
+def test_single_coordinate_is_rejected_whatever_the_counts(value):
+    cfg = FpLowConfig(p=0.5, eps=0.2)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        estimate_fp_low(np.full((3, 1), value), line(3), cfg, seed=0)
+
+
 def test_single_unit_coordinate_is_near_one():
     # F_p(e_1) = 1 for every p; spread over 100 sketch seeds.
     cfg = FpLowConfig(p=0.5, eps=0.2)

@@ -25,7 +25,6 @@ from sketchcast.harness import (
     run_trial,
     split_units,
     summarize,
-    thread_count,
     write_csv,
     write_summary,
     zipf_weights,
@@ -274,29 +273,6 @@ def test_run_experiment_matches_manual_trials():
     assert summary["success_rate"] == sum(r.success for r in reports) / 3
     want = run_trial(spec, 1)
     assert reports[1].estimate == want.estimate
-
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("SKETCHCAST_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SKETCHCAST_THREADS", "8")
-    assert thread_count() == 8
-    monkeypatch.setenv("SKETCHCAST_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("SKETCHCAST_THREADS", "lots")
-    assert thread_count() == 1
-
-
-def test_threaded_run_equals_sequential(monkeypatch):
-    spec = ExperimentSpec(protocol="fp", p=1.5, n=40, m=4, dist="zipf:1.1",
-                          eps=0.25, trials=4, seed=5, tokens=100)
-    monkeypatch.delenv("SKETCHCAST_THREADS", raising=False)
-    seq, _ = run_experiment(spec)
-    monkeypatch.setenv("SKETCHCAST_THREADS", "2")
-    par, _ = run_experiment(spec)
-    for a, b in zip(seq, par):
-        assert (a.trial, a.estimate, a.error, a.max_edge_bits) == \
-            (b.trial, b.estimate, b.error, b.max_edge_bits)
 
 
 def test_comm_scaling_smoke():

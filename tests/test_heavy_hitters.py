@@ -121,7 +121,7 @@ def test_exact_codec_matches_pooled_count_sketch():
 
 
 def test_messages_respect_the_per_lane_budget():
-    from sketchcast.bitcodec import gamma_len, zigzag
+    from bitcodec import gamma_len, zigzag
     from sketchcast.rounding import gamma_for
     from sketchcast.topology import center, spanning_tree
 

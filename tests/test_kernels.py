@@ -38,7 +38,7 @@ def test_round_to_grid_reports_window_escape():
 
 
 def test_rounded_bits_formula():
-    from sketchcast.bitcodec import gamma_len, zigzag
+    from bitcodec import gamma_len, zigzag
 
     exponents = np.array([0, -3, 17, 2], dtype=np.int64)
     is_zero = np.array([False, False, False, True])

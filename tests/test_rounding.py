@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitcodec import gamma_decode, gamma_encode, gamma_len, unzigzag, zigzag
 from sketchcast import kernels
-from sketchcast.bitcodec import gamma_decode, gamma_encode, gamma_len, unzigzag, zigzag
 from sketchcast.engine import rounded_sum_convergecast
 from sketchcast.rounding import RoundingParams, WindowError, gamma_for
 from sketchcast.topology import line, spanning_tree
@@ -29,7 +29,7 @@ def stratified(k):
 
 
 def encode_lane(is_zero, negative, exponent):
-    """One lane in the RoundedVectorCodec format."""
+    """One lane in the rounded wire format stated on ``engine.send_rounded``."""
     if is_zero:
         return "1"
     return "0" + ("1" if negative else "0") + gamma_encode(zigzag(int(exponent)) + 1)
