@@ -111,7 +111,7 @@ def estimate_entropy(inputs, topo: Topology, cfg: EntropyConfig,
     bm1 = cfg.base_minus_one(n)
     sk = build_sketch(cfg.k, n, p=1.0, eta=cfg.eta, seed=substream(seed, DOMAIN_SKETCH),
                       beta=-1.0, gamma_scale=math.pi / 2.0, entry_cap=entry_cap)
-    lanes = np.concatenate([data @ sk.entries.T, data.sum(axis=1, keepdims=True)], axis=1)
+    lanes = np.concatenate([sk.apply(data), data.sum(axis=1, keepdims=True)], axis=1)
 
     width = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
     counters, comm = morris_sum_convergecast(lanes, tree, math.log1p(bm1),
@@ -139,7 +139,7 @@ def stream_entropy(stream, cfg: EntropyConfig, seed=0, n: int | None = None) -> 
     n = x.size
     sk = build_sketch(cfg.k, n, p=1.0, eta=cfg.eta, seed=substream(seed, DOMAIN_SKETCH),
                       beta=-1.0, gamma_scale=math.pi / 2.0)
-    y = cfg.eta * (sk.entries @ x) / float(x.sum())
+    y = cfg.eta * sk.apply(x) / float(x.sum())
     h, _, _ = _entropy_from_rows(y, n)
     return h
 

@@ -94,7 +94,7 @@ def estimate_fp_high(inputs, topo: Topology, cfg: FpHighConfig, seed,
     M = float(max(1.0, data.max(initial=0.0)))
 
     sk = build_sketch(cfg.k, n, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
-    payload = data @ sk.scaled().T
+    payload = sk.apply(data, scaled=True)
 
     vec, stats = sum_convergecast(codec, payload, tree, seed,
                                   lambda: cfg.rounding_params(n, m, tree.depth, M))

@@ -107,7 +107,7 @@ def estimate_fp_low(inputs, topo: Topology, cfg: FpLowConfig, seed) -> tuple[flo
     bm1 = cfg.base_minus_one(n)
     sk = build_sketch(cfg.k, n, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH),
                       entry_cap=entry_cap)
-    payload = data @ sk.entries.T
+    payload = sk.apply(data)
 
     width = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
     counters, stats = morris_sum_convergecast(payload, tree, math.log1p(bm1),
@@ -163,12 +163,12 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
     sk = build_sketch(k, n, p, cfg.eta, substream(seed, DOMAIN_SKETCH, 0))
     sk_norm = build_sketch(kp, n, p, cfg.eta, substream(seed, DOMAIN_SKETCH, 1))
 
-    y_coarse = cfg.eta * (sk_norm.entries @ x)
+    y_coarse = cfg.eta * sk_norm.apply(x)
     y_med = lower_median(np.abs(y_coarse)) / median_abs(p)
     if y_med == 0.0:
         return 0.0
 
-    counts = sk.entries @ x
+    counts = sk.apply(x)
     if mode == "exact-y":
         y = cfg.eta * counts
     else:

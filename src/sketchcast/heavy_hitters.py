@@ -28,15 +28,50 @@ from .topology import Topology, center, spanning_tree
 MERSENNE_61 = (1 << 61) - 1
 
 
-def _poly_mod(coeffs: tuple[int, ...], n: int) -> list[int]:
-    """Evaluate a polynomial over GF(2^61 - 1) at 0..n-1 by Horner."""
-    out = []
-    for x in range(n):
-        acc = 0
-        for c in coeffs:
-            acc = (acc * x + c) % MERSENNE_61
-        out.append(acc)
-    return out
+_LOW32 = np.uint64(0xFFFFFFFF)
+_P61 = np.uint64(MERSENNE_61)
+
+
+def _fold61(v: np.ndarray) -> np.ndarray:
+    """Reduce uint64 values mod 2^61 - 1 into [0, 2^61 - 1), in place."""
+    hi = v >> np.uint64(61)
+    v &= _P61
+    v += hi
+    v -= _P61 * (v >= _P61)
+    return v
+
+
+def _mulmod61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a * x mod 2^61 - 1 for a < 2^61 - 1 and 0 <= x < 2^32, exact in uint64.
+
+    a is split into 32-bit limbs, a = a1 2^32 + a0, so both partial
+    products fit in 64 bits.  With 2^61 = 1 (mod 2^61 - 1),
+    a1 x 2^32 = (a1 x >> 29) + ((a1 x mod 2^29) << 32), and every term of
+    the sum stays below 2^61 (Thorup, "High speed hashing for integers
+    and strings").
+    """
+    low = _fold61((a & _LOW32) * x)
+    high = (a >> np.uint64(32)) * x
+    low += high >> np.uint64(29)
+    low += (high & np.uint64((1 << 29) - 1)) << np.uint64(32)
+    return _fold61(low)
+
+
+def _poly61(coeffs: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
+    """(rows, n): row i is the polynomial coeffs[i] over GF(2^61 - 1) at 0..n-1.
+
+    Coefficients run from the leading one down, evaluated by Horner's rule.
+    """
+    if n > 1 << 32:
+        raise ValueError(f"hash points must stay below 2^32, got n={n}")
+    c = np.array(coeffs, dtype=np.uint64)
+    x = np.arange(n, dtype=np.uint64)
+    acc = np.zeros((c.shape[0], n), dtype=np.uint64)
+    for j in range(c.shape[1]):
+        acc = _mulmod61(acc, x)
+        acc += c[:, j:j + 1]
+        _fold61(acc)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -78,17 +113,12 @@ class CountSketchSpec:
 
     def bucket_of(self) -> np.ndarray:
         """(rows, n) bucket index per coordinate."""
-        out = np.empty((self.rows, self.n), dtype=np.int64)
-        for i, (a, b) in enumerate(self.h_coeffs):
-            out[i] = [v % self.width for v in _poly_mod((a, b), self.n)]
-        return out
+        return (_poly61(self.h_coeffs, self.n) % np.uint64(self.width)).astype(np.int64)
 
     def sign_of(self) -> np.ndarray:
         """(rows, n) Rademacher sign per coordinate."""
-        out = np.empty((self.rows, self.n), dtype=np.float64)
-        for i, coeffs in enumerate(self.g_coeffs):
-            out[i] = [1.0 if v & 1 else -1.0 for v in _poly_mod(coeffs, self.n)]
-        return out
+        odd = (_poly61(self.g_coeffs, self.n) & np.uint64(1)).astype(np.float64)
+        return 2.0 * odd - 1.0
 
 
 def local_table(x: np.ndarray, spec: CountSketchSpec,

@@ -4,8 +4,9 @@ Six kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
 stable transforms (``cms_symmetric``, ``cms_skewed_one``), stochastic
 rounding onto the (1+gamma) grid and its wire length (``round_to_grid``,
 ``rounded_bits``), and the Morris counter batch update and merge
-(``morris_add_batch``, ``morris_merge``).  The transforms and the
-rounding consume pre-drawn uniforms; the Morris kernels draw from the
+(``morris_add_batch``, ``morris_merge``).  The transforms overwrite
+their pre-drawn (uniform, exponential) pairs with the draws, the rounding
+consumes pre-drawn uniforms, and the Morris kernels draw from the
 generator they are given.
 """
 
@@ -38,22 +39,55 @@ _TINY = 1e-300
 
 
 def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    w = np.maximum(w, _TINY)
+    """Symmetric transform of the pairs (u, w), computed in place in ``u``.
+
+    ``w`` is overwritten as scratch.  Every operation is the one of the
+    textbook expression, in the same order, so the result is the same bit
+    for bit as evaluating it with fresh temporaries.
+    """
     if p == 1.0:
-        return np.tan(u)
-    cu = np.maximum(np.cos(u), _TINY)
-    return (np.sin(p * u) / cu ** (1.0 / p)) * (np.cos((1.0 - p) * u) / w) ** (
-        (1.0 - p) / p
-    )
+        return np.tan(u, out=u)
+    np.maximum(w, _TINY, out=w)
+    # (cos((1-p) U) / W)^((1-p)/p); the power operator keeps numpy's
+    # special cases for exponents such as 1 and 0.5
+    t = np.multiply(u, 1.0 - p)
+    np.cos(t, out=t)
+    t /= w
+    t **= (1.0 - p) / p
+    # cos(U)^(1/p), clamped away from zero
+    cu = np.cos(u, out=w)
+    np.maximum(cu, _TINY, out=cu)
+    cu **= 1.0 / p
+    u *= p
+    np.sin(u, out=u)
+    u /= cu
+    u *= t
+    return u
 
 
 def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    w = np.maximum(w, _TINY)
+    """Skewed p=1 transform of the pairs (u, w), computed in place in ``u``.
+
+    ``w`` is overwritten as scratch; the result is bit-identical to the
+    textbook expression, as for :func:`cms_symmetric`.
+    """
     hp = 0.5 * np.pi
-    a = hp + beta * u
-    return (2.0 / np.pi) * (
-        a * np.tan(u) - beta * np.log((hp * w * np.maximum(np.cos(u), _TINY)) / a)
-    )
+    np.maximum(w, _TINY, out=w)
+    w *= hp
+    t = np.cos(u)
+    np.maximum(t, _TINY, out=t)
+    w *= t
+    # a = pi/2 + beta U
+    a = np.multiply(u, beta, out=t)
+    a += hp
+    w /= a
+    np.log(w, out=w)
+    w *= beta
+    np.tan(u, out=u)
+    u *= a
+    u -= w
+    u *= 2.0 / np.pi
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ rounding, and the root returns R = (SX)^T (SY).  With k = c_k/(delta *
 eps0^2) rows, ||R - X^T Y||_F <= eps ||X||_F ||Y||_F with probability
 1 - delta, where eps0 = eps/4 splits the budget across the error terms.
 
-A pooled-data sketch product from the same seed is exposed separately so
-exact-codec runs can be checked against it.
+S is drawn one row block at a time, like the stable sketches, and each
+block meets many players' columns in a single product, in place of one
+product per player over the whole of S.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ import numpy as np
 
 from .engine import CommStats, sum_convergecast
 from .rounding import gamma_for
+from .stable import block_rows
 from .streams import DOMAIN_SKETCH, generator
 from .topology import Topology, center, spanning_tree
+
+# Cells in one player group's copied columns, and in its product with S,
+# when S is drawn as one block.
+GROUP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,16 @@ class AmpConfig:
         return max(16, math.ceil(self.c_k / (self.delta * self.eps0**2)))
 
 
-def sketch_matrix(n: int, k: int, seed) -> np.ndarray:
-    """Shared k x n Gaussian sketch with variance-1/k entries."""
-    rng = generator(seed, DOMAIN_SKETCH)
-    return rng.standard_normal((k, n)) / math.sqrt(k)
+def sketch_matrix(rng: np.random.Generator, block: np.ndarray, k: int) -> np.ndarray:
+    """Fill ``block`` with the next rows of the shared k x n Gaussian sketch.
+
+    Entries have variance 1/k and are drawn row-major from ``rng``, so
+    filling successive row blocks from generator(seed, DOMAIN_SKETCH)
+    reproduces its standard_normal((k, n)) / sqrt(k) value for value.
+    """
+    rng.standard_normal(out=block)
+    block /= math.sqrt(k)
+    return block
 
 
 def _player_matrices(inputs, m: int, t: int, name: str) -> np.ndarray:
@@ -62,6 +74,45 @@ def _player_matrices(inputs, m: int, t: int, name: str) -> np.ndarray:
     if np.any(data < 0):
         raise ValueError(f"{name} entries must be non-negative")
     return data
+
+
+def _sketch_payload(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
+    """(m, k*(t1+t2)) payload: row v is (S X_v).ravel() followed by (S Y_v).ravel().
+
+    Each row block of S meets a group of players' columns, copied side by
+    side into one (n, group*(t1+t2)) matrix, in a single product.  When S
+    takes several blocks the group is every player, so the players' data
+    is copied once; when S is one block, groups whose copy and product
+    each hold at most GROUP_CELLS cells are copied once each, which keeps
+    the copy from adding to the payload's memory.
+    """
+    m, n, t1 = xs.shape
+    t = t1 + ys.shape[2]
+    rows = block_rows(k, n)
+    group = m if rows < k else min(m, max(1, GROUP_CELLS // (max(n, k) * t)))
+
+    payload = np.empty((m, k * t))
+    px = payload[:, :k * t1].reshape(m, k, t1)
+    py = payload[:, k * t1:].reshape(m, k, t - t1)
+    block = np.empty((rows, n))
+    cols = np.empty(n * group * t)
+    prod = np.empty(rows * group * t)
+    rng = generator(seed, DOMAIN_SKETCH)
+    for r0 in range(0, k, rows):
+        h = min(rows, k - r0)
+        s = sketch_matrix(rng, block[:h], k)
+        for g0 in range(0, m, group):
+            g = min(group, m - g0)
+            c = cols[:n * g * t].reshape(n, g, t)
+            if r0 == 0:
+                c[:, :, :t1] = xs[g0:g0 + g].transpose(1, 0, 2)
+                c[:, :, t1:] = ys[g0:g0 + g].transpose(1, 0, 2)
+            out = prod[:h * g * t].reshape(h, g * t)
+            np.matmul(s, c.reshape(n, g * t), out=out)
+            out = out.reshape(h, g, t)
+            px[g0:g0 + g, r0:r0 + h] = out[:, :, :t1].transpose(1, 0, 2)
+            py[g0:g0 + g, r0:r0 + h] = out[:, :, t1:].transpose(1, 0, 2)
+    return payload
 
 
 def amp_estimate(x_inputs, y_inputs, topo: Topology, cfg: AmpConfig, seed,
@@ -79,13 +130,8 @@ def amp_estimate(x_inputs, y_inputs, topo: Topology, cfg: AmpConfig, seed,
         raise ValueError(f"inner dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
     n = xs.shape[1]
     tree = spanning_tree(topo, center(topo))
-    s = sketch_matrix(n, cfg.k, seed)
-
-    payload = np.empty((m, cfg.k * (cfg.t1 + cfg.t2)))
+    payload = _sketch_payload(xs, ys, cfg.k, seed)
     split = cfg.k * cfg.t1
-    for v in range(m):
-        payload[v, :split] = (s @ xs[v]).ravel()
-        payload[v, split:] = (s @ ys[v]).ravel()
 
     M = float(max(1.0, xs.max(initial=0.0), ys.max(initial=0.0)))
     vec, stats = sum_convergecast(codec, payload, tree, seed, lambda: gamma_for(
@@ -94,15 +140,3 @@ def amp_estimate(x_inputs, y_inputs, topo: Topology, cfg: AmpConfig, seed,
     rx = vec[:split].reshape(cfg.k, cfg.t1)
     ry = vec[split:].reshape(cfg.k, cfg.t2)
     return rx.T @ ry, stats
-
-
-def sketch_product(x_total: np.ndarray, y_total: np.ndarray, cfg: AmpConfig,
-                   seed) -> np.ndarray:
-    """(S X)^T (S Y) on pooled matrices with the same sketch draw."""
-    x = np.asarray(x_total, dtype=np.float64)
-    y = np.asarray(y_total, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"pooled shapes {x.shape} and {y.shape} do not align")
-    s = sketch_matrix(x.shape[0], cfg.k, seed)
-    return (s @ x).T @ (s @ y)
-

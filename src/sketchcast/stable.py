@@ -1,4 +1,4 @@
-"""p-stable sampling, the |Z| median normalizer, and sketch matrices.
+"""p-stable laws, the |Z| median normalizer, and streamed sketch matrices.
 
 The symmetric family D_p has characteristic function e^{-|t|^p}; draws
 come from the Chambers-Mallows-Stuck transform of a (uniform, exponential)
@@ -15,6 +15,20 @@ make that identity hold with a plus sign, the location parameter of the
 skewed family enters negated relative to the symmetric family, matching
 the convention of the entropy-sketch literature.
 
+Sketches are streamed.  A protocol only needs ``data @ S^T`` (or
+``S @ x``), so :class:`StableSketch` generates S one block of rows at a
+time and contracts each block before drawing the next; only a sketch that
+fits in one block is ever held whole.  The stream
+contract fixes every cell: one PCG64 stream seeded from the sketch's
+``SeedSequence`` supplies the uniforms at raw positions [0, k*n) and the
+exponentials from position k*n on, and cells are numbered row-major, so
+cell (i, j) takes the (i*n + j)-th uniform and the (i*n + j)-th
+exponential.  Two cursors on that stream, the second advanced by k*n,
+reproduce the draws of one generator that draws all k*n uniforms first.
+``MAX_SKETCH_CELLS`` still caps k*n: streaming would let it go, but the
+benchmark's smoke test asserts the ``MemoryError`` it raises, so lifting
+it waits on a change to the benchmark.
+
 theta_p, the median of |Z| for Z ~ D_p, is analytic at p in {1, 2} and a
 pinned fixed-seed Monte-Carlo constant elsewhere; regenerate the table
 with :func:`montecarlo_median_abs`.
@@ -24,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +50,21 @@ from .streams import as_seed_sequence, generator
 # round(sample / eta).
 DEFAULT_ETA = 2.0**-30
 
-# Refuse to materialize sketches above this many cells.
+# Refuse sketches above this many cells.
 MAX_SKETCH_CELLS = 50_000_000
+
+# A sketch is generated in row blocks of about BLOCK_CELLS cells, and each
+# block's elementwise transform runs over CHUNK_CELLS cells at a time, which
+# keeps its operands in cache.  The rows of a block are a multiple of
+# BLOCK_ROW_MULTIPLE, so OpenBLAS tiles a block product as it tiles the same
+# rows of the whole product, and on the benchmark's shapes every block
+# product equals its columns of the whole product bit for bit (blocks of 1,
+# 2 or 4 rows move the last bits of some sums; multiples of 8 do not).
+# OpenBLAS routes some small products through other kernels, so with only
+# two or three data rows a block product can still differ in the last bits.
+BLOCK_CELLS = 1 << 18
+BLOCK_ROW_MULTIPLE = 32
+CHUNK_CELLS = 1 << 13
 
 # Fixed seed and sample count behind every pinned Monte-Carlo constant.
 _PIN_SEED = 914
@@ -54,10 +82,6 @@ _MEDIAN_TABLE = {
     1.5: 0.968694,
     1.75: 0.961069,
 }
-
-# Median of the standard maximally skewed law F(1,-1,pi/2,0), same pinning
-# scheme; used by location-recovery checks.
-MEDIAN_SKEWED_STANDARD = -1.356524
 
 
 @dataclass(frozen=True)
@@ -80,22 +104,93 @@ class StableParams:
             raise ValueError("beta != 0 is only supported at p = 1")
 
 
+def block_rows(k: int, width: int) -> int:
+    """Rows per block for a k-row operand whose rows are ``width`` cells wide."""
+    rows = BLOCK_CELLS // width // BLOCK_ROW_MULTIPLE * BLOCK_ROW_MULTIPLE
+    return min(k, max(BLOCK_ROW_MULTIPLE, rows))
+
+
 @dataclass(frozen=True)
-class SketchMatrix:
+class StableSketch:
     """Integer-precision stable sketch: entries equal round(sample / eta).
 
-    ``build_sketch`` regenerates it bit-identically from the same
-    arguments.  ``entries`` is float64 but integer-valued, so eta^-1 * S
-    is exactly integral; ``scaled()`` returns eta * entries.
+    A handle, not a matrix: ``blocks()`` regenerates the entries row block
+    by row block from ``seed`` (see the module docstring for the stream
+    contract), and ``apply`` contracts data with them block by block.
+    ``law`` is F(p, beta, gamma, 0); ``cap`` clamps the raw draws |z|
+    before eta-scaling.  Entries are float64 but integer-valued, so
+    eta^-1 * S is exactly integral; the scaled sketch is eta * entries.
     """
 
     k: int
     n: int
     eta: float
-    entries: np.ndarray = field(repr=False)
+    seed: np.random.SeedSequence = field(repr=False)
+    law: StableParams
+    cap: float | None = None
 
-    def scaled(self) -> np.ndarray:
-        return self.entries * self.eta
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (first row, entries of the block's rows) down the sketch.
+
+        The yielded array is reused for the next block.
+        """
+        total = self.k * self.n
+        uniforms = np.random.Generator(np.random.PCG64(self.seed))
+        bits = np.random.PCG64(self.seed)
+        bits.advance(total)
+        exponentials = np.random.Generator(bits)
+        rows = block_rows(self.k, self.n)
+        buf = np.empty(rows * self.n)
+        w = np.empty(min(CHUNK_CELLS, buf.size))
+        for r0 in range(0, self.k, rows):
+            block = buf[:min(rows, self.k - r0) * self.n]
+            for c0 in range(0, block.size, CHUNK_CELLS):
+                z = block[c0:c0 + CHUNK_CELLS]
+                uniforms.random(out=z)
+                exponentials.standard_exponential(out=w[:z.size])
+                self._entries(z, w[:z.size])
+            yield r0, block.reshape(-1, self.n)
+
+    def _entries(self, z: np.ndarray, w: np.ndarray) -> None:
+        """Turn uniforms ``z`` and exponentials ``w`` into entries, in place in ``z``."""
+        z -= 0.5
+        z *= np.pi
+        law = self.law
+        g = law.gamma_scale
+        if law.beta == 0.0:
+            kernels.cms_symmetric(law.p, z, w)
+            z *= g
+        else:
+            kernels.cms_skewed_one(law.beta, z, w)
+            # Skewed p=1 family: scaling adds the (2/pi) beta g ln g drift.
+            z *= g
+            z += (2.0 / np.pi) * law.beta * g * math.log(g)
+        if self.cap is not None:
+            np.clip(z, -self.cap, self.cap, out=z)
+        z /= self.eta
+        np.rint(z, out=z)
+
+    def apply(self, data: np.ndarray, scaled: bool = False) -> np.ndarray:
+        """``data @ S^T`` for (m, n) data, ``S @ x`` for a length-n vector x.
+
+        S is the integer entries, or eta * entries with ``scaled``.  Each
+        block product is written straight into its columns of the result
+        (see BLOCK_ROW_MULTIPLE for when it equals the whole product bit
+        for bit).
+        """
+        data = np.asarray(data, dtype=np.float64)
+        if data.ndim not in (1, 2) or data.shape[-1] != self.n:
+            raise ValueError(f"expected length-{self.n} rows, got {data.shape}")
+        out = np.empty(data.shape[:-1] + (self.k,))
+        for r0, block in self.blocks():
+            if scaled:
+                block *= self.eta
+            rows = slice(r0, r0 + block.shape[0])
+            if data.ndim == 1:
+                np.matmul(block, data, out=out[rows])
+            else:
+                np.matmul(data, block.T, out=out[:, rows])
+        return out
 
 
 def _sample_standard(p: float, beta: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -104,22 +199,6 @@ def _sample_standard(p: float, beta: float, rng: np.random.Generator, size: int)
     if beta == 0.0:
         return kernels.cms_symmetric(p, u, w)
     return kernels.cms_skewed_one(beta, u, w)
-
-
-def sample_stable_array(params: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vector of i.i.d. draws from F(p, beta, gamma, delta)."""
-    z = _sample_standard(params.p, params.beta, rng, size)
-    g = params.gamma_scale
-    if params.beta == 0.0:
-        return g * z + params.delta_loc
-    # Skewed p=1 family: scaling adds the (2/pi) beta g ln g drift and the
-    # location enters negated (see module docstring).
-    return g * z + (2.0 / np.pi) * params.beta * g * math.log(g) - params.delta_loc
-
-
-def sample_stable(params: StableParams, rng: np.random.Generator) -> float:
-    """One draw from F(p, beta, gamma, delta); symmetric about delta for beta=0."""
-    return float(sample_stable_array(params, rng, 1)[0])
 
 
 def montecarlo_median_abs(p: float, samples: int = _PIN_SAMPLES, seed: int = _PIN_SEED) -> float:
@@ -164,12 +243,18 @@ def build_sketch(
     beta: float = 0.0,
     gamma_scale: float = 1.0,
     entry_cap: float | None = None,
-) -> SketchMatrix:
+) -> StableSketch:
     """k x n sketch of i.i.d. F(p, beta, gamma, 0) draws at precision eta.
 
-    ``entry_cap`` clamps the raw draws |z| before eta-scaling; protocols
-    pass their tail-conditioning bound here.  Raises on sketches larger
-    than ``MAX_SKETCH_CELLS``.
+    Returns a :class:`StableSketch` handle; nothing is drawn until its
+    blocks are used.  Cell (i, j) is made from the (i*n + j)-th uniform
+    and the (i*n + j)-th exponential of one PCG64 stream seeded by
+    ``seed``: the uniforms take raw positions [0, k*n) and the
+    exponentials follow from position k*n.  ``entry_cap`` clamps the raw
+    draws |z| before eta-scaling; protocols pass their tail-conditioning
+    bound here.  Raises ``MemoryError`` on sketches larger than
+    ``MAX_SKETCH_CELLS``, a cap kept although no sketch is materialized
+    because the benchmark's smoke test asserts it.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k, n >= 1, got k={k} n={n}")
@@ -177,11 +262,6 @@ def build_sketch(
         raise ValueError(f"eta must be in (0,1], got {eta}")
     if k * n > MAX_SKETCH_CELLS:
         raise MemoryError(f"sketch of {k}x{n} cells exceeds cap {MAX_SKETCH_CELLS}")
-    seq = as_seed_sequence(seed)
-    rng = np.random.Generator(np.random.PCG64(seq))
-    params = StableParams(p=p, beta=beta, gamma_scale=gamma_scale)
-    z = sample_stable_array(params, rng, k * n).reshape(k, n)
-    if entry_cap is not None:
-        np.clip(z, -entry_cap, entry_cap, out=z)
-    entries = np.rint(z / eta)
-    return SketchMatrix(k=k, n=n, eta=eta, entries=entries)
+    law = StableParams(p=p, beta=beta, gamma_scale=gamma_scale)
+    return StableSketch(k=k, n=n, eta=eta, seed=as_seed_sequence(seed), law=law,
+                        cap=entry_cap)

@@ -53,8 +53,8 @@ PINNED = {
         "ff11f08eaaf2c723f7657ff27641a9f7cf797fb983d8f78a2ae7b8d84f133936",
     ),
     "amp-star": (
-        "b97a7848a26ecb84fe1431dfb7fd534e6068f205c6fae00eb567c1b76dd6741f",
-        "0d6a8390feb50b35cbdc3e523b31932b5974be951f20ec159b566fcd3113504c",
+        "680b83349786d2b9e18062e7603f76a65aac1aa333611424ef5535090865e89e",
+        "ea940689345562fbd364e95810427dfb2d85275524925f12dcdb1900a124e05b",
     ),
     "stream-fp-exact-y": (
         "286ae4411bf6171f0e7b7d952d6e5eaf458f3ac33a1a7bb6b425a151989038a1",

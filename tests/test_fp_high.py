@@ -133,7 +133,7 @@ def test_exact_codec_matches_pooled_estimator():
     norm, fp, _ = estimate_fp_high(data, star(6), cfg, seed, codec="exact")
 
     sk = build_sketch(cfg.k, 40, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
-    pooled = sk.scaled() @ data.sum(axis=0)
+    pooled = sk.apply(data.sum(axis=0), scaled=True)
     want = lower_median(np.abs(pooled)) / median_abs(cfg.p)
     assert math.isclose(norm, want, rel_tol=1e-12)
     assert math.isclose(fp, want**cfg.p, rel_tol=1e-12)

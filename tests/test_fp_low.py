@@ -109,7 +109,7 @@ def test_counter_pipeline_matches_exact_sums():
     entry_cap = (M * 8 * 4) ** 3
     sk = build_sketch(cfg.k, 8, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH),
                       entry_cap=entry_cap)
-    want = (cfg.eta * lower_median(np.abs(sk.entries @ total))
+    want = (cfg.eta * lower_median(np.abs(sk.apply(total)))
             / median_abs(cfg.p)) ** cfg.p
     assert math.isclose(est, want, rel_tol=1e-9)
 

@@ -6,7 +6,7 @@ import pytest
 from sketchcast.heavy_hitters import (
     MERSENNE_61,
     CountSketchSpec,
-    _poly_mod,
+    _poly61,
     estimates_from_table,
     heavy_hitters,
     local_table,
@@ -14,6 +14,17 @@ from sketchcast.heavy_hitters import (
 )
 from sketchcast.oracles import tail_l2
 from sketchcast.topology import grid, star
+
+
+def _poly_mod(coeffs: tuple[int, ...], n: int) -> list[int]:
+    """Evaluate a polynomial over GF(2^61 - 1) at 0..n-1 by Horner, in Python integers."""
+    out = []
+    for x in range(n):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c) % MERSENNE_61
+        out.append(acc)
+    return out
 
 
 def toy_spec():
@@ -27,6 +38,29 @@ def test_poly_mod_matches_horner_by_hand():
     assert _poly_mod((1, 0, 0, 0), 4) == [0, 1, 8, 27]
     # wraparound stays inside the field
     assert _poly_mod((MERSENNE_61 - 1, 1), 2) == [1, MERSENNE_61 - 1 + 1 - MERSENNE_61]
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0, 0),
+    (MERSENNE_61 - 1, MERSENNE_61 - 1),
+    (0, 0, 0, 0),
+    (MERSENNE_61 - 1, MERSENNE_61 - 1, MERSENNE_61 - 1, MERSENNE_61 - 1),
+    (MERSENNE_61 - 1, 0, MERSENNE_61 - 1, 0),
+])
+def test_vectorised_hashes_equal_horner_at_extreme_coefficients(coeffs):
+    n = 10**5
+    want = np.array(_poly_mod(coeffs, n), dtype=np.uint64)
+    assert np.array_equal(_poly61((coeffs,), n)[0], want)
+
+
+def test_bucket_and_sign_equal_horner_oracle():
+    spec = CountSketchSpec.build(10**5, 0.3, seed=2, c_ell=0.2)
+    bucket, sign = spec.bucket_of(), spec.sign_of()
+    for i in range(spec.rows):
+        h = _poly_mod(spec.h_coeffs[i], spec.n)
+        g = _poly_mod(spec.g_coeffs[i], spec.n)
+        assert bucket[i].tolist() == [v % spec.width for v in h]
+        assert sign[i].tolist() == [1.0 if v & 1 else -1.0 for v in g]
 
 
 def test_build_shapes_and_determinism():

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from sketch_reference import dense_amp_payload, gaussian_sketch, sketch_product
 from sketchcast.matrix_product import (
     AmpConfig,
+    _sketch_payload,
     amp_estimate,
     sketch_matrix,
-    sketch_product,
 )
 from sketchcast.oracles import matrix_product
+from sketchcast.streams import DOMAIN_SKETCH, generator
 from sketchcast.topology import line, star
 
 
@@ -35,13 +37,38 @@ def test_config_row_count():
 
 
 def test_sketch_matrix_shape_and_scale():
-    s = sketch_matrix(400, 2048, seed=0)
+    s = gaussian_sketch(400, 2048, seed=0)
     assert s.shape == (2048, 400)
-    assert np.array_equal(s, sketch_matrix(400, 2048, seed=0))
-    assert not np.array_equal(s, sketch_matrix(400, 2048, seed=1))
+    assert not np.array_equal(s, gaussian_sketch(400, 2048, seed=1))
+    # row blocks of one generator reproduce the whole draw
+    rng = generator(0, DOMAIN_SKETCH)
+    blocks = [sketch_matrix(rng, np.empty((rows, 400)), 2048).copy() for rows in (96, 1, 1951)]
+    assert np.array_equal(np.concatenate(blocks), s)
     # variance 1/k pins column norms near 1
     norms = np.linalg.norm(s, axis=0)
     assert abs(norms.mean() - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("m, n, t1, t2, k", [
+    (4, 40, 2, 2, 2048),     # the fingerprint's amp star
+    (1024, 200, 2, 2, 512),  # the mesh-grid amp: one block, many player groups
+    (8, 3000, 1, 3, 200),    # several row blocks, one group
+])
+def test_blocked_payload_is_within_rounding_of_per_player_products(m, n, t1, t2, k):
+    # One product per row block sums each cell in another order than the
+    # per-player products over the whole S, so cells may differ in their
+    # last bits: by at most 2 n u sum_l |S_il X_lj| with u = 2^-53.
+    rng = np.random.default_rng(5)
+    xs = rng.integers(0, 9, (m, n, t1)) * (rng.random((m, n, t1)) < 0.3)
+    ys = rng.integers(0, 9, (m, n, t2)) * (rng.random((m, n, t2)) < 0.3)
+    xs, ys = xs.astype(np.float64), ys.astype(np.float64)
+    got = _sketch_payload(xs, ys, k, seed=6)
+    want = dense_amp_payload(xs, ys, k, seed=6)
+    s = np.abs(gaussian_sketch(n, k, seed=6))
+    scale = np.stack([np.concatenate([(s @ x).ravel(), (s @ y).ravel()])
+                      for x, y in zip(xs, ys)])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2 * n * 2.0**-53 * scale)
 
 
 def test_player_matrix_validation():
@@ -102,7 +129,7 @@ def test_sketch_norm_preservation():
     hits = 0
     for t in range(40):
         x = rng.integers(0, 10, size=(64, 4)).astype(np.float64)
-        s = sketch_matrix(64, cfg.k, seed=t)
+        s = gaussian_sketch(64, cfg.k, seed=t)
         lhs = np.linalg.norm(s @ x)
         rhs = np.linalg.norm(x)
         hits += abs(lhs - rhs) <= cfg.eps0 * rhs

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sketch_reference import MEDIAN_SKEWED_STANDARD, sample_stable_array
 from sketchcast import oracles
 from sketchcast.stable import (
-    MEDIAN_SKEWED_STANDARD,
     StableParams,
     _MEDIAN_TABLE,
     median_abs,
     montecarlo_median_abs,
-    sample_stable_array,
 )
 
 # ---------------------------------------------------------------------------
