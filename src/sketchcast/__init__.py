@@ -1,9 +1,10 @@
 """Communication-metered sketching protocols over simulated networks.
 
-The protocol entry points below run one convergecast on a Topology and
-return an estimate together with per-edge bit counts; the stream_*
-functions are their single-machine streaming counterparts.  Everything
-is deterministic given the seed.
+The protocol entry points below run one convergecast on a SpanningTree
+and return an estimate together with per-edge bit counts; build the
+tree from a Topology with ``spanning_tree(topo, center(topo))``.  The
+stream_* functions are their single-machine streaming counterparts.
+Everything is deterministic given the seed.
 """
 
 from .engine import CommStats, CounterOverflowError
@@ -13,7 +14,16 @@ from .fp_low import FpLowConfig, estimate_fp_low, stream_fp_logcosine
 from .harness import ExperimentSpec, run_experiment
 from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
-from .topology import Topology, from_spec, line, make_topology, star
+from .topology import (
+    SpanningTree,
+    Topology,
+    center,
+    from_spec,
+    line,
+    make_topology,
+    spanning_tree,
+    star,
+)
 
 __all__ = [
     "AmpConfig",
@@ -24,8 +34,10 @@ __all__ = [
     "ExperimentSpec",
     "FpHighConfig",
     "FpLowConfig",
+    "SpanningTree",
     "Topology",
     "amp_estimate",
+    "center",
     "entropy_to_bits",
     "estimate_entropy",
     "estimate_fp_high",
@@ -36,6 +48,7 @@ __all__ = [
     "make_topology",
     "point_estimate_all",
     "run_experiment",
+    "spanning_tree",
     "star",
     "stream_entropy",
     "stream_fp_logcosine",

@@ -41,6 +41,19 @@ def _add_common(parser: argparse.ArgumentParser, *, dist: str, eps: float) -> No
                         help="exit 2 unless the acceptance success floor is met")
 
 
+def _add_stream_common(parser: argparse.ArgumentParser, *, eps: float) -> None:
+    parser.add_argument("--updates", default="zipf:1.3:100000",
+                        help="zipf:s:COUNT | file:PATH with 'index delta' lines")
+    parser.add_argument("--n", type=int, default=1000, help="coordinate count")
+    parser.add_argument("--eps", type=float, default=eps, help="accuracy target")
+    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", help="write per-trial CSV here")
+    parser.add_argument("--summary", help="write summary JSON here")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 2 unless the acceptance success floor is met")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sketchcast",
@@ -73,26 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     sfp = stm.add_parser("fp", help="log-cosine F_p norm estimate, p in (0,1)")
     sfp.add_argument("--p", type=float, required=True)
     sfp.add_argument("--mode", default="exact-y", choices=("exact-y", "morris-y"))
-    sfp.add_argument("--updates", default="zipf:1.3:100000",
-                     help="zipf:s:COUNT | file:PATH with 'index delta' lines")
-    for flag, kw in (("--n", dict(type=int, default=1000)),
-                     ("--eps", dict(type=float, default=0.15)),
-                     ("--trials", dict(type=int, default=100)),
-                     ("--seed", dict(type=int, default=0)),
-                     ("--out", dict()), ("--summary", dict()),
-                     ("--check", dict(action="store_true"))):
-        sfp.add_argument(flag, **kw)
+    _add_stream_common(sfp, eps=0.15)
 
     sent = stm.add_parser("entropy", help="streaming entropy estimate")
-    sent.add_argument("--updates", default="zipf:1.3:100000")
-    sent.add_argument("--bits", action="store_true")
-    for flag, kw in (("--n", dict(type=int, default=1000)),
-                     ("--eps", dict(type=float, default=0.2)),
-                     ("--trials", dict(type=int, default=100)),
-                     ("--seed", dict(type=int, default=0)),
-                     ("--out", dict()), ("--summary", dict()),
-                     ("--check", dict(action="store_true"))):
-        sent.add_argument(flag, **kw)
+    sent.add_argument("--bits", action="store_true", help="print entropy errors in bits")
+    _add_stream_common(sent, eps=0.2)
 
     bench = top.add_parser("bench", help="measurement utilities")
     bsub = bench.add_subparsers(dest="target", required=True)

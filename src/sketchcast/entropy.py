@@ -25,7 +25,7 @@ from .fp_low import state_field_bits
 from .morris import estimates_signed
 from .stable import build_sketch
 from .streams import DOMAIN_SKETCH, substream
-from .topology import Topology, center, spanning_tree
+from .topology import SpanningTree
 
 LN2 = math.log(2.0)
 
@@ -91,21 +91,19 @@ def _entropy_from_rows(y: np.ndarray, n: int) -> tuple[float, float, int]:
     return min(max(raw, 0.0), hi), raw, clamped
 
 
-def estimate_entropy(inputs, topo: Topology, cfg: EntropyConfig,
+def estimate_entropy(inputs, tree: SpanningTree, cfg: EntropyConfig,
                      seed) -> tuple[float, EntropyStats]:
-    """Distributed entropy of the aggregate vector, in nats.
+    """Distributed entropy of the aggregate vector over ``tree``, in nats.
 
     Raises ValueError on an all-zero aggregate (entropy undefined).
     The skewed sketch lanes and the F_1 lane share one convergecast, so
     each edge carries k + 1 counter pairs.
     """
-    m = topo.m
+    m = tree.m
     data = as_count_matrix(inputs, m)
     n = data.shape[1]
     if not data.any():
         raise ValueError("entropy undefined for an all-zero aggregate")
-    tree = spanning_tree(topo, center(topo))
-
     M = float(max(1.0, data.max()))
     entry_cap = (M * n * m) ** 3
     bm1 = cfg.base_minus_one(n)

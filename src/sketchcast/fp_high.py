@@ -26,7 +26,7 @@ from .engine import CommStats, sum_convergecast
 from .rounding import RoundingParams, gamma_for
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_SKETCH, substream
-from .topology import Topology, center, spanning_tree
+from .topology import SpanningTree
 
 
 def lower_median(values: np.ndarray) -> float:
@@ -51,8 +51,7 @@ class FpHighConfig:
 
     k = max(16, ceil(c_k / eps^2)) sketch rows give relative error eps
     with probability at least 1 - delta; delta also bounds the rounding
-    failure mass.  C_exponent steers how aggressively gamma_for shrinks
-    the grid.
+    failure mass, through the grid ratio gamma_for derives from it.
     """
 
     p: float
@@ -60,7 +59,6 @@ class FpHighConfig:
     delta: float = 0.25
     c_k: float = 12.0
     eta: float = 2.0 ** -30
-    C_exponent: float = 1.0
 
     def __post_init__(self):
         if not 1.0 < self.p <= 2.0:
@@ -75,22 +73,20 @@ class FpHighConfig:
         return max(16, math.ceil(self.c_k / self.eps**2))
 
     def rounding_params(self, n: int, m: int, depth: int, M: float) -> RoundingParams:
-        return gamma_for(self.eps, self.delta, max(1, depth), n, m,
-                         C_exponent=self.C_exponent, M=M)
+        return gamma_for(self.eps, self.delta, max(1, depth), n, m, M=M)
 
 
-def estimate_fp_high(inputs, topo: Topology, cfg: FpHighConfig, seed,
+def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,
                      codec: str = "rounding") -> tuple[float, float, CommStats]:
-    """Run one convergecast and return (norm_estimate, fp_estimate, stats).
+    """Run one convergecast over ``tree`` and return (norm_estimate, fp_estimate, stats).
 
     ``inputs`` is an (m, n) array of non-negative per-player counts.
     codec="exact" ships unrounded float64 sketches, useful for isolating
     rounding error.
     """
-    m = topo.m
+    m = tree.m
     data = as_count_matrix(inputs, m)
     n = data.shape[1]
-    tree = spanning_tree(topo, center(topo))
     M = float(max(1.0, data.max(initial=0.0)))
 
     sk = build_sketch(cfg.k, n, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))

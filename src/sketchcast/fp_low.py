@@ -26,7 +26,7 @@ from .fp_high import as_count_matrix, lower_median
 from .morris import estimates_signed, state_bound
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_DATA, DOMAIN_SKETCH, generator, substream
-from .topology import Topology, center, spanning_tree
+from .topology import SpanningTree
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,9 @@ def state_field_bits(total_updates: float, b_minus_1: float) -> int:
     return max(1, int(worst).bit_length() + 1)
 
 
-def estimate_fp_low(inputs, topo: Topology, cfg: FpLowConfig, seed) -> tuple[float, CommStats]:
-    """One Morris convergecast; returns (fp_estimate, stats).
+def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
+                    seed) -> tuple[float, CommStats]:
+    """One Morris convergecast over ``tree``; returns (fp_estimate, stats).
 
     The wire carries one insertion/deletion counter pair per sketch row
     per edge, in state fields sized from the public update-mass bound, so
@@ -97,11 +98,9 @@ def estimate_fp_low(inputs, topo: Topology, cfg: FpLowConfig, seed) -> tuple[flo
     its field raises CounterOverflowError rather than returning a
     silently wrong estimate.
     """
-    m = topo.m
+    m = tree.m
     data = as_count_matrix(inputs, m)
     n = data.shape[1]
-    tree = spanning_tree(topo, center(topo))
-
     M = float(max(1.0, data.max()))
     entry_cap = (M * n * m) ** 3
     bm1 = cfg.base_minus_one(n)
@@ -134,8 +133,7 @@ def _materialize(stream, n: int | None) -> np.ndarray:
 
 
 def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
-                        seed=0, n: int | None = None,
-                        c_k: float = 8.0, k_prime: int | None = None) -> float:
+                        seed=0, n: int | None = None) -> float:
     """Log-cosine ||X||_p estimate of an insertion-only stream, p in (0,1).
 
     mode="exact-y" aggregates y = S X exactly; mode="morris-y" routes the
@@ -156,9 +154,9 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
         x = np.append(x, 0.0)
         n = 2
 
-    cfg = FpLowConfig(p=p, eps=eps, c_k=c_k)
+    cfg = FpLowConfig(p=p, eps=eps)
     k = cfg.k
-    kp = math.ceil(8.0 / eps**2) if k_prime is None else k_prime
+    kp = math.ceil(8.0 / eps**2)
 
     sk = build_sketch(k, n, p, cfg.eta, substream(seed, DOMAIN_SKETCH, 0))
     sk_norm = build_sketch(kp, n, p, cfg.eta, substream(seed, DOMAIN_SKETCH, 1))

@@ -41,7 +41,7 @@ from .fp_low import FpLowConfig, estimate_fp_low, stream_fp_logcosine
 from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
 from .streams import DOMAIN_DATA, DOMAIN_TOPOLOGY, DOMAIN_TRIAL, generator, substream
-from .topology import from_spec
+from .topology import center, from_spec, spanning_tree
 
 SCHEMA_VERSION = 1
 
@@ -75,7 +75,6 @@ class ExperimentSpec:
     t1: int = 1
     t2: int = 1
     tokens: int = 5000
-    M: float | None = None
     mode: str = "exact-y"
     codec: str = "rounding"
 
@@ -88,6 +87,8 @@ class ExperimentSpec:
             raise ValueError(f"need n, m >= 1, got n={self.n} m={self.m}")
         if self.protocol in ("fp", "stream-fp") and self.p is None:
             raise ValueError(f"protocol {self.protocol} requires p")
+        if self.protocol == "fp" and (self.p == 1.0 or not 0.0 < self.p <= 2.0):
+            raise ValueError(f"fp needs p in (0,1) or (1,2], got {self.p}")
 
 
 @dataclass
@@ -143,7 +144,7 @@ def generate_aggregate(spec: ExperimentSpec, rng: np.random.Generator) -> np.nda
         total = int(args[1]) if len(args) > 1 else spec.tokens * spec.m
         return rng.multinomial(total, zipf_weights(n, s)).astype(np.int64)
     if kind == "uniform":
-        v = int(args[0]) if args else int(spec.M or 1)
+        v = int(args[0]) if args else 1
         return np.full(n, v, dtype=np.int64)
     if kind == "sparse":
         density = float(args[0]) if args else 0.1
@@ -251,12 +252,13 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
         comm = CommStats(per_edge_bits={}, rounds=0)
     else:
         topo = from_spec(spec.topology, spec.m, substream(spec.seed, DOMAIN_TOPOLOGY))
+        tree = spanning_tree(topo, center(topo))
         if spec.protocol == "amp":
             xmat = generate_matrix(spec, spec.t1, data_rng)
             ymat = generate_matrix(spec, spec.t2, data_rng)
             cfg = AmpConfig(t1=spec.t1, t2=spec.t2, eps=spec.eps)
             r, comm = amp_estimate(split_units(xmat, spec.m), split_units(ymat, spec.m),
-                                   topo, cfg, pseed, codec=spec.codec)
+                                   tree, cfg, pseed, codec=spec.codec)
             exact_mat = oracles.matrix_product(xmat, ymat)
             est = float(np.linalg.norm(r - exact_mat))
             exact = float(np.linalg.norm(xmat) * np.linalg.norm(ymat))
@@ -266,24 +268,22 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
             players = generate_players(spec, data_rng)
             x = players.sum(axis=0)
             if spec.protocol == "fp":
-                if spec.p is None or spec.p == 1.0 or not 0.0 < spec.p <= 2.0:
-                    raise ValueError(f"fp needs p in (0,1) or (1,2], got {spec.p}")
                 if spec.p > 1.0:
                     cfg = FpHighConfig(p=spec.p, eps=spec.eps)
-                    _, est, comm = estimate_fp_high(players, topo, cfg, pseed,
+                    _, est, comm = estimate_fp_high(players, tree, cfg, pseed,
                                                     codec=spec.codec)
                 else:
                     cfg = FpLowConfig(p=spec.p, eps=spec.eps)
-                    est, comm = estimate_fp_low(players, topo, cfg, pseed)
+                    est, comm = estimate_fp_low(players, tree, cfg, pseed)
                 exact = oracles.frequency_moment(x, spec.p)
                 error = _rel_error(est, exact)
                 success = error <= spec.eps
             elif spec.protocol == "hh":
                 cs = CountSketchSpec.build(spec.n, spec.eps, pseed)
-                x_tilde, comm = point_estimate_all(players, topo, cs, spec.eps,
+                x_tilde, comm = point_estimate_all(players, tree, cs, spec.eps,
                                                    pseed, codec=spec.codec)
                 _, f2_est, f2_comm = estimate_fp_high(
-                    players, topo, FpHighConfig(p=2.0, eps=spec.eps), substream(pseed, 1),
+                    players, tree, FpHighConfig(p=2.0, eps=spec.eps), substream(pseed, 1),
                     codec=spec.codec)
                 comm = comm.merged(f2_comm)
                 est = float(np.max(np.abs(x_tilde - x)))
@@ -294,7 +294,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
                 recovered = all(q in hits for q in _planted_ids(spec.dist))
                 success = error <= 1.0 and recovered
             elif spec.protocol == "entropy":
-                h, stats = estimate_entropy(players, topo, EntropyConfig(eps=spec.eps),
+                h, stats = estimate_entropy(players, tree, EntropyConfig(eps=spec.eps),
                                             pseed)
                 comm = stats.comm
                 est = h

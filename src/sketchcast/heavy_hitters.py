@@ -23,7 +23,7 @@ from .engine import CommStats, sum_convergecast
 from .fp_high import as_count_matrix
 from .rounding import gamma_for
 from .streams import DOMAIN_HASHES, generator
-from .topology import Topology, center, spanning_tree
+from .topology import SpanningTree
 
 MERSENNE_61 = (1 << 61) - 1
 
@@ -158,26 +158,25 @@ def estimates_from_table(table: np.ndarray, spec: CountSketchSpec,
     return order[(spec.rows - 1) // 2]
 
 
-def point_estimate_all(inputs, topo: Topology, spec: CountSketchSpec, eps: float,
-                       seed, delta: float = 0.25, codec: str = "rounding",
-                       C_exponent: float = 1.0) -> tuple[np.ndarray, CommStats]:
-    """Aggregate per-player tables down the tree; return (x_tilde, stats).
+def point_estimate_all(inputs, tree: SpanningTree, spec: CountSketchSpec, eps: float,
+                       seed, codec: str = "rounding") -> tuple[np.ndarray, CommStats]:
+    """Aggregate per-player tables up ``tree``; return (x_tilde, stats).
 
-    Every player ships exactly rows*width rounded cells.  codec="exact"
+    Every player ships exactly rows*width rounded cells, on the grid
+    gamma_for builds for rounding failure mass 1/4.  codec="exact"
     reproduces a pooled-data count-sketch bit-for-bit (integer cells).
     """
-    m = topo.m
+    m = tree.m
     data = as_count_matrix(inputs, m)
     if data.shape[1] != spec.n:
         raise ValueError(f"inputs have {data.shape[1]} coordinates, spec has {spec.n}")
-    tree = spanning_tree(topo, center(topo))
     bucket, sign = spec.bucket_of(), spec.sign_of()
 
     payload = local_table(data, spec, bucket, sign).reshape(m, -1)
 
     M = float(max(1.0, data.max(initial=0.0)))
     vec, stats = sum_convergecast(codec, payload, tree, seed, lambda: gamma_for(
-        eps, delta, max(1, tree.depth), spec.n, m, C_exponent=C_exponent, M=M))
+        eps, 0.25, max(1, tree.depth), spec.n, m, M=M))
 
     table = vec.reshape(spec.rows, spec.width)
     return estimates_from_table(table, spec, bucket, sign), stats

@@ -23,7 +23,7 @@ from .engine import CommStats, sum_convergecast
 from .rounding import gamma_for
 from .stable import block_rows
 from .streams import DOMAIN_SKETCH, generator
-from .topology import Topology, center, spanning_tree
+from .topology import SpanningTree
 
 # Cells in one player group's copied columns, and in its product with S,
 # when S is drawn as one block.
@@ -115,21 +115,20 @@ def _sketch_payload(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
     return payload
 
 
-def amp_estimate(x_inputs, y_inputs, topo: Topology, cfg: AmpConfig, seed,
+def amp_estimate(x_inputs, y_inputs, tree: SpanningTree, cfg: AmpConfig, seed,
                  codec: str = "rounding") -> tuple[np.ndarray, CommStats]:
-    """One convergecast of both sketches; returns (R: t1 x t2, stats).
+    """One convergecast of both sketches over ``tree``; returns (R: t1 x t2, stats).
 
     x_inputs is (m, n, t1) and y_inputs (m, n, t2); slices sum to the
     global matrices.  Each player ships exactly k*(t1+t2) cells.  An
     all-zero side collapses to zero flags and R = 0 exactly.
     """
-    m = topo.m
+    m = tree.m
     xs = _player_matrices(x_inputs, m, cfg.t1, "x_inputs")
     ys = _player_matrices(y_inputs, m, cfg.t2, "y_inputs")
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"inner dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
     n = xs.shape[1]
-    tree = spanning_tree(topo, center(topo))
     payload = _sketch_payload(xs, ys, cfg.k, seed)
     split = cfg.k * cfg.t1
 

@@ -25,20 +25,6 @@ import math
 import numpy as np
 
 
-def estimate_from_state(state: float, b_minus_1: float) -> float:
-    """Unbiased count estimate (b^C - 1)/(b - 1) for state C.
-
-    Parametrized by b - 1 because protocol bases sit within 1e-33 of 1,
-    far inside float64 round-off of b itself.
-    """
-    return math.expm1(state * math.log1p(b_minus_1)) / b_minus_1
-
-
-def estimate_variance(n: float, b_minus_1: float) -> float:
-    """Var of the estimate after n real updates: (b-1) n (n+1) / 2."""
-    return b_minus_1 * n * (n + 1.0) / 2.0
-
-
 def state_bound(total: float, b_minus_1: float) -> float:
     """Upper bound on the state after ``total`` updates.
 

@@ -8,7 +8,7 @@ accurately lo and hi themselves were computed.  The variance is at most
 
 The rounding itself runs in ``kernels.round_to_grid``; the message format
 is stated once, on ``engine.send_rounded``.  The grid ratio comes
-from gamma = (eps*delta / (d * log2(n*m)))^C, and the legal exponent
+from gamma = eps*delta / (d * log2(n*m)), and the legal exponent
 window is derived from the truncation bound K = (M*n*m)^2 / gamma:
 admissible magnitudes lie in [(mK)^-(d+3), K^6], and a convergecast node
 at layer l truncates below (mK)^-(d+3-l).  Those floors underflow float64
@@ -57,27 +57,21 @@ class RoundingParams:
         return -(self.depth + 3 - layer) * self.log_mk
 
 
-def gamma_for(
-    eps: float,
-    delta: float,
-    d: int,
-    n: int,
-    m: int,
-    C_exponent: float = 1.0,
-    M: int = 1000,
-) -> RoundingParams:
+def gamma_for(eps: float, delta: float, d: int, n: int, m: int,
+              M: int = 1000) -> RoundingParams:
     """RoundingParams for a depth-d convergecast on m players over [n].
 
-    gamma = (eps*delta / (d * log2(n*m)))^C_exponent, and the exponent
-    window brackets [(mK)^-(d+3), K^6] with K = (M*n*m)^2 / gamma.  M
-    defaults to the desk-scale input bound; protocols pass their real one.
+    gamma = eps*delta / (d * log2(max(n*m, 2))), which lies below 1, and
+    the exponent window brackets [(mK)^-(d+3), K^6] with
+    K = (M*n*m)^2 / gamma.  The floor of 2 under n*m keeps a one-player,
+    one-coordinate instance off log2(1) = 0.  M defaults to the
+    desk-scale input bound; protocols pass their real one.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError(f"eps and delta must be in (0,1), got {eps}, {delta}")
     if d < 1 or n < 1 or m < 1 or M < 1:
         raise ValueError("d, n, m, M must all be >= 1")
-    gamma = (eps * delta / (d * math.log2(n * m))) ** C_exponent
-    gamma = min(gamma, 1.0)
+    gamma = eps * delta / (d * math.log2(max(n * m, 2)))
     log_gamma = math.log1p(gamma)
     log_k = 2.0 * math.log(M * n * m) - math.log(gamma)
     log_mk = math.log(m) + log_k

@@ -230,14 +230,8 @@ def random_connected(m: int, p_edge: float = 0.15, seed=0) -> Topology:
 # ---------------------------------------------------------------------------
 
 
-def write_topology(g: Topology, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{g.m}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
-
-
 def read_topology(path: str) -> Topology:
+    """Topology from a file: the vertex count m, then one "u v" edge per line."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:

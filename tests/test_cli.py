@@ -85,6 +85,15 @@ def test_stream_entropy_bits_flag(capsys):
     assert "unit=bits" in stdout
 
 
+def test_stream_verbs_share_flag_defaults():
+    common = dict(command="stream", updates="zipf:1.3:100000", n=1000, trials=100,
+                  seed=0, out=None, summary=None, check=False)
+    fp = vars(build_parser().parse_args(["stream", "fp", "--p", "0.5"]))
+    assert fp == dict(common, protocol="fp", p=0.5, mode="exact-y", eps=0.15)
+    ent = vars(build_parser().parse_args(["stream", "entropy"]))
+    assert ent == dict(common, protocol="entropy", bits=False, eps=0.2)
+
+
 def test_simulate_entropy_smoke(capsys):
     code, stdout, _ = run_cli(
         capsys, "simulate", "entropy", "--m", "3", "--n", "20",
@@ -111,6 +120,18 @@ def test_simulate_amp_smoke(capsys):
         "--seed", "5")
     assert code == 0
     assert stdout.startswith("protocol=amp ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fp", "--p", "1.5"),
+    ("amp", "--dist", "uniform:1"),
+])
+def test_one_player_one_coordinate_sends_nothing(capsys, argv):
+    # log2(n*m) is 0 here, and the rounding grid must not divide by it
+    code, stdout, _ = run_cli(capsys, "simulate", *argv, "--m", "1", "--n", "1",
+                              "--trials", "1")
+    assert code == 0
+    assert "max_edge_bits=0" in stdout
 
 
 def test_check_flag_fails_when_no_heavy_hitter_exists(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import tree_of
 from sketchcast.entropy import (
     EntropyConfig,
     _entropy_from_rows,
@@ -60,12 +61,12 @@ def test_oversized_raw_clamps_to_log_n():
 
 def test_zero_aggregate_raises():
     with pytest.raises(ValueError):
-        estimate_entropy(np.zeros((3, 8)), line(3), EntropyConfig(eps=0.2), seed=0)
+        estimate_entropy(np.zeros((3, 8)), tree_of(line(3)), EntropyConfig(eps=0.2), seed=0)
 
 
 def test_single_coordinate_universe_has_zero_entropy():
     data = np.array([[10.0], [30.0]])
-    h, stats = estimate_entropy(data, line(2), EntropyConfig(eps=0.2), seed=1)
+    h, stats = estimate_entropy(data, tree_of(line(2)), EntropyConfig(eps=0.2), seed=1)
     assert h == 0.0
     assert stats.comm.rounds == 1
 
@@ -76,7 +77,7 @@ def test_single_support_aggregate_is_near_zero_entropy():
     data[:, 0] = 100.0
     hits = 0
     for t in range(10):
-        h, _ = estimate_entropy(data, star(4), cfg, seed=t)
+        h, _ = estimate_entropy(data, tree_of(star(4)), cfg, seed=t)
         hits += abs(h) <= cfg.eps
     assert hits >= 7
 
@@ -86,7 +87,7 @@ def test_uniform_four_coordinates_near_ln4():
     data = np.tile(np.array([0.0] * 4 + [25.0] * 4), (4, 1))
     hits = 0
     for t in range(10):
-        h, _ = estimate_entropy(data, line(4), cfg, seed=50 + t)
+        h, _ = estimate_entropy(data, tree_of(line(4)), cfg, seed=50 + t)
         hits += abs(h - math.log(4)) <= cfg.eps
     assert hits >= 7
 
@@ -148,7 +149,7 @@ def test_distributed_matches_oracle_on_skewed_mass():
     truth = entropy_nats(data.sum(axis=0))
     hits = 0
     for t in range(10):
-        h, _ = estimate_entropy(data, star(4), cfg, seed=400 + t)
+        h, _ = estimate_entropy(data, tree_of(star(4)), cfg, seed=400 + t)
         hits += abs(h - truth) <= cfg.eps
     assert hits >= 7
 

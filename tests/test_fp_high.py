@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bitcodec import gamma_len, zigzag
+from helpers import tree_of
 from sketchcast import kernels
 from sketchcast.fp_high import (
     FpHighConfig,
@@ -16,7 +17,7 @@ from sketchcast.fp_high import (
 from sketchcast.oracles import frequency_moment, lp_norm
 from sketchcast.stable import build_sketch, median_abs
 from sketchcast.streams import DOMAIN_SKETCH, substream
-from sketchcast.topology import center, line, spanning_tree, star
+from sketchcast.topology import line, star
 
 
 def test_lower_median_odd_and_even():
@@ -92,7 +93,7 @@ def test_truncation_floor_rises_with_layer():
 
 def test_all_zero_inputs_cost_one_bit_per_edge():
     cfg = FpHighConfig(p=1.5, eps=0.25)
-    norm, fp, stats = estimate_fp_high(np.zeros((5, 16)), line(5), cfg, seed=0)
+    norm, fp, stats = estimate_fp_high(np.zeros((5, 16)), tree_of(line(5)), cfg, seed=0)
     assert norm == 0.0 and fp == 0.0
     assert stats.max_edge_bits == 1
 
@@ -100,14 +101,14 @@ def test_all_zero_inputs_cost_one_bit_per_edge():
 def test_fp_estimate_is_norm_to_the_p():
     cfg = FpHighConfig(p=1.5, eps=0.25)
     data = np.arange(32.0).reshape(4, 8)
-    norm, fp, _ = estimate_fp_high(data, star(4), cfg, seed=3)
+    norm, fp, _ = estimate_fp_high(data, tree_of(star(4)), cfg, seed=3)
     assert fp == norm**1.5
 
 
 def test_unknown_codec_rejected():
     cfg = FpHighConfig(p=1.5, eps=0.25)
     with pytest.raises(ValueError):
-        estimate_fp_high(np.ones((2, 4)), line(2), cfg, seed=0, codec="utf-8")
+        estimate_fp_high(np.ones((2, 4)), tree_of(line(2)), cfg, seed=0, codec="utf-8")
 
 
 def test_single_player_l2_norm_of_3_4():
@@ -117,7 +118,7 @@ def test_single_player_l2_norm_of_3_4():
     data[0, 0], data[0, 1] = 3.0, 4.0
     hits = 0
     for t in range(100):
-        norm, _, stats = estimate_fp_high(data, star(1), cfg, seed=t)
+        norm, _, stats = estimate_fp_high(data, tree_of(star(1)), cfg, seed=t)
         hits += 4.5 <= norm <= 5.5
         assert stats.total_bits == 0
     assert hits >= 75
@@ -130,7 +131,7 @@ def test_exact_codec_matches_pooled_estimator():
     rng = np.random.default_rng(11)
     data = rng.integers(0, 50, size=(6, 40)).astype(np.float64)
     seed = 17
-    norm, fp, _ = estimate_fp_high(data, star(6), cfg, seed, codec="exact")
+    norm, fp, _ = estimate_fp_high(data, tree_of(star(6)), cfg, seed, codec="exact")
 
     sk = build_sketch(cfg.k, 40, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
     pooled = sk.apply(data.sum(axis=0), scaled=True)
@@ -142,12 +143,12 @@ def test_exact_codec_matches_pooled_estimator():
 def test_rounding_stays_within_eps_of_exact_pipeline():
     cfg = FpHighConfig(p=1.5, eps=0.25)
     rng = np.random.default_rng(2)
-    topo = line(16)
+    tree = tree_of(line(16))
     hits = 0
     for t in range(40):
         data = rng.integers(0, 100, size=(16, 64)).astype(np.float64)
-        rounded, _, _ = estimate_fp_high(data, topo, cfg, seed=1000 + t)
-        exact, _, _ = estimate_fp_high(data, topo, cfg, seed=1000 + t, codec="exact")
+        rounded, _, _ = estimate_fp_high(data, tree, cfg, seed=1000 + t)
+        exact, _, _ = estimate_fp_high(data, tree, cfg, seed=1000 + t, codec="exact")
         hits += abs(rounded - exact) <= cfg.eps * lp_norm(data.sum(axis=0), cfg.p)
     assert hits >= 38
 
@@ -156,11 +157,10 @@ def test_every_message_fits_the_window_bound():
     cfg = FpHighConfig(p=1.5, eps=0.25)
     rng = np.random.default_rng(9)
     data = rng.integers(0, 1000, size=(12, 64)).astype(np.float64)
-    topo = line(12)
-    _, _, stats = estimate_fp_high(data, topo, cfg, seed=4)
+    tree = tree_of(line(12))
+    _, _, stats = estimate_fp_high(data, tree, cfg, seed=4)
 
-    depth = spanning_tree(topo, center(topo)).depth
-    params = cfg.rounding_params(n=64, m=12, depth=depth, M=float(data.max()))
+    params = cfg.rounding_params(n=64, m=12, depth=tree.depth, M=float(data.max()))
     worst_exp = max(-params.exponent_min, params.exponent_max)
     per_lane = 2 + gamma_len(zigzag(worst_exp) + 1)
     for bits in stats.per_edge_bits.values():
@@ -170,11 +170,11 @@ def test_every_message_fits_the_window_bound():
 def test_relative_error_against_moment_oracle():
     cfg = FpHighConfig(p=1.5, eps=0.25)
     rng = np.random.default_rng(21)
-    topo = star(8)
+    tree = tree_of(star(8))
     hits = 0
     for t in range(20):
         data = np.floor(rng.pareto(1.1, size=(8, 64)) + 1.0)
-        est = estimate_fp_high(data, topo, cfg, seed=500 + t)[1]
+        est = estimate_fp_high(data, tree, cfg, seed=500 + t)[1]
         truth = frequency_moment(data.sum(axis=0), cfg.p)
         hits += abs(est - truth) <= cfg.eps * truth
     assert hits >= 14

@@ -6,6 +6,7 @@ import signal
 import numpy as np
 import pytest
 
+from helpers import tree_of
 from sketchcast.fp_high import lower_median
 from sketchcast.fp_low import (
     FpLowConfig,
@@ -69,7 +70,7 @@ def test_state_field_bits_exact_count_regime():
 
 def test_all_zero_inputs_cost_one_bit_per_edge():
     cfg = FpLowConfig(p=0.5, eps=0.2)
-    est, stats = estimate_fp_low(np.zeros((6, 16)), line(6), cfg, seed=0)
+    est, stats = estimate_fp_low(np.zeros((6, 16)), tree_of(line(6)), cfg, seed=0)
     assert est == 0.0
     assert set(stats.per_edge_bits.values()) == {1}
     assert len(stats.per_edge_bits) == 5
@@ -79,7 +80,7 @@ def test_all_zero_inputs_cost_one_bit_per_edge():
 def test_single_coordinate_is_rejected_whatever_the_counts(value):
     cfg = FpLowConfig(p=0.5, eps=0.2)
     with pytest.raises(ValueError, match="need n >= 2"):
-        estimate_fp_low(np.full((3, 1), value), line(3), cfg, seed=0)
+        estimate_fp_low(np.full((3, 1), value), tree_of(line(3)), cfg, seed=0)
 
 
 def test_single_unit_coordinate_is_near_one():
@@ -89,7 +90,7 @@ def test_single_unit_coordinate_is_near_one():
     data[0, 0] = 1.0
     hits = 0
     for t in range(100):
-        est, _ = estimate_fp_low(data, star(1), cfg, seed=t)
+        est, _ = estimate_fp_low(data, tree_of(star(1)), cfg, seed=t)
         hits += 0.8 <= est <= 1.2
     assert hits >= 70
 
@@ -102,7 +103,7 @@ def test_counter_pipeline_matches_exact_sums():
     data = rng.integers(0, 6, size=(4, 8)).astype(np.float64)
     data[0, 0] = 5.0  # keep at least one positive entry
     seed = 42
-    est, _ = estimate_fp_low(data, line(4), cfg, seed)
+    est, _ = estimate_fp_low(data, tree_of(line(4)), cfg, seed)
 
     total = data.sum(axis=0)
     M = float(data.max())
@@ -122,7 +123,7 @@ def test_max_edge_bits_is_flat_across_depth():
     for m in (4, 16):
         data = np.tile(total / m, (m, 1))
         cfg = FpLowConfig(p=0.5, eps=0.2)
-        _, stats = estimate_fp_low(data, line(m), cfg, seed=5)
+        _, stats = estimate_fp_low(data, tree_of(line(m)), cfg, seed=5)
         sizes[m] = stats.max_edge_bits
     assert sizes[4] == sizes[16]
 
@@ -130,11 +131,11 @@ def test_max_edge_bits_is_flat_across_depth():
 def test_relative_error_against_moment_oracle():
     cfg = FpLowConfig(p=0.5, eps=0.25)
     rng = np.random.default_rng(8)
-    topo = line(8)
+    tree = tree_of(line(8))
     hits = 0
     for t in range(20):
         data = np.floor(rng.pareto(1.2, size=(8, 64)) + 1.0)
-        est, _ = estimate_fp_low(data, topo, cfg, seed=900 + t)
+        est, _ = estimate_fp_low(data, tree, cfg, seed=900 + t)
         truth = frequency_moment(data.sum(axis=0), cfg.p)
         hits += abs(est - truth) <= cfg.eps * truth
     assert hits >= 14

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchcast import entropy, fp_high, fp_low, harness, heavy_hitters, matrix_product
 from sketchcast.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -47,6 +48,9 @@ def test_spec_validation():
         ExperimentSpec(protocol="fp")  # p is mandatory for moments
     with pytest.raises(ValueError):
         ExperimentSpec(protocol="stream-fp")
+    for p in (1.0, 2.5):  # fp runs p in (0,1) or (1,2]
+        with pytest.raises(ValueError):
+            ExperimentSpec(protocol="fp", p=p)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=30),
@@ -74,8 +78,8 @@ def test_generate_aggregate_zipfagg_and_uniform():
     assert x.sum() == 500 and x.size == 50
     spec = ExperimentSpec(protocol="hh", n=8, dist="uniform:7")
     assert np.array_equal(generate_aggregate(spec, rng_for()), np.full(8, 7))
-    spec = ExperimentSpec(protocol="hh", n=8, dist="uniform", M=3.0)
-    assert np.array_equal(generate_aggregate(spec, rng_for()), np.full(8, 3))
+    spec = ExperimentSpec(protocol="hh", n=8, dist="uniform")
+    assert np.array_equal(generate_aggregate(spec, rng_for()), np.full(8, 1))
 
 
 def test_generate_aggregate_sparse_planted_delta_pair():
@@ -273,6 +277,30 @@ def test_run_experiment_matches_manual_trials():
     assert summary["success_rate"] == sum(r.success for r in reports) / 3
     want = run_trial(spec, 1)
     assert reports[1].estimate == want.estimate
+
+
+@pytest.mark.parametrize("protocol,p,builds", [
+    ("fp", 1.5, 1), ("fp", 0.5, 1), ("hh", None, 1), ("entropy", None, 1),
+    ("amp", None, 1), ("stream-fp", 0.5, 0), ("stream-entropy", None, 0),
+])
+def test_run_trial_builds_one_tree_per_network_trial(monkeypatch, protocol, p, builds):
+    calls = {"center": 0, "spanning_tree": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(harness, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(harness, name, counted)
+    dist = "zipf:1.3:1000" if protocol.startswith("stream-") else "zipf:1.1"
+    spec = ExperimentSpec(protocol=protocol, p=p, topology="grid", n=64, m=6, dist=dist,
+                          eps=0.25, trials=1, tokens=200)
+    run_trial(spec, 0)
+    assert calls == {"center": builds, "spanning_tree": builds}
+
+
+def test_protocols_take_the_tree_not_a_topology():
+    for module in (fp_high, fp_low, entropy, heavy_hitters, matrix_product):
+        for name in ("Topology", "center", "spanning_tree"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_comm_scaling_smoke():

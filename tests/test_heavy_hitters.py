@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import tree_of
 from sketchcast.heavy_hitters import (
     MERSENNE_61,
     CountSketchSpec,
@@ -123,22 +124,22 @@ def test_local_table_rejects_bad_shape():
 def test_point_estimate_rejects_mismatched_universe():
     spec = CountSketchSpec.build(8, 0.3, seed=0)
     with pytest.raises(ValueError):
-        point_estimate_all(np.ones((2, 9)), star(2), spec, 0.3, seed=0)
+        point_estimate_all(np.ones((2, 9)), tree_of(star(2)), spec, 0.3, seed=0)
     with pytest.raises(ValueError):
-        point_estimate_all(np.ones((2, 8)), star(2), spec, 0.3, seed=0, codec="gzip")
+        point_estimate_all(np.ones((2, 8)), tree_of(star(2)), spec, 0.3, seed=0, codec="gzip")
 
 
 def test_single_support_recovered_exactly():
     spec = CountSketchSpec.build(64, 0.25, seed=3)
     data = np.zeros((4, 64))
     data[2, 7] = 100.0
-    xt, _ = point_estimate_all(data, star(4), spec, 0.25, seed=3, codec="exact")
+    xt, _ = point_estimate_all(data, tree_of(star(4)), spec, 0.25, seed=3, codec="exact")
     assert xt[7] == 100.0
 
 
 def test_zero_inputs_give_zero_estimates_for_one_bit():
     spec = CountSketchSpec.build(64, 0.25, seed=4)
-    xt, stats = point_estimate_all(np.zeros((4, 64)), star(4), spec, 0.25, seed=4)
+    xt, stats = point_estimate_all(np.zeros((4, 64)), tree_of(star(4)), spec, 0.25, seed=4)
     assert not xt.any()
     assert stats.max_edge_bits == 1
 
@@ -149,7 +150,7 @@ def test_exact_codec_matches_pooled_count_sketch():
     spec = CountSketchSpec.build(128, 0.3, seed=8)
     rng = np.random.default_rng(1)
     data = rng.integers(0, 30, size=(6, 128)).astype(np.float64)
-    xt, _ = point_estimate_all(data, grid(2, 3), spec, 0.3, seed=8, codec="exact")
+    xt, _ = point_estimate_all(data, tree_of(grid(2, 3)), spec, 0.3, seed=8, codec="exact")
     pooled = estimates_from_table(local_table(data.sum(axis=0), spec), spec)
     assert np.array_equal(xt, pooled)
 
@@ -157,15 +158,13 @@ def test_exact_codec_matches_pooled_count_sketch():
 def test_messages_respect_the_per_lane_budget():
     from bitcodec import gamma_len, zigzag
     from sketchcast.rounding import gamma_for
-    from sketchcast.topology import center, spanning_tree
 
     spec = CountSketchSpec.build(64, 0.25, seed=9)
     rng = np.random.default_rng(2)
     data = rng.integers(0, 100, size=(6, 64)).astype(np.float64)
-    topo = grid(2, 3)
-    _, stats = point_estimate_all(data, topo, spec, 0.25, seed=9)
-    depth = spanning_tree(topo, center(topo)).depth
-    params = gamma_for(0.25, 0.25, max(1, depth), 64, 6, M=float(data.max()))
+    tree = tree_of(grid(2, 3))
+    _, stats = point_estimate_all(data, tree, spec, 0.25, seed=9)
+    params = gamma_for(0.25, 0.25, max(1, tree.depth), 64, 6, M=float(data.max()))
     per_lane = 2 + gamma_len(zigzag(max(-params.exponent_min, params.exponent_max)) + 1)
     lanes = spec.rows * spec.width
     for bits in stats.per_edge_bits.values():
@@ -195,7 +194,7 @@ def test_two_equal_heavies_both_surface():
     x[30] = x[160] = 300.0
     spec = CountSketchSpec.build(n, 0.25, seed=11)
     data = np.tile(x / 4, (4, 1))
-    xt, _ = point_estimate_all(data, star(4), spec, 0.25, seed=11, codec="exact")
+    xt, _ = point_estimate_all(data, tree_of(star(4)), spec, 0.25, seed=11, codec="exact")
     found = heavy_hitters(xt, 0.25, float(np.sum(x**2)))
     assert set(found[:2]) == {30, 160}
 
@@ -207,7 +206,7 @@ def test_uniform_ones_have_no_heavy_hitter():
     spec = CountSketchSpec.build(n, eps, seed=0)
     data = np.zeros((4, n))
     data[0] = 1.0
-    xt, _ = point_estimate_all(data, star(4), spec, eps, seed=0, codec="exact")
+    xt, _ = point_estimate_all(data, tree_of(star(4)), spec, eps, seed=0, codec="exact")
     assert heavy_hitters(xt, eps, float(n)) == []
 
 
@@ -222,7 +221,7 @@ def test_linf_guarantee_at_desk_scale():
         for v in range(m):
             data[v, owner == v] = x[owner == v]
         spec = CountSketchSpec.build(n, eps, 700 + t)
-        xt, _ = point_estimate_all(data, star(m), spec, eps, seed=700 + t)
+        xt, _ = point_estimate_all(data, tree_of(star(m)), spec, eps, seed=700 + t)
         hits += np.abs(xt - x).max() <= eps * tail_l2(x, 16)
     assert hits >= 18
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import tree_of
 from sketch_reference import dense_amp_payload, gaussian_sketch, sketch_product
 from sketchcast.matrix_product import (
     AmpConfig,
@@ -75,27 +76,27 @@ def test_player_matrix_validation():
     cfg = AmpConfig(t1=2, t2=3, eps=0.25)
     xs = np.ones((2, 5, 2))
     ys = np.ones((2, 5, 3))
-    amp_estimate(xs, ys, line(2), cfg, seed=0)
+    amp_estimate(xs, ys, tree_of(line(2)), cfg, seed=0)
     with pytest.raises(ValueError):
-        amp_estimate(np.ones((2, 5, 3)), ys, line(2), cfg, seed=0)
+        amp_estimate(np.ones((2, 5, 3)), ys, tree_of(line(2)), cfg, seed=0)
     with pytest.raises(ValueError):
-        amp_estimate(np.ones((3, 5, 2)), ys, line(2), cfg, seed=0)
+        amp_estimate(np.ones((3, 5, 2)), ys, tree_of(line(2)), cfg, seed=0)
     with pytest.raises(ValueError):
-        amp_estimate(-xs, ys, line(2), cfg, seed=0)
+        amp_estimate(-xs, ys, tree_of(line(2)), cfg, seed=0)
     with pytest.raises(ValueError):
-        amp_estimate(xs, np.ones((2, 6, 3)), line(2), cfg, seed=0)
+        amp_estimate(xs, np.ones((2, 6, 3)), tree_of(line(2)), cfg, seed=0)
     with pytest.raises(ValueError):
-        amp_estimate(xs, ys, line(2), cfg, seed=0, codec="brotli")
+        amp_estimate(xs, ys, tree_of(line(2)), cfg, seed=0, codec="brotli")
 
 
 def test_zero_side_returns_zero_product():
     cfg = AmpConfig(t1=2, t2=2, eps=0.25)
     xs = np.ones((3, 8, 2))
-    r, stats = amp_estimate(xs, np.zeros((3, 8, 2)), star(3), cfg, seed=0)
+    r, stats = amp_estimate(xs, np.zeros((3, 8, 2)), tree_of(star(3)), cfg, seed=0)
     assert np.array_equal(r, np.zeros((2, 2)))
     # x side still ships, so edges are not flag-only; an all-zero run is
     rz, stats_z = amp_estimate(np.zeros((3, 8, 2)), np.zeros((3, 8, 2)),
-                               star(3), cfg, seed=0)
+                               tree_of(star(3)), cfg, seed=0)
     assert np.array_equal(rz, np.zeros((2, 2)))
     assert stats_z.max_edge_bits == 1
     assert stats.max_edge_bits > 1
@@ -108,7 +109,7 @@ def test_unit_columns_recover_inner_product():
     xs[0, 0, 0] = 1.0
     hits = 0
     for t in range(20):
-        r, _ = amp_estimate(xs, xs, star(1), cfg, seed=t)
+        r, _ = amp_estimate(xs, xs, tree_of(star(1)), cfg, seed=t)
         hits += abs(r[0, 0] - 1.0) <= cfg.eps
     assert hits >= 14
 
@@ -118,7 +119,7 @@ def test_exact_codec_matches_pooled_sketch_product():
     rng = np.random.default_rng(4)
     xs = rng.integers(0, 9, size=(5, 40, 3)).astype(np.float64)
     ys = rng.integers(0, 9, size=(5, 40, 2)).astype(np.float64)
-    r, _ = amp_estimate(xs, ys, line(5), cfg, seed=6, codec="exact")
+    r, _ = amp_estimate(xs, ys, tree_of(line(5)), cfg, seed=6, codec="exact")
     pooled = sketch_product(xs.sum(axis=0), ys.sum(axis=0), cfg, seed=6)
     np.testing.assert_allclose(r, pooled, rtol=1e-10)
 
@@ -145,7 +146,7 @@ def test_frobenius_error_against_exact_product():
         ys = rng.integers(0, 4, size=(8, 100, 4)).astype(np.float64)
         xs *= rng.random(size=xs.shape) < 0.2
         ys *= rng.random(size=ys.shape) < 0.2
-        r, _ = amp_estimate(xs, ys, star(8), cfg, seed=300 + t)
+        r, _ = amp_estimate(xs, ys, tree_of(star(8)), cfg, seed=300 + t)
         x, y = xs.sum(axis=0), ys.sum(axis=0)
         err = np.linalg.norm(r - matrix_product(x, y))
         hits += err <= cfg.eps * np.linalg.norm(x) * np.linalg.norm(y)

@@ -5,13 +5,9 @@ import math
 import numpy as np
 from scipy import stats
 
+from helpers import estimate_from_state, estimate_variance
 from sketchcast import kernels
-from sketchcast.morris import (
-    estimate_from_state,
-    estimate_variance,
-    estimates_signed,
-    state_bound,
-)
+from sketchcast.morris import estimates_signed, state_bound
 
 
 def chi2_two_sample(a: np.ndarray, b: np.ndarray, min_count: int = 10) -> float:

@@ -114,7 +114,8 @@ def test_entropy_exponential_identity_on_simplex():
 
 def test_morris_variance_formula_against_simulation():
     from sketchcast import kernels
-    from sketchcast.morris import estimate_variance, estimates_signed
+    from helpers import estimate_variance
+    from sketchcast.morris import estimates_signed
 
     b, n, trials = 1.3, 200.0, 40_000
     states = np.zeros(trials)

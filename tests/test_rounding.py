@@ -182,14 +182,14 @@ def test_gamma_for_formula_point():
     assert math.isclose(params.gamma, 2.90e-4, rel_tol=5e-3)
 
 
-def test_gamma_for_zeroth_power_is_one():
-    assert gamma_for(0.1, 0.1, d=2, n=10**4, m=16, C_exponent=0.0).gamma == 1.0
-
-
 def test_gamma_for_doubling_depth_halves_gamma():
     g2 = gamma_for(0.1, 0.1, d=2, n=10**4, m=16).gamma
     g4 = gamma_for(0.1, 0.1, d=4, n=10**4, m=16).gamma
     assert math.isclose(g2, 2 * g4, rel_tol=1e-12)
+
+
+def test_gamma_for_one_player_one_coordinate_uses_log2_of_two():
+    assert gamma_for(0.1, 0.1, d=1, n=1, m=1).gamma == gamma_for(0.1, 0.1, d=1, n=2, m=1).gamma
 
 
 def test_gamma_for_rejects_out_of_range():

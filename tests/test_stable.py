@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 import sketch_reference
+from helpers import tree_of
 from sketch_reference import (
     MEDIAN_SKEWED_STANDARD,
     dense_entries,
@@ -297,7 +298,7 @@ def test_fp_high_at_n_1e4_never_holds_the_sketch():
     data = np.random.default_rng(10).integers(0, 3, size=(16, 10**4)).astype(np.float64)
     tracemalloc.start()
     try:
-        estimate_fp_high(data, star(16), FpHighConfig(p=1.5, eps=0.1), seed=11)
+        estimate_fp_high(data, tree_of(star(16)), FpHighConfig(p=1.5, eps=0.1), seed=11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

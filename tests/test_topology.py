@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_topology
 from sketchcast import topology
 from sketchcast.streams import generator
 from sketchcast.topology import (
@@ -21,7 +22,6 @@ from sketchcast.topology import (
     read_topology,
     spanning_tree,
     star,
-    write_topology,
 )
 
 
