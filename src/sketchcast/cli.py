@@ -3,7 +3,8 @@
 Every invocation is deterministic for a fixed seed: stdout and any files
 written contain no timing or host-dependent fields.  Exit status is 0 on
 completion, 2 when --check finds a success rate below the acceptance
-floor, and 1 on I/O failures.
+floor, and 1 on I/O failures or invalid values, which print one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _run_bench_command(args)
         return _run_experiment_command(args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -89,6 +89,8 @@ class ExperimentSpec:
             raise ValueError(f"protocol {self.protocol} requires p")
         if self.protocol == "fp" and (self.p == 1.0 or not 0.0 < self.p <= 2.0):
             raise ValueError(f"fp needs p in (0,1) or (1,2], got {self.p}")
+        if self.protocol == "stream-fp" and not 0.0 < self.p < 1.0:
+            raise ValueError(f"stream-fp needs p in (0,1), got {self.p}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """CLI verbs: argument wiring, outputs, exit codes, rerun determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,21 @@ def test_missing_counts_file_exits_one(capsys):
         "--m", "3", "--n", "20", "--trials", "1")
     assert code == 1
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "fp", "--p", "1.0"),
+    ("simulate", "fp", "--p", "1.5", "--eps", "0.6"),
+    ("stream", "fp", "--p", "1.5"),
+])
+def test_invalid_value_exits_one_with_one_error_line(argv):
+    src = Path(sketchcast.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "sketchcast.cli", *argv, "--trials", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_bench_comms_smoke(tmp_path, capsys):

@@ -48,6 +48,8 @@ def test_spec_validation():
         ExperimentSpec(protocol="fp")  # p is mandatory for moments
     with pytest.raises(ValueError):
         ExperimentSpec(protocol="stream-fp")
+    with pytest.raises(ValueError, match="stream-fp needs p in"):
+        ExperimentSpec(protocol="stream-fp", p=1.5)
     for p in (1.0, 2.5):  # fp runs p in (0,1) or (1,2]
         with pytest.raises(ValueError):
             ExperimentSpec(protocol="fp", p=p)
