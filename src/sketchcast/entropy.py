@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CommStats, morris_sum_convergecast
-from .fp_high import as_count_matrix
+from .fp_high import as_count_matrix, stream_counts
 from .fp_low import state_field_bits
 from .morris import estimates_signed
 from .stable import build_sketch
@@ -126,12 +126,10 @@ def estimate_entropy(inputs, tree: SpanningTree, cfg: EntropyConfig,
 def stream_entropy(stream, cfg: EntropyConfig, seed=0, n: int | None = None) -> float:
     """Entropy of an insertion-only stream, exact-y random-oracle mode.
 
-    Maintains y = S X exactly from the materialized counts together with
+    Maintains y = S X exactly from the summed counts together with
     the exact ||X||_1; empty or all-zero streams raise ValueError.
     """
-    from .fp_low import _materialize
-
-    x = _materialize(stream, n)
+    x = stream_counts(stream, n)
     if not x.any():
         raise ValueError("entropy undefined for an empty stream")
     n = x.size

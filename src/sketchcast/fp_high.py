@@ -45,6 +45,31 @@ def as_count_matrix(inputs, m: int) -> np.ndarray:
     return data
 
 
+def stream_counts(updates, n: int | None = None) -> np.ndarray:
+    """Validate an insertion-only stream and sum it into a count vector.
+
+    ``updates`` is an (updates, 2) int array of (index, delta) rows, or
+    anything ``np.asarray`` turns into one.  Without ``n`` the vector ends
+    at the largest index.  Raises ValueError naming the first negative
+    delta or the first index outside [0, n).
+    """
+    u = np.asarray(updates, dtype=np.int64)
+    if u.size == 0:
+        u = u.reshape(0, 2)
+    if u.ndim != 2 or u.shape[1] != 2:
+        raise ValueError(f"stream must be (index, delta) rows, got shape {u.shape}")
+    idx, delta = u[:, 0], u[:, 1]
+    if np.any(delta < 0):
+        i = np.argmax(delta < 0)
+        raise ValueError(f"insertion-only stream got delta {delta[i]} at index {idx[i]}")
+    if n is None:
+        n = int(idx.max(initial=-1)) + 1
+    outside = (idx < 0) | (idx >= n)
+    if np.any(outside):
+        raise ValueError(f"index {idx[np.argmax(outside)]} outside [0, {n})")
+    return np.bincount(idx, weights=delta, minlength=max(n, 1))
+
+
 @dataclass(frozen=True)
 class FpHighConfig:
     """Accuracy knobs for the high-moment protocol.

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .engine import CommStats, morris_sum_convergecast
-from .fp_high import as_count_matrix, lower_median
+from .fp_high import as_count_matrix, lower_median, stream_counts
 from .morris import estimates_signed, state_bound
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_DATA, DOMAIN_SKETCH, generator, substream
@@ -116,22 +116,6 @@ def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
     return norm**cfg.p, stats
 
 
-def _materialize(stream, n: int | None) -> np.ndarray:
-    """Accumulate an insertion-only (index, delta) stream into counts."""
-    updates = list(stream)
-    for i, delta in updates:
-        if delta < 0:
-            raise ValueError(f"insertion-only stream got delta {delta} at index {i}")
-        if i < 0 or (n is not None and i >= n):
-            raise ValueError(f"index {i} outside [0, {n})")
-    if n is None:
-        n = max((i for i, _ in updates), default=-1) + 1
-    x = np.zeros(max(n, 1), dtype=np.float64)
-    for i, delta in updates:
-        x[i] += delta
-    return x
-
-
 def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
                         seed=0, n: int | None = None) -> float:
     """Log-cosine ||X||_p estimate of an insertion-only stream, p in (0,1).
@@ -146,7 +130,7 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
         raise ValueError(f"p must be in (0,1), got {p}")
     if mode not in ("exact-y", "morris-y"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = _materialize(stream, n)
+    x = stream_counts(stream, n)
     if not x.any():
         return 0.0
     n = x.size

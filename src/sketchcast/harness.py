@@ -36,7 +36,7 @@ import numpy as np
 from . import oracles
 from .engine import CommStats
 from .entropy import EntropyConfig, estimate_entropy, stream_entropy
-from .fp_high import FpHighConfig, estimate_fp_high
+from .fp_high import FpHighConfig, estimate_fp_high, stream_counts
 from .fp_low import FpLowConfig, estimate_fp_low, stream_fp_logcosine
 from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
@@ -197,21 +197,22 @@ def generate_matrix(spec: ExperimentSpec, t: int, rng: np.random.Generator) -> n
     raise ValueError(f"distribution {spec.dist!r} not supported for matrices")
 
 
-def generate_stream(spec: ExperimentSpec, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Insertion-only update stream for one trial."""
+def generate_stream(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
+    """Insertion-only update stream for one trial: (updates, 2) int64 rows of
+    (index, delta)."""
     kind, *args = _dist_fields(spec.dist)
     if kind == "zipf":
         s = float(args[0])
         count = int(args[1]) if len(args) > 1 else 10**5
         counts = rng.multinomial(count, zipf_weights(spec.n, s))
-        return [(int(i), int(c)) for i, c in enumerate(counts) if c > 0]
+        idx = np.flatnonzero(counts)
+        return np.column_stack([idx, counts[idx]]).astype(np.int64)
     if kind == "file":
         path = Path(":".join(args))
         try:
-            rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
+            return np.loadtxt(path, dtype=np.int64, ndmin=2)
         except OSError as exc:
             raise OSError(f"cannot read stream file {path}: {exc}") from exc
-        return [(int(i), int(d)) for i, d in rows]
     raise ValueError(f"unknown stream spec {spec.dist!r}")
 
 
@@ -238,9 +239,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
 
     if spec.protocol.startswith("stream-"):
         stream = generate_stream(spec, data_rng)
-        x = np.zeros(spec.n)
-        for i, d in stream:
-            x[i] += d
+        x = stream_counts(stream, spec.n)
         if spec.protocol == "stream-fp":
             est = stream_fp_logcosine(stream, spec.p, spec.eps, mode=spec.mode,
                                       seed=pseed, n=spec.n)

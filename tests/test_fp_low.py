@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import tree_of
-from sketchcast.fp_high import lower_median
+from sketchcast.fp_high import lower_median, stream_counts
 from sketchcast.fp_low import (
     FpLowConfig,
     estimate_fp_low,
@@ -157,6 +157,24 @@ def test_stream_validation():
         stream_fp_logcosine([(5, 1)], p=0.5, eps=0.2, n=4)
     with pytest.raises(ValueError):
         stream_fp_logcosine([(-1, 1)], p=0.5, eps=0.2)
+
+
+def test_stream_counts_sums_updates_in_one_pass():
+    rng = np.random.default_rng(31)
+    updates = np.column_stack([rng.integers(0, 40, 500), rng.integers(0, 9, 500)])
+    want = np.zeros(50)
+    for i, d in updates:
+        want[i] += d
+    got = stream_counts(updates, 50)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert np.array_equal(stream_counts([(2, 3)]), [0.0, 0.0, 3.0])
+    assert np.array_equal(stream_counts([]), [0.0])
+    with pytest.raises(ValueError, match="index 3 outside"):
+        stream_counts([(0, 1), (3, 1)], 3)
+    with pytest.raises(ValueError, match="delta -2 at index 1"):
+        stream_counts([(0, 1), (1, -2)])
+    with pytest.raises(ValueError, match="shape"):
+        stream_counts(np.ones((2, 3), dtype=np.int64))
 
 
 def test_empty_and_zero_streams_return_zero():

@@ -148,16 +148,29 @@ def test_generate_matrix_forms():
 def test_generate_stream_forms(tmp_path):
     spec = ExperimentSpec(protocol="stream-fp", p=0.5, n=20, dist="zipf:1.3:400")
     stream = generate_stream(spec, rng_for(4))
-    assert sum(d for _, d in stream) == 400
-    assert all(0 <= i < 20 and d > 0 for i, d in stream)
+    assert stream.dtype == np.int64 and stream.shape[1] == 2
+    assert stream[:, 1].sum() == 400
+    assert np.all((0 <= stream[:, 0]) & (stream[:, 0] < 20) & (stream[:, 1] > 0))
 
     path = tmp_path / "s.txt"
     path.write_text("0 5\n3 2\n", encoding="ascii")
     spec = ExperimentSpec(protocol="stream-fp", p=0.5, n=4, dist=f"file:{path}")
-    assert generate_stream(spec, rng_for()) == [(0, 5), (3, 2)]
+    got = generate_stream(spec, rng_for())
+    assert got.dtype == np.int64 and np.array_equal(got, [[0, 5], [3, 2]])
     with pytest.raises(ValueError):
         generate_stream(ExperimentSpec(protocol="stream-fp", p=0.5, dist="delta:1"),
                         rng_for())
+
+
+@pytest.mark.parametrize("protocol", ["stream-fp", "stream-entropy"])
+@pytest.mark.parametrize("line, index", [("12 2", 12), ("-1 2", -1)])
+def test_file_stream_index_outside_n_is_rejected(tmp_path, protocol, line, index):
+    # 12 once raised IndexError in the trial loop, and -1 was added to x[-1]
+    path = tmp_path / "s.txt"
+    path.write_text(f"0 5\n{line}\n", encoding="ascii")
+    spec = ExperimentSpec(protocol=protocol, p=0.5, n=10, dist=f"file:{path}", trials=1)
+    with pytest.raises(ValueError, match=rf"index {index} outside \[0, 10\)"):
+        run_trial(spec, 0)
 
 
 def test_planted_ids():
