@@ -21,8 +21,7 @@ import numpy as np
 
 from .engine import CommStats, morris_sum_convergecast
 from .fp_high import as_count_matrix, stream_counts
-from .fp_low import state_field_bits
-from .morris import estimates_signed
+from .morris import counter_base_offset, estimates_signed, state_field_bits
 from .stable import build_sketch
 from .streams import DOMAIN_SKETCH, substream
 from .topology import SpanningTree
@@ -61,12 +60,7 @@ class EntropyConfig:
 
     def base_minus_one(self, n: int) -> float:
         """Counter base offset from the p=1 low-moment derivation at eps0."""
-        n = max(n, 2)
-        ep = 0.25 * self.eps0 * self.delta / math.log2(n / self.delta)
-        bm1 = (ep * self.delta) ** 2
-        if bm1 <= 0.0:
-            raise ValueError("counter base degenerates to 1; eps too small")
-        return bm1
+        return counter_base_offset(self.eps0, self.delta, max(n, 2))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .engine import CommStats, morris_sum_convergecast
 from .fp_high import as_count_matrix, lower_median, stream_counts
-from .morris import estimates_signed, state_bound
+from .morris import counter_base_offset, estimates_signed, state_field_bits
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_DATA, DOMAIN_SKETCH, generator, substream
 from .topology import SpanningTree
@@ -34,9 +34,8 @@ class FpLowConfig:
     """Accuracy knobs for the low-moment protocol.
 
     delta = 1/(200k) is both the per-row failure budget and the delta'
-    in the counter base; eps' shrinks with delta^{1/p} so that the
-    Morris error stays below the p-stable tail scale (the two roles
-    share one symbol upstream, kept literal here).
+    in the counter base (the two roles share one symbol upstream, kept
+    literal here).
     """
 
     p: float
@@ -61,31 +60,11 @@ class FpLowConfig:
     def delta(self) -> float:
         return 1.0 / (200.0 * self.k)
 
-    def eps_prime(self, n: int) -> float:
+    def base_minus_one(self, n: int) -> float:
+        """Counter base offset b - 1 (see ``morris.counter_base_offset``)."""
         if n < 2:
             raise ValueError(f"need n >= 2 coordinates, got {n}")
-        ep = (self.c_prime * self.eps * self.delta ** (1.0 / self.p)
-              / math.log2(n / self.delta))
-        if not 0.0 < ep < self.eps:
-            raise ValueError(f"eps_prime {ep} outside (0, eps); p too small for float grid")
-        return ep
-
-    def base_minus_one(self, n: int) -> float:
-        """Counter base b - 1 = (eps' * delta')^2.
-
-        Kept as the offset: protocol bases are within 1e-33 of 1, below
-        float64 resolution around 1.0.
-        """
-        bm1 = (self.eps_prime(n) * self.delta) ** 2
-        if bm1 <= 0.0:
-            raise ValueError("counter base degenerates to 1; parameters too extreme")
-        return bm1
-
-
-def state_field_bits(total_updates: float, b_minus_1: float) -> int:
-    """Fixed wire width holding any state reachable from the update bound."""
-    worst = state_bound(total_updates, b_minus_1)
-    return max(1, int(worst).bit_length() + 1)
+        return counter_base_offset(self.eps, self.delta, n, self.p, self.c_prime)
 
 
 def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,

@@ -7,7 +7,8 @@ expm1(C ln b)/(b - 1), which is exactly unbiased with variance
 many updates in O(final state) time instead of O(n) by run-length
 sampling, and ``kernels.morris_merge`` folds one counter into another so
 that merge(counter(n1), counter(n2)) is distributed as counter(n1 + n2).
-This module holds the estimator and its bounds.
+This module holds the estimator, its bounds, and the counter base and
+state width the protocols derive from them.
 
 A signed counter is an (insertions, deletions) pair whose estimate is the
 difference.  States are kept as integer-valued float64: beyond 2^53 the
@@ -35,6 +36,28 @@ def state_bound(total: float, b_minus_1: float) -> float:
     lb = math.log1p(b_minus_1)
     concentrated = math.log1p(total * b_minus_1) / lb if total > 0 else 0.0
     return min(total, 8.0 * (concentrated + 64.0))
+
+
+def counter_base_offset(eps: float, delta: float, n: int, p: float = 1.0,
+                        c_prime: float = 0.25) -> float:
+    """Counter base offset b - 1 = (eps' * delta)^2 over n coordinates.
+
+    eps' = c' eps delta^{1/p} / log2(n / delta) is the relative error the
+    counters may add; it shrinks with delta^{1/p} so that the Morris error
+    stays below the p-stable tail scale.  Kept as the offset: protocol
+    bases are within 1e-33 of 1, below float64 resolution around 1.0.
+    """
+    ep = c_prime * eps * delta ** (1.0 / p) / math.log2(n / delta)
+    bm1 = (ep * delta) ** 2
+    if not 0.0 < ep < eps or bm1 <= 0.0:
+        raise ValueError(f"counter base degenerates to 1 (eps' = {ep}); p or eps too small")
+    return bm1
+
+
+def state_field_bits(total_updates: float, b_minus_1: float) -> int:
+    """Fixed wire width holding any state reachable from the update bound."""
+    worst = state_bound(total_updates, b_minus_1)
+    return max(1, int(worst).bit_length() + 1)
 
 
 def estimates_signed(ins: np.ndarray, dels: np.ndarray, b_minus_1: float) -> np.ndarray:

@@ -36,6 +36,10 @@ def test_config_derived_fields():
     assert cfg.k == 300
     assert cfg.eps0 == 0.2**6
     assert 0.0 < cfg.base_minus_one(1000) < 1e-20
+    # the low-moment base at p=1 with eps0 for eps, and n clamped to 2
+    ep = 0.25 * cfg.eps0 * cfg.delta / math.log2(1000 / cfg.delta)
+    assert cfg.base_minus_one(1000) == (ep * cfg.delta) ** 2
+    assert cfg.base_minus_one(1) == cfg.base_minus_one(2)
 
 
 def test_injected_rows_collapse_to_exact_entropy():

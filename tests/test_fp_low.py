@@ -11,10 +11,10 @@ from sketchcast.fp_high import lower_median, stream_counts
 from sketchcast.fp_low import (
     FpLowConfig,
     estimate_fp_low,
-    state_field_bits,
     stream_fp_logcosine,
 )
 from sketchcast.harness import ExperimentSpec, run_experiment
+from sketchcast.morris import state_field_bits
 from sketchcast.oracles import frequency_moment, lp_norm
 from sketchcast.stable import build_sketch, median_abs
 from sketchcast.streams import DOMAIN_SKETCH, substream
@@ -40,24 +40,26 @@ def test_row_count_and_failure_budget():
 
 
 def test_eps_prime_bounds():
+    # b - 1 = (eps' * delta)^2 with eps' in (0, eps); n < 2 is refused
     cfg = FpLowConfig(p=0.5, eps=0.2)
-    ep = cfg.eps_prime(1000)
+    ep = math.sqrt(cfg.base_minus_one(1000)) / cfg.delta
     assert 0.0 < ep < cfg.eps
     with pytest.raises(ValueError):
-        cfg.eps_prime(1)
+        cfg.base_minus_one(1)
 
 
 def test_eps_prime_rejects_extreme_p():
     # delta^(1/p) underflows float64 long before p reaches 0.01
     with pytest.raises(ValueError):
-        FpLowConfig(p=0.01, eps=0.2).eps_prime(1000)
+        FpLowConfig(p=0.01, eps=0.2).base_minus_one(1000)
 
 
 def test_counter_base_is_barely_above_one():
     cfg = FpLowConfig(p=0.5, eps=0.2)
     bm1 = cfg.base_minus_one(1000)
     assert 0.0 < bm1 < 1e-20
-    assert math.isclose(bm1, (cfg.eps_prime(1000) * cfg.delta) ** 2, rel_tol=1e-12)
+    ep = cfg.c_prime * cfg.eps * cfg.delta ** (1.0 / cfg.p) / math.log2(1000 / cfg.delta)
+    assert math.isclose(bm1, (ep * cfg.delta) ** 2, rel_tol=1e-12)
 
 
 def test_state_field_bits_exact_count_regime():
