@@ -115,7 +115,8 @@ def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,
     M = float(max(1.0, data.max(initial=0.0)))
 
     sk = build_sketch(cfg.k, n, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
-    payload = sk.apply(data, scaled=True)
+    payload = sk.apply(data)
+    payload *= cfg.eta
 
     vec, stats = sum_convergecast(codec, payload, tree, seed,
                                   lambda: cfg.rounding_params(n, m, tree.depth, M))

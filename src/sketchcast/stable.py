@@ -170,21 +170,20 @@ class StableSketch:
         z /= self.eta
         np.rint(z, out=z)
 
-    def apply(self, data: np.ndarray, scaled: bool = False) -> np.ndarray:
+    def apply(self, data: np.ndarray) -> np.ndarray:
         """``data @ S^T`` for (m, n) data, ``S @ x`` for a length-n vector x.
 
-        S is the integer entries, or eta * entries with ``scaled``.  Each
-        block product is written straight into its columns of the result
-        (see BLOCK_ROW_MULTIPLE for when it equals the whole product bit
-        for bit).
+        S is the integer entries; eta is a power of two, so ``eta * apply``
+        is the product with the scaled sketch bit for bit.  Each block
+        product is written straight into its columns of the result (see
+        BLOCK_ROW_MULTIPLE for when it equals the whole product bit for
+        bit).
         """
         data = np.asarray(data, dtype=np.float64)
         if data.ndim not in (1, 2) or data.shape[-1] != self.n:
             raise ValueError(f"expected length-{self.n} rows, got {data.shape}")
         out = np.empty(data.shape[:-1] + (self.k,))
         for r0, block in self.blocks():
-            if scaled:
-                block *= self.eta
             rows = slice(r0, r0 + block.shape[0])
             if data.ndim == 1:
                 np.matmul(block, data, out=out[rows])

@@ -154,7 +154,7 @@ def test_build_sketch_entries_are_integral():
     sk = build_sketch(20, 30, 1.5, 2.0**-20, seed=2)
     entries = streamed_entries(sk)
     assert np.array_equal(entries, np.rint(entries))
-    assert np.array_equal(sk.apply(np.eye(30), scaled=True), entries.T * 2.0**-20)
+    assert np.array_equal(sk.eta * sk.apply(np.eye(30)), entries.T * 2.0**-20)
 
 
 def test_unit_eta_rounds_small_draws_to_zero():
@@ -247,7 +247,7 @@ def test_apply_matches_dense_products_at_small_shapes():
     entries = dense_entries(50, 300, 1.5, 2.0**-30, seed=6)
     data = np.random.default_rng(7).integers(0, 9, size=(6, 300)).astype(np.float64)
     assert np.array_equal(sk.apply(data), data @ entries.T)
-    assert np.array_equal(sk.apply(data, scaled=True), data @ (entries * 2.0**-30).T)
+    assert np.array_equal(sk.eta * sk.apply(data), data @ (entries * 2.0**-30).T)
     assert np.array_equal(sk.apply(data[2]), entries @ data[2])
     with pytest.raises(ValueError):
         sk.apply(np.ones(299))
@@ -255,7 +255,9 @@ def test_apply_matches_dense_products_at_small_shapes():
 
 # The products of the benchmark's wide star (m=16 players, n=1e4) at each
 # protocol's CLI accuracy, with BLAS on one thread as the benchmark runs it:
-# (k, p, beta, gamma, cap, scaled, players).  Players = 0 is S @ x.
+# (k, p, beta, gamma, cap, scaled, players).  Scaled compares eta * apply
+# with the product of the eta-scaled sketch, as fp_high uses it.  Players
+# = 0 is S @ x.
 _WIDE_PRODUCTS = r"""
 import math, sys
 import numpy as np
@@ -273,10 +275,10 @@ for k, p, beta, g, cap, scaled, m in cases:
         s *= sk.eta
     data = rng.integers(0, 4, size=(max(m, 1), 10**4)) * (rng.random((max(m, 1), 10**4)) < 0.3)
     data = data.astype(np.float64)
-    if m == 0:
-        ok = np.array_equal(sk.apply(data[0], scaled), s @ data[0])
-    else:
-        ok = np.array_equal(sk.apply(data, scaled), data @ s.T)
+    got = sk.apply(data[0] if m == 0 else data)
+    if scaled:
+        got = sk.eta * got
+    ok = np.array_equal(got, s @ data[0] if m == 0 else data @ s.T)
     print(k, m, ok)
 """
 
