@@ -6,7 +6,9 @@ transform runs with fresh temporaries over the whole matrix.  The
 streamed ``StableSketch`` must reproduce it bit for bit.
 ``gaussian_sketch`` and ``sketch_product`` are the dense amp sketch and
 the pooled sketch product.  The stable samplers here are the test
-suite's source of plain i.i.d. stable draws.
+suite's source of plain i.i.d. stable draws, and
+``montecarlo_median_abs`` is the sampling oracle for
+``stable.median_abs``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ def sample_stable_array(params: StableParams, rng: np.random.Generator, size: in
 def sample_stable(params: StableParams, rng: np.random.Generator) -> float:
     """One draw from F(p, beta, gamma, delta); symmetric about delta for beta=0."""
     return float(sample_stable_array(params, rng, 1)[0])
+
+
+def montecarlo_median_abs(p: float, samples: int, seed: int) -> float:
+    """Fixed-seed Monte-Carlo estimate of median |Z|, Z ~ D_p."""
+    z = sample_stable_array(StableParams(p=p), generator(seed, 0), samples)
+    return float(np.median(np.abs(z)))
 
 
 def dense_entries(k: int, n: int, p: float, eta: float, seed=0, beta: float = 0.0,

@@ -37,12 +37,12 @@ SPECS = {
 # (sha256 of the CSV, sha256 of the summary JSON) per spec
 PINNED = {
     "fp-p1.5-star": (
-        "b0b3f5f7b8a3e55feb03ac977744bd5a68d0c7edf0696d4e3b34ece8c7958c9e",
-        "f1208c102ca785de61a9cdb77ad656355f07a0a78c23feb888aec111b3a2aec5",
+        "ad6797e0ebe1d4fa4bb9312ff3b9e6e0f9ea1f4327b32d1f9a886dccdabe4e45",
+        "de35200456665d7b4066622200425ecb77c4c6a93c6ad27bd444fc8ac5222be7",
     ),
     "fp-p0.5-line": (
-        "9e84b4c3af7cb9dfdb98c5becbf85b49c20dcde223c5e29e8d140bd0691aa9cf",
-        "d3cb3666d90a243c881fb6340a3f2e9a48f6f152a50151ee71b8465bc2dc873e",
+        "ea4c8e96867571571abc7a045dfc0e12ef27d8274df405bf442c694f7ab9fc06",
+        "87cbe936bf01079175d89c57e075166c017365d3b883680d0a683facaa9c93bf",
     ),
     "entropy-star": (
         "5d89377364a1c569517846f2b2e3464f06dc2b1caa2f71f452f433aed75a45a2",
@@ -57,20 +57,20 @@ PINNED = {
         "ea940689345562fbd364e95810427dfb2d85275524925f12dcdb1900a124e05b",
     ),
     "stream-fp-exact-y": (
-        "286ae4411bf6171f0e7b7d952d6e5eaf458f3ac33a1a7bb6b425a151989038a1",
-        "204f913d0fcfd3578c6d9fa98717112da8d9f4a8fc6821813d1587c735370f58",
+        "467c658cd6a4781f270422dad2887edff8a495e7f61b014491393f24e301c22f",
+        "a2e76294239a7e628b70c5b16c929271ce59f368fd4110aeae4c760c1fcf432f",
     ),
     "stream-fp-morris-y": (
-        "1d27a9ae1b66324e0c3379d3b644748462cf7efd8d14d9573f5618ae57cae912",
-        "64bf549730c4ea86b88e49ef584e17bc1da507e83f2c90602c2f69cbaad9c46d",
+        "6b505830c7ceceee70beb6ba6c7204f1d50b5fb27eed114072777de6ee429e8a",
+        "19d18ce9b9925ca8a113c4a8e93a648767621954effa7755e2398692c31e897c",
     ),
     "stream-entropy": (
         "c711fcd3cc17377c122ad263a340a4cc6ec182f1813260730e34cba8b5b9fc3a",
         "69f5173776347266744dced39e0ba142629594837173d44b48aa22d10f11efd4",
     ),
     "fp-p1.5-grid-exact-codec": (
-        "c02ade761d1f264d1bdb087c151121b8abfac47fb40afc3c41e8262416e4ddf8",
-        "63de6850c05a13b733d7abf1f7b0a5d81d3e51b5825e968f4382932c0dd774af",
+        "b4aeff3f1d080c501c47bbb88e45e3729e0e116f0b2b70edf00dc00c3164b600",
+        "1b314af5fd6267740982c41a562de20474fe6081fac7b6c2f414545ce4f5922f",
     ),
 }
 

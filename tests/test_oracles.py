@@ -11,14 +11,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_reference import MEDIAN_SKEWED_STANDARD, sample_stable_array
+from sketch_reference import MEDIAN_SKEWED_STANDARD, montecarlo_median_abs, sample_stable_array
 from sketchcast import oracles
-from sketchcast.stable import (
-    StableParams,
-    _MEDIAN_TABLE,
-    median_abs,
-    montecarlo_median_abs,
-)
+from sketchcast.stable import StableParams, median_abs
 
 # ---------------------------------------------------------------------------
 # Scoring oracles.
@@ -84,12 +79,22 @@ def test_theta_one_from_cauchy_cdf():
     assert math.isclose(median_abs(1.0), math.tan(math.pi / 4.0), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("p", sorted(_MEDIAN_TABLE))
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.25, 1.5, 1.75])
 def test_theta_table_against_fresh_monte_carlo(p):
-    # 2e6 fresh samples pin the median to ~0.7% at worst (p=0.25 has the
-    # flattest density); the band catches transcription-level errors.
-    fresh = montecarlo_median_abs(p, samples=2 * 10**6, seed=777)
-    assert math.isclose(fresh, _MEDIAN_TABLE[p], rel_tol=1e-2)
+    # The sample median of N draws of |Z| has standard error
+    # 1 / (2 sqrt(N) f(theta)), f the density of |Z| = 2 x that of Z.
+    samples = 2 * 10**6
+    theta = median_abs(p)
+    fresh = montecarlo_median_abs(p, samples=samples, seed=777)
+    se = 1.0 / (2.0 * math.sqrt(samples) * 2.0 * stats.levy_stable.pdf(theta, p, 0.0))
+    assert abs(fresh - theta) <= 3.0 * se
+
+
+@pytest.mark.parametrize("p", [0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.1, 1.25, 1.5, 1.75, 1.9])
+def test_theta_against_scipy_quantile(p):
+    # |Z| <= theta with probability 1/2 exactly when F_Z(theta) = 3/4
+    want = stats.levy_stable(p, 0.0).ppf(0.75)
+    assert math.isclose(median_abs(p), want, rel_tol=1e-6)
 
 
 def test_skewed_median_pin_against_fresh_monte_carlo():
