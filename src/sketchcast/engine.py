@@ -32,9 +32,12 @@ its own payload, then its children one by one in the order a
 vertex-at-a-time loop would, so every sum is bit-identical to that loop's
 (``np.add.at`` on the parent index would not keep that order).
 
-Random streams.  Vertex v draws only from ``generator(seed, DOMAIN_NODES,
-v)``, with the same calls in the same order as if it were processed alone;
-the layer kernels route each row's draws to that row's generator.  A
+Random streams.  Vertex v draws only from its own stream, which equals
+``generator(seed, DOMAIN_NODES, v)``, with the same calls in the same order
+as if it were processed alone; the layer kernels route each row's draws to
+that row's generator.  The streams of all vertices are seeded in one batch
+at the start of a run (``streams.substream_words``), and a Generator is
+built from its vertex's words only when the vertex sends or is the root: a
 non-root vertex whose subtree is all zero creates no generator.  A run is
 thus fully determined by (seed, topology, inputs), however its vertices
 are batched.
@@ -49,7 +52,7 @@ import numpy as np
 
 from . import kernels
 from .rounding import RoundingParams, WindowError
-from .streams import DOMAIN_NODES, generator
+from .streams import DOMAIN_NODES, generator_from_words, substream_words
 from .topology import SpanningTree
 
 
@@ -114,6 +117,7 @@ def run_convergecast(tree, inputs, combine, send, seed=0):
     by_layer: list[list[int]] = [[] for _ in range(tree.depth + 1)]
     for v in range(tree.m):
         by_layer[tree.layer[v]].append(v)
+    words = substream_words(seed, DOMAIN_NODES, last=np.arange(tree.m))
     row_of = [-1] * tree.m  # row of a sending vertex in its layer's message
     per_edge: dict[tuple[int, int], int] = {}
     prev = None
@@ -122,7 +126,7 @@ def run_convergecast(tree, inputs, combine, send, seed=0):
         senders = [v for v in verts if kids[v] or has_data[v]]
         msg, bits = None, {}
         if senders:
-            gens = [generator(seed, DOMAIN_NODES, v) for v in senders]
+            gens = [generator_from_words(words[v]) for v in senders]
             state = combine(senders, inputs[senders], prev,
                             _slots([kids[v] for v in senders]), gens)
             msg, lengths = send(senders, state, gens)
@@ -134,7 +138,7 @@ def run_convergecast(tree, inputs, combine, send, seed=0):
     root = tree.root
     kids = [[row_of[c] for c in tree.children[root] if row_of[c] >= 0]]
     out = combine([root], inputs[[root]], prev, _slots(kids),
-                  [generator(seed, DOMAIN_NODES, root)])
+                  [generator_from_words(words[root])])
     return out[0], CommStats(per_edge_bits=per_edge, rounds=tree.depth)
 
 

@@ -18,15 +18,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _modules_after_cli_import() -> set[str]:
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import sketchcast, sketchcast.cli; "
+             "print('\\n'.join(sorted(sys.modules)))")
+    src = Path(sketchcast.__file__).parent.parent
+    return set(subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
+                              text=True, check=True, timeout=60).stdout.split())
+
+
 def test_cli_import_loads_every_package_module():
     # a module the command line never imports is one that only tests call
     package = Path(sketchcast.__file__).parent
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import sketchcast.cli; "
-             "print('\\n'.join(sorted(sys.modules)))")
-    loaded = subprocess.run([sys.executable, "-c", probe, str(package.parent)],
-                            capture_output=True, text=True, check=True, timeout=60).stdout
     modules = {f"sketchcast.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__"}
-    assert modules <= set(loaded.split())
+    assert modules <= _modules_after_cli_import()
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy 2.x loads numpy.random on first use; loading it at import time
+    # would add its load time to every run's setup
+    assert "numpy.random" not in _modules_after_cli_import()
 
 
 def test_parser_requires_a_command():

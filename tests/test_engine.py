@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bitcodec import gamma_len, zigzag
-from sketchcast import kernels
+from sketchcast import engine, kernels, streams
 from sketchcast.engine import (
     CommStats,
     CounterOverflowError,
@@ -471,15 +471,15 @@ def test_counter_overflow_matches_reference():
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=kernels):
     calls = []
-    original = getattr(kernels, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -496,3 +496,20 @@ def test_kernels_run_once_per_layer_on_a_wide_grid(monkeypatch):
     # insertions and deletions, once per child slot of each layer (at most
     # four children per grid vertex), against 2 * 1023 calls vertex by vertex
     assert len(merges) <= 2 * 4 * tree.depth
+
+
+def test_vertex_streams_are_seeded_in_one_batch(monkeypatch):
+    # the reference loop above seeds vertex by vertex through generator();
+    # the engine hashes all m vertex keys in one call and builds no
+    # SeedSequence per vertex
+    def per_vertex(*args, **kwargs):
+        raise AssertionError("per-vertex SeedSequence")
+
+    monkeypatch.setattr(streams, "generator", per_vertex)
+    monkeypatch.setattr(streams, "substream", per_vertex)
+    batches = _count_calls(monkeypatch, "substream_words", engine)
+    topo = grid(32, 32)
+    tree = spanning_tree(topo, center(topo))
+    payload = np.rint(np.random.default_rng(1).standard_normal((topo.m, 4)) * 30.0)
+    morris_sum_convergecast(payload, tree, math.log1p(1e-30), seed=0)
+    assert len(batches) == 1
