@@ -4,7 +4,9 @@ A change that keeps every hash keeps every random draw, estimate and
 metered bit of these runs.  A change that moves draws on purpose must
 re-pin the hashes in the same commit and say so.  The hashes depend on
 numpy's floating-point kernels, so a different numpy build may move
-them without any change to sketchcast.
+them without any change to sketchcast.  They were pinned with numpy's
+AVX-512 kernels off (see ``conftest.py``), so that the host's CPU does not
+move them.
 """
 
 import hashlib
@@ -53,8 +55,8 @@ PINNED = {
         "ff11f08eaaf2c723f7657ff27641a9f7cf797fb983d8f78a2ae7b8d84f133936",
     ),
     "amp-star": (
-        "680b83349786d2b9e18062e7603f76a65aac1aa333611424ef5535090865e89e",
-        "ea940689345562fbd364e95810427dfb2d85275524925f12dcdb1900a124e05b",
+        "0f0c68668ff39ea55a95ad00207cbae8fe6512e41100dc43fe865623e514de2a",
+        "0d6a8390feb50b35cbdc3e523b31932b5974be951f20ec159b566fcd3113504c",
     ),
     "stream-fp-exact-y": (
         "467c658cd6a4781f270422dad2887edff8a495e7f61b014491393f24e301c22f",
