@@ -91,6 +91,21 @@ class ExperimentSpec:
             raise ValueError(f"fp needs p in (0,1) or (1,2], got {self.p}")
         if self.protocol == "stream-fp" and not 0.0 < self.p < 1.0:
             raise ValueError(f"stream-fp needs p in (0,1), got {self.p}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        self.config()  # rejects an eps outside the protocol's range before any trial
+
+    def config(self) -> FpHighConfig | FpLowConfig | EntropyConfig | AmpConfig:
+        """The protocol's accuracy config (for hh, that of its F_2 run)."""
+        if self.protocol == "hh":
+            return FpHighConfig(p=2.0, eps=self.eps)
+        if self.protocol == "amp":
+            return AmpConfig(t1=self.t1, t2=self.t2, eps=self.eps)
+        if self.protocol in ("entropy", "stream-entropy"):
+            return EntropyConfig(eps=self.eps)
+        if self.p > 1.0:
+            return FpHighConfig(p=self.p, eps=self.eps)
+        return FpLowConfig(p=self.p, eps=self.eps)
 
 
 @dataclass
@@ -246,7 +261,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
             exact = oracles.lp_norm(x, spec.p)
             error = _rel_error(est, exact)
         else:
-            est = stream_entropy(stream, EntropyConfig(eps=spec.eps), seed=pseed, n=spec.n)
+            est = stream_entropy(stream, spec.config(), seed=pseed, n=spec.n)
             exact = oracles.entropy_nats(x)
             error = abs(est - exact)
         success = error <= spec.eps
@@ -257,9 +272,8 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
         if spec.protocol == "amp":
             xmat = generate_matrix(spec, spec.t1, data_rng)
             ymat = generate_matrix(spec, spec.t2, data_rng)
-            cfg = AmpConfig(t1=spec.t1, t2=spec.t2, eps=spec.eps)
             r, comm = amp_estimate(split_units(xmat, spec.m), split_units(ymat, spec.m),
-                                   tree, cfg, pseed, codec=spec.codec)
+                                   tree, spec.config(), pseed, codec=spec.codec)
             exact_mat = oracles.matrix_product(xmat, ymat)
             est = float(np.linalg.norm(r - exact_mat))
             exact = float(np.linalg.norm(xmat) * np.linalg.norm(ymat))
@@ -270,12 +284,10 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
             x = players.sum(axis=0)
             if spec.protocol == "fp":
                 if spec.p > 1.0:
-                    cfg = FpHighConfig(p=spec.p, eps=spec.eps)
-                    _, est, comm = estimate_fp_high(players, tree, cfg, pseed,
+                    _, est, comm = estimate_fp_high(players, tree, spec.config(), pseed,
                                                     codec=spec.codec)
                 else:
-                    cfg = FpLowConfig(p=spec.p, eps=spec.eps)
-                    est, comm = estimate_fp_low(players, tree, cfg, pseed)
+                    est, comm = estimate_fp_low(players, tree, spec.config(), pseed)
                 exact = oracles.frequency_moment(x, spec.p)
                 error = _rel_error(est, exact)
                 success = error <= spec.eps
@@ -284,8 +296,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
                 x_tilde, comm = point_estimate_all(players, tree, cs, spec.eps,
                                                    pseed, codec=spec.codec)
                 _, f2_est, f2_comm = estimate_fp_high(
-                    players, tree, FpHighConfig(p=2.0, eps=spec.eps), substream(pseed, 1),
-                    codec=spec.codec)
+                    players, tree, spec.config(), substream(pseed, 1), codec=spec.codec)
                 comm = comm.merged(f2_comm)
                 est = float(np.max(np.abs(x_tilde - x)))
                 tail = oracles.tail_l2(x, math.ceil(1.0 / spec.eps**2))
@@ -295,8 +306,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
                 recovered = all(q in hits for q in _planted_ids(spec.dist))
                 success = error <= 1.0 and recovered
             elif spec.protocol == "entropy":
-                h, stats = estimate_entropy(players, tree, EntropyConfig(eps=spec.eps),
-                                            pseed)
+                h, stats = estimate_entropy(players, tree, spec.config(), pseed)
                 comm = stats.comm
                 est = h
                 exact = oracles.entropy_nats(x)

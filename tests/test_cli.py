@@ -183,6 +183,7 @@ def test_missing_counts_file_exits_one(capsys):
     ("simulate", "fp", "--p", "1.0"),
     ("simulate", "fp", "--p", "1.5", "--eps", "0.6"),
     ("stream", "fp", "--p", "1.5"),
+    ("simulate", "fp", "--p", "1.5", "--seed", "-1"),
 ])
 def test_invalid_value_exits_one_with_one_error_line(argv):
     src = Path(sketchcast.__file__).parent.parent

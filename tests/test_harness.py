@@ -53,6 +53,14 @@ def test_spec_validation():
     for p in (1.0, 2.5):  # fp runs p in (0,1) or (1,2]
         with pytest.raises(ValueError):
             ExperimentSpec(protocol="fp", p=p)
+    # eps outside the protocol config's range fails here, not in the first trial
+    for kw in (dict(protocol="fp", p=1.5, eps=0.6), dict(protocol="entropy", eps=1.5),
+               dict(protocol="amp", eps=0), dict(protocol="hh", eps=2.0),
+               dict(protocol="stream-fp", p=0.5, eps=1.2)):
+        with pytest.raises(ValueError, match="eps"):
+            ExperimentSpec(**kw)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentSpec(protocol="fp", p=1.5, seed=-1)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=30),
