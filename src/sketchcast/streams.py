@@ -118,7 +118,8 @@ def substream_words(seed, *prefix: int, last) -> np.ndarray:
         raise ValueError(f"batched seeding needs an int or a default-pool SeedSequence, "
                          f"got {seed!r}")
     keys = np.asarray(last)
-    if keys.ndim != 1 or (keys.size and (keys.min() < 0 or keys.max() > _MASK32)):
+    if (keys.ndim != 1 or keys.dtype.kind not in "iu"
+            or (keys.size and (keys.min() < 0 or keys.max() > _MASK32))):
         raise ValueError("last keys must be a 1-D array of integers in [0, 2**32)")
     run = _uint32_words(entropy)
     # a spawn key is present, so numpy pads the run entropy to the pool size

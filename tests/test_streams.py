@@ -92,7 +92,7 @@ def test_batched_words_reject_other_seeds(seed):
         substream_words(seed, DOMAIN_NODES, last=np.arange(3))
 
 
-@pytest.mark.parametrize("last", [[-1], [2**32], [[0, 1]]])
-def test_batched_words_reject_keys_past_one_word(last):
+@pytest.mark.parametrize("last", [[-1], [2**32], [[0, 1]], [1.5]])
+def test_batched_words_reject_keys_that_are_not_one_word(last):
     with pytest.raises(ValueError):
         substream_words(0, DOMAIN_NODES, last=np.array(last))
