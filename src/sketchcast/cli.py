@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .engine import CODECS
 from .entropy import entropy_to_bits
+from .fp_low import LOGCOSINE_MODES
 from .harness import (
     CHECK_THRESHOLDS,
     ExperimentSpec,
@@ -35,7 +37,7 @@ def _add_common(parser: argparse.ArgumentParser, *, dist: str, eps: float) -> No
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tokens", type=int, default=5000,
                         help="tokens per player for zipf data")
-    parser.add_argument("--codec", default="rounding", choices=("rounding", "exact"))
+    parser.add_argument("--codec", default="rounding", choices=CODECS)
     parser.add_argument("--out", help="write per-trial CSV here")
     parser.add_argument("--summary", help="write summary JSON here")
     parser.add_argument("--check", action="store_true",
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sfp = stm.add_parser("fp", help="log-cosine F_p norm estimate, p in (0,1)")
     sfp.add_argument("--p", type=float, required=True)
-    sfp.add_argument("--mode", default="exact-y", choices=("exact-y", "morris-y"))
+    sfp.add_argument("--mode", default="exact-y", choices=LOGCOSINE_MODES)
     _add_stream_common(sfp, eps=0.15)
 
     sent = stm.add_parser("entropy", help="streaming entropy estimate")

@@ -51,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .rounding import RoundingParams, WindowError
+from .rounding import RoundingParams, WindowError, gamma_for
 from .streams import DOMAIN_NODES, generator_from_words, substream_words
 from .topology import SpanningTree
 
@@ -214,16 +214,21 @@ def exact_sum_convergecast(payloads, tree: SpanningTree, seed=0):
     return run_convergecast(tree, payloads, add_children, send_exact, seed)
 
 
-def sum_convergecast(codec: str, payloads, tree: SpanningTree, seed, params):
+CODECS = ("rounding", "exact")
+
+
+def sum_convergecast(codec: str, payloads, tree: SpanningTree, seed, *,
+                     eps: float, delta: float, n: int, M: float):
     """Aggregate value vectors with the family ``codec`` names.
 
-    ``"rounding"`` runs :func:`rounded_sum_convergecast` with the
-    RoundingParams ``params()`` returns; ``params`` is called for it only.
-    ``"exact"`` runs :func:`exact_sum_convergecast`.  Any other name
-    raises ValueError.
+    ``"rounding"`` runs :func:`rounded_sum_convergecast` on the grid
+    ``gamma_for`` sizes for accuracy eps, failure mass delta, the tree's
+    depth and player count, n coordinates and input bound M.  ``"exact"``
+    runs :func:`exact_sum_convergecast`.  Any other name raises ValueError.
     """
     if codec == "rounding":
-        return rounded_sum_convergecast(payloads, tree, params(), seed)
+        params = gamma_for(eps, delta, max(1, tree.depth), n, tree.m, M=M)
+        return rounded_sum_convergecast(payloads, tree, params, seed)
     if codec == "exact":
         return exact_sum_convergecast(payloads, tree, seed)
     raise ValueError(f"unknown codec {codec!r}")

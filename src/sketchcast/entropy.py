@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,20 +32,17 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class EntropyConfig:
-    """k = max(16, ceil(c_k/eps^2)) sketch rows; eps0 = c0*eps^6 is the
-    additive precision the Morris layer must deliver on each y_i, which
-    sets the counter base far below the sketch noise floor."""
+    """k = max(16, ceil(c_k/eps^2)) sketch rows at precision eta; eps0 = eps^6
+    is the additive precision the Morris layer must deliver on each y_i,
+    which sets the counter base far below the sketch noise floor."""
 
     eps: float
-    c_k: float = 12.0
-    c0: float = 1.0
-    eta: float = 2.0 ** -20
+    c_k: ClassVar[float] = 12.0
+    eta: ClassVar[float] = 2.0 ** -20
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {self.eps}")
-        if self.eps0 >= self.eps**3:
-            raise ValueError(f"eps0 {self.eps0} must stay below eps^3")
 
     @property
     def k(self) -> int:
@@ -52,7 +50,7 @@ class EntropyConfig:
 
     @property
     def eps0(self) -> float:
-        return self.c0 * self.eps**6
+        return self.eps**6
 
     @property
     def delta(self) -> float:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .engine import CommStats, sum_convergecast
-from .rounding import RoundingParams, gamma_for
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_SKETCH, substream
 from .topology import SpanningTree
@@ -72,33 +72,29 @@ def stream_counts(updates, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FpHighConfig:
-    """Accuracy knobs for the high-moment protocol.
+    """Moment p and accuracy target eps of the high-moment protocol.
 
-    k = max(16, ceil(c_k / eps^2)) sketch rows give relative error eps
-    with probability at least 1 - delta; delta also bounds the rounding
-    failure mass, through the grid ratio gamma_for derives from it.
+    The constants are fixed: k = ceil(c_k / eps^2) sketch rows give
+    relative error eps with probability at least 1 - delta; delta also
+    bounds the rounding failure mass, through the grid ratio gamma_for
+    derives from it, and eta is the sketch precision.
     """
 
     p: float
     eps: float
-    delta: float = 0.25
-    c_k: float = 12.0
-    eta: float = 2.0 ** -30
+    delta: ClassVar[float] = 0.25
+    c_k: ClassVar[float] = 12.0
+    eta: ClassVar[float] = 2.0 ** -30
 
     def __post_init__(self):
         if not 1.0 < self.p <= 2.0:
             raise ValueError(f"p must be in (1,2], got {self.p}")
         if not 0.0 < self.eps < 0.5:
             raise ValueError(f"eps must be in (0,1/2), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
 
     @property
     def k(self) -> int:
-        return max(16, math.ceil(self.c_k / self.eps**2))
-
-    def rounding_params(self, n: int, m: int, depth: int, M: float) -> RoundingParams:
-        return gamma_for(self.eps, self.delta, max(1, depth), n, m, M=M)
+        return math.ceil(self.c_k / self.eps**2)
 
 
 def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,
@@ -109,8 +105,7 @@ def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,
     codec="exact" ships unrounded float64 sketches, useful for isolating
     rounding error.
     """
-    m = tree.m
-    data = as_count_matrix(inputs, m)
+    data = as_count_matrix(inputs, tree.m)
     n = data.shape[1]
     M = float(max(1.0, data.max(initial=0.0)))
 
@@ -119,7 +114,7 @@ def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,
     payload *= cfg.eta
 
     vec, stats = sum_convergecast(codec, payload, tree, seed,
-                                  lambda: cfg.rounding_params(n, m, tree.depth, M))
+                                  eps=cfg.eps, delta=cfg.delta, n=n, M=M)
 
     norm = lower_median(np.abs(vec)) / median_abs(cfg.p)
     return norm, norm**cfg.p, stats

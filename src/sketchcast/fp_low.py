@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,26 +32,24 @@ from .topology import SpanningTree
 
 @dataclass(frozen=True)
 class FpLowConfig:
-    """Accuracy knobs for the low-moment protocol.
+    """Moment p and accuracy target eps of the low-moment protocol.
 
-    delta = 1/(200k) is both the per-row failure budget and the delta'
-    in the counter base (the two roles share one symbol upstream, kept
-    literal here).
+    The constants are fixed: k = max(16, ceil(c_k / eps^2)) sketch rows
+    at precision eta.  delta = 1/(200k) is both the per-row failure
+    budget and the delta' in the counter base (the two roles share one
+    symbol upstream, kept literal here).
     """
 
     p: float
     eps: float
-    c_k: float = 8.0
-    c_prime: float = 0.25
-    eta: float = 2.0 ** -20
+    c_k: ClassVar[float] = 8.0
+    eta: ClassVar[float] = 2.0 ** -20
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0,1), got {self.p}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {self.eps}")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
 
     @property
     def k(self) -> int:
@@ -64,7 +63,7 @@ class FpLowConfig:
         """Counter base offset b - 1 (see ``morris.counter_base_offset``)."""
         if n < 2:
             raise ValueError(f"need n >= 2 coordinates, got {n}")
-        return counter_base_offset(self.eps, self.delta, n, self.p, self.c_prime)
+        return counter_base_offset(self.eps, self.delta, n, self.p)
 
 
 def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
@@ -95,6 +94,9 @@ def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
     return norm**cfg.p, stats
 
 
+LOGCOSINE_MODES = ("exact-y", "morris-y")
+
+
 def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
                         seed=0, n: int | None = None) -> float:
     """Log-cosine ||X||_p estimate of an insertion-only stream, p in (0,1).
@@ -107,7 +109,7 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0,1), got {p}")
-    if mode not in ("exact-y", "morris-y"):
+    if mode not in LOGCOSINE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     x = stream_counts(stream, n)
     if not x.any():

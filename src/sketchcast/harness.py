@@ -34,14 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .engine import CommStats
+from .engine import CODECS, CommStats
 from .entropy import EntropyConfig, estimate_entropy, stream_entropy
 from .fp_high import FpHighConfig, estimate_fp_high, stream_counts
-from .fp_low import FpLowConfig, estimate_fp_low, stream_fp_logcosine
+from .fp_low import LOGCOSINE_MODES, FpLowConfig, estimate_fp_low, stream_fp_logcosine
 from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
 from .streams import DOMAIN_DATA, DOMAIN_TOPOLOGY, DOMAIN_TRIAL, generator, substream
-from .topology import center, from_spec, spanning_tree
+from .topology import TOPOLOGY_KINDS, center, from_spec, spanning_tree
 
 SCHEMA_VERSION = 1
 
@@ -49,6 +49,12 @@ CSV_COLUMNS = ("schema_version", "trial", "estimate", "exact", "error",
                "success", "recovered", "max_edge_bits", "total_bits", "rounds")
 
 PROTOCOLS = ("fp", "hh", "entropy", "amp", "stream-fp", "stream-entropy")
+
+# The dist kinds each generator accepts (see the module docstring).
+AGGREGATE_DISTS = ("zipfagg", "uniform", "sparse", "planted", "delta", "pair", "file")
+PLAYER_DISTS = ("zipf",) + AGGREGATE_DISTS
+MATRIX_DISTS = ("sparse", "zipf", "uniform")
+STREAM_DISTS = ("zipf", "file")
 
 # acceptance success-rate floors enforced under --check
 CHECK_THRESHOLDS = {
@@ -93,6 +99,16 @@ class ExperimentSpec:
             raise ValueError(f"stream-fp needs p in (0,1), got {self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.codec not in CODECS:
+            raise ValueError(f"unknown codec {self.codec!r}")
+        if self.mode not in LOGCOSINE_MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        _spec_fields(self.topology, TOPOLOGY_KINDS, "topology spec")
+        if self.protocol.startswith("stream-"):
+            _spec_fields(self.dist, STREAM_DISTS, "stream spec")
+        else:
+            _spec_fields(self.dist, MATRIX_DISTS if self.protocol == "amp" else PLAYER_DISTS,
+                         "distribution")
         self.config()  # rejects an eps outside the protocol's range before any trial
 
     def config(self) -> FpHighConfig | FpLowConfig | EntropyConfig | AmpConfig:
@@ -138,13 +154,17 @@ def zipf_weights(n: int, s: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _dist_fields(dist: str) -> list[str]:
-    return dist.split(":")
+def _spec_fields(spec: str, kinds: tuple[str, ...], what: str) -> list[str]:
+    """The ':'-separated fields of ``spec``; ValueError unless the first is in ``kinds``."""
+    fields = spec.split(":")
+    if fields[0] not in kinds:
+        raise ValueError(f"unknown {what} {spec!r}; kinds: {', '.join(kinds)}")
+    return fields
 
 
 def generate_players(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
     """(m, n) per-player counts for one trial."""
-    kind, *args = _dist_fields(spec.dist)
+    kind, *args = _spec_fields(spec.dist, PLAYER_DISTS, "distribution")
     n, m = spec.n, spec.m
     if kind == "zipf":
         w = zipf_weights(n, float(args[0]))
@@ -154,7 +174,7 @@ def generate_players(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarr
 
 def generate_aggregate(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
     """Aggregate count vector for distributions defined on the total."""
-    kind, *args = _dist_fields(spec.dist)
+    kind, *args = _spec_fields(spec.dist, AGGREGATE_DISTS, "distribution")
     n = spec.n
     if kind == "zipfagg":
         s = float(args[0])
@@ -182,21 +202,19 @@ def generate_aggregate(spec: ExperimentSpec, rng: np.random.Generator) -> np.nda
         x = np.zeros(n, dtype=np.int64)
         x[0], x[1] = int(args[0]), int(args[1])
         return x
-    if kind == "file":
-        path = Path(":".join(args))
-        try:
-            x = np.loadtxt(path, dtype=np.int64, ndmin=1)
-        except OSError as exc:
-            raise OSError(f"cannot read counts file {path}: {exc}") from exc
-        if x.size != n:
-            raise ValueError(f"counts file {path} has {x.size} rows, spec says n={n}")
-        return x
-    raise ValueError(f"unknown distribution {spec.dist!r}")
+    path = Path(":".join(args))  # file:PATH
+    try:
+        x = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except OSError as exc:
+        raise OSError(f"cannot read counts file {path}: {exc}") from exc
+    if x.size != n:
+        raise ValueError(f"counts file {path} has {x.size} rows, spec says n={n}")
+    return x
 
 
 def generate_matrix(spec: ExperimentSpec, t: int, rng: np.random.Generator) -> np.ndarray:
     """(n, t) non-negative aggregate matrix for the amp protocol."""
-    kind, *args = _dist_fields(spec.dist)
+    kind, *args = _spec_fields(spec.dist, MATRIX_DISTS, "distribution")
     n = spec.n
     if kind == "sparse":
         density = float(args[0]) if args else 0.1
@@ -206,33 +224,29 @@ def generate_matrix(spec: ExperimentSpec, t: int, rng: np.random.Generator) -> n
         w = zipf_weights(n, float(args[0]))
         cols = [rng.multinomial(spec.tokens, w) for _ in range(t)]
         return np.stack(cols, axis=1).astype(np.float64)
-    if kind == "uniform":
-        v = int(args[0]) if args else 1
-        return np.full((n, t), v, dtype=np.float64)
-    raise ValueError(f"distribution {spec.dist!r} not supported for matrices")
+    v = int(args[0]) if args else 1  # uniform:v
+    return np.full((n, t), v, dtype=np.float64)
 
 
 def generate_stream(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
     """Insertion-only update stream for one trial: (updates, 2) int64 rows of
     (index, delta)."""
-    kind, *args = _dist_fields(spec.dist)
+    kind, *args = _spec_fields(spec.dist, STREAM_DISTS, "stream spec")
     if kind == "zipf":
         s = float(args[0])
         count = int(args[1]) if len(args) > 1 else 10**5
         counts = rng.multinomial(count, zipf_weights(spec.n, s))
         idx = np.flatnonzero(counts)
         return np.column_stack([idx, counts[idx]]).astype(np.int64)
-    if kind == "file":
-        path = Path(":".join(args))
-        try:
-            return np.loadtxt(path, dtype=np.int64, ndmin=2)
-        except OSError as exc:
-            raise OSError(f"cannot read stream file {path}: {exc}") from exc
-    raise ValueError(f"unknown stream spec {spec.dist!r}")
+    path = Path(":".join(args))  # file:PATH
+    try:
+        return np.loadtxt(path, dtype=np.int64, ndmin=2)
+    except OSError as exc:
+        raise OSError(f"cannot read stream file {path}: {exc}") from exc
 
 
 def _planted_ids(dist: str) -> list[int]:
-    kind, *args = _dist_fields(dist)
+    kind, *args = dist.split(":")
     if kind != "planted":
         return []
     c = int(args[1]) if len(args) > 1 else 1

@@ -21,7 +21,6 @@ import numpy as np
 
 from .engine import CommStats, sum_convergecast
 from .fp_high import as_count_matrix
-from .rounding import gamma_for
 from .streams import DOMAIN_HASHES, generator
 from .topology import SpanningTree
 
@@ -78,7 +77,7 @@ def _poly61(coeffs: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
 class CountSketchSpec:
     """Table shape plus the hash coefficients that reconstruct it.
 
-    rows = ceil(c_ell * log2 n) and width = ceil(6 / eps^2); h_coeffs
+    rows = ceil(2 log2 n) and width = ceil(6 / eps^2); h_coeffs
     holds (a, b) per row for the pairwise bucket hash, g_coeffs a
     degree-3 coefficient tuple per row whose low output bit gives the
     Rademacher sign.
@@ -95,12 +94,12 @@ class CountSketchSpec:
             raise ValueError(f"need rows >= 1 and width >= 6, got {self.rows}x{self.width}")
 
     @classmethod
-    def build(cls, n: int, eps: float, seed, c_ell: float = 2.0) -> "CountSketchSpec":
+    def build(cls, n: int, eps: float, seed) -> "CountSketchSpec":
         if n < 2:
             raise ValueError(f"need n >= 2 coordinates, got {n}")
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {eps}")
-        rows = max(1, math.ceil(c_ell * math.log2(n)))
+        rows = math.ceil(2 * math.log2(n))
         width = math.ceil(6.0 / eps**2)
         rng = generator(seed, DOMAIN_HASHES)
 
@@ -175,8 +174,8 @@ def point_estimate_all(inputs, tree: SpanningTree, spec: CountSketchSpec, eps: f
     payload = local_table(data, spec, bucket, sign).reshape(m, -1)
 
     M = float(max(1.0, data.max(initial=0.0)))
-    vec, stats = sum_convergecast(codec, payload, tree, seed, lambda: gamma_for(
-        eps, 0.25, max(1, tree.depth), spec.n, m, M=M))
+    vec, stats = sum_convergecast(codec, payload, tree, seed, eps=eps, delta=0.25,
+                                  n=spec.n, M=M)
 
     table = vec.reshape(spec.rows, spec.width)
     return estimates_from_table(table, spec, bucket, sign), stats

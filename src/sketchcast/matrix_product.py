@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .engine import CommStats, sum_convergecast
-from .rounding import gamma_for
 from .stable import block_rows
 from .streams import DOMAIN_SKETCH, generator
 from .topology import SpanningTree
@@ -35,16 +35,14 @@ class AmpConfig:
     t1: int
     t2: int
     eps: float
-    c_k: float = 1.0
-    delta: float = 0.125
+    c_k: ClassVar[float] = 1.0
+    delta: ClassVar[float] = 0.125
 
     def __post_init__(self):
         if self.t1 < 1 or self.t2 < 1:
             raise ValueError(f"need t1, t2 >= 1, got {self.t1}, {self.t2}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
 
     @property
     def eps0(self) -> float:
@@ -52,7 +50,7 @@ class AmpConfig:
 
     @property
     def k(self) -> int:
-        return max(16, math.ceil(self.c_k / (self.delta * self.eps0**2)))
+        return math.ceil(self.c_k / (self.delta * self.eps0**2))
 
 
 def sketch_matrix(rng: np.random.Generator, block: np.ndarray, k: int) -> np.ndarray:
@@ -133,8 +131,8 @@ def amp_estimate(x_inputs, y_inputs, tree: SpanningTree, cfg: AmpConfig, seed,
     split = cfg.k * cfg.t1
 
     M = float(max(1.0, xs.max(initial=0.0), ys.max(initial=0.0)))
-    vec, stats = sum_convergecast(codec, payload, tree, seed, lambda: gamma_for(
-        cfg.eps0, cfg.delta, max(1, tree.depth), n, m, M=M))
+    vec, stats = sum_convergecast(codec, payload, tree, seed, eps=cfg.eps0, delta=cfg.delta,
+                                  n=n, M=M)
 
     rx = vec[:split].reshape(cfg.k, cfg.t1)
     ry = vec[split:].reshape(cfg.k, cfg.t2)

@@ -25,6 +25,9 @@ import math
 
 import numpy as np
 
+# The constant c' in the counters' relative error eps' (counter_base_offset).
+C_PRIME = 0.25
+
 
 def state_bound(total: float, b_minus_1: float) -> float:
     """Upper bound on the state after ``total`` updates.
@@ -38,16 +41,15 @@ def state_bound(total: float, b_minus_1: float) -> float:
     return min(total, 8.0 * (concentrated + 64.0))
 
 
-def counter_base_offset(eps: float, delta: float, n: int, p: float = 1.0,
-                        c_prime: float = 0.25) -> float:
+def counter_base_offset(eps: float, delta: float, n: int, p: float = 1.0) -> float:
     """Counter base offset b - 1 = (eps' * delta)^2 over n coordinates.
 
-    eps' = c' eps delta^{1/p} / log2(n / delta) is the relative error the
-    counters may add; it shrinks with delta^{1/p} so that the Morris error
-    stays below the p-stable tail scale.  Kept as the offset: protocol
+    eps' = C_PRIME eps delta^{1/p} / log2(n / delta) is the relative error
+    the counters may add; it shrinks with delta^{1/p} so that the Morris
+    error stays below the p-stable tail scale.  Kept as the offset: protocol
     bases are within 1e-33 of 1, below float64 resolution around 1.0.
     """
-    ep = c_prime * eps * delta ** (1.0 / p) / math.log2(n / delta)
+    ep = C_PRIME * eps * delta ** (1.0 / p) / math.log2(n / delta)
     bm1 = (ep * delta) ** 2
     if not 0.0 < ep < eps or bm1 <= 0.0:
         raise ValueError(f"counter base degenerates to 1 (eps' = {ep}); p or eps too small")

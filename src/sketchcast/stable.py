@@ -80,12 +80,11 @@ CHUNK_CELLS = 1 << 13
 
 @dataclass(frozen=True)
 class StableParams:
-    """Parameters (p, beta, gamma_scale, delta_loc) of a stable law."""
+    """Parameters (p, beta, gamma_scale) of a stable law at location 0."""
 
     p: float
     beta: float = 0.0
     gamma_scale: float = 1.0
-    delta_loc: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.p <= 2.0:

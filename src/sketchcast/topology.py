@@ -34,7 +34,6 @@ class TopologyError(ValueError):
 class Topology:
     m: int
     edges: tuple[tuple[int, int], ...]
-    connected: bool
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.m)]
@@ -73,9 +72,7 @@ def make_topology(m: int, edges) -> Topology:
         seen.add(key)
         cleaned.append(key)
     cleaned.sort()
-    g = Topology(m=m, edges=tuple(cleaned), connected=False)
-    connected = m == 1 or min(_bfs_dist(g.adjacency(), 0)) >= 0
-    return Topology(m=m, edges=tuple(cleaned), connected=connected)
+    return Topology(m=m, edges=tuple(cleaned))
 
 
 def _bfs_dist(adj: list[list[int]], src: int) -> list[int]:
@@ -242,6 +239,10 @@ def read_topology(path: str) -> Topology:
         u, v = ln.split()
         edges.append((int(u), int(v)))
     return make_topology(m, edges)
+
+
+# The kinds from_spec accepts: the part of a spec before any ':'.
+TOPOLOGY_KINDS = ("line", "star", "tree", "grid", "random", "file")
 
 
 def from_spec(spec: str, m: int, seed=0) -> Topology:

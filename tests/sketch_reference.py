@@ -46,8 +46,9 @@ def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_stable_array(params: StableParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vector of i.i.d. draws from F(p, beta, gamma, delta)."""
+def sample_stable_array(params: StableParams, rng: np.random.Generator, size: int,
+                        loc: float = 0.0) -> np.ndarray:
+    """Vector of i.i.d. draws from F(p, beta, gamma, loc)."""
     u = (rng.random(size) - 0.5) * np.pi
     w = rng.standard_exponential(size)
     if params.beta == 0.0:
@@ -56,14 +57,14 @@ def sample_stable_array(params: StableParams, rng: np.random.Generator, size: in
         z = cms_skewed_one(params.beta, u, w)
     g = params.gamma_scale
     if params.beta == 0.0:
-        return g * z + params.delta_loc
+        return g * z + loc
     # Skewed p=1 family: scaling adds the (2/pi) beta g ln g drift and the
     # location enters negated.
-    return g * z + (2.0 / np.pi) * params.beta * g * math.log(g) - params.delta_loc
+    return g * z + (2.0 / np.pi) * params.beta * g * math.log(g) - loc
 
 
 def sample_stable(params: StableParams, rng: np.random.Generator) -> float:
-    """One draw from F(p, beta, gamma, delta); symmetric about delta for beta=0."""
+    """One draw from F(p, beta, gamma, 0); symmetric about 0 for beta=0."""
     return float(sample_stable_array(params, rng, 1)[0])
 
 

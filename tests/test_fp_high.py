@@ -15,6 +15,7 @@ from sketchcast.fp_high import (
     lower_median,
 )
 from sketchcast.oracles import frequency_moment, lp_norm
+from sketchcast.rounding import gamma_for
 from sketchcast.stable import build_sketch, median_abs
 from sketchcast.streams import DOMAIN_SKETCH, substream
 from sketchcast.topology import line, star
@@ -53,14 +54,13 @@ def test_config_validation():
         FpHighConfig(p=2.1, eps=0.1)
     with pytest.raises(ValueError):
         FpHighConfig(p=1.5, eps=0.5)
-    with pytest.raises(ValueError):
-        FpHighConfig(p=1.5, eps=0.1, delta=0.0)
 
 
 def test_config_row_count():
-    assert FpHighConfig(p=1.5, eps=0.1, c_k=12.0).k == 1200
-    # the floor keeps tiny instances from degenerate one-row medians
-    assert FpHighConfig(p=1.5, eps=0.45, c_k=1.0).k == 16
+    assert FpHighConfig(p=1.5, eps=0.1).k == 1200
+    assert FpHighConfig(p=1.5, eps=0.45).k == 60
+    # eps < 1/2 keeps k above 48, far from degenerate one-row medians
+    assert FpHighConfig(p=1.5, eps=0.4999).k == 49
 
 
 def truncated_at(x, layer, params):
@@ -75,7 +75,7 @@ def truncated_at(x, layer, params):
 
 def test_truncate_message_cases():
     cfg = FpHighConfig(p=1.5, eps=0.25)
-    params = cfg.rounding_params(n=64, m=16, depth=4, M=10.0)
+    params = gamma_for(cfg.eps, cfg.delta, 4, 64, 16, M=10.0)
     floor0 = math.exp(params.log_floor(0))
     is_zero, decoded = truncated_at([0.0, 2 * floor0, -2 * floor0, floor0 / 2], 0, params)
     assert list(is_zero) == [True, False, False, True]
@@ -85,7 +85,7 @@ def test_truncate_message_cases():
 
 def test_truncation_floor_rises_with_layer():
     cfg = FpHighConfig(p=1.5, eps=0.25)
-    params = cfg.rounding_params(n=64, m=16, depth=4, M=10.0)
+    params = gamma_for(cfg.eps, cfg.delta, 4, 64, 16, M=10.0)
     r = 2 * math.exp(params.log_floor(0))
     assert not truncated_at([r], 0, params)[0][0]
     assert truncated_at([r], 4, params)[0][0]
@@ -160,7 +160,7 @@ def test_every_message_fits_the_window_bound():
     tree = tree_of(line(12))
     _, _, stats = estimate_fp_high(data, tree, cfg, seed=4)
 
-    params = cfg.rounding_params(n=64, m=12, depth=tree.depth, M=float(data.max()))
+    params = gamma_for(cfg.eps, cfg.delta, tree.depth, 64, 12, M=float(data.max()))
     worst_exp = max(-params.exponent_min, params.exponent_max)
     per_lane = 2 + gamma_len(zigzag(worst_exp) + 1)
     for bits in stats.per_edge_bits.values():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import tree_of
+from sketchcast import morris
 from sketchcast.fp_high import lower_median, stream_counts
 from sketchcast.fp_low import (
     FpLowConfig,
@@ -29,8 +30,6 @@ def test_config_validation():
         FpLowConfig(p=0.0, eps=0.2)
     with pytest.raises(ValueError):
         FpLowConfig(p=0.5, eps=1.0)
-    with pytest.raises(ValueError):
-        FpLowConfig(p=0.5, eps=0.2, eta=0.0)
 
 
 def test_row_count_and_failure_budget():
@@ -58,7 +57,7 @@ def test_counter_base_is_barely_above_one():
     cfg = FpLowConfig(p=0.5, eps=0.2)
     bm1 = cfg.base_minus_one(1000)
     assert 0.0 < bm1 < 1e-20
-    ep = cfg.c_prime * cfg.eps * cfg.delta ** (1.0 / cfg.p) / math.log2(1000 / cfg.delta)
+    ep = morris.C_PRIME * cfg.eps * cfg.delta ** (1.0 / cfg.p) / math.log2(1000 / cfg.delta)
     assert math.isclose(bm1, (ep * cfg.delta) ** 2, rel_tol=1e-12)
 
 

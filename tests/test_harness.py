@@ -1,6 +1,7 @@
 """Trial harness: data generation, scoring, summaries, file outputs."""
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -9,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchcast import entropy, fp_high, fp_low, harness, heavy_hitters, matrix_product
+from sketchcast import (
+    engine,
+    entropy,
+    fp_high,
+    fp_low,
+    harness,
+    heavy_hitters,
+    matrix_product,
+    morris,
+)
 from sketchcast.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -30,6 +40,9 @@ from sketchcast.harness import (
     write_summary,
     zipf_weights,
 )
+from sketchcast.heavy_hitters import CountSketchSpec
+from sketchcast.stable import StableParams
+from sketchcast.topology import Topology
 
 
 def rng_for(seed=0):
@@ -61,6 +74,39 @@ def test_spec_validation():
             ExperimentSpec(**kw)
     with pytest.raises(ValueError, match="seed"):
         ExperimentSpec(protocol="fp", p=1.5, seed=-1)
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(protocol="fp", p=1.5, codec="bogus"), "unknown codec 'bogus'"),
+    (dict(protocol="stream-fp", p=0.5, mode="bogus"), "unknown mode 'bogus'"),
+    (dict(protocol="fp", p=1.5, dist="bogus:1"), "unknown distribution 'bogus:1'"),
+    (dict(protocol="fp", p=1.5, topology="bogus"), "unknown topology spec 'bogus'"),
+    (dict(protocol="amp", dist="planted:5:1"), "unknown distribution 'planted:5:1'"),
+    (dict(protocol="stream-fp", p=0.5, dist="uniform:3"), "unknown stream spec 'uniform:3'"),
+])
+def test_spec_rejects_unknown_kinds_when_built(kw, match):
+    # each of these used to fail only inside the first trial
+    with pytest.raises(ValueError, match=match):
+        ExperimentSpec(**kw)
+
+
+def test_configs_hold_only_the_values_callers_set():
+    # accuracy constants are ClassVars: readable on a config, not settable
+    def fields(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert fields(fp_high.FpHighConfig) == ("p", "eps")
+    assert fields(fp_low.FpLowConfig) == ("p", "eps")
+    assert fields(entropy.EntropyConfig) == ("eps",)
+    assert fields(matrix_product.AmpConfig) == ("t1", "t2", "eps")
+    assert fields(StableParams) == ("p", "beta", "gamma_scale")
+    assert fields(Topology) == ("m", "edges")
+    # the rounding grid is sized inside the engine, from values, not a callable
+    params = inspect.signature(engine.sum_convergecast).parameters
+    assert list(params) == ["codec", "payloads", "tree", "seed", "eps", "delta", "n", "M"]
+    assert list(inspect.signature(CountSketchSpec.build).parameters) == ["n", "eps", "seed"]
+    assert list(inspect.signature(morris.counter_base_offset).parameters) == [
+        "eps", "delta", "n", "p"]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=30),

@@ -26,15 +26,13 @@ def test_config_validation():
         AmpConfig(t1=4, t2=0, eps=0.25)
     with pytest.raises(ValueError):
         AmpConfig(t1=1, t2=1, eps=0.0)
-    with pytest.raises(ValueError):
-        AmpConfig(t1=1, t2=1, eps=0.25, delta=1.0)
 
 
 def test_config_row_count():
     cfg = AmpConfig(t1=4, t2=4, eps=0.25)
     assert cfg.eps0 == 0.0625
     assert cfg.k == math.ceil(1.0 / (0.125 * 0.0625**2))
-    assert AmpConfig(t1=1, t2=1, eps=0.9, c_k=1e-6).k == 16
+    assert AmpConfig(t1=1, t2=1, eps=0.9).k == 159  # k > 128 / eps^2 > 128
 
 
 def test_sketch_matrix_shape_and_scale():

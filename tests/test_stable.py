@@ -31,9 +31,9 @@ from sketchcast.stable import (
 from sketchcast.topology import star
 
 
-def draws(p, beta=0.0, gamma_scale=1.0, delta_loc=0.0, size=10**6, seed=0):
-    params = StableParams(p=p, beta=beta, gamma_scale=gamma_scale, delta_loc=delta_loc)
-    return sample_stable_array(params, np.random.default_rng(seed), size)
+def draws(p, beta=0.0, gamma_scale=1.0, loc=0.0, size=10**6, seed=0):
+    params = StableParams(p=p, beta=beta, gamma_scale=gamma_scale)
+    return sample_stable_array(params, np.random.default_rng(seed), size, loc)
 
 
 def test_params_validation():
@@ -61,7 +61,7 @@ def test_cauchy_case_is_centered():
 
 
 def test_symmetric_location_shift():
-    z = draws(2.0, delta_loc=3.0, size=10**5, seed=3)
+    z = draws(2.0, loc=3.0, size=10**5, seed=3)
     assert abs(np.median(z) - 3.0) < 0.03
 
 
@@ -135,7 +135,7 @@ def test_skewed_standard_median_pin():
 
 def test_skewed_location_enters_negated():
     h = 1.7
-    z = draws(1.0, beta=-1.0, gamma_scale=math.pi / 2, delta_loc=h, size=10**6, seed=10)
+    z = draws(1.0, beta=-1.0, gamma_scale=math.pi / 2, loc=h, size=10**6, seed=10)
     assert abs(np.median(z) - (MEDIAN_SKEWED_STANDARD - h)) < 0.02
 
 

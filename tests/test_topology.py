@@ -105,11 +105,11 @@ def test_edges_are_canonicalized():
 
 def test_disconnected_graph_is_flagged_and_unusable():
     g = make_topology(4, [(0, 1), (2, 3)])
-    assert not g.connected
     with pytest.raises(TopologyError, match="disconnected"):
         center(g)
-    with pytest.raises(TopologyError):
-        spanning_tree(g, 0)
+    for root in range(4):
+        with pytest.raises(TopologyError, match="disconnected"):
+            spanning_tree(g, root)
 
 
 def test_center_examples():
@@ -217,8 +217,11 @@ def test_center_depth_brackets_diameter():
 
 
 def test_random_connected_is_connected():
+    # center and spanning_tree raise TopologyError on a disconnected graph
     for seed in range(5):
-        assert random_connected(15, 0.0, seed=seed).connected
+        g = random_connected(15, 0.0, seed=seed)
+        tree = spanning_tree(g, center(g))
+        assert sum(parent < 0 for parent in tree.parent) == 1
 
 
 def random_connected_loop(m: int, p_edge: float, seed) -> Topology:
