@@ -20,13 +20,13 @@ import numpy as np
 BACKEND = "numpy"
 
 _LN2 = math.log(2.0)
-# Floor for exponential/cosine factors inside the stable transforms; keeps
-# a zero-probability draw from producing inf without moving any quantile.
+# Floor for the exponential factor inside the stable transforms; keeps a
+# zero-probability draw from producing inf without moving any quantile.
 _TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
-# Chambers-Mallows-Stuck stable transforms.
+# Chambers-Mallows-Stuck stable transforms (Chambers, Mallows & Stuck 1976).
 #
 # Symmetric case, stability p, from U ~ Uniform(-pi/2, pi/2), W ~ Exp(1):
 #     Z = sin(p U) / cos(U)^(1/p) * (cos((1-p) U) / W)^((1-p)/p)
@@ -35,55 +35,80 @@ _TINY = 1e-300
 #     Z = (2/pi) [ (pi/2 + beta U) tan U
 #                  - beta ln( (pi/2 W cos U) / (pi/2 + beta U) ) ]
 # in the parameterization where ln E[exp(t Z)] = (2/pi) t ln t for beta=-1.
+#
+# Both are evaluated from tangents only; no cell calls sin or cos.  With
+# t = tan U and h = tan((1-p) U), writing pU = U - (1-p)U gives exactly
+#     sin(p U) = sin U cos((1-p)U) - cos U sin((1-p)U)
+#              = cos U cos((1-p)U) (t - h),
+#     cos U = (1 + t^2)^(-1/2),   cos((1-p)U) = (1 + h^2)^(-1/2).
+# The two square roots take the positive branch because |U| < pi/2 and
+# |(1-p)U| <= |U| < pi/2 for every p in (0, 2].  Substituting, and with
+# cos(U)^(1 - 1/p) = cos(U)^(-(1-p)/p),
+#     Z = (t - h) cos((1-p)U) (cos((1-p)U) / (W cos U))^((1-p)/p)
+#       = (t - h) / sqrt(1 + h^2) * (sqrt((1 + t^2) / (1 + h^2)) / W)^((1-p)/p),
+# and in the skewed case W cos U = W / sqrt(1 + t^2).  The float U never
+# reaches +-pi/2 (float(pi)/2 is below pi/2), so |t| <= 1.7e16, t^2 stays
+# far from overflow and sqrt(1 + t^2) >= 1 needs no clamp.  The result
+# differs from the sin/cos form by a few ulp: at most 5.5e-15 relative
+# over p in {0.1, ..., 2}, U within 1e-15 of +-pi/2 included.
 # ---------------------------------------------------------------------------
 
 
 def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Symmetric transform of the pairs (u, w), computed in place in ``u``.
 
-    ``w`` is overwritten as scratch.  Every operation is the one of the
-    textbook expression, in the same order, so the result is the same bit
-    for bit as evaluating it with fresh temporaries.
+    Evaluated from t = tan U and h = tan((1-p) U) as derived in the comment
+    above.  ``w`` is overwritten as scratch.  Every operation is the one of
+    the tangent expression, in the same order, so the result is the same
+    bit for bit as evaluating it with fresh temporaries.
     """
     if p == 1.0:
         return np.tan(u, out=u)
     np.maximum(w, _TINY, out=w)
-    # (cos((1-p) U) / W)^((1-p)/p); the power operator keeps numpy's
-    # special cases for exponents such as 1 and 0.5
-    t = np.multiply(u, 1.0 - p)
-    np.cos(t, out=t)
-    t /= w
-    t **= (1.0 - p) / p
-    # cos(U)^(1/p), clamped away from zero
-    cu = np.cos(u, out=w)
-    np.maximum(cu, _TINY, out=cu)
-    cu **= 1.0 / p
-    u *= p
-    np.sin(u, out=u)
-    u /= cu
-    u *= t
+    h = np.multiply(u, 1.0 - p)
+    np.tan(h, out=h)
+    t = np.tan(u, out=u)
+    # 1 + h^2
+    q = np.multiply(h, h)
+    q += 1.0
+    # t - h, in h; divided by sqrt(1 + h^2) at the end
+    np.subtract(t, h, out=h)
+    # (sqrt((1 + t^2) / (1 + h^2)) / W)^((1-p)/p), in u; the power operator
+    # keeps numpy's special cases for exponents such as 1 and 0.5
+    np.multiply(t, t, out=u)
+    u += 1.0
+    u /= q
+    np.sqrt(u, out=u)
+    u /= w
+    u **= (1.0 - p) / p
+    np.sqrt(q, out=q)
+    h /= q
+    u *= h
     return u
 
 
 def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Skewed p=1 transform of the pairs (u, w), computed in place in ``u``.
 
-    ``w`` is overwritten as scratch; the result is bit-identical to the
-    textbook expression, as for :func:`cms_symmetric`.
+    cos U is taken as 1 / sqrt(1 + tan^2 U) (see the comment above).  ``w``
+    is overwritten as scratch; the result is bit-identical to the tangent
+    expression, as for :func:`cms_symmetric`.
     """
     hp = 0.5 * np.pi
+    # a = pi/2 + beta U
+    a = np.multiply(u, beta)
+    a += hp
+    t = np.tan(u, out=u)
     np.maximum(w, _TINY, out=w)
     w *= hp
-    t = np.cos(u)
-    np.maximum(t, _TINY, out=t)
-    w *= t
-    # a = pi/2 + beta U
-    a = np.multiply(u, beta, out=t)
-    a += hp
+    # pi/2 W cos U = pi/2 W / sqrt(1 + t^2)
+    c = np.multiply(t, t)
+    c += 1.0
+    np.sqrt(c, out=c)
+    w /= c
     w /= a
     np.log(w, out=w)
     w *= beta
-    np.tan(u, out=u)
     u *= a
     u -= w
     u *= 2.0 / np.pi

@@ -2,8 +2,10 @@
 
 The symmetric family D_p has characteristic function e^{-|t|^p}; draws
 come from the Chambers-Mallows-Stuck transform of a (uniform, exponential)
-pair.  Linear combinations collapse: sum_i Z_i x_i ~ ||x||_p Z, which is
-what makes a k x n matrix of i.i.d. draws a norm sketch.
+pair, evaluated from the two tangents tan U and tan((1-p) U) with no sin
+or cos (the identity is in ``kernels``).  Linear combinations collapse:
+sum_i Z_i x_i ~ ||x||_p Z, which is what makes a k x n matrix of i.i.d.
+draws a norm sketch.
 
 The skewed family is only supported at p=1 (maximally skewed rows for
 entropy estimation).  Its standardization is pinned by the moment

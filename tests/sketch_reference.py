@@ -9,6 +9,13 @@ the pooled sketch product.  The stable samplers here are the test
 suite's source of plain i.i.d. stable draws, and
 ``montecarlo_median_abs`` is the sampling oracle for
 ``stable.median_abs``.
+
+``cms_symmetric`` and ``cms_skewed_one`` are the tangent expressions the
+kernels evaluate, written with fresh temporaries, so the in-place kernels
+are checked against them bit for bit.  The textbook sin/cos expressions,
+the definitions of the laws, are kept as ``cms_symmetric_sincos`` and
+``cms_skewed_one_sincos``; ``transform_gaps`` measures how far the
+kernels are from them.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import math
 
 import numpy as np
 
+from sketchcast import kernels
 from sketchcast.stable import StableParams
 from sketchcast.streams import DOMAIN_SKETCH, as_seed_sequence, generator
 
@@ -28,6 +36,28 @@ _TINY = 1e-300
 
 
 def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The symmetric transform from t = tan U and h = tan((1-p) U), as the kernel evaluates it."""
+    w = np.maximum(w, _TINY)
+    if p == 1.0:
+        return np.tan(u)
+    t = np.tan(u)
+    h = np.tan((1.0 - p) * u)
+    return (t - h) / np.sqrt(1.0 + h * h) * (np.sqrt((1.0 + t * t) / (1.0 + h * h)) / w) ** (
+        (1.0 - p) / p
+    )
+
+
+def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The skewed p=1 transform with cos U = 1 / sqrt(1 + tan^2 U), as the kernel evaluates it."""
+    w = np.maximum(w, _TINY)
+    hp = 0.5 * np.pi
+    a = hp + beta * u
+    t = np.tan(u)
+    return (2.0 / np.pi) * (a * t - beta * np.log((hp * w / np.sqrt(1.0 + t * t)) / a))
+
+
+def cms_symmetric_sincos(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The textbook Chambers-Mallows-Stuck expression: the definition of the symmetric law."""
     w = np.maximum(w, _TINY)
     if p == 1.0:
         return np.tan(u)
@@ -37,13 +67,56 @@ def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     )
 
 
-def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def cms_skewed_one_sincos(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The textbook skewed p=1 expression, with cos U: the definition of the skewed law."""
     w = np.maximum(w, _TINY)
     hp = 0.5 * np.pi
     a = hp + beta * u
     return (2.0 / np.pi) * (
         a * np.tan(u) - beta * np.log((hp * w * np.maximum(np.cos(u), _TINY)) / a)
     )
+
+
+# Stabilities at which the kernels are checked against the sin/cos forms.
+AGREEMENT_P = (0.1, 0.25, 0.5, 0.9, 1.1, 1.5, 1.9, 2.0)
+AGREEMENT_BETA = (-1.0, -0.5, 0.5, 1.0)
+
+
+def _gap(got: np.ndarray, want: np.ndarray, floor: float) -> float:
+    """max |got - want| / (floor + |want|); equal values (infinities too) count as 0."""
+    gap = np.abs(got - want) / (floor + np.abs(want))
+    return float(np.max(np.where(got == want, 0.0, gap)))
+
+
+def transform_gaps() -> dict[str, float]:
+    """Largest gap of each kernel to its sin/cos form.
+
+    The (U, W) pairs are 1e5 random draws, tail draws U = +-(pi/2 - delta)
+    with delta over geomspace(1e-15, 1e-1), and two edge draws: u = 0,
+    which the sketch maps to U = -pi/2 exactly, and w = 0, which the
+    kernels clamp, each paired with an ordinary value of the other.
+    Keys are "p=<p>" (relative gap of ``kernels.cms_symmetric``) and
+    "beta=<beta>" (gap of ``kernels.cms_skewed_one`` relative to 1 + |Z|,
+    absolute near zero, where the skewed draw's two terms cancel).  A NaN
+    on either side makes the gap NaN.
+    """
+    rng = np.random.default_rng(13)
+    delta = np.geomspace(1e-15, 1e-1, 57)
+    u = np.concatenate([(rng.random(10**5) - 0.5) * np.pi,
+                        0.5 * np.pi - delta, delta - 0.5 * np.pi,
+                        [(0.0 - 0.5) * np.pi, 0.3]])
+    w = rng.standard_exponential(u.size)
+    w[-1] = 0.0
+    gaps = {}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for p in AGREEMENT_P:
+            want = cms_symmetric_sincos(p, u, w)
+            gaps[f"p={p}"] = _gap(kernels.cms_symmetric(p, u.copy(), w.copy()), want, 0.0)
+        for beta in AGREEMENT_BETA:
+            want = cms_skewed_one_sincos(beta, u, w)
+            gaps[f"beta={beta}"] = _gap(kernels.cms_skewed_one(beta, u.copy(), w.copy()), want,
+                                        1.0)
+    return gaps
 
 
 def sample_stable_array(params: StableParams, rng: np.random.Generator, size: int,

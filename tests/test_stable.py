@@ -1,5 +1,6 @@
 """Stable sampling: moments, tails, medians, and streamed sketches."""
 
+import json
 import math
 import os
 import subprocess
@@ -205,7 +206,9 @@ CHUNK = stable.CHUNK_CELLS
 @pytest.mark.parametrize("p, beta", [(0.25, 0.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0),
                                      (2.0, 0.0), (1.0, -1.0)])
 def test_in_place_transforms_equal_the_textbook_expressions(p, beta):
-    # Raw draws, before eta-rounding hides the last bits.
+    # Raw draws, before eta-rounding hides the last bits.  The reference is
+    # the tangent form with fresh temporaries; the test below ties it to
+    # the sin/cos form.
     rng = np.random.default_rng(13)
     u = (rng.random(10**5) - 0.5) * np.pi
     w = rng.standard_exponential(10**5)
@@ -216,6 +219,55 @@ def test_in_place_transforms_equal_the_textbook_expressions(p, beta):
         want = sketch_reference.cms_skewed_one(beta, u, w)
         got = kernels.cms_skewed_one(beta, u.copy(), w.copy())
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_kernels_agree(gaps):
+    assert len(gaps) == len(sketch_reference.AGREEMENT_P) + len(sketch_reference.AGREEMENT_BETA)
+    assert all(gap <= 1e-13 for gap in gaps.values()), gaps
+
+
+def test_tangent_kernels_agree_with_the_sincos_definitions():
+    # Random, tail (U within 1e-15 of +-pi/2) and edge (u = 0, w = 0) draws.
+    assert_kernels_agree(sketch_reference.transform_gaps())
+
+
+# numpy's AVX-512 tan and power give other last bits than libm; the session
+# turns them off (conftest.py), the benchmark runs with them on.
+_GAPS = "import json, sketch_reference; print(json.dumps(sketch_reference.transform_gaps()))"
+
+
+def test_tangent_kernels_agree_with_avx512_kernels_on():
+    env = {key: value for key, value in os.environ.items()
+           if key != "NPY_DISABLE_CPU_FEATURES"}
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(Path(__file__).parent)])
+    proc = subprocess.run([sys.executable, "-c", _GAPS], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert_kernels_agree(json.loads(proc.stdout))
+
+
+def _kernel_input(size, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random(size) - 0.5) * np.pi, rng.standard_exponential(size)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.9, 1.1, 1.5, 1.9, 2.0])
+def test_kernel_draws_split_at_the_quadrature_median(p):
+    # median_abs solves the stable CDF by quadrature and shares no code
+    # with the kernel.
+    z = kernels.cms_symmetric(p, *_kernel_input(10**6, 14))
+    frac = np.mean(np.abs(z) < median_abs(p))
+    assert 0.497 <= frac <= 0.503
+
+
+def test_skewed_kernel_draws_split_at_the_standard_median():
+    g = math.pi / 2
+    z = kernels.cms_skewed_one(-1.0, *_kernel_input(10**6, 15))
+    # F(1, -1, pi/2, 0), scaled as StableSketch scales it
+    z = g * z - (2.0 / np.pi) * g * math.log(g)
+    frac = np.mean(z < MEDIAN_SKEWED_STANDARD)
+    assert 0.497 <= frac <= 0.503
 
 
 @pytest.mark.parametrize("k, n, p, beta, gamma_scale, cap", [
