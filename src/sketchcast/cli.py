@@ -3,8 +3,8 @@
 Every invocation is deterministic for a fixed seed: stdout and any files
 written contain no timing or host-dependent fields.  Exit status is 0 on
 completion, 2 when --check finds a success rate below the acceptance
-floor, and 1 on I/O failures or invalid values, which print one
-``error:`` line on stderr.
+floor, and 1 on I/O failures, invalid values, sketches over the size cap
+and counter overflows, which print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import CODECS
+from .engine import CODECS, CounterOverflowError
 from .entropy import entropy_to_bits
 from .fp_low import LOGCOSINE_MODES
 from .harness import (
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _run_bench_command(args)
         return _run_experiment_command(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError, CounterOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

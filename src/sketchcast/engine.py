@@ -14,16 +14,16 @@ children's messages; row 0 of the root's state is the run's output.
 ``send(verts, state, gens)`` returns the layer's message and each row's
 wire length; its docstring states the family's wire format.  Messages are
 plain arrays: rounded and exact vectors send their decoded values, Morris
-counters a :class:`CounterVector` of insertion and deletion states.
+counters their states, laid out ``[insertions | deletions]`` per row.
 
 Layer schedule.  ``spanning_tree`` puts every child of a layer-L vertex in
 layer L-1, so the tree is walked one layer at a time, leaves first: a
 layer is one (vertices x lanes) matrix built from its own payload rows and
 the previous layer's messages.  Kernels run on whole layers: one
-``round_to_grid`` call per layer, and for Morris counters two
-``morris_add_batch`` calls per layer and two ``morris_merge`` calls per
-child slot.  Besides the payloads, only the previous layer's messages are
-kept, so working memory is O(widest layer x lanes).
+``round_to_grid`` call per layer, and for Morris counters one
+``morris_add_batch`` call per layer and one ``morris_merge`` call per
+child slot, on insertions and deletions alike.  Only the previous layer's
+messages are kept besides the payloads: memory is O(widest layer x lanes).
 
 Addition order.  Child sums are formed by child slot: for j = 0, 1, ...,
 ``x[rows with a j-th child] += msg[j-th child]``, counting only children
@@ -51,6 +51,7 @@ from functools import partial
 import numpy as np
 
 from . import kernels
+from .morris import signed_updates
 from .rounding import RoundingParams, WindowError, gamma_for
 from .streams import DOMAIN_NODES, generator_from_words, substream_words
 from .topology import SpanningTree
@@ -239,42 +240,28 @@ def sum_convergecast(codec: str, payloads, tree: SpanningTree, seed, *,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterVector:
-    """Insertion and deletion counter states; indexing selects rows of both."""
-
-    ins: np.ndarray
-    dels: np.ndarray
-
-    def __getitem__(self, rows) -> "CounterVector":
-        return CounterVector(self.ins[rows], self.dels[rows])
-
-
 def merge_counters(verts, own, prev, slots, gens, *, log_b: float):
     """Combine of the Morris family.
 
-    Each row batches its positive part into insertion counters and its
-    negative part into deletion counters, then merges its children one
-    child slot at a time, insertions before deletions.
+    Each row batches its payload into one ``[insertions | deletions]``
+    state row, then merges its children one child slot at a time.
     """
-    ins = np.zeros(own.shape)
-    dels = np.zeros(own.shape)
-    kernels.morris_add_batch(gens, ins, np.maximum(own, 0.0), log_b)
-    kernels.morris_add_batch(gens, dels, np.maximum(-own, 0.0), log_b)
+    state = np.zeros((own.shape[0], 2 * own.shape[1]))
+    kernels.morris_add_batch(gens, state, signed_updates(own), log_b)
     for rows, src in slots:
-        for mine, theirs in ((ins, prev.ins), (dels, prev.dels)):
-            # rows without a j-th child merge zero states, which draw nothing
-            child = np.zeros_like(mine)
-            child[rows] = theirs[src]
-            kernels.morris_merge(gens, mine, child, log_b)
-    return CounterVector(ins, dels)
+        # rows without a j-th child merge zero states, which draw nothing
+        child = np.zeros_like(state)
+        child[rows] = prev[src]
+        kernels.morris_merge(gens, state, child, log_b)
+    return state
 
 
-def send_counters(verts, counters: CounterVector, gens, *, state_bits: int):
+def send_counters(verts, state, gens, *, state_bits: int):
     """Send the counter states as they are.
 
-    Wire format, lane by lane: an 8-bit base tag, then the insertion state
-    and the deletion state, each as a fixed ``state_bits``-wide unsigned
+    Wire format, lane by lane: an 8-bit base tag, then lane i's insertion
+    and deletion states (columns i and lanes + i of its ``[insertions |
+    deletions]`` row), each as a fixed ``state_bits``-wide unsigned
     integer, so a lane costs 8 + 2 * state_bits bits.  The field width is
     chosen from public parameters (update-mass bound and base), never from
     the realized states, so a message's bit length is the same on every
@@ -282,19 +269,19 @@ def send_counters(verts, counters: CounterVector, gens, *, state_bits: int):
     fail" event: exceeding it raises :class:`CounterOverflowError`, naming
     the first row's largest state.
     """
-    worst = np.maximum(counters.ins, counters.dels).max(axis=-1, initial=0.0)
+    worst = state.max(axis=-1, initial=0.0)
     over = worst >= 2.0 ** state_bits
     if over.any():
         raise CounterOverflowError(
             f"counter state {worst[over].flat[0]:.0f} exceeds {state_bits}-bit field"
         )
-    return counters, np.full(worst.shape, counters.ins.shape[-1] * (8 + 2 * state_bits))
+    return state, np.full(worst.shape, state.shape[-1] // 2 * (8 + 2 * state_bits))
 
 
 def morris_sum_convergecast(values, tree: SpanningTree, log_b: float, seed, state_bits=64):
     """Aggregate signed integer-valued payloads via signed Morris counters.
 
-    Returns the root's :class:`CounterVector`, merged as in
+    Returns the root's ``[insertions | deletions]`` state, merged as in
     :func:`merge_counters`.
     """
     return run_convergecast(tree, values, partial(merge_counters, log_b=log_b),

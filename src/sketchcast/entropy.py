@@ -106,7 +106,7 @@ def estimate_entropy(inputs, tree: SpanningTree, cfg: EntropyConfig,
     width = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
     counters, comm = morris_sum_convergecast(lanes, tree, math.log1p(bm1),
                                              seed, state_bits=width)
-    est = estimates_signed(counters.ins, counters.dels, bm1)
+    est = estimates_signed(counters, bm1)
     r = est[cfg.k]
     if r <= 0.0:
         raise ValueError("F_1 lane returned a non-positive total")

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .engine import CommStats, morris_sum_convergecast
 from .fp_high import as_count_matrix, lower_median, stream_counts
-from .morris import counter_base_offset, estimates_signed, state_field_bits
+from .morris import counter_base_offset, estimates_signed, signed_updates, state_field_bits
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_DATA, DOMAIN_SKETCH, generator, substream
 from .topology import SpanningTree
@@ -89,7 +89,7 @@ def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
     width = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
     counters, stats = morris_sum_convergecast(payload, tree, math.log1p(bm1),
                                               seed, state_bits=width)
-    est = estimates_signed(counters.ins, counters.dels, bm1)
+    est = estimates_signed(counters, bm1)
     norm = cfg.eta * lower_median(np.abs(est)) / median_abs(cfg.p)
     return norm**cfg.p, stats
 
@@ -137,11 +137,9 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
     else:
         bm1 = cfg.base_minus_one(n)
         rng = generator(seed, DOMAIN_DATA, 2)
-        ins = np.zeros(k)
-        dels = np.zeros(k)
-        kernels.morris_add_batch(rng, ins, np.maximum(counts, 0.0), math.log1p(bm1))
-        kernels.morris_add_batch(rng, dels, np.maximum(-counts, 0.0), math.log1p(bm1))
-        y = cfg.eta * estimates_signed(ins, dels, bm1)
+        state = np.zeros(2 * k)
+        kernels.morris_add_batch(rng, state, signed_updates(counts), math.log1p(bm1))
+        y = cfg.eta * estimates_signed(state, bm1)
 
     mean_cos = max(float(np.mean(np.cos(y / y_med))), 1e-300)
     return y_med * (-math.log(mean_cos))

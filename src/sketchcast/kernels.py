@@ -59,8 +59,8 @@ def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Evaluated from t = tan U and h = tan((1-p) U) as derived in the comment
     above.  ``w`` is overwritten as scratch.  Every operation is the one of
-    the tangent expression, in the same order, so the result is the same
-    bit for bit as evaluating it with fresh temporaries.
+    the tangent expression, in the same order, so every finite result is
+    the same bit for bit as evaluating it with fresh temporaries.
     """
     if p == 1.0:
         return np.tan(u, out=u)
@@ -84,6 +84,14 @@ def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     np.sqrt(q, out=q)
     h /= q
     u *= h
+    if p < 1.0 and not np.isfinite(u).all():
+        # |t| near 1.7e16 over a clamped W overflowed: split the power as the
+        # sin/cos form does.  t and h share their sign with |h| <= |t|, so
+        # |t| = |t - h| + |h|, read back from the arrays (t - h)/q and q.
+        bad = ~np.isfinite(u)
+        hb, qb = h[bad], q[bad]
+        t = np.abs(hb) * qb + np.sqrt(qb * qb - 1.0)
+        u[bad] = hb * (np.sqrt(1.0 + t * t) / qb) ** ((1.0 - p) / p) * w[bad] ** ((p - 1.0) / p)
     return u
 
 

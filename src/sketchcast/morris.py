@@ -10,10 +10,11 @@ that merge(counter(n1), counter(n2)) is distributed as counter(n1 + n2).
 This module holds the estimator, its bounds, and the counter base and
 state width the protocols derive from them.
 
-A signed counter is an (insertions, deletions) pair whose estimate is the
-difference.  States are kept as integer-valued float64: beyond 2^53 the
-state no longer advances by exact units, which perturbs estimates at
-relative order 1e-16, far below the counter's own statistical noise.
+L signed counters are one state of 2L columns laid out ``[insertions |
+deletions]``, and lane i estimates column i minus column L + i.  States
+are kept as integer-valued float64: beyond 2^53 the state no longer
+advances by exact units, which perturbs estimates at relative order 1e-16,
+far below the counter's own statistical noise.
 
 The wire format of a counter vector is stated on
 ``engine.send_counters``.
@@ -62,8 +63,13 @@ def state_field_bits(total_updates: float, b_minus_1: float) -> int:
     return max(1, int(worst).bit_length() + 1)
 
 
-def estimates_signed(ins: np.ndarray, dels: np.ndarray, b_minus_1: float) -> np.ndarray:
-    """Vector of insertion-minus-deletion estimates from counter states."""
-    lb = math.log1p(b_minus_1)
-    return (np.expm1(np.asarray(ins) * lb) - np.expm1(np.asarray(dels) * lb)) / b_minus_1
+def signed_updates(x: np.ndarray) -> np.ndarray:
+    """Signed counter updates ``[max(x, 0) | max(-x, 0)]`` on the last axis."""
+    return np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)], axis=-1)
 
+
+def estimates_signed(state: np.ndarray, b_minus_1: float) -> np.ndarray:
+    """Insertion-minus-deletion estimates from ``[insertions | deletions]`` states."""
+    lb = math.log1p(b_minus_1)
+    ins, dels = np.split(state, 2, axis=-1)
+    return (np.expm1(ins * lb) - np.expm1(dels * lb)) / b_minus_1

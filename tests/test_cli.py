@@ -10,6 +10,7 @@ import pytest
 
 import sketchcast
 from sketchcast.cli import build_parser, main
+from sketchcast.engine import CounterOverflowError
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,8 @@ def test_missing_counts_file_exits_one(capsys):
     ("simulate", "fp", "--p", "1.5", "--eps", "0.6"),
     ("stream", "fp", "--p", "1.5"),
     ("simulate", "fp", "--p", "1.5", "--seed", "-1"),
+    # the p>1 sketch, 1200 x 1e5 cells, is over the sketch cap (MemoryError)
+    ("simulate", "fp", "--p", "1.5", "--eps", "0.1", "--n", "100000"),
 ])
 def test_invalid_value_exits_one_with_one_error_line(argv):
     src = Path(sketchcast.__file__).parent.parent
@@ -193,6 +196,18 @@ def test_invalid_value_exits_one_with_one_error_line(argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_counter_overflow_exits_one_with_one_error_line(capsys, monkeypatch):
+    # the field width is sized from the update-mass bound, so no small spec
+    # overflows a counter: the experiment runner raises the error instead
+    def overflow(*args, **kwargs):
+        raise CounterOverflowError("counter state 70000 exceeds 16-bit field")
+
+    monkeypatch.setattr(sketchcast.cli, "run_experiment", overflow)
+    code, stdout, stderr = run_cli(capsys, "simulate", "fp", "--p", "0.5", "--trials", "1")
+    assert code == 1 and stdout == ""
+    assert stderr == "error: counter state 70000 exceeds 16-bit field\n"
 
 
 def test_bench_comms_smoke(tmp_path, capsys):

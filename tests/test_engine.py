@@ -10,7 +10,6 @@ from sketchcast import engine, kernels, streams
 from sketchcast.engine import (
     CommStats,
     CounterOverflowError,
-    CounterVector,
     baseline_codec_bits,
     exact_sum_convergecast,
     morris_sum_convergecast,
@@ -220,14 +219,16 @@ def counter_bits(msg, state_bits):
 
 
 def test_counter_codec_bits_ignore_values():
-    small = CounterVector(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
-    large = CounterVector(np.array([4000.0, 1.0]), np.array([0.0, 0.0]))
+    # two lanes, laid out [insertions | deletions]
+    small = np.array([[1.0, 0.0, 0.0, 2.0]])
+    large = np.array([[4000.0, 1.0, 0.0, 0.0]])
     assert counter_bits(small, 12) == counter_bits(large, 12) == 2 * (8 + 24)
 
 
 def test_counter_codec_overflow_raises():
-    with pytest.raises(CounterOverflowError):
-        counter_bits(CounterVector(np.array([16.0]), np.array([0.0])), 4)
+    for state in ([16.0, 0.0], [0.0, 16.0]):  # an insertion, then a deletion state
+        with pytest.raises(CounterOverflowError):
+            counter_bits(np.array([state]), 4)
 
 
 def test_morris_sum_recovers_exact_counts_at_protocol_base():
@@ -238,8 +239,8 @@ def test_morris_sum_recovers_exact_counts_at_protocol_base():
     tree = spanning_tree(line(6), 3)
     log_b = math.log1p(1e-30)
     counters, stats = morris_sum_convergecast(payload, tree, log_b, seed=0)
-    assert np.array_equal(counters.ins, np.maximum(payload, 0.0).sum(axis=0))
-    assert np.array_equal(counters.dels, np.maximum(-payload, 0.0).sum(axis=0))
+    assert np.array_equal(counters, np.concatenate([np.maximum(payload, 0.0).sum(axis=0),
+                                                    np.maximum(-payload, 0.0).sum(axis=0)]))
     assert stats.max_edge_bits == 8 * (8 + 2 * 64) + 1
 
 
@@ -262,14 +263,14 @@ def test_morris_sum_zero_subtrees_send_flags():
     tree = spanning_tree(star(4), 0)
     counters, stats = morris_sum_convergecast(payload, tree, math.log1p(1e-30), seed=0)
     assert set(stats.per_edge_bits.values()) == {1}
-    assert counters.ins[0] == 2.0
+    assert counters[0] == 2.0
 
 
 def test_morris_sum_all_zero_returns_zero_states():
     tree = spanning_tree(star(3), 0)
     counters, stats = morris_sum_convergecast(np.zeros((3, 5)), tree,
                                               math.log1p(1e-30), seed=0)
-    assert not counters.ins.any() and not counters.dels.any()
+    assert counters.shape == (10,) and not counters.any()
     assert stats.max_edge_bits == 1
 
 
@@ -352,48 +353,39 @@ def reference_exact(payloads, tree, seed):
 
 
 def reference_morris(values, tree, log_b, seed, state_bits=64):
+    # one counter state per vertex, laid out [insertions | deletions]: one
+    # add on both halves, then one merge per child
     def fold(v, own, children, gen):
         x = np.asarray(own, dtype=np.float64)
         if all(c is ZERO for c in children) and not np.any(x):
             return None
-        ins = np.zeros(x.shape[0])
-        dels = np.zeros(x.shape[0])
-        kernels.morris_add_batch(gen, ins, np.maximum(x, 0.0), log_b)
-        kernels.morris_add_batch(gen, dels, np.maximum(-x, 0.0), log_b)
+        state = np.zeros(2 * x.shape[0])
+        kernels.morris_add_batch(gen, state, np.concatenate([np.maximum(x, 0.0),
+                                                             np.maximum(-x, 0.0)]), log_b)
         for c in children:
             if c is not ZERO:
-                kernels.morris_merge(gen, ins, c.ins, log_b)
-                kernels.morris_merge(gen, dels, c.dels, log_b)
-        return CounterVector(ins, dels)
+                kernels.morris_merge(gen, state, c, log_b)
+        return state
 
     def transform(v, own, children, gen):
         out = fold(v, own, children, gen)
         if out is None:
             return ZERO, 0
-        worst = max(out.ins.max(), out.dels.max())
+        worst = out.max()
         if worst >= 2.0 ** state_bits:
             raise CounterOverflowError(
                 f"counter state {worst:.0f} exceeds {state_bits}-bit field")
-        return out, out.ins.size * (8 + 2 * state_bits)
+        return out, out.size // 2 * (8 + 2 * state_bits)
 
     def root(v, own, children, gen):
         out = fold(v, own, children, gen)
-        if out is None:
-            width = np.asarray(own).shape[0]
-            return CounterVector(np.zeros(width), np.zeros(width))
-        return out
+        return np.zeros(2 * np.asarray(own).shape[0]) if out is None else out
 
     return reference_convergecast(tree, values, transform, seed, root)
 
 
-def _raw(out):
-    if isinstance(out, CounterVector):
-        return out.ins.tobytes() + out.dels.tobytes()
-    return np.asarray(out).tobytes()
-
-
 def assert_same_run(layered, reference):
-    assert _raw(layered[0]) == _raw(reference[0])
+    assert layered[0].tobytes() == reference[0].tobytes()
     # same edges, bits and insertion order (tracers sum per-layer bits in it)
     assert list(layered[1].per_edge_bits.items()) == list(reference[1].per_edge_bits.items())
     assert layered[1].rounds == reference[1].rounds
@@ -488,14 +480,17 @@ def test_kernels_run_once_per_layer_on_a_wide_grid(monkeypatch):
     tree = spanning_tree(topo, center(topo))
     payload = np.random.default_rng(0).standard_normal((topo.m, 8)) * 30.0
     rounds = _count_calls(monkeypatch, "round_to_grid")
+    adds = _count_calls(monkeypatch, "morris_add_batch")
     merges = _count_calls(monkeypatch, "morris_merge")
     params = gamma_for(0.3, 0.25, tree.depth, 8, topo.m, M=100)
     rounded_sum_convergecast(payload, tree, params, seed=0)
     assert len(rounds) <= tree.depth
     morris_sum_convergecast(np.rint(payload), tree, math.log1p(1e-30), seed=0)
-    # insertions and deletions, once per child slot of each layer (at most
-    # four children per grid vertex), against 2 * 1023 calls vertex by vertex
-    assert len(merges) <= 2 * 4 * tree.depth
+    # insertions and deletions in one call, once per layer and once per
+    # child slot of each layer (at most four children per grid vertex),
+    # against 1024 adds and 1023 merges vertex by vertex
+    assert len(adds) <= tree.depth + 1
+    assert len(merges) <= 4 * tree.depth
 
 
 def test_vertex_streams_are_seeded_in_one_batch(monkeypatch):

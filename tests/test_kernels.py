@@ -151,6 +151,33 @@ def test_layer_kernels_draw_each_row_from_its_own_generator():
             assert gen.bit_generator.state == gens[r].bit_generator.state
 
 
+def test_one_call_on_signed_halves_equals_two_calls_at_a_protocol_base():
+    # At a protocol-scale base every lane takes the rare-failure draw in
+    # one pass, and numpy draws an array's Poisson variates lane by lane,
+    # so one call on [insertions | deletions] draws exactly what a call on
+    # each half in turn draws (the engine's Morris layers rely on this).
+    rng = np.random.default_rng(4)
+    log_b = math.log1p(1e-30)
+    u = np.rint(rng.random((3, 2, 6)) * 1e21)  # (rows, halves, lanes)
+    u[1, 1] = 0.0
+    y = np.rint(rng.random((3, 2, 6)) * 1e21)
+    y[2, 0] = 0.0
+    fused = np.zeros((3, 12))
+    fused_gens = [np.random.default_rng(20 + r) for r in range(3)]
+    kernels.morris_add_batch(fused_gens, fused, u.reshape(3, 12), log_b)
+    kernels.morris_merge(fused_gens, fused, y.reshape(3, 12), log_b)
+    halves = np.zeros((2, 3, 6))
+    gens = [np.random.default_rng(20 + r) for r in range(3)]
+    for h in (0, 1):
+        kernels.morris_add_batch(gens, halves[h], u[:, h], log_b)
+    for h in (0, 1):
+        kernels.morris_merge(gens, halves[h], y[:, h], log_b)
+    assert np.array_equal(fused, np.concatenate(halves, axis=1))
+    assert not np.array_equal(fused, (u + y).reshape(3, 12))  # failures were drawn
+    for a, b in zip(fused_gens, gens):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_layer_kernels_reject_non_contiguous_states():
     c = np.zeros((3, 4))[:, ::2]
     with pytest.raises(ValueError, match="contiguous"):

@@ -7,7 +7,7 @@ from scipy import stats
 
 from helpers import estimate_from_state, estimate_variance
 from sketchcast import kernels
-from sketchcast.morris import estimates_signed, state_bound
+from sketchcast.morris import estimates_signed, signed_updates, state_bound
 
 
 def chi2_two_sample(a: np.ndarray, b: np.ndarray, min_count: int = 10) -> float:
@@ -130,15 +130,15 @@ def test_signed_counter_bookkeeping():
     # drives both sides to exact state 5 and the estimate cancels.
     rng = np.random.default_rng(3)
     bm1 = 1e-12
-    ins, dels = np.zeros(1), np.zeros(1)
-    kernels.morris_add_batch(rng, ins, np.array([5.0]), math.log1p(bm1))
-    kernels.morris_add_batch(rng, dels, np.array([5.0]), math.log1p(bm1))
-    assert ins[0] == 5.0 and dels[0] == 5.0
-    assert abs(estimates_signed(ins, dels, bm1)[0]) < 1e-9
+    state = np.zeros(2)  # [insertions | deletions] of one lane
+    for x in (5.0, -5.0):
+        kernels.morris_add_batch(rng, state, signed_updates(np.array([x])), math.log1p(bm1))
+    assert list(state) == [5.0, 5.0]
+    assert abs(estimates_signed(state, bm1)[0]) < 1e-9
 
 
 def test_signed_counter_insertions_match_plain():
-    signed = estimates_signed(np.array([4.0]), np.zeros(1), 0.3)
+    signed = estimates_signed(np.array([4.0, 0.0]), 0.3)
     assert math.isclose(signed[0], estimate_from_state(4.0, 0.3), rel_tol=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_estimates_signed_matches_scalar_path():
     ins = np.array([0.0, 3.0, 7.0])
     dels = np.array([1.0, 0.0, 2.0])
     bm1 = 0.2
-    vec = estimates_signed(ins, dels, bm1)
+    vec = estimates_signed(np.concatenate([ins, dels]), bm1)
     for i in range(3):
         want = estimate_from_state(ins[i], bm1) - estimate_from_state(dels[i], bm1)
         assert math.isclose(vec[i], want, rel_tol=1e-12)
@@ -155,6 +155,6 @@ def test_estimates_signed_matches_scalar_path():
 def test_mean_is_unbiased_at_moderate_base():
     b, n, trials = 1.2, 10**3, 10**4
     states = batch_states(trials, n, b, seed=19)
-    ests = estimates_signed(states, np.zeros(trials), b - 1.0)
+    ests = estimates_signed(np.concatenate([states, np.zeros(trials)]), b - 1.0)
     sigma = math.sqrt(estimate_variance(n, b - 1.0) / trials)
     assert abs(ests.mean() - n) < 3 * sigma

@@ -126,7 +126,7 @@ def test_morris_variance_formula_against_simulation():
     states = np.zeros(trials)
     kernels.morris_add_batch(np.random.default_rng(780), states,
                              np.full(trials, n), math.log(b))
-    ests = estimates_signed(states, np.zeros(trials), b - 1.0)
+    ests = estimates_signed(np.concatenate([states, np.zeros(trials)]), b - 1.0)
     assert abs(ests.mean() - n) < 4 * math.sqrt(estimate_variance(n, b - 1.0) / trials)
     assert 0.8 * estimate_variance(n, b - 1.0) < ests.var() < 1.2 * estimate_variance(n, b - 1.0)
 

@@ -231,6 +231,25 @@ def test_tangent_kernels_agree_with_the_sincos_definitions():
     assert_kernels_agree(sketch_reference.transform_gaps())
 
 
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_symmetric_kernel_at_both_edges_matches_sincos(p):
+    # U = -pi/2 (a raw uniform of 0) with W = 0: the one power of the
+    # tangent form overflows, where the sin/cos form is -inf at p <= 0.5
+    # but about -2.2e51 at p = 0.9.  The ordinary cells around it keep the
+    # tangent form's bits.
+    rng = np.random.default_rng(15)
+    u = (rng.random(1000) - 0.5) * np.pi
+    w = rng.standard_exponential(1000)
+    u[500], w[500] = -0.5 * np.pi, 0.0
+    with np.errstate(over="ignore"):
+        got = kernels.cms_symmetric(p, u.copy(), w.copy())
+        tangent = sketch_reference.cms_symmetric(p, u, w)
+        want = sketch_reference.cms_symmetric_sincos(p, u[500], w[500])
+    assert got[500] == want or abs(got[500] - want) <= 1e-13 * abs(want)
+    others = np.arange(1000) != 500
+    assert np.array_equal(got[others].view(np.int64), tangent[others].view(np.int64))
+
+
 # numpy's AVX-512 tan and power give other last bits than libm; the session
 # turns them off (conftest.py), the benchmark runs with them on.
 _GAPS = "import json, sketch_reference; print(json.dumps(sketch_reference.transform_gaps()))"
