@@ -73,13 +73,6 @@ class CommStats:
         object.__setattr__(self, "max_edge_bits", max(bits, default=0))
         object.__setattr__(self, "total_bits", sum(bits))
 
-    def merged(self, other: "CommStats") -> "CommStats":
-        """Edge-wise sum of two runs over the same tree."""
-        combined = dict(self.per_edge_bits)
-        for edge, b in other.per_edge_bits.items():
-            combined[edge] = combined.get(edge, 0) + b
-        return CommStats(per_edge_bits=combined, rounds=max(self.rounds, other.rounds))
-
 
 def baseline_codec_bits(count: int) -> int:
     """Bits to ship ``count`` scalars at the flat 64-bit baseline."""

@@ -109,12 +109,15 @@ class ExperimentSpec:
         else:
             _spec_fields(self.dist, MATRIX_DISTS if self.protocol == "amp" else PLAYER_DISTS,
                          "distribution")
-        self.config()  # rejects an eps outside the protocol's range before any trial
+        if self.protocol == "hh":  # an eps or n out of range fails here, not in a trial
+            CountSketchSpec.shape(self.n, self.eps)
+        elif self.protocol == "fp" and self.p < 1.0:
+            self.config().base_minus_one(self.n)
+        else:
+            self.config()
 
     def config(self) -> FpHighConfig | FpLowConfig | EntropyConfig | AmpConfig:
-        """The protocol's accuracy config (for hh, that of its F_2 run)."""
-        if self.protocol == "hh":
-            return FpHighConfig(p=2.0, eps=self.eps)
+        """The protocol's accuracy config; hh has none: ``CountSketchSpec`` sizes its table."""
         if self.protocol == "amp":
             return AmpConfig(t1=self.t1, t2=self.t2, eps=self.eps)
         if self.protocol in ("entropy", "stream-entropy"):
@@ -307,11 +310,8 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
                 success = error <= spec.eps
             elif spec.protocol == "hh":
                 cs = CountSketchSpec.build(spec.n, spec.eps, pseed)
-                x_tilde, comm = point_estimate_all(players, tree, cs, spec.eps,
-                                                   pseed, codec=spec.codec)
-                _, f2_est, f2_comm = estimate_fp_high(
-                    players, tree, spec.config(), substream(pseed, 1), codec=spec.codec)
-                comm = comm.merged(f2_comm)
+                x_tilde, comm, f2_est = point_estimate_all(players, tree, cs, spec.eps,
+                                                           pseed, codec=spec.codec)
                 est = float(np.max(np.abs(x_tilde - x)))
                 tail = oracles.tail_l2(x, math.ceil(1.0 / spec.eps**2))
                 exact = spec.eps * tail

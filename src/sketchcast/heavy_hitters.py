@@ -7,6 +7,10 @@ ell-by-w table, the flattened tables are aggregated through the rounding
 convergecast, and the coordinator reports the lower median of the signed
 bucket reads per coordinate.  The estimates satisfy
 ||x_tilde - X||_inf <= eps ||X_tail(1/eps^2)||_2 with high probability.
+The heavy hitter threshold's F_2 is the lower median over rows of the
+aggregated table's sums of squared buckets: the 4-wise independent signs
+make each row an unbiased AMS estimate with variance about 2 F_2^2 / w
+(Charikar, Chen & Farach-Colton 2002), so hh runs no second convergecast.
 
 Table cells are integers (signed sums of counts), so exact-codec
 aggregation is bit-identical to a count-sketch of the pooled vector.
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CommStats, sum_convergecast
-from .fp_high import as_count_matrix
+from .fp_high import as_count_matrix, lower_median
 from .streams import DOMAIN_HASHES, generator
 from .topology import SpanningTree
 
@@ -93,14 +97,17 @@ class CountSketchSpec:
         if self.rows < 1 or self.width < 6:
             raise ValueError(f"need rows >= 1 and width >= 6, got {self.rows}x{self.width}")
 
-    @classmethod
-    def build(cls, n: int, eps: float, seed) -> "CountSketchSpec":
+    @staticmethod
+    def shape(n: int, eps: float) -> tuple[int, int]:
         if n < 2:
             raise ValueError(f"need n >= 2 coordinates, got {n}")
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {eps}")
-        rows = math.ceil(2 * math.log2(n))
-        width = math.ceil(6.0 / eps**2)
+        return math.ceil(2 * math.log2(n)), math.ceil(6.0 / eps**2)
+
+    @classmethod
+    def build(cls, n: int, eps: float, seed) -> "CountSketchSpec":
+        rows, width = cls.shape(n, eps)
         rng = generator(seed, DOMAIN_HASHES)
 
         def draw(lo: int) -> int:
@@ -158,8 +165,8 @@ def estimates_from_table(table: np.ndarray, spec: CountSketchSpec,
 
 
 def point_estimate_all(inputs, tree: SpanningTree, spec: CountSketchSpec, eps: float,
-                       seed, codec: str = "rounding") -> tuple[np.ndarray, CommStats]:
-    """Aggregate per-player tables up ``tree``; return (x_tilde, stats).
+                       seed, codec: str = "rounding") -> tuple[np.ndarray, CommStats, float]:
+    """Aggregate per-player tables up ``tree``; return (x_tilde, stats, f2).
 
     Every player ships exactly rows*width rounded cells, on the grid
     gamma_for builds for rounding failure mass 1/4.  codec="exact"
@@ -178,7 +185,8 @@ def point_estimate_all(inputs, tree: SpanningTree, spec: CountSketchSpec, eps: f
                                   n=spec.n, M=M)
 
     table = vec.reshape(spec.rows, spec.width)
-    return estimates_from_table(table, spec, bucket, sign), stats
+    f2 = lower_median(np.sum(table**2, axis=1))
+    return estimates_from_table(table, spec, bucket, sign), stats, f2
 
 
 def heavy_hitters(x_tilde: np.ndarray, eps: float, f2_estimate: float) -> list[int]:
@@ -192,9 +200,7 @@ def heavy_hitters(x_tilde: np.ndarray, eps: float, f2_estimate: float) -> list[i
         raise ValueError("f2_estimate must be non-negative")
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     thresh = 0.5 * eps * math.sqrt(f2_estimate)
-    idx = np.nonzero(np.abs(x_tilde) >= thresh)[0]
-    if thresh == 0.0:
-        idx = np.nonzero(x_tilde != 0.0)[0]
+    idx = np.nonzero((np.abs(x_tilde) >= thresh) & (x_tilde != 0.0))[0]
     order = np.argsort(-np.abs(x_tilde[idx]), kind="stable")
     cap = math.ceil(8.0 / eps**2)
     return [int(i) for i in idx[order][:cap]]

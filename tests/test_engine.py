@@ -115,14 +115,6 @@ def test_window_error_names_the_vertex():
         rounded_sum_convergecast(payload, spanning_tree(star(2), 0), params, seed=0)
 
 
-def test_comm_stats_merge_is_edgewise():
-    a = CommStats(per_edge_bits={(1, 0): 5, (2, 0): 3}, rounds=1)
-    b = CommStats(per_edge_bits={(1, 0): 2, (3, 0): 9}, rounds=2)
-    c = a.merged(b)
-    assert c.per_edge_bits == {(1, 0): 7, (2, 0): 3, (3, 0): 9}
-    assert c.max_edge_bits == 9 and c.total_bits == 19 and c.rounds == 2
-
-
 def test_baseline_codec_bits():
     assert baseline_codec_bits(1) == 64
     assert baseline_codec_bits(400) == 25600

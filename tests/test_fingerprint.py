@@ -51,8 +51,8 @@ PINNED = {
         "958dac8e7e11f88251f112db0711af289a5023d91610157b8b66aada05a9b9fe",
     ),
     "hh-line": (
-        "ba03e30c2e8f91f01965c4aa1031f8e6e080d1ddbcfd217fa1a66a88fd9a8fec",
-        "ff11f08eaaf2c723f7657ff27641a9f7cf797fb983d8f78a2ae7b8d84f133936",
+        "6aa91d4586c0d3ea62fda06f02c9d40cb473a470e884f318fbcf5e2e6c8e0014",
+        "4de2cfe811ebaef4d7de382d2648e34ad37db09c675ac62e2a21cdaac25b11a2",
     ),
     "amp-star": (
         "0f0c68668ff39ea55a95ad00207cbae8fe6512e41100dc43fe865623e514de2a",

@@ -74,6 +74,9 @@ def test_spec_validation():
             ExperimentSpec(**kw)
     with pytest.raises(ValueError, match="seed"):
         ExperimentSpec(protocol="fp", p=1.5, seed=-1)
+    # hh's range is its count-sketch's, 0 < eps < 1, wider than an F_2 run's eps < 1/2
+    ExperimentSpec(protocol="hh", eps=0.5)
+    ExperimentSpec(protocol="hh", eps=0.9)
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -83,6 +86,8 @@ def test_spec_validation():
     (dict(protocol="fp", p=1.5, topology="bogus"), "unknown topology spec 'bogus'"),
     (dict(protocol="amp", dist="planted:5:1"), "unknown distribution 'planted:5:1'"),
     (dict(protocol="stream-fp", p=0.5, dist="uniform:3"), "unknown stream spec 'uniform:3'"),
+    (dict(protocol="hh", n=1), "need n >= 2 coordinates, got 1"),
+    (dict(protocol="fp", p=0.5, n=1), "need n >= 2 coordinates, got 1"),
 ])
 def test_spec_rejects_unknown_kinds_when_built(kw, match):
     # each of these used to fail only inside the first trial
@@ -353,17 +358,19 @@ def test_run_experiment_matches_manual_trials():
     ("amp", None, 1), ("stream-fp", 0.5, 0), ("stream-entropy", None, 0),
 ])
 def test_run_trial_builds_one_tree_per_network_trial(monkeypatch, protocol, p, builds):
-    calls = {"center": 0, "spanning_tree": 0}
-    for name in calls:
-        def counted(*args, name=name, fn=getattr(harness, name)):
+    # and runs one convergecast on it: hh takes its F_2 from the count-sketch table
+    calls = {"center": 0, "spanning_tree": 0, "run_convergecast": 0}
+    for module, name in ((harness, "center"), (harness, "spanning_tree"),
+                         (engine, "run_convergecast")):
+        def counted(*args, name=name, fn=getattr(module, name)):
             calls[name] += 1
             return fn(*args)
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
     dist = "zipf:1.3:1000" if protocol.startswith("stream-") else "zipf:1.1"
     spec = ExperimentSpec(protocol=protocol, p=p, topology="grid", n=64, m=6, dist=dist,
                           eps=0.25, trials=1, tokens=200)
     run_trial(spec, 0)
-    assert calls == {"center": builds, "spanning_tree": builds}
+    assert calls == {"center": builds, "spanning_tree": builds, "run_convergecast": builds}
 
 
 def test_protocols_take_the_tree_not_a_topology():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import tree_of
+from sketchcast.fp_high import lower_median
+from sketchcast.harness import ExperimentSpec, generate_players
 from sketchcast.heavy_hitters import (
     MERSENNE_61,
     CountSketchSpec,
@@ -16,7 +18,7 @@ from sketchcast.heavy_hitters import (
     point_estimate_all,
 )
 from sketchcast.oracles import tail_l2
-from sketchcast.topology import grid, star
+from sketchcast.topology import grid, line, star
 
 
 def _poly_mod(coeffs: tuple[int, ...], n: int) -> list[int]:
@@ -138,13 +140,13 @@ def test_single_support_recovered_exactly():
     spec = CountSketchSpec.build(64, 0.25, seed=3)
     data = np.zeros((4, 64))
     data[2, 7] = 100.0
-    xt, _ = point_estimate_all(data, tree_of(star(4)), spec, 0.25, seed=3, codec="exact")
+    xt, _, _ = point_estimate_all(data, tree_of(star(4)), spec, 0.25, seed=3, codec="exact")
     assert xt[7] == 100.0
 
 
 def test_zero_inputs_give_zero_estimates_for_one_bit():
     spec = CountSketchSpec.build(64, 0.25, seed=4)
-    xt, stats = point_estimate_all(np.zeros((4, 64)), tree_of(star(4)), spec, 0.25, seed=4)
+    xt, stats, _ = point_estimate_all(np.zeros((4, 64)), tree_of(star(4)), spec, 0.25, seed=4)
     assert not xt.any()
     assert stats.max_edge_bits == 1
 
@@ -155,9 +157,32 @@ def test_exact_codec_matches_pooled_count_sketch():
     spec = CountSketchSpec.build(128, 0.3, seed=8)
     rng = np.random.default_rng(1)
     data = rng.integers(0, 30, size=(6, 128)).astype(np.float64)
-    xt, _ = point_estimate_all(data, tree_of(grid(2, 3)), spec, 0.3, seed=8, codec="exact")
+    xt, _, _ = point_estimate_all(data, tree_of(grid(2, 3)), spec, 0.3, seed=8, codec="exact")
     pooled = estimates_from_table(local_table(data.sum(axis=0), spec), spec)
     assert np.array_equal(xt, pooled)
+
+
+def test_exact_codec_f2_is_the_row_median_of_the_pooled_table():
+    spec = CountSketchSpec.build(128, 0.3, seed=8)
+    rng = np.random.default_rng(1)
+    data = rng.integers(0, 30, size=(6, 128)).astype(np.float64)
+    _, _, f2 = point_estimate_all(data, tree_of(grid(2, 3)), spec, 0.3, seed=8, codec="exact")
+    assert f2 == lower_median(np.sum(local_table(data.sum(axis=0), spec) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("dist", ["zipf:1.1", "planted:1000:3"])
+def test_rounded_table_f2_is_within_eps_on_a_deep_line(dist):
+    # the rounded root table of a depth-32 tree still gives F_2 to within eps
+    eps = 0.25
+    spec = ExperimentSpec(protocol="hh", topology="line", m=65, n=1000, dist=dist,
+                          eps=eps, tokens=200)
+    tree = tree_of(line(65))
+    for t in range(10):
+        players = generate_players(spec, np.random.default_rng(t))
+        f2 = float(np.sum(players.sum(axis=0) ** 2))
+        cs = CountSketchSpec.build(spec.n, eps, seed=t)
+        _, _, est = point_estimate_all(players, tree, cs, eps, seed=t)
+        assert abs(est - f2) <= eps * f2, (t, est, f2)
 
 
 def test_messages_respect_the_per_lane_budget():
@@ -168,7 +193,7 @@ def test_messages_respect_the_per_lane_budget():
     rng = np.random.default_rng(2)
     data = rng.integers(0, 100, size=(6, 64)).astype(np.float64)
     tree = tree_of(grid(2, 3))
-    _, stats = point_estimate_all(data, tree, spec, 0.25, seed=9)
+    _, stats, _ = point_estimate_all(data, tree, spec, 0.25, seed=9)
     params = gamma_for(0.25, 0.25, max(1, tree.depth), 64, 6, M=float(data.max()))
     per_lane = 2 + gamma_len(zigzag(max(-params.exponent_min, params.exponent_max)) + 1)
     lanes = spec.rows * spec.width
@@ -199,7 +224,7 @@ def test_two_equal_heavies_both_surface():
     x[30] = x[160] = 300.0
     spec = CountSketchSpec.build(n, 0.25, seed=11)
     data = np.tile(x / 4, (4, 1))
-    xt, _ = point_estimate_all(data, tree_of(star(4)), spec, 0.25, seed=11, codec="exact")
+    xt, _, _ = point_estimate_all(data, tree_of(star(4)), spec, 0.25, seed=11, codec="exact")
     found = heavy_hitters(xt, 0.25, float(np.sum(x**2)))
     assert set(found[:2]) == {30, 160}
 
@@ -211,7 +236,7 @@ def test_uniform_ones_have_no_heavy_hitter():
     spec = CountSketchSpec.build(n, eps, seed=0)
     data = np.zeros((4, n))
     data[0] = 1.0
-    xt, _ = point_estimate_all(data, tree_of(star(4)), spec, eps, seed=0, codec="exact")
+    xt, _, _ = point_estimate_all(data, tree_of(star(4)), spec, eps, seed=0, codec="exact")
     assert heavy_hitters(xt, eps, float(n)) == []
 
 
@@ -226,7 +251,7 @@ def test_linf_guarantee_at_desk_scale():
         for v in range(m):
             data[v, owner == v] = x[owner == v]
         spec = CountSketchSpec.build(n, eps, 700 + t)
-        xt, _ = point_estimate_all(data, tree_of(star(m)), spec, eps, seed=700 + t)
+        xt, _, _ = point_estimate_all(data, tree_of(star(m)), spec, eps, seed=700 + t)
         hits += np.abs(xt - x).max() <= eps * tail_l2(x, 16)
     assert hits >= 18
 
