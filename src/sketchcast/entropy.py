@@ -100,7 +100,7 @@ def estimate_entropy(inputs, tree: SpanningTree, cfg: EntropyConfig,
     entry_cap = (M * n * m) ** 3
     bm1 = cfg.base_minus_one(n)
     sk = build_sketch(cfg.k, n, p=1.0, eta=cfg.eta, seed=substream(seed, DOMAIN_SKETCH),
-                      beta=-1.0, gamma_scale=math.pi / 2.0, entry_cap=entry_cap)
+                      entry_cap=entry_cap, skewed=True)
     lanes = np.concatenate([sk.apply(data), data.sum(axis=1, keepdims=True)], axis=1)
 
     width = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
@@ -126,7 +126,7 @@ def stream_entropy(stream, cfg: EntropyConfig, seed=0, n: int | None = None) -> 
         raise ValueError("entropy undefined for an empty stream")
     n = x.size
     sk = build_sketch(cfg.k, n, p=1.0, eta=cfg.eta, seed=substream(seed, DOMAIN_SKETCH),
-                      beta=-1.0, gamma_scale=math.pi / 2.0)
+                      skewed=True)
     y = cfg.eta * sk.apply(x) / float(x.sum())
     h, _, _ = _entropy_from_rows(y, n)
     return h

@@ -1,21 +1,22 @@
-"""p-stable laws, the |Z| median normalizer, and streamed sketch matrices.
+"""The two stable sketch laws, the |Z| median normalizer, and streamed sketches.
 
-The symmetric family D_p has characteristic function e^{-|t|^p}; draws
-come from the Chambers-Mallows-Stuck transform of a (uniform, exponential)
-pair, evaluated from the two tangents tan U and tan((1-p) U) with no sin
-or cos (the identity is in ``kernels``).  Linear combinations collapse:
-sum_i Z_i x_i ~ ||x||_p Z, which is what makes a k x n matrix of i.i.d.
-draws a norm sketch.
+A sketch row is drawn from one of two laws, both by the Chambers-Mallows-
+Stuck transform (1976) of a (uniform, exponential) pair:
 
-The skewed family is only supported at p=1 (maximally skewed rows for
-entropy estimation).  Its standardization is pinned by the moment
-generating function: the standard draw Z0 satisfies
-ln E[exp(t Z0)] = (2/pi) t ln t for beta=-1, so F(1,-1,pi/2,0) satisfies
-E[exp(t Z)] = exp(t ln t).  Probability-weighted sums then land exactly on
-the entropy: sum_j p_j Z_j ~ F(1,-1,pi/2,H) with H = -sum p_j ln p_j.  To
-make that identity hold with a plus sign, the location parameter of the
-skewed family enters negated relative to the symmetric family, matching
-the convention of the entropy-sketch literature.
+- the symmetric p-stable law D_p, p in (0, 2], with characteristic
+  function e^{-|t|^p}, evaluated from the two tangents tan U and
+  tan((1-p) U) with no sin or cos (the identity is in ``kernels``).
+  Linear combinations collapse: sum_i Z_i x_i ~ ||x||_p Z, which is what
+  makes a k x n matrix of i.i.d. draws a norm sketch for F_p;
+- the maximally skewed 1-stable law F(1, -1, pi/2, 0), which serves
+  entropy.  The standard skewed draw Z0 satisfies
+  ln E[exp(t Z0)] = (2/pi) t ln t, and scaling it by pi/2 adds the drift
+  (2/pi) beta g ln g at beta = -1, g = pi/2, so that
+  E[exp(t Z)] = exp(t ln t).  Probability-weighted sums then land exactly
+  on the entropy: sum_j p_j Z_j ~ F(1,-1,pi/2,H) with H = -sum p_j ln p_j.
+  To make that identity hold with a plus sign, the location of the skewed
+  law enters negated relative to the symmetric one, matching the
+  convention of the entropy-sketch literature.
 
 Sketches are streamed.  A protocol only needs ``data @ S^T`` (or
 ``S @ x``), so :class:`StableSketch` generates S one block of rows at a
@@ -80,23 +81,10 @@ BLOCK_CELLS = 1 << 18
 BLOCK_ROW_MULTIPLE = 32
 CHUNK_CELLS = 1 << 13
 
-@dataclass(frozen=True)
-class StableParams:
-    """Parameters (p, beta, gamma_scale) of a stable law at location 0."""
-
-    p: float
-    beta: float = 0.0
-    gamma_scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= 2.0:
-            raise ValueError(f"stability index p must be in (0,2], got {self.p}")
-        if not -1.0 <= self.beta <= 1.0:
-            raise ValueError(f"skewness beta must be in [-1,1], got {self.beta}")
-        if self.gamma_scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.gamma_scale}")
-        if self.beta != 0.0 and self.p != 1.0:
-            raise ValueError("beta != 0 is only supported at p = 1")
+# F(1, -1, pi/2, 0) from the standard skewed draw: scale by pi/2, then add
+# the drift (2/pi) beta g ln g at beta = -1, g = pi/2.
+SKEWED_SCALE = math.pi / 2.0
+SKEWED_DRIFT = (2.0 / np.pi) * -1.0 * SKEWED_SCALE * math.log(SKEWED_SCALE)
 
 
 def block_rows(k: int, width: int) -> int:
@@ -112,8 +100,8 @@ class StableSketch:
     A handle, not a matrix: ``blocks()`` regenerates the entries row block
     by row block from ``seed`` (see the module docstring for the stream
     contract), and ``apply`` contracts data with them block by block.
-    ``law`` is F(p, beta, gamma, 0); ``cap`` clamps the raw draws |z|
-    before eta-scaling.  Entries are float64 but integer-valued, so
+    The law is D_p, or F(1, -1, pi/2, 0) when ``skewed``; ``cap`` clamps
+    the raw draws |z| before eta-scaling.  Entries are float64 but integer-valued, so
     eta^-1 * S is exactly integral; the scaled sketch is eta * entries.
     """
 
@@ -121,7 +109,8 @@ class StableSketch:
     n: int
     eta: float
     seed: np.random.SeedSequence = field(repr=False)
-    law: StableParams
+    p: float
+    skewed: bool = False
     cap: float | None = None
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -150,16 +139,12 @@ class StableSketch:
         """Turn uniforms ``z`` and exponentials ``w`` into entries, in place in ``z``."""
         z -= 0.5
         z *= np.pi
-        law = self.law
-        g = law.gamma_scale
-        if law.beta == 0.0:
-            kernels.cms_symmetric(law.p, z, w)
-            z *= g
+        if self.skewed:
+            kernels.cms_skewed_one(-1.0, z, w)
+            z *= SKEWED_SCALE
+            z += SKEWED_DRIFT
         else:
-            kernels.cms_skewed_one(law.beta, z, w)
-            # Skewed p=1 family: scaling adds the (2/pi) beta g ln g drift.
-            z *= g
-            z += (2.0 / np.pi) * law.beta * g * math.log(g)
+            kernels.cms_symmetric(self.p, z, w)
         if self.cap is not None:
             np.clip(z, -self.cap, self.cap, out=z)
         z /= self.eta
@@ -233,11 +218,14 @@ def build_sketch(
     p: float,
     eta: float = DEFAULT_ETA,
     seed=0,
-    beta: float = 0.0,
-    gamma_scale: float = 1.0,
     entry_cap: float | None = None,
+    skewed: bool = False,
 ) -> StableSketch:
-    """k x n sketch of i.i.d. F(p, beta, gamma, 0) draws at precision eta.
+    """k x n sketch of i.i.d. stable draws at precision eta.
+
+    The draws follow the symmetric p-stable law D_p, p in (0, 2], or, with
+    ``skewed`` (only at p = 1), the maximally skewed F(1, -1, pi/2, 0)
+    that entropy uses.
 
     Returns a :class:`StableSketch` handle; nothing is drawn until its
     blocks are used.  Cell (i, j) is made from the (i*n + j)-th uniform
@@ -251,10 +239,13 @@ def build_sketch(
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k, n >= 1, got k={k} n={n}")
+    if not 0.0 < p <= 2.0:
+        raise ValueError(f"stability index p must be in (0,2], got {p}")
+    if skewed and p != 1.0:
+        raise ValueError(f"the skewed law is only drawn at p = 1, got p={p}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0,1], got {eta}")
     if k * n > MAX_SKETCH_CELLS:
         raise MemoryError(f"sketch of {k}x{n} cells exceeds cap {MAX_SKETCH_CELLS}")
-    law = StableParams(p=p, beta=beta, gamma_scale=gamma_scale)
-    return StableSketch(k=k, n=n, eta=eta, seed=as_seed_sequence(seed), law=law,
+    return StableSketch(k=k, n=n, eta=eta, seed=as_seed_sequence(seed), p=p, skewed=skewed,
                         cap=entry_cap)

@@ -6,9 +6,9 @@ transform runs with fresh temporaries over the whole matrix.  The
 streamed ``StableSketch`` must reproduce it bit for bit.
 ``gaussian_sketch`` and ``sketch_product`` are the dense amp sketch and
 the pooled sketch product.  The stable samplers here are the test
-suite's source of plain i.i.d. stable draws, and
-``montecarlo_median_abs`` is the sampling oracle for
-``stable.median_abs``.
+suite's source of plain i.i.d. stable draws from any F(p, beta, gamma,
+loc), described by a ``StableLaw`` record, and ``montecarlo_median_abs``
+is the sampling oracle for ``stable.median_abs``.
 
 ``cms_symmetric`` and ``cms_skewed_one`` are the tangent expressions the
 kernels evaluate, written with fresh temporaries, so the in-place kernels
@@ -21,11 +21,11 @@ kernels are from them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from sketchcast import kernels
-from sketchcast.stable import StableParams
 from sketchcast.streams import DOMAIN_SKETCH, as_seed_sequence, generator
 
 # Median of the standard maximally skewed law F(1,-1,pi/2,0), a fixed-seed
@@ -33,6 +33,19 @@ from sketchcast.streams import DOMAIN_SKETCH, as_seed_sequence, generator
 MEDIAN_SKEWED_STANDARD = -1.356524
 
 _TINY = 1e-300
+
+
+@dataclass(frozen=True)
+class StableLaw:
+    """A stable law F(p, beta, gamma_scale, 0); beta != 0 is drawn only at p = 1."""
+
+    p: float
+    beta: float = 0.0
+    gamma_scale: float = 1.0
+
+
+# The law of build_sketch(..., skewed=True): entropy's F(1, -1, pi/2, 0).
+SKEWED = StableLaw(p=1.0, beta=-1.0, gamma_scale=math.pi / 2)
 
 
 def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -119,7 +132,7 @@ def transform_gaps() -> dict[str, float]:
     return gaps
 
 
-def sample_stable_array(params: StableParams, rng: np.random.Generator, size: int,
+def sample_stable_array(params: StableLaw, rng: np.random.Generator, size: int,
                         loc: float = 0.0) -> np.ndarray:
     """Vector of i.i.d. draws from F(p, beta, gamma, loc)."""
     u = (rng.random(size) - 0.5) * np.pi
@@ -136,22 +149,22 @@ def sample_stable_array(params: StableParams, rng: np.random.Generator, size: in
     return g * z + (2.0 / np.pi) * params.beta * g * math.log(g) - loc
 
 
-def sample_stable(params: StableParams, rng: np.random.Generator) -> float:
+def sample_stable(params: StableLaw, rng: np.random.Generator) -> float:
     """One draw from F(p, beta, gamma, 0); symmetric about 0 for beta=0."""
     return float(sample_stable_array(params, rng, 1)[0])
 
 
 def montecarlo_median_abs(p: float, samples: int, seed: int) -> float:
     """Fixed-seed Monte-Carlo estimate of median |Z|, Z ~ D_p."""
-    z = sample_stable_array(StableParams(p=p), generator(seed, 0), samples)
+    z = sample_stable_array(StableLaw(p=p), generator(seed, 0), samples)
     return float(np.median(np.abs(z)))
 
 
-def dense_entries(k: int, n: int, p: float, eta: float, seed=0, beta: float = 0.0,
-                  gamma_scale: float = 1.0, entry_cap: float | None = None) -> np.ndarray:
+def dense_entries(k: int, n: int, p: float, eta: float, seed=0,
+                  entry_cap: float | None = None, skewed: bool = False) -> np.ndarray:
     """The k x n integer entries of build_sketch(...) drawn as one dense matrix."""
     rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
-    params = StableParams(p=p, beta=beta, gamma_scale=gamma_scale)
+    params = SKEWED if skewed else StableLaw(p=p)
     z = sample_stable_array(params, rng, k * n).reshape(k, n)
     if entry_cap is not None:
         np.clip(z, -entry_cap, entry_cap, out=z)

@@ -100,8 +100,7 @@ def test_sketch_rows_center_on_shifted_skewed_median():
     x = np.full(n, 50.0)
     h_true = math.log(n)
     sk = build_sketch(10**4, n, p=1.0, eta=2.0**-20,
-                      seed=substream(123, DOMAIN_SKETCH),
-                      beta=-1.0, gamma_scale=math.pi / 2.0)
+                      seed=substream(123, DOMAIN_SKETCH), skewed=True)
     y = 2.0**-20 * sk.apply(x) / x.sum()
     assert abs(np.median(y) - (MEDIAN_SKEWED_STANDARD - h_true)) < 0.05
 

@@ -41,7 +41,7 @@ from sketchcast.harness import (
     zipf_weights,
 )
 from sketchcast.heavy_hitters import CountSketchSpec
-from sketchcast.stable import StableParams
+from sketchcast.stable import StableSketch
 from sketchcast.topology import Topology
 
 
@@ -104,7 +104,7 @@ def test_configs_hold_only_the_values_callers_set():
     assert fields(fp_low.FpLowConfig) == ("p", "eps")
     assert fields(entropy.EntropyConfig) == ("eps",)
     assert fields(matrix_product.AmpConfig) == ("t1", "t2", "eps")
-    assert fields(StableParams) == ("p", "beta", "gamma_scale")
+    assert fields(StableSketch) == ("k", "n", "eta", "seed", "p", "skewed", "cap")
     assert fields(Topology) == ("m", "edges")
     # the rounding grid is sized inside the engine, from values, not a callable
     params = inspect.signature(engine.sum_convergecast).parameters

@@ -11,9 +11,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sketch_reference import MEDIAN_SKEWED_STANDARD, montecarlo_median_abs, sample_stable_array
+from sketch_reference import (
+    MEDIAN_SKEWED_STANDARD,
+    SKEWED,
+    StableLaw,
+    montecarlo_median_abs,
+    sample_stable_array,
+)
 from sketchcast import oracles
-from sketchcast.stable import StableParams, median_abs
+from sketchcast.stable import median_abs
 
 # ---------------------------------------------------------------------------
 # Scoring oracles.
@@ -98,8 +104,7 @@ def test_theta_against_scipy_quantile(p):
 
 
 def test_skewed_median_pin_against_fresh_monte_carlo():
-    params = StableParams(p=1.0, beta=-1.0, gamma_scale=math.pi / 2)
-    z = sample_stable_array(params, np.random.default_rng(778), 2 * 10**6)
+    z = sample_stable_array(SKEWED, np.random.default_rng(778), 2 * 10**6)
     assert abs(np.median(z) - MEDIAN_SKEWED_STANDARD) < 5e-3
 
 
@@ -109,10 +114,9 @@ def test_entropy_exponential_identity_on_simplex():
     # checked here straight from the sampler.
     q = np.array([0.5, 0.2, 0.2, 0.05, 0.05])
     h = oracles.entropy_nats(q)
-    params = StableParams(p=1.0, beta=-1.0, gamma_scale=math.pi / 2)
     rng = np.random.default_rng(779)
     rows = 10**6
-    z = sample_stable_array(params, rng, rows * q.size).reshape(q.size, rows)
+    z = sample_stable_array(SKEWED, rng, rows * q.size).reshape(q.size, rows)
     mean = float(np.mean(np.exp(q @ z)))
     assert abs(mean - math.exp(-h)) < 0.01
 
@@ -138,7 +142,7 @@ def test_stable_row_mass_tail_lemma():
     p, n, draws = 0.5, 32, 10**4
     x = np.abs(np.random.default_rng(781).standard_normal(n)) + 0.1
     norm = oracles.lp_norm(x, p)
-    params = StableParams(p=p)
+    params = StableLaw(p=p)
     z = sample_stable_array(params, np.random.default_rng(782), draws * n)
     mass = np.abs(z.reshape(draws, n) * x).sum(axis=1) / norm
     lam_fit = 16.0

@@ -16,6 +16,7 @@ import sketch_reference
 from helpers import tree_of
 from sketch_reference import (
     MEDIAN_SKEWED_STANDARD,
+    StableLaw,
     dense_entries,
     sample_stable,
     sample_stable_array,
@@ -25,7 +26,6 @@ from sketchcast import kernels, stable
 from sketchcast.fp_high import FpHighConfig, estimate_fp_high
 from sketchcast.stable import (
     MAX_SKETCH_CELLS,
-    StableParams,
     build_sketch,
     median_abs,
 )
@@ -33,21 +33,18 @@ from sketchcast.topology import star
 
 
 def draws(p, beta=0.0, gamma_scale=1.0, loc=0.0, size=10**6, seed=0):
-    params = StableParams(p=p, beta=beta, gamma_scale=gamma_scale)
+    params = StableLaw(p=p, beta=beta, gamma_scale=gamma_scale)
     return sample_stable_array(params, np.random.default_rng(seed), size, loc)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        StableParams(p=0.0)
-    with pytest.raises(ValueError):
-        StableParams(p=2.5)
-    with pytest.raises(ValueError):
-        StableParams(p=1.0, beta=1.5)
-    with pytest.raises(ValueError):
-        StableParams(p=1.0, gamma_scale=0.0)
-    with pytest.raises(ValueError):
-        StableParams(p=1.5, beta=-1.0)  # skew only at p=1
+    with pytest.raises(ValueError, match="p must be in"):
+        build_sketch(5, 5, 0.0)
+    with pytest.raises(ValueError, match="p must be in"):
+        build_sketch(5, 5, 2.5)
+    with pytest.raises(ValueError, match="only drawn at p = 1"):
+        build_sketch(5, 5, 1.5, skewed=True)
+    assert build_sketch(5, 5, 1.0, skewed=True).skewed
 
 
 def test_gaussian_case_has_variance_two():
@@ -85,7 +82,7 @@ def test_tail_log_log_slope_near_minus_p(p):
 def test_one_stability_additivity():
     x = np.array([0.3, 1.2, 2.0, 0.5])
     rng = np.random.default_rng(6)
-    params = StableParams(p=1.0)
+    params = StableLaw(p=1.0)
     parts = sample_stable_array(params, rng, 4 * 10**5).reshape(4, 10**5)
     combined = x @ parts
     reference = x.sum() * sample_stable_array(params, rng, 10**5)
@@ -141,7 +138,7 @@ def test_skewed_location_enters_negated():
 
 
 def test_sample_stable_scalar_matches_array_head():
-    params = StableParams(p=1.5)
+    params = StableLaw(p=1.5)
     a = sample_stable(params, np.random.default_rng(11))
     b = sample_stable_array(params, np.random.default_rng(11), 1)[0]
     assert a == b
@@ -289,18 +286,18 @@ def test_skewed_kernel_draws_split_at_the_standard_median():
     assert 0.497 <= frac <= 0.503
 
 
-@pytest.mark.parametrize("k, n, p, beta, gamma_scale, cap", [
-    (3 * ROWS + 5, 9000, 1.5, 0.0, 1.0, None),      # k not a multiple of the block rows
-    (ROWS + 1, 1, 0.5, 0.0, 1.0, None),             # n = 1
-    (3, CHUNK + 17, 0.5, 0.0, 1.0, None),           # one row larger than a chunk
-    (70, 500, 0.25, 0.0, 1.0, 10.0),                # entry_cap clips
-    (70, 5000, 1.0, -1.0, math.pi / 2, None),       # skewed p=1
-    (70, 5000, 1.0, 0.0, 1.0, None),                # symmetric p=1, the tan path
-    (70, 5000, 2.0, 0.0, 1.0, None),                # p=2
-    (400, 700, 0.5, 0.0, 1.0, 1e12),                # several blocks of many rows
+@pytest.mark.parametrize("k, n, p, skewed, cap", [
+    (3 * ROWS + 5, 9000, 1.5, False, None),     # k not a multiple of the block rows
+    (ROWS + 1, 1, 0.5, False, None),            # n = 1
+    (3, CHUNK + 17, 0.5, False, None),          # one row larger than a chunk
+    (70, 500, 0.25, False, 10.0),               # entry_cap clips
+    (70, 5000, 1.0, True, None),                # skewed p=1
+    (70, 5000, 1.0, False, None),               # symmetric p=1, the tan path
+    (70, 5000, 2.0, False, None),               # p=2
+    (400, 700, 0.5, False, 1e12),               # several blocks of many rows
 ])
-def test_streamed_entries_equal_dense_bit_for_bit(k, n, p, beta, gamma_scale, cap):
-    kwargs = dict(seed=21, beta=beta, gamma_scale=gamma_scale, entry_cap=cap)
+def test_streamed_entries_equal_dense_bit_for_bit(k, n, p, skewed, cap):
+    kwargs = dict(seed=21, entry_cap=cap, skewed=skewed)
     want = dense_entries(k, n, p, 2.0**-20, **kwargs)
     sk = build_sketch(k, n, p, 2.0**-20, **kwargs)
     got = streamed_entries(sk)
@@ -329,21 +326,21 @@ def test_apply_matches_dense_products_at_small_shapes():
 
 # The products of the benchmark's wide star (m=16 players, n=1e4) at each
 # protocol's CLI accuracy, with BLAS on one thread as the benchmark runs it:
-# (k, p, beta, gamma, cap, scaled, players).  Scaled compares eta * apply
+# (k, p, skewed, cap, scaled, players).  Scaled compares eta * apply
 # with the product of the eta-scaled sketch, as fp_high uses it.  Players
 # = 0 is S @ x.
 _WIDE_PRODUCTS = r"""
-import math, sys
+import sys
 import numpy as np
 from sketchcast.stable import build_sketch
 sys.path.insert(0, sys.argv[1])
 from sketch_reference import streamed_entries
-cases = [(1200, 1.5, 0.0, 1.0, None, True, 16), (800, 0.5, 0.0, 1.0, (16 * 1e4 * 16) ** 3, False, 16),
-         (300, 1.0, -1.0, math.pi / 2, (16 * 1e4 * 16) ** 3, False, 16),
-         (356, 0.5, 0.0, 1.0, None, False, 0), (300, 1.0, -1.0, math.pi / 2, None, False, 0)]
+cases = [(1200, 1.5, False, None, True, 16), (800, 0.5, False, (16 * 1e4 * 16) ** 3, False, 16),
+         (300, 1.0, True, (16 * 1e4 * 16) ** 3, False, 16),
+         (356, 0.5, False, None, False, 0), (300, 1.0, True, None, False, 0)]
 rng = np.random.default_rng(8)
-for k, p, beta, g, cap, scaled, m in cases:
-    sk = build_sketch(k, 10**4, p, 2.0**-20, seed=9, beta=beta, gamma_scale=g, entry_cap=cap)
+for k, p, skewed, cap, scaled, m in cases:
+    sk = build_sketch(k, 10**4, p, 2.0**-20, seed=9, entry_cap=cap, skewed=skewed)
     s = streamed_entries(sk)
     if scaled:
         s *= sk.eta
