@@ -252,13 +252,13 @@ def merge_counters(verts, own, prev, slots, gens, *, log_b: float):
 def send_counters(verts, state, gens, *, state_bits: int):
     """Send the counter states as they are.
 
-    Wire format, lane by lane: an 8-bit base tag, then lane i's insertion
-    and deletion states (columns i and lanes + i of its ``[insertions |
-    deletions]`` row), each as a fixed ``state_bits``-wide unsigned
-    integer, so a lane costs 8 + 2 * state_bits bits.  The field width is
-    chosen from public parameters (update-mass bound and base), never from
-    the realized states, so a message's bit length is the same on every
-    edge of every tree.  A state outside the field models the "safely
+    Wire format, lane by lane: lane i's insertion and deletion states
+    (columns i and lanes + i of its ``[insertions | deletions]`` row),
+    each as a fixed ``state_bits``-wide unsigned integer, so a lane costs
+    2 * state_bits bits.  No base is sent: every receiver derives it, like
+    the field width, from public parameters (eps, n, p and the update-mass
+    bound), never from the realized states, so a message's bit length is
+    the same on every edge of every tree.  A state outside the field models the "safely
     fail" event: exceeding it raises :class:`CounterOverflowError`, naming
     the first row's largest state.
     """
@@ -268,7 +268,7 @@ def send_counters(verts, state, gens, *, state_bits: int):
         raise CounterOverflowError(
             f"counter state {worst[over].flat[0]:.0f} exceeds {state_bits}-bit field"
         )
-    return state, np.full(worst.shape, state.shape[-1] // 2 * (8 + 2 * state_bits))
+    return state, np.full(worst.shape, state.shape[-1] * state_bits)
 
 
 def morris_sum_convergecast(values, tree: SpanningTree, log_b: float, seed, state_bits=64):

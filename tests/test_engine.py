@@ -214,7 +214,7 @@ def test_counter_codec_bits_ignore_values():
     # two lanes, laid out [insertions | deletions]
     small = np.array([[1.0, 0.0, 0.0, 2.0]])
     large = np.array([[4000.0, 1.0, 0.0, 0.0]])
-    assert counter_bits(small, 12) == counter_bits(large, 12) == 2 * (8 + 24)
+    assert counter_bits(small, 12) == counter_bits(large, 12) == 2 * 24
 
 
 def test_counter_codec_overflow_raises():
@@ -233,7 +233,7 @@ def test_morris_sum_recovers_exact_counts_at_protocol_base():
     counters, stats = morris_sum_convergecast(payload, tree, log_b, seed=0)
     assert np.array_equal(counters, np.concatenate([np.maximum(payload, 0.0).sum(axis=0),
                                                     np.maximum(-payload, 0.0).sum(axis=0)]))
-    assert stats.max_edge_bits == 8 * (8 + 2 * 64) + 1
+    assert stats.max_edge_bits == 8 * 2 * 64 + 1
 
 
 def test_morris_sum_message_size_is_depth_invariant():
@@ -246,7 +246,7 @@ def test_morris_sum_message_size_is_depth_invariant():
         tree = spanning_tree(line(m), 0)
         _, stats = morris_sum_convergecast(payload, tree, log_b, seed=0, state_bits=20)
         sizes.update(stats.per_edge_bits.values())
-    assert sizes == {8 * (8 + 2 * 20) + 1}
+    assert sizes == {8 * 2 * 20 + 1}
 
 
 def test_morris_sum_zero_subtrees_send_flags():
@@ -367,7 +367,7 @@ def reference_morris(values, tree, log_b, seed, state_bits=64):
         if worst >= 2.0 ** state_bits:
             raise CounterOverflowError(
                 f"counter state {worst:.0f} exceeds {state_bits}-bit field")
-        return out, out.size // 2 * (8 + 2 * state_bits)
+        return out, out.size * state_bits
 
     def root(v, own, children, gen):
         out = fold(v, own, children, gen)

@@ -43,12 +43,12 @@ PINNED = {
         "de35200456665d7b4066622200425ecb77c4c6a93c6ad27bd444fc8ac5222be7",
     ),
     "fp-p0.5-line": (
-        "ea4c8e96867571571abc7a045dfc0e12ef27d8274df405bf442c694f7ab9fc06",
-        "87cbe936bf01079175d89c57e075166c017365d3b883680d0a683facaa9c93bf",
+        "68e73cc40e729e097e6c5af513aa960965f70b9666761bc7dec4f62af736c2f5",
+        "09135e4ce7c6a6ba4f659d25b8ddd89610f5b24bc139a2cfcae8c96e42d8eb67",
     ),
     "entropy-star": (
-        "5d89377364a1c569517846f2b2e3464f06dc2b1caa2f71f452f433aed75a45a2",
-        "958dac8e7e11f88251f112db0711af289a5023d91610157b8b66aada05a9b9fe",
+        "002384c2e6cf5de2f35b6e4c277c21ecc73616cfddf2206e4e5cc98f840bef40",
+        "eb393efa24d8413c17301cdcc161153c51b3cdfbcb8120673b505a9011a8cd1d",
     ),
     "hh-line": (
         "6aa91d4586c0d3ea62fda06f02c9d40cb473a470e884f318fbcf5e2e6c8e0014",
