@@ -84,13 +84,16 @@ def cms_symmetric(p: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     np.sqrt(q, out=q)
     h /= q
     u *= h
-    if p < 1.0 and not np.isfinite(u).all():
-        # |t| near 1.7e16 over a clamped W overflowed: split the power as the
-        # sin/cos form does.  t and h share their sign with |h| <= |t|, so
-        # |t| = |t - h| + |h|, read back from the arrays (t - h)/q and q.
-        bad = ~np.isfinite(u)
+    # |t| near 1.7e16 over a clamped W overflows the power's base to inf,
+    # which the power turns into inf at p < 1 and into 0 at p > 1 (the only
+    # other 0 is U = 0, which the repair leaves at 0).  Split the power as
+    # the sin/cos form does.  |h| <= |t|, and h shares t's sign at p < 1 and
+    # has the other at p > 1, so |t| = |t - h| +- |h|, read back from the
+    # arrays (t - h)/q and q.
+    if not (np.isfinite(u).all() if p < 1.0 else u.all()):
+        bad = ~np.isfinite(u) if p < 1.0 else u == 0.0
         hb, qb = h[bad], q[bad]
-        t = np.abs(hb) * qb + np.sqrt(qb * qb - 1.0)
+        t = np.abs(hb) * qb + math.copysign(1.0, 1.0 - p) * np.sqrt(qb * qb - 1.0)
         u[bad] = hb * (np.sqrt(1.0 + t * t) / qb) ** ((1.0 - p) / p) * w[bad] ** ((p - 1.0) / p)
     return u
 

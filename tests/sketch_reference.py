@@ -105,9 +105,10 @@ def transform_gaps() -> dict[str, float]:
     """Largest gap of each kernel to its sin/cos form.
 
     The (U, W) pairs are 1e5 random draws, tail draws U = +-(pi/2 - delta)
-    with delta over geomspace(1e-15, 1e-1), and two edge draws: u = 0,
+    with delta over geomspace(1e-15, 1e-1), and the edge draws u = 0,
     which the sketch maps to U = -pi/2 exactly, and w = 0, which the
-    kernels clamp, each paired with an ordinary value of the other.
+    kernels clamp, each paired with an ordinary value of the other and
+    the two paired together.
     Keys are "p=<p>" (relative gap of ``kernels.cms_symmetric``) and
     "beta=<beta>" (gap of ``kernels.cms_skewed_one`` relative to 1 + |Z|,
     absolute near zero, where the skewed draw's two terms cancel).  A NaN
@@ -117,9 +118,9 @@ def transform_gaps() -> dict[str, float]:
     delta = np.geomspace(1e-15, 1e-1, 57)
     u = np.concatenate([(rng.random(10**5) - 0.5) * np.pi,
                         0.5 * np.pi - delta, delta - 0.5 * np.pi,
-                        [(0.0 - 0.5) * np.pi, 0.3]])
+                        [(0.0 - 0.5) * np.pi, 0.3, (0.0 - 0.5) * np.pi]])
     w = rng.standard_exponential(u.size)
-    w[-1] = 0.0
+    w[-2:] = 0.0
     gaps = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for p in AGREEMENT_P:

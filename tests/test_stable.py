@@ -228,12 +228,13 @@ def test_tangent_kernels_agree_with_the_sincos_definitions():
     assert_kernels_agree(sketch_reference.transform_gaps())
 
 
-@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.1, 1.5])
 def test_symmetric_kernel_at_both_edges_matches_sincos(p):
-    # U = -pi/2 (a raw uniform of 0) with W = 0: the one power of the
-    # tangent form overflows, where the sin/cos form is -inf at p <= 0.5
-    # but about -2.2e51 at p = 0.9.  The ordinary cells around it keep the
-    # tangent form's bits.
+    # U = -pi/2 (a raw uniform of 0) with W = 0: the base of the tangent
+    # form's one power overflows, which the power turns into inf at p < 1
+    # and into 0 at p > 1.  The sin/cos form is -inf at p <= 0.5 but about
+    # -2.2e51 at p = 0.9, -2.9e-13 at p = 1.1 and -5.1e-90 at p = 1.5.  The
+    # ordinary cells around it keep the tangent form's bits.
     rng = np.random.default_rng(15)
     u = (rng.random(1000) - 0.5) * np.pi
     w = rng.standard_exponential(1000)
