@@ -41,7 +41,7 @@ from .fp_low import LOGCOSINE_MODES, FpLowConfig, estimate_fp_low, stream_fp_log
 from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
 from .streams import DOMAIN_DATA, DOMAIN_TOPOLOGY, DOMAIN_TRIAL, generator, substream
-from .topology import TOPOLOGY_KINDS, center, from_spec, spanning_tree
+from .topology import center, from_spec, parse_spec, spanning_tree
 
 SCHEMA_VERSION = 1
 
@@ -103,12 +103,15 @@ class ExperimentSpec:
             raise ValueError(f"unknown codec {self.codec!r}")
         if self.mode not in LOGCOSINE_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        _spec_fields(self.topology, TOPOLOGY_KINDS, "topology spec")
+        parse_spec(self.topology, self.m)
         if self.protocol.startswith("stream-"):
-            _spec_fields(self.dist, STREAM_DISTS, "stream spec")
+            _dist_args(self.dist, STREAM_DISTS, "stream spec")
         else:
-            _spec_fields(self.dist, MATRIX_DISTS if self.protocol == "amp" else PLAYER_DISTS,
-                         "distribution")
+            kind, args = _dist_args(self.dist, MATRIX_DISTS if self.protocol == "amp"
+                                    else PLAYER_DISTS, "distribution")
+            if kind == "planted" and _planted_count(args) > self.n:
+                raise ValueError(f"distribution {self.dist!r} plants {_planted_count(args)} "
+                                 f"coordinates, spec says n={self.n}")
         if self.protocol == "hh":  # an eps or n out of range fails here, not in a trial
             CountSketchSpec.shape(self.n, self.eps)
         elif self.protocol == "fp" and self.p < 1.0:
@@ -157,55 +160,79 @@ def zipf_weights(n: int, s: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _spec_fields(spec: str, kinds: tuple[str, ...], what: str) -> list[str]:
-    """The ':'-separated fields of ``spec``; ValueError unless the first is in ``kinds``."""
-    fields = spec.split(":")
-    if fields[0] not in kinds:
+# Per dist kind: how many of its ':' fields are required, and the type of
+# each field it takes (see the module docstring).  file:PATH takes the rest
+# of the spec as its path.
+_DIST_FIELDS = {
+    "zipf": (1, float, int),
+    "zipfagg": (1, float, int),
+    "uniform": (0, int),
+    "sparse": (0, float),
+    "planted": (1, int, int),
+    "delta": (0, int),
+    "pair": (2, int, int),
+}
+
+
+def _dist_args(spec: str, kinds: tuple[str, ...], what: str) -> tuple[str, list]:
+    """(kind, typed fields) of a dist spec; ValueError naming ``spec`` if malformed."""
+    kind, *fields = spec.split(":")
+    if kind not in kinds:
         raise ValueError(f"unknown {what} {spec!r}; kinds: {', '.join(kinds)}")
-    return fields
+    if kind == "file":
+        return kind, [":".join(fields)]
+    required, *types = _DIST_FIELDS[kind]
+    if not required <= len(fields) <= len(types):
+        raise ValueError(f"{what} {spec!r}: {kind} takes {required} to {len(types)} fields")
+    try:
+        return kind, [t(f) for t, f in zip(types, fields)]
+    except ValueError:
+        names = ", ".join(t.__name__ for t in types)
+        raise ValueError(f"{what} {spec!r}: {kind} takes fields of types {names}") from None
+
+
+def _planted_count(args: list) -> int:
+    """c of a planted:v[:c] spec's fields."""
+    return args[1] if len(args) > 1 else 1
 
 
 def generate_players(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
     """(m, n) per-player counts for one trial."""
-    kind, *args = _spec_fields(spec.dist, PLAYER_DISTS, "distribution")
+    kind, args = _dist_args(spec.dist, PLAYER_DISTS, "distribution")
     n, m = spec.n, spec.m
     if kind == "zipf":
-        w = zipf_weights(n, float(args[0]))
+        w = zipf_weights(n, args[0])
         return rng.multinomial(spec.tokens, w, size=m).astype(np.float64)
     return split_units(generate_aggregate(spec, rng), m)
 
 
 def generate_aggregate(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
     """Aggregate count vector for distributions defined on the total."""
-    kind, *args = _spec_fields(spec.dist, AGGREGATE_DISTS, "distribution")
+    kind, args = _dist_args(spec.dist, AGGREGATE_DISTS, "distribution")
     n = spec.n
     if kind == "zipfagg":
-        s = float(args[0])
-        total = int(args[1]) if len(args) > 1 else spec.tokens * spec.m
-        return rng.multinomial(total, zipf_weights(n, s)).astype(np.int64)
+        total = args[1] if len(args) > 1 else spec.tokens * spec.m
+        return rng.multinomial(total, zipf_weights(n, args[0])).astype(np.int64)
     if kind == "uniform":
-        v = int(args[0]) if args else 1
+        v = args[0] if args else 1
         return np.full(n, v, dtype=np.int64)
     if kind == "sparse":
-        density = float(args[0]) if args else 0.1
+        density = args[0] if args else 0.1
         support = rng.random(n) < density
         return np.where(support, rng.integers(1, 11, n), 0).astype(np.int64)
     if kind == "planted":
-        v, c = int(args[0]), int(args[1]) if len(args) > 1 else 1
-        if c > n:
-            raise ValueError(f"planted count {c} exceeds n={n}")
         x = np.ones(n, dtype=np.int64)
-        x[:c] = v
+        x[:_planted_count(args)] = args[0]
         return x
     if kind == "delta":
         x = np.zeros(n, dtype=np.int64)
-        x[0] = int(args[0]) if args else 1
+        x[0] = args[0] if args else 1
         return x
     if kind == "pair":
         x = np.zeros(n, dtype=np.int64)
-        x[0], x[1] = int(args[0]), int(args[1])
+        x[0], x[1] = args
         return x
-    path = Path(":".join(args))  # file:PATH
+    path = Path(args[0])  # file:PATH
     try:
         x = np.loadtxt(path, dtype=np.int64, ndmin=1)
     except OSError as exc:
@@ -217,31 +244,30 @@ def generate_aggregate(spec: ExperimentSpec, rng: np.random.Generator) -> np.nda
 
 def generate_matrix(spec: ExperimentSpec, t: int, rng: np.random.Generator) -> np.ndarray:
     """(n, t) non-negative aggregate matrix for the amp protocol."""
-    kind, *args = _spec_fields(spec.dist, MATRIX_DISTS, "distribution")
+    kind, args = _dist_args(spec.dist, MATRIX_DISTS, "distribution")
     n = spec.n
     if kind == "sparse":
-        density = float(args[0]) if args else 0.1
+        density = args[0] if args else 0.1
         support = rng.random((n, t)) < density
         return np.where(support, rng.integers(1, 11, (n, t)), 0).astype(np.float64)
     if kind == "zipf":
-        w = zipf_weights(n, float(args[0]))
+        w = zipf_weights(n, args[0])
         cols = [rng.multinomial(spec.tokens, w) for _ in range(t)]
         return np.stack(cols, axis=1).astype(np.float64)
-    v = int(args[0]) if args else 1  # uniform:v
+    v = args[0] if args else 1  # uniform:v
     return np.full((n, t), v, dtype=np.float64)
 
 
 def generate_stream(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
     """Insertion-only update stream for one trial: (updates, 2) int64 rows of
     (index, delta)."""
-    kind, *args = _spec_fields(spec.dist, STREAM_DISTS, "stream spec")
+    kind, args = _dist_args(spec.dist, STREAM_DISTS, "stream spec")
     if kind == "zipf":
-        s = float(args[0])
-        count = int(args[1]) if len(args) > 1 else 10**5
-        counts = rng.multinomial(count, zipf_weights(spec.n, s))
+        count = args[1] if len(args) > 1 else 10**5
+        counts = rng.multinomial(count, zipf_weights(spec.n, args[0]))
         idx = np.flatnonzero(counts)
         return np.column_stack([idx, counts[idx]]).astype(np.int64)
-    path = Path(":".join(args))  # file:PATH
+    path = Path(args[0])  # file:PATH
     try:
         return np.loadtxt(path, dtype=np.int64, ndmin=2)
     except OSError as exc:
@@ -249,11 +275,8 @@ def generate_stream(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarra
 
 
 def _planted_ids(dist: str) -> list[int]:
-    kind, *args = dist.split(":")
-    if kind != "planted":
-        return []
-    c = int(args[1]) if len(args) > 1 else 1
-    return list(range(c))
+    kind, args = _dist_args(dist, PLAYER_DISTS, "distribution")
+    return list(range(_planted_count(args))) if kind == "planted" else []
 
 
 def _rel_error(estimate: float, exact: float) -> float:

@@ -18,6 +18,7 @@ of m vertices needs m/2 probes, and no graph needs more than m.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -229,29 +230,68 @@ def random_connected(m: int, p_edge: float = 0.15, seed=0) -> Topology:
 
 def read_topology(path: str) -> Topology:
     """Topology from a file: the vertex count m, then one "u v" edge per line."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise OSError(f"cannot read topology file {path}: {exc}") from exc
     if not lines:
         raise TopologyError(f"{path}: empty topology file")
-    m = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return make_topology(m, edges)
+    try:
+        m = int(lines[0])
+        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
+        return make_topology(m, edges)
+    except ValueError as exc:  # TopologyError included
+        raise TopologyError(f"{path}: bad topology file: {exc}") from None
 
 
 # The kinds from_spec accepts: the part of a spec before any ':'.
 TOPOLOGY_KINDS = ("line", "star", "tree", "grid", "random", "file")
 
 
+def parse_spec(spec: str, m: int) -> tuple[str, tuple[int, int] | float | Topology | None]:
+    """(kind, argument) of a topology spec for m vertices.
+
+    The argument is None when the spec has none, a grid's (rows, cols), a
+    random graph's edge probability, or the topology a file holds.  Raises
+    TopologyError naming the spec when it is malformed, or when a grid or
+    file has other than m vertices.
+    """
+    kind, sep, arg = spec.partition(":")
+    if kind not in TOPOLOGY_KINDS:
+        raise TopologyError(f"unknown topology spec {spec!r}; kinds: {', '.join(TOPOLOGY_KINDS)}")
+    if kind == "random" and sep:
+        try:
+            p_edge = float(arg)
+        except ValueError:
+            p_edge = math.nan
+        if not 0.0 <= p_edge <= 1.0:
+            raise TopologyError(f"topology spec {spec!r}: edge probability must be in [0,1]")
+        return kind, p_edge
+    if kind == "grid" and sep:
+        r, x, c = arg.lower().partition("x")
+        if not (x and r.isdecimal() and c.isdecimal()):
+            raise TopologyError(f"topology spec {spec!r} is not grid:RxC")
+        value, size = (int(r), int(c)), int(r) * int(c)
+    elif kind == "file":
+        value = read_topology(arg)
+        size = value.m
+    elif sep:
+        raise TopologyError(f"topology spec {spec!r}: {kind} takes no argument")
+    else:
+        return kind, None
+    if size != m:
+        raise TopologyError(f"topology spec {spec!r} has {size} vertices, spec says m={m}")
+    return kind, value
+
+
 def from_spec(spec: str, m: int, seed=0) -> Topology:
-    """Build a topology from a CLI spec.
+    """Build a topology from a CLI spec (see :func:`parse_spec`).
 
     Accepted forms: ``line``, ``star``, ``tree``, ``grid`` (square-ish),
     ``grid:RxC``, ``random``, ``random:p``, ``file:PATH``.
     """
-    kind, _, arg = spec.partition(":")
+    kind, arg = parse_spec(spec, m)
     if kind == "line":
         return line(m)
     if kind == "star":
@@ -260,15 +300,11 @@ def from_spec(spec: str, m: int, seed=0) -> Topology:
         return balanced_binary(m)
     if kind == "grid":
         if arg:
-            r, c = arg.lower().split("x")
-            return grid(int(r), int(c))
+            return grid(*arg)
         r = int(np.sqrt(m))
         while m % r:
             r -= 1
         return grid(r, m // r)
     if kind == "random":
-        p_edge = float(arg) if arg else 0.15
-        return random_connected(m, p_edge, seed)
-    if kind == "file":
-        return read_topology(arg)
-    raise TopologyError(f"unknown topology spec {spec!r}")
+        return random_connected(m, 0.15 if arg is None else arg, seed)
+    return arg  # file:PATH

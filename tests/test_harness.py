@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_topology
 from sketchcast import (
     engine,
     entropy,
@@ -42,7 +43,7 @@ from sketchcast.harness import (
 )
 from sketchcast.heavy_hitters import CountSketchSpec
 from sketchcast.stable import StableSketch
-from sketchcast.topology import Topology
+from sketchcast.topology import Topology, line
 
 
 def rng_for(seed=0):
@@ -88,11 +89,31 @@ def test_spec_validation():
     (dict(protocol="stream-fp", p=0.5, dist="uniform:3"), "unknown stream spec 'uniform:3'"),
     (dict(protocol="hh", n=1), "need n >= 2 coordinates, got 1"),
     (dict(protocol="fp", p=0.5, n=1), "need n >= 2 coordinates, got 1"),
+    (dict(protocol="fp", p=1.5, topology="grid:4x4", m=9),
+     "topology spec 'grid:4x4' has 16 vertices, spec says m=9"),
+    (dict(protocol="fp", p=1.5, topology="grid:3by3", m=9), "topology spec 'grid:3by3'"),
+    (dict(protocol="fp", p=1.5, topology="random:x"), "topology spec 'random:x'"),
+    (dict(protocol="fp", p=1.5, topology="line:5"), "topology spec 'line:5'"),
+    (dict(protocol="fp", p=1.5, dist="zipf:abc"), "distribution 'zipf:abc'"),
+    (dict(protocol="fp", p=1.5, dist="zipf"), "distribution 'zipf'"),
+    (dict(protocol="hh", dist="planted:5:x"), "distribution 'planted:5:x'"),
+    (dict(protocol="hh", n=100, dist="planted:5:2000"),
+     "distribution 'planted:5:2000' plants 2000 coordinates, spec says n=100"),
+    (dict(protocol="amp", dist="sparse:0.1:2"), "distribution 'sparse:0.1:2'"),
+    (dict(protocol="stream-fp", p=0.5, dist="zipf:1.3:many"), "stream spec 'zipf:1.3:many'"),
 ])
 def test_spec_rejects_unknown_kinds_when_built(kw, match):
     # each of these used to fail only inside the first trial
     with pytest.raises(ValueError, match=match):
         ExperimentSpec(**kw)
+
+
+def test_spec_checks_a_topology_file_against_m(tmp_path):
+    path = tmp_path / "t.txt"
+    write_topology(line(4), path)
+    ExperimentSpec(protocol="fp", p=1.5, topology=f"file:{path}", m=4)
+    with pytest.raises(ValueError, match=f"topology spec 'file:{path}' has 4 vertices"):
+        ExperimentSpec(protocol="fp", p=1.5, topology=f"file:{path}", m=5)
 
 
 def test_configs_hold_only_the_values_callers_set():
