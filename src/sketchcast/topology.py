@@ -135,21 +135,21 @@ def spanning_tree(g: Topology, root: int) -> SpanningTree:
     if not 0 <= root < g.m:
         raise TopologyError(f"root {root} not a vertex")
     adj = g.adjacency()
-    dist = _bfs_dist(adj, root)
-    if min(dist) < 0:
-        raise TopologyError("graph is disconnected")
+    dist = [-1] * g.m
+    dist[root] = 0
     parent = [-1] * g.m
     children: list[list[int]] = [[] for _ in range(g.m)]
     q = deque([root])
-    seen = {root}
     while q:
         u = q.popleft()
         for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
                 parent[v] = u
                 children[u].append(v)
                 q.append(v)
+    if min(dist) < 0:
+        raise TopologyError("graph is disconnected")
     depth = max(dist)
     layer = tuple(depth - d for d in dist)
     return SpanningTree(
