@@ -258,9 +258,9 @@ def send_counters(verts, state, gens, *, state_bits: int):
     2 * state_bits bits.  No base is sent: every receiver derives it, like
     the field width, from public parameters (eps, n, p and the update-mass
     bound), never from the realized states, so a message's bit length is
-    the same on every edge of every tree.  A state outside the field models the "safely
-    fail" event: exceeding it raises :class:`CounterOverflowError`, naming
-    the first row's largest state.
+    the same on every edge of every tree.  A state outside the field
+    models the "safely fail" event: exceeding it raises
+    :class:`CounterOverflowError`, naming the first row's largest state.
     """
     worst = state.max(axis=-1, initial=0.0)
     over = worst >= 2.0 ** state_bits

@@ -109,9 +109,11 @@ class ExperimentSpec:
         else:
             kind, args = _dist_args(self.dist, MATRIX_DISTS if self.protocol == "amp"
                                     else PLAYER_DISTS, "distribution")
-            if kind == "planted" and _planted_count(args) > self.n:
-                raise ValueError(f"distribution {self.dist!r} plants {_planted_count(args)} "
-                                 f"coordinates, spec says n={self.n}")
+            # the leading coordinates that planted and pair specs write
+            need = _planted_count(args) if kind == "planted" else 2 if kind == "pair" else 1
+            if need > self.n:
+                raise ValueError(f"distribution {self.dist!r} sets {need} coordinates, "
+                                 f"spec says n={self.n}")
         if self.protocol == "hh":  # an eps or n out of range fails here, not in a trial
             CountSketchSpec.shape(self.n, self.eps)
         elif self.protocol == "fp" and self.p < 1.0:

@@ -264,7 +264,7 @@ def parse_spec(spec: str, m: int) -> tuple[str, tuple[int, int] | float | Topolo
         try:
             p_edge = float(arg)
         except ValueError:
-            p_edge = math.nan
+            p_edge = math.nan  # rejected below
         if not 0.0 <= p_edge <= 1.0:
             raise TopologyError(f"topology spec {spec!r}: edge probability must be in [0,1]")
         return kind, p_edge

@@ -98,7 +98,8 @@ def test_spec_validation():
     (dict(protocol="fp", p=1.5, dist="zipf"), "distribution 'zipf'"),
     (dict(protocol="hh", dist="planted:5:x"), "distribution 'planted:5:x'"),
     (dict(protocol="hh", n=100, dist="planted:5:2000"),
-     "distribution 'planted:5:2000' plants 2000 coordinates, spec says n=100"),
+     "distribution 'planted:5:2000' sets 2000 coordinates, spec says n=100"),
+    (dict(protocol="fp", p=1.5, n=1, dist="pair:1:2"), "distribution 'pair:1:2' sets 2"),
     (dict(protocol="amp", dist="sparse:0.1:2"), "distribution 'sparse:0.1:2'"),
     (dict(protocol="stream-fp", p=0.5, dist="zipf:1.3:many"), "stream spec 'zipf:1.3:many'"),
 ])
