@@ -16,6 +16,7 @@ import sketch_reference
 from helpers import tree_of
 from sketch_reference import (
     MEDIAN_SKEWED_STANDARD,
+    SKEWED,
     StableLaw,
     dense_entries,
     sample_stable,
@@ -287,17 +288,20 @@ def test_skewed_kernel_draws_split_at_the_standard_median():
     assert 0.497 <= frac <= 0.503
 
 
-@pytest.mark.parametrize("k, n, p, skewed, cap", [
-    (3 * ROWS + 5, 9000, 1.5, False, None),     # k not a multiple of the block rows
-    (ROWS + 1, 1, 0.5, False, None),            # n = 1
-    (3, CHUNK + 17, 0.5, False, None),          # one row larger than a chunk
-    (70, 500, 0.25, False, 10.0),               # entry_cap clips
-    (70, 5000, 1.0, True, None),                # skewed p=1
-    (70, 5000, 1.0, False, None),               # symmetric p=1, the tan path
-    (70, 5000, 2.0, False, None),               # p=2
-    (400, 700, 0.5, False, 1e12),               # several blocks of many rows
+@pytest.mark.parametrize("k, n, p, beta, gamma_scale, cap", [
+    (3 * ROWS + 5, 9000, 1.5, 0.0, 1.0, None),      # k not a multiple of the block rows
+    (ROWS + 1, 1, 0.5, 0.0, 1.0, None),             # n = 1
+    (3, CHUNK + 17, 0.5, 0.0, 1.0, None),           # one row larger than a chunk
+    (70, 500, 0.25, 0.0, 1.0, 10.0),                # entry_cap clips
+    (70, 5000, 1.0, -1.0, math.pi / 2, None),       # skewed p=1
+    (70, 5000, 1.0, 0.0, 1.0, None),                # symmetric p=1, the tan path
+    (70, 5000, 2.0, 0.0, 1.0, None),                # p=2
+    (400, 700, 0.5, 0.0, 1.0, 1e12),                # several blocks of many rows
 ])
-def test_streamed_entries_equal_dense_bit_for_bit(k, n, p, skewed, cap):
+def test_streamed_entries_equal_dense_bit_for_bit(k, n, p, beta, gamma_scale, cap):
+    # (beta, gamma_scale) names the law: (0, 1) for D_p, (-1, pi/2) for the skewed law
+    skewed = StableLaw(p, beta, gamma_scale) == SKEWED
+    assert skewed or (beta, gamma_scale) == (0.0, 1.0)
     kwargs = dict(seed=21, entry_cap=cap, skewed=skewed)
     want = dense_entries(k, n, p, 2.0**-20, **kwargs)
     sk = build_sketch(k, n, p, 2.0**-20, **kwargs)
