@@ -101,8 +101,9 @@ class StableSketch:
     by row block from ``seed`` (see the module docstring for the stream
     contract), and ``apply`` contracts data with them block by block.
     The law is D_p, or F(1, -1, pi/2, 0) when ``skewed``; ``cap`` clamps
-    the raw draws |z| before eta-scaling.  Entries are float64 but integer-valued, so
-    eta^-1 * S is exactly integral; the scaled sketch is eta * entries.
+    the raw draws |z| before eta-scaling.  Entries are float64 but
+    integer-valued, so eta^-1 * S is exactly integral; the scaled sketch is
+    eta * entries.
     """
 
     k: int
