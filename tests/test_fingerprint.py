@@ -34,6 +34,12 @@ SPECS = {
                            dist="zipf:1.3:2000"),
     "fp-p1.5-grid-exact-codec": dict(protocol="fp", p=1.5, topology="grid", m=9, n=60,
                                      eps=0.25, tokens=200, codec="exact"),
+    # players at id 10 and up hold nothing, so 5 of amp's 6 player groups
+    # and most hh table cells come from all-zero data
+    "amp-grid-sparse": dict(protocol="amp", topology="grid:8x8", m=64, n=40, eps=0.3,
+                            dist="sparse:0.2", t1=2, t2=2),
+    "hh-grid": dict(protocol="hh", topology="grid:8x8", m=64, n=60, eps=0.3,
+                    dist="planted:500:1"),
 }
 
 # (sha256 of the CSV, sha256 of the summary JSON) per spec
@@ -73,6 +79,14 @@ PINNED = {
     "fp-p1.5-grid-exact-codec": (
         "b4aeff3f1d080c501c47bbb88e45e3729e0e116f0b2b70edf00dc00c3164b600",
         "1b314af5fd6267740982c41a562de20474fe6081fac7b6c2f414545ce4f5922f",
+    ),
+    "amp-grid-sparse": (
+        "471be333a91a9dd977ebddc6dd442a8f414a80de61fb16fa2b838acb4b1c5ebd",
+        "d5da8ba41c4677c3d04499e848e18c539f77fa6849efb44689169a9fe488ee31",
+    ),
+    "hh-grid": (
+        "f3017947eea18f51bb931fec587b50a54928868d13e24a82a3334f600420010e",
+        "25651417912c66783915b905eaacdb8b7d0c7fff50ab266fb888b51e430ef80f",
     ),
 }
 
