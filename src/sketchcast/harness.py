@@ -25,6 +25,7 @@ floor(x/m) plus one unit when v < x mod m, coordinate-wise.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -41,7 +42,7 @@ from .fp_low import LOGCOSINE_MODES, FpLowConfig, estimate_fp_low, stream_fp_log
 from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
 from .streams import DOMAIN_DATA, DOMAIN_TOPOLOGY, DOMAIN_TRIAL, generator, substream
-from .topology import center, from_spec, parse_spec, spanning_tree
+from .topology import SpanningTree, center, from_spec, parse_spec, spanning_tree
 
 SCHEMA_VERSION = 1
 
@@ -281,6 +282,24 @@ def _planted_ids(dist: str) -> list[int]:
     return list(range(_planted_count(args))) if kind == "planted" else []
 
 
+def _build_tree(topology: str, m: int, seed: int) -> SpanningTree:
+    """Spanning tree, rooted at a center, of an experiment's topology at seed ``seed``."""
+    topo = from_spec(topology, m, substream(seed, DOMAIN_TOPOLOGY))
+    return spanning_tree(topo, center(topo))
+
+
+# The topology seed does not depend on the trial, so every trial of an
+# experiment, and every experiment on the same (topology, m, seed), runs on
+# one tree; SpanningTree is frozen with tuple fields, so sharing it is safe.
+_shared_tree = functools.lru_cache(maxsize=1)(_build_tree)
+
+
+def _tree(spec: ExperimentSpec) -> SpanningTree:
+    # a topology file can change between experiments, so it is read every time
+    build = _build_tree if spec.topology.startswith("file:") else _shared_tree
+    return build(spec.topology, spec.m, spec.seed)
+
+
 def _rel_error(estimate: float, exact: float) -> float:
     if exact == 0.0:
         return 0.0 if estimate == 0.0 else math.inf
@@ -309,8 +328,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
         success = error <= spec.eps
         comm = CommStats(per_edge_bits={}, rounds=0)
     else:
-        topo = from_spec(spec.topology, spec.m, substream(spec.seed, DOMAIN_TOPOLOGY))
-        tree = spanning_tree(topo, center(topo))
+        tree = _tree(spec)
         if spec.protocol == "amp":
             xmat = generate_matrix(spec, spec.t1, data_rng)
             ymat = generate_matrix(spec, spec.t2, data_rng)

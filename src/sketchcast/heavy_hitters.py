@@ -133,9 +133,12 @@ def local_table(x: np.ndarray, spec: CountSketchSpec,
     """(rows, width) count-sketch table of one vector, or (players, rows, width) of a matrix.
 
     A matrix of players is tabled with one ``bincount`` per sketch row over
-    player * width + bucket.  Each cell still sums its coordinates in
-    ascending order, so every player's table is bit-identical to tabling
-    that player alone.
+    player * width + bucket, fed only the entries that ``np.nonzero``
+    returns.  They come in row-major order, so each cell still sums its
+    player's nonzero coordinates in ascending order.  The skipped terms
+    are +-0, and adding them never changes a sum that starts at +0 (a
+    sum of nonzero terms rounds to +0, never -0), so every player's table
+    is bit-identical to tabling that player's whole vector alone.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != spec.n:
@@ -144,10 +147,12 @@ def local_table(x: np.ndarray, spec: CountSketchSpec,
     sign = spec.sign_of() if sign is None else sign
     players = x.reshape(-1, spec.n)
     count = players.shape[0]
-    offset = np.arange(count)[:, None] * spec.width
+    player, coord = np.nonzero(players)
+    values = players[player, coord]
+    offset = player * spec.width
     table = np.empty((count, spec.rows, spec.width))
     for i in range(spec.rows):
-        sums = np.bincount((offset + bucket[i]).ravel(), weights=(sign[i] * players).ravel(),
+        sums = np.bincount(offset + bucket[i, coord], weights=sign[i, coord] * values,
                            minlength=count * spec.width)
         table[:, i] = sums.reshape(count, spec.width)
     return table.reshape(x.shape[:-1] + (spec.rows, spec.width))

@@ -83,13 +83,21 @@ def _sketch_payload(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
     is copied once; when S is one block, groups whose copy and product
     each hold at most GROUP_CELLS cells are copied once each, which keeps
     the copy from adding to the payload's memory.
+
+    A group whose players all hold zero X and Y skips its copy and its
+    product: its rows keep the +0.0 the payload starts with, which is what
+    the product of S with zero columns gives.  The other groups keep all
+    their columns, zero or not, so each product keeps its shape and with it
+    its bits: OpenBLAS tiles a product by its shape, and other tilings can
+    move the last bits of its sums (see ``stable.BLOCK_ROW_MULTIPLE``).
     """
     m, n, t1 = xs.shape
     t = t1 + ys.shape[2]
     rows = block_rows(k, n)
     group = m if rows < k else min(m, max(1, GROUP_CELLS // (max(n, k) * t)))
+    held = xs.any(axis=(1, 2)) | ys.any(axis=(1, 2))
 
-    payload = np.empty((m, k * t))
+    payload = np.zeros((m, k * t))
     px = payload[:, :k * t1].reshape(m, k, t1)
     py = payload[:, k * t1:].reshape(m, k, t - t1)
     block = np.empty((rows, n))
@@ -101,6 +109,8 @@ def _sketch_payload(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
         s = sketch_matrix(rng, block[:h], k)
         for g0 in range(0, m, group):
             g = min(group, m - g0)
+            if not held[g0:g0 + g].any():
+                continue
             c = cols[:n * g * t].reshape(n, g, t)
             if r0 == 0:
                 c[:, :, :t1] = xs[g0:g0 + g].transpose(1, 0, 2)

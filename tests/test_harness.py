@@ -43,7 +43,7 @@ from sketchcast.harness import (
 )
 from sketchcast.heavy_hitters import CountSketchSpec
 from sketchcast.stable import StableSketch
-from sketchcast.topology import Topology, line
+from sketchcast.topology import Topology, line, star
 
 
 def rng_for(seed=0):
@@ -391,8 +391,50 @@ def test_run_trial_builds_one_tree_per_network_trial(monkeypatch, protocol, p, b
     dist = "zipf:1.3:1000" if protocol.startswith("stream-") else "zipf:1.1"
     spec = ExperimentSpec(protocol=protocol, p=p, topology="grid", n=64, m=6, dist=dist,
                           eps=0.25, trials=1, tokens=200)
+    harness._shared_tree.cache_clear()  # an earlier test may have built this tree
     run_trial(spec, 0)
     assert calls == {"center": builds, "spanning_tree": builds, "run_convergecast": builds}
+
+
+def _count_trees(monkeypatch) -> list:
+    """Record every tree ``run_trial`` builds, starting from an empty tree cache."""
+    trees = []
+
+    def counted(topo, root, fn=harness.spanning_tree):
+        trees.append(fn(topo, root))
+        return trees[-1]
+
+    monkeypatch.setattr(harness, "spanning_tree", counted)
+    harness._shared_tree.cache_clear()
+    return trees
+
+
+def test_experiments_on_one_network_share_its_tree(monkeypatch):
+    trees = _count_trees(monkeypatch)
+    base = dict(topology="random", n=40, m=8, eps=0.25, trials=2, tokens=100)
+    fp, _ = run_experiment(ExperimentSpec("fp", p=1.5, **base))
+    run_experiment(ExperimentSpec("entropy", **base))
+    assert len(trees) == 1
+    run_experiment(ExperimentSpec("entropy", seed=1, **base))
+    assert len(trees) == 2
+    # the cached tree gives the trials they gave when each built its own
+    harness._shared_tree.cache_clear()
+    again, _ = run_experiment(ExperimentSpec("fp", p=1.5, **base))
+    assert [dataclasses.replace(r, wall_time=0.0) for r in again] == \
+        [dataclasses.replace(r, wall_time=0.0) for r in fp]
+
+
+def test_a_rewritten_topology_file_is_read_again(monkeypatch, tmp_path):
+    trees = _count_trees(monkeypatch)
+    path = tmp_path / "t.txt"
+    write_topology(line(4), path)
+    spec = ExperimentSpec(protocol="fp", p=1.5, topology=f"file:{path}", n=40, m=4,
+                          eps=0.25, trials=2, tokens=100)
+    run_experiment(spec)
+    write_topology(star(4), path)
+    reports, _ = run_experiment(spec)
+    assert [t.depth for t in trees] == [2, 2, 1, 1]
+    assert [r.rounds for r in reports] == [1, 1]
 
 
 def test_protocols_take_the_tree_not_a_topology():

@@ -261,7 +261,17 @@ def test_local_table_of_players_matches_one_at_a_time():
     rng = np.random.default_rng(1)
     players = rng.integers(-50, 50, (9, 200)).astype(float)
     players[rng.random(players.shape) < 0.5] = 0.0
+    # all-zero players, a sparse row, and -0.0 entries: the table skips them all
+    players[[2, 5]] = 0.0
+    players[6, rng.random(200) < 0.97] = 0.0
+    players[7, players[7] == 0.0] = -0.0
+    bucket, sign = spec.bucket_of(), spec.sign_of()
     tables = local_table(players, spec)
     assert tables.shape == (9, spec.rows, spec.width)
     for v in range(9):
         assert tables[v].tobytes() == local_table(players[v], spec).tobytes()
+        # every coordinate, zeros included, summed in ascending order
+        dense = [np.bincount(bucket[i], weights=sign[i] * players[v], minlength=spec.width)
+                 for i in range(spec.rows)]
+        assert tables[v].tobytes() == np.stack(dense).tobytes()
+    assert tables[[2, 5]].tobytes() == np.zeros((2, spec.rows, spec.width)).tobytes()

@@ -8,12 +8,14 @@ import pytest
 from helpers import tree_of
 from sketch_reference import dense_amp_payload, gaussian_sketch, sketch_product
 from sketchcast.matrix_product import (
+    GROUP_CELLS,
     AmpConfig,
     _sketch_payload,
     amp_estimate,
     sketch_matrix,
 )
 from sketchcast.oracles import matrix_product
+from sketchcast.stable import block_rows
 from sketchcast.streams import DOMAIN_SKETCH, generator
 from sketchcast.topology import line, star
 
@@ -68,6 +70,25 @@ def test_blocked_payload_is_within_rounding_of_per_player_products(m, n, t1, t2,
                       for x, y in zip(xs, ys)])
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 2 * n * 2.0**-53 * scale)
+
+
+def test_empty_player_groups_keep_zero_rows_and_leave_the_rest_alone():
+    # S is one block of k rows, and 16 players meet it per product; groups
+    # 1 and 3 of 4 hold nothing and skip their product
+    m, n, k, t = 64, 40, 1000, 2
+    assert block_rows(k, n) == k and GROUP_CELLS // (k * 2 * t) == 16
+    rng = np.random.default_rng(5)
+    xs = rng.integers(0, 9, (m, n, t)).astype(np.float64)
+    ys = rng.integers(0, 9, (m, n, t)).astype(np.float64)
+    xs[3] = ys[3] = 0.0  # a zero player in a group that holds data
+    empty = np.r_[16:32, 48:64]
+    held = np.setdiff1d(np.arange(m), empty)
+    sparse_x, sparse_y = xs.copy(), ys.copy()
+    sparse_x[empty] = sparse_y[empty] = 0.0
+    got = _sketch_payload(sparse_x, sparse_y, k, seed=6)
+    full = _sketch_payload(xs, ys, k, seed=6)
+    assert got[empty].tobytes() == np.zeros((empty.size, k * 2 * t)).tobytes()
+    assert got[held].tobytes() == full[held].tobytes()
 
 
 def test_player_matrix_validation():
