@@ -157,35 +157,40 @@ def round_to_grid(
     is_zero = ~nonzero | (lv < log_floor)
     lv[is_zero] = 0.0
     e0 = np.floor(lv / log_gamma).astype(np.int64)
-    # one-step boundary corrections; the float division is off by at most 1
+    # one-step boundary corrections; the float division is off by at most 1,
+    # and a pass that moves nothing leaves nothing for the next one
     for _ in range(2):
-        e0 += (e0 + 1) * log_gamma <= lv
+        step = (e0 + 1) * log_gamma <= lv
+        if not step.any():
+            break
+        e0 += step
     for _ in range(2):
-        e0 -= e0 * log_gamma > lv
+        step = e0 * log_gamma > lv
+        if not step.any():
+            break
+        e0 -= step
 
     # The engine rounds a whole tree layer per call, so layer-sized
-    # temporaries set its memory: the rest works in place.
-    # pr = (|x| - lo) / (hi - lo)
+    # temporaries set its memory: the rest works in place where it can.
+    # pr = (|x| - lo) / (hi - lo); uniforms in [0, 1) compare against pr as
+    # against pr clipped to [0, 1], and a NaN pr rounds down either way.
     lo = np.exp(e0 * log_gamma, out=lv)
     hi = np.exp((e0 + 1) * log_gamma)
-    hi -= lo
     pr = np.subtract(ax, lo, out=ax)
-    pr /= hi
-    np.clip(pr, 0.0, 1.0, out=pr)
+    pr /= hi - lo
+    up = unif < pr
     exponents = e0
-    exponents += unif < pr
-    exponents[is_zero] = 0
-
-    live = ~is_zero
-    ok = bool(
-        np.all((exponents[live] >= exp_min) & (exponents[live] <= exp_max))
-        if live.any()
-        else True
-    )
-    decoded = np.multiply(exponents, log_gamma, out=hi)
-    np.exp(decoded, out=decoded)
-    decoded *= np.sign(x)
+    exponents += up
+    # exp(exponents * log_gamma) is lo or hi: the same product of the same
+    # float64 operands
+    decoded = np.where(up, hi, lo)
+    np.copysign(decoded, x, out=decoded)
     decoded[is_zero] = 0.0
+
+    # zero lanes sit at exp_min, inside the window, while it is checked
+    exponents[is_zero] = exp_min
+    ok = exponents.size == 0 or bool(exponents.min() >= exp_min and exponents.max() <= exp_max)
+    exponents[is_zero] = 0
     return exponents, is_zero, decoded, ok
 
 

@@ -31,6 +31,69 @@ def test_round_to_grid_truncates_below_floor():
     assert decoded[2] > 0.0
 
 
+def reference_round_to_grid(x, unif, log_gamma, log_floor, exp_min, exp_max):
+    """round_to_grid as first written: three exps, two fixed correction passes
+    each way, a clipped probability and a sign multiply."""
+    ax = np.abs(x)
+    nonzero = ax > 0.0
+    lv = np.full(x.shape, -np.inf)
+    np.log(ax, out=lv, where=nonzero)
+    is_zero = ~nonzero | (lv < log_floor)
+    lv[is_zero] = 0.0
+    e0 = np.floor(lv / log_gamma).astype(np.int64)
+    for _ in range(2):
+        e0 += (e0 + 1) * log_gamma <= lv
+    for _ in range(2):
+        e0 -= e0 * log_gamma > lv
+    lo = np.exp(e0 * log_gamma, out=lv)
+    hi = np.exp((e0 + 1) * log_gamma)
+    hi -= lo
+    pr = np.subtract(ax, lo, out=ax)
+    pr /= hi
+    np.clip(pr, 0.0, 1.0, out=pr)
+    exponents = e0
+    exponents += unif < pr
+    exponents[is_zero] = 0
+    live = ~is_zero
+    ok = bool(
+        np.all((exponents[live] >= exp_min) & (exponents[live] <= exp_max))
+        if live.any()
+        else True
+    )
+    decoded = np.multiply(exponents, log_gamma, out=hi)
+    np.exp(decoded, out=decoded)
+    decoded *= np.sign(x)
+    decoded[is_zero] = 0.0
+    return exponents, is_zero, decoded, ok
+
+
+@pytest.mark.parametrize("shape", [(2, 192), (32, 608), (0, 5)])
+@pytest.mark.parametrize("gamma, floor, window, spread, want_ok", [
+    (1e-3, 1e-6, (-40_000, 40_000), (-20.0, 20.0), True),
+    (0.05, 0.0, (-10**4, 10**4), (-300.0, 300.0), True),   # no floor
+    (0.05, 1e-3, (50, 10**4), (5.0, 30.0), True),           # window excludes 0
+    (0.3, 1e-9, (-10, 10), (-20.0, 20.0), False),           # an exponent escapes
+])
+def test_round_to_grid_matches_reference_bit_for_bit(shape, gamma, floor, window, spread,
+                                                      want_ok):
+    rng = np.random.default_rng(abs(hash((shape, gamma))) % 2**32)
+    x = np.exp(rng.uniform(*spread, shape)) * rng.choice([-1.0, 1.0], shape)
+    special = rng.random(shape)
+    x[special < 0.05] = 0.0
+    x[(0.05 <= special) & (special < 0.1)] = -0.0
+    x[(0.1 <= special) & (special < 0.12)] = np.nan
+    if floor > 0.0:  # lanes under the floor truncate to zero
+        x[(0.12 <= special) & (special < 0.2)] *= 1e-30
+    unif = rng.random(shape)
+    unif[special > 0.98] = 0.0
+    args = (math.log1p(gamma), math.log(floor) if floor > 0.0 else -math.inf) + window
+    got = kernels.round_to_grid(x, unif, *args)
+    want = reference_round_to_grid(x, unif, *args)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[3] == want[3] == (want_ok or x.size == 0)
+
+
 def test_round_to_grid_reports_window_escape():
     ok = kernels.round_to_grid(np.array([1e30]), np.array([0.5]), math.log1p(0.5),
                                -700.0, -10, 10)[3]
