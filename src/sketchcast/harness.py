@@ -51,11 +51,22 @@ CSV_COLUMNS = ("schema_version", "trial", "estimate", "exact", "error",
 
 PROTOCOLS = ("fp", "hh", "entropy", "amp", "stream-fp", "stream-entropy")
 
-# The dist kinds each generator accepts (see the module docstring).
-AGGREGATE_DISTS = ("zipfagg", "uniform", "sparse", "planted", "delta", "pair", "file")
-PLAYER_DISTS = ("zipf",) + AGGREGATE_DISTS
-MATRIX_DISTS = ("sparse", "zipf", "uniform")
-STREAM_DISTS = ("zipf", "file")
+# The dist kinds each generator accepts (see the module docstring), each
+# with how many of its ':' fields are required and the type of each field
+# it takes.  file:PATH takes the rest of the spec as its path.  zipf's
+# third field, the token count, is a stream spec's only.
+AGGREGATE_DISTS = {
+    "zipfagg": (1, float, int),
+    "uniform": (0, int),
+    "sparse": (0, float),
+    "planted": (1, int, int),
+    "delta": (0, int),
+    "pair": (2, int, int),
+    "file": None,
+}
+PLAYER_DISTS = {"zipf": (1, float), **AGGREGATE_DISTS}
+MATRIX_DISTS = {kind: PLAYER_DISTS[kind] for kind in ("sparse", "zipf", "uniform")}
+STREAM_DISTS = {"zipf": (1, float, int), "file": None}
 
 # acceptance success-rate floors enforced under --check
 CHECK_THRESHOLDS = {
@@ -163,30 +174,17 @@ def zipf_weights(n: int, s: float) -> np.ndarray:
     return w / w.sum()
 
 
-# Per dist kind: how many of its ':' fields are required, and the type of
-# each field it takes (see the module docstring).  file:PATH takes the rest
-# of the spec as its path.
-_DIST_FIELDS = {
-    "zipf": (1, float, int),
-    "zipfagg": (1, float, int),
-    "uniform": (0, int),
-    "sparse": (0, float),
-    "planted": (1, int, int),
-    "delta": (0, int),
-    "pair": (2, int, int),
-}
-
-
-def _dist_args(spec: str, kinds: tuple[str, ...], what: str) -> tuple[str, list]:
+def _dist_args(spec: str, kinds: dict[str, tuple | None], what: str) -> tuple[str, list]:
     """(kind, typed fields) of a dist spec; ValueError naming ``spec`` if malformed."""
     kind, *fields = spec.split(":")
     if kind not in kinds:
         raise ValueError(f"unknown {what} {spec!r}; kinds: {', '.join(kinds)}")
     if kind == "file":
         return kind, [":".join(fields)]
-    required, *types = _DIST_FIELDS[kind]
+    required, *types = kinds[kind]
     if not required <= len(fields) <= len(types):
-        raise ValueError(f"{what} {spec!r}: {kind} takes {required} to {len(types)} fields")
+        count = required if required == len(types) else f"{required} to {len(types)}"
+        raise ValueError(f"{what} {spec!r}: {kind} takes {count} field(s)")
     try:
         return kind, [t(f) for t, f in zip(types, fields)]
     except ValueError:

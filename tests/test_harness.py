@@ -96,6 +96,9 @@ def test_spec_validation():
     (dict(protocol="fp", p=1.5, topology="line:5"), "topology spec 'line:5'"),
     (dict(protocol="fp", p=1.5, dist="zipf:abc"), "distribution 'zipf:abc'"),
     (dict(protocol="fp", p=1.5, dist="zipf"), "distribution 'zipf'"),
+    # zipf's token-count field is a stream spec's only
+    (dict(protocol="fp", p=1.5, dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
+    (dict(protocol="amp", dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
     (dict(protocol="hh", dist="planted:5:x"), "distribution 'planted:5:x'"),
     (dict(protocol="hh", n=100, dist="planted:5:2000"),
      "distribution 'planted:5:2000' sets 2000 coordinates, spec says n=100"),
