@@ -292,12 +292,6 @@ def _build_tree(topology: str, m: int, seed: int) -> SpanningTree:
 _shared_tree = functools.lru_cache(maxsize=1)(_build_tree)
 
 
-def _tree(spec: ExperimentSpec) -> SpanningTree:
-    # a topology file can change between experiments, so it is read every time
-    build = _build_tree if spec.topology.startswith("file:") else _shared_tree
-    return build(spec.topology, spec.m, spec.seed)
-
-
 def _rel_error(estimate: float, exact: float) -> float:
     if exact == 0.0:
         return 0.0 if estimate == 0.0 else math.inf
@@ -326,7 +320,9 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
         success = error <= spec.eps
         comm = CommStats(per_edge_bits={}, rounds=0)
     else:
-        tree = _tree(spec)
+        # a topology file can change between experiments, so it is read every time
+        build = _build_tree if spec.topology.startswith("file:") else _shared_tree
+        tree = build(spec.topology, spec.m, spec.seed)
         if spec.protocol == "amp":
             xmat = generate_matrix(spec, spec.t1, data_rng)
             ymat = generate_matrix(spec, spec.t2, data_rng)

@@ -189,7 +189,8 @@ def round_to_grid(
 
     # zero lanes sit at exp_min, inside the window, while it is checked
     exponents[is_zero] = exp_min
-    ok = exponents.size == 0 or bool(exponents.min() >= exp_min and exponents.max() <= exp_max)
+    ok = bool(exponents.min(initial=exp_min) >= exp_min
+              and exponents.max(initial=exp_max) <= exp_max)
     exponents[is_zero] = 0
     return exponents, is_zero, decoded, ok
 

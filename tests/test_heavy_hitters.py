@@ -259,7 +259,8 @@ def test_linf_guarantee_at_desk_scale():
 def test_local_table_of_players_matches_one_at_a_time():
     spec = CountSketchSpec.build(200, 0.3, seed=4)
     rng = np.random.default_rng(1)
-    players = rng.integers(-50, 50, (9, 200)).astype(float)
+    # non-integer values, so a cell's sum depends on the order of its terms
+    players = rng.integers(-50, 50, (9, 200)) * rng.random((9, 200))
     players[rng.random(players.shape) < 0.5] = 0.0
     # all-zero players, a sparse row, and -0.0 entries: the table skips them all
     players[[2, 5]] = 0.0

@@ -89,6 +89,8 @@ def test_empty_player_groups_keep_zero_rows_and_leave_the_rest_alone():
     full = _sketch_payload(xs, ys, k, seed=6)
     assert got[empty].tobytes() == np.zeros((empty.size, k * 2 * t)).tobytes()
     assert got[held].tobytes() == full[held].tobytes()
+    want = dense_amp_payload(sparse_x, sparse_y, k, seed=6)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_player_matrix_validation():
