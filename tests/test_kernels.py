@@ -32,8 +32,8 @@ def test_round_to_grid_truncates_below_floor():
 
 
 def reference_round_to_grid(x, unif, log_gamma, log_floor, exp_min, exp_max):
-    """round_to_grid as first written: three exps, two fixed correction passes
-    each way, a clipped probability and a sign multiply."""
+    """The plain form of round_to_grid, kept as its reference: three exps, two
+    fixed correction passes each way, a clipped probability and a sign multiply."""
     ax = np.abs(x)
     nonzero = ax > 0.0
     lv = np.full(x.shape, -np.inf)
