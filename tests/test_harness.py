@@ -96,15 +96,15 @@ def test_spec_validation():
     (dict(protocol="fp", p=1.5, topology="line:5"), "topology spec 'line:5'"),
     (dict(protocol="fp", p=1.5, dist="zipf:abc"), "distribution 'zipf:abc'"),
     (dict(protocol="fp", p=1.5, dist="zipf"), "distribution 'zipf'"),
-    # zipf's token-count field is a stream spec's only
-    (dict(protocol="fp", p=1.5, dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
-    (dict(protocol="amp", dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
     (dict(protocol="hh", dist="planted:5:x"), "distribution 'planted:5:x'"),
     (dict(protocol="hh", n=100, dist="planted:5:2000"),
      "distribution 'planted:5:2000' sets 2000 coordinates, spec says n=100"),
     (dict(protocol="fp", p=1.5, n=1, dist="pair:1:2"), "distribution 'pair:1:2' sets 2"),
     (dict(protocol="amp", dist="sparse:0.1:2"), "distribution 'sparse:0.1:2'"),
     (dict(protocol="stream-fp", p=0.5, dist="zipf:1.3:many"), "stream spec 'zipf:1.3:many'"),
+    # zipf's token-count field is a stream spec's only
+    (dict(protocol="fp", p=1.5, dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
+    (dict(protocol="amp", dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
 ])
 def test_spec_rejects_unknown_kinds_when_built(kw, match):
     # each of these used to fail only inside the first trial
