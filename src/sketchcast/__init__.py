@@ -3,7 +3,8 @@
 The protocol entry points below run one convergecast on a SpanningTree
 and return an estimate together with per-edge bit counts; build the
 tree from a Topology with ``spanning_tree(topo, center(topo))``.  The
-stream_* functions are their single-machine streaming counterparts.
+stream_* functions are their single-machine counterparts: stream_entropy
+decodes the network verb's lanes, F_1 lane included, summed exactly.
 Everything is deterministic given the seed.
 """
 

@@ -6,10 +6,10 @@ y_i = <S_i, X> / ||X||_1 is distributed F(1, -1, pi/2, H): the entropy
 shows up as the location parameter, and E[e^{y_i}] = e^{-H}.  The
 coordinator therefore reports H = -ln((1/k) sum_i e^{y_i}).
 
-One Morris convergecast carries k + 1 lanes per edge: the k sketch rows
-plus an F_1 lane whose counter estimates ||X||_1 for the normalization.
-Estimates are in nats and get clamped to [0, ln n]; clamp events are
-counted in the returned stats.
+Both verbs decode the same k + 1 lanes: the k sketch rows plus an F_1
+lane that estimates ||X||_1 for the normalization.  The network verb sums
+them in Morris counters (``fp_low.counter_sum``), the stream verb exactly.
+Estimates are in nats, clamped to [0, ln n]; clamps are counted in stats.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import CommStats, morris_sum_convergecast
-from .fp_high import as_count_matrix, stream_counts
-from .morris import counter_base_offset, estimates_signed, state_field_bits
+from .engine import CommStats
+from .fp_high import stream_counts
+from .fp_low import counter_sum
+from .morris import counter_base_offset
 from .stable import build_sketch
 from .streams import DOMAIN_SKETCH, substream
 from .topology import SpanningTree
@@ -83,53 +84,38 @@ def _entropy_from_rows(y: np.ndarray, n: int) -> tuple[float, float, int]:
     return min(max(raw, 0.0), hi), raw, clamped
 
 
+def entropy_lanes(data: np.ndarray, cfg: EntropyConfig, seed,
+                  entry_cap: float | None = None) -> np.ndarray:
+    """The k skewed sketch rows, then the F_1 lane, of an (m, n) matrix's rows or one vector."""
+    sk = build_sketch(cfg.k, data.shape[-1], p=1.0, eta=cfg.eta,
+                      seed=substream(seed, DOMAIN_SKETCH), entry_cap=entry_cap, skewed=True)
+    return np.concatenate([sk.apply(data), data.sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def decode_lanes(lanes: np.ndarray, cfg: EntropyConfig, n: int) -> tuple[float, float, int]:
+    """(clamped H, raw H, clamp count) from summed lanes; ValueError unless F_1 > 0."""
+    if lanes[cfg.k] <= 0.0:
+        raise ValueError("entropy undefined for an all-zero aggregate")
+    return _entropy_from_rows(cfg.eta * lanes[:cfg.k] / lanes[cfg.k], n)
+
+
 def estimate_entropy(inputs, tree: SpanningTree, cfg: EntropyConfig,
                      seed) -> tuple[float, EntropyStats]:
-    """Distributed entropy of the aggregate vector over ``tree``, in nats.
-
-    Raises ValueError on an all-zero aggregate (entropy undefined).
-    The skewed sketch lanes and the F_1 lane share one convergecast, so
-    each edge carries k + 1 counter pairs.
-    """
-    m = tree.m
-    data = as_count_matrix(inputs, m)
-    n = data.shape[1]
-    if not data.any():
-        raise ValueError("entropy undefined for an all-zero aggregate")
-    M = float(max(1.0, data.max()))
-    entry_cap = (M * n * m) ** 3
-    bm1 = cfg.base_minus_one(n)
-    sk = build_sketch(cfg.k, n, p=1.0, eta=cfg.eta, seed=substream(seed, DOMAIN_SKETCH),
-                      entry_cap=entry_cap, skewed=True)
-    lanes = np.concatenate([sk.apply(data), data.sum(axis=1, keepdims=True)], axis=1)
-
-    width = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
-    counters, comm = morris_sum_convergecast(lanes, tree, math.log1p(bm1),
-                                             seed, state_bits=width)
-    est = estimates_signed(counters, bm1)
-    r = est[cfg.k]
-    if r <= 0.0:
-        raise ValueError("F_1 lane returned a non-positive total")
-    y = cfg.eta * est[:cfg.k] / r
-    h, raw, clamped = _entropy_from_rows(y, n)
+    """Entropy of the aggregate in nats, k + 1 counter pairs per edge; ValueError if all zero."""
+    est, comm = counter_sum(inputs, tree, cfg, seed,
+                            lambda data, entry_cap: entropy_lanes(data, cfg, seed, entry_cap))
+    h, raw, clamped = decode_lanes(est, cfg, np.shape(inputs)[1])
     return h, EntropyStats(comm=comm, raw=raw, clamped=clamped)
 
 
 def stream_entropy(stream, cfg: EntropyConfig, seed=0, n: int | None = None) -> float:
-    """Entropy of an insertion-only stream, exact-y random-oracle mode.
+    """Entropy of an insertion-only stream: the lanes of its summed counts, decoded.
 
-    Maintains y = S X exactly from the summed counts together with
-    the exact ||X||_1; empty or all-zero streams raise ValueError.
+    They are normalized by their F_1 lane; an all-zero stream raises
+    ValueError.  No entry cap: it only bounds the network verb's counters.
     """
     x = stream_counts(stream, n)
-    if not x.any():
-        raise ValueError("entropy undefined for an empty stream")
-    n = x.size
-    sk = build_sketch(cfg.k, n, p=1.0, eta=cfg.eta, seed=substream(seed, DOMAIN_SKETCH),
-                      skewed=True)
-    y = cfg.eta * sk.apply(x) / float(x.sum())
-    h, _, _ = _entropy_from_rows(y, n)
-    return h
+    return decode_lanes(entropy_lanes(x, cfg, seed), cfg, x.size)[0]
 
 
 def entropy_to_bits(h_nats: float) -> float:

@@ -5,7 +5,9 @@ one signed Morris counter per row, counters merge up the tree, and the
 root reports (eta * lower_median |estimate(C_i)| / theta_p)^p.  The
 counter base b = 1 + (eps' * delta')^2 is tuned so that counting noise
 stays below eps' relative to the absorbed mass, while a counter state
-occupies O(log log) bits on the wire regardless of tree depth.
+occupies O(log log) bits on the wire regardless of tree depth.  The entry
+cap, the base and the field width are derived in :func:`counter_sum` only,
+which entropy shares.
 
 Also hosts the log-cosine streaming estimator in random-oracle mode: it
 maintains y = S X (exactly, or through signed Morris counters) plus an
@@ -66,15 +68,15 @@ class FpLowConfig:
         return counter_base_offset(self.eps, self.delta, n, self.p)
 
 
-def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
-                    seed) -> tuple[float, CommStats]:
-    """One Morris convergecast over ``tree``; returns (fp_estimate, stats).
+def counter_sum(inputs, tree: SpanningTree, cfg, seed, lanes_of) -> tuple[np.ndarray, CommStats]:
+    """Sum ``lanes_of(data, entry_cap)`` up ``tree`` in signed Morris counters.
 
-    The wire carries one insertion/deletion counter pair per sketch row
-    per edge, in state fields sized from the public update-mass bound, so
-    max_edge_bits is independent of the tree depth.  A counter outgrowing
-    its field raises CounterOverflowError rather than returning a
-    silently wrong estimate.
+    Returns (lane estimates, stats).  ``data`` is the (m, n) player counts,
+    ``cfg`` an FpLowConfig or EntropyConfig, and entry_cap = (M n m)^3 for
+    M the largest count.  The base is ``cfg.base_minus_one(n)``; the state
+    field holds what the public update-mass bound m n M entry_cap / eta can
+    reach, so a message's size does not depend on the tree, and a state
+    outside it raises CounterOverflowError.
     """
     m = tree.m
     data = as_count_matrix(inputs, m)
@@ -82,14 +84,20 @@ def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
     M = float(max(1.0, data.max()))
     entry_cap = (M * n * m) ** 3
     bm1 = cfg.base_minus_one(n)
-    sk = build_sketch(cfg.k, n, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH),
-                      entry_cap=entry_cap)
-    payload = sk.apply(data)
-
     width = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
-    counters, stats = morris_sum_convergecast(payload, tree, math.log1p(bm1),
-                                              seed, state_bits=width)
-    est = estimates_signed(counters, bm1)
+    counters, stats = morris_sum_convergecast(lanes_of(data, entry_cap), tree,
+                                              math.log1p(bm1), seed, state_bits=width)
+    return estimates_signed(counters, bm1), stats
+
+
+def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
+                    seed) -> tuple[float, CommStats]:
+    """One counter pair per sketch row per edge (:func:`counter_sum`); returns (fp, stats)."""
+    def lanes(data, entry_cap):
+        return build_sketch(cfg.k, data.shape[1], cfg.p, cfg.eta,
+                            substream(seed, DOMAIN_SKETCH), entry_cap=entry_cap).apply(data)
+
+    est, stats = counter_sum(inputs, tree, cfg, seed, lanes)
     norm = cfg.eta * lower_median(np.abs(est)) / median_abs(cfg.p)
     return norm**cfg.p, stats
 
@@ -107,8 +115,7 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
     precision-eta sketch and the exact coarse normalizer y', so they
     differ only by counting noise.  Empty or all-zero streams return 0.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
+    cfg = FpLowConfig(p=p, eps=eps)
     if mode not in LOGCOSINE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     x = stream_counts(stream, n)
@@ -119,7 +126,6 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
         x = np.append(x, 0.0)
         n = 2
 
-    cfg = FpLowConfig(p=p, eps=eps)
     k = cfg.k
     kp = math.ceil(8.0 / eps**2)
 

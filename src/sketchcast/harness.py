@@ -105,8 +105,6 @@ class ExperimentSpec:
             raise ValueError(f"need n, m >= 1, got n={self.n} m={self.m}")
         if self.protocol in ("fp", "stream-fp") and self.p is None:
             raise ValueError(f"protocol {self.protocol} requires p")
-        if self.protocol == "fp" and (self.p == 1.0 or not 0.0 < self.p <= 2.0):
-            raise ValueError(f"fp needs p in (0,1) or (1,2], got {self.p}")
         if self.protocol == "stream-fp" and not 0.0 < self.p < 1.0:
             raise ValueError(f"stream-fp needs p in (0,1), got {self.p}")
         if self.seed < 0:
@@ -132,6 +130,11 @@ class ExperimentSpec:
             self.config().base_minus_one(self.n)
         else:
             self.config()
+        # fp p<1 and entropy send Morris counters, and the stream verbs send nothing
+        sends_values = self.protocol in ("hh", "amp") or self.protocol == "fp" and self.p > 1.0
+        if self.codec != "rounding" and not sends_values:
+            raise ValueError(f"codec {self.codec!r} applies only to the value vectors "
+                             f"of fp p>1, hh and amp, not to {self.protocol}")
 
     def config(self) -> FpHighConfig | FpLowConfig | EntropyConfig | AmpConfig:
         """The protocol's accuracy config; hh has none: ``CountSketchSpec`` sizes its table."""
@@ -292,10 +295,15 @@ def _build_tree(topology: str, m: int, seed: int) -> SpanningTree:
 _shared_tree = functools.lru_cache(maxsize=1)(_build_tree)
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den for num >= 0, with 0 / 0 = 0 and num / 0 = inf otherwise."""
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / den
+
+
 def _rel_error(estimate: float, exact: float) -> float:
-    if exact == 0.0:
-        return 0.0 if estimate == 0.0 else math.inf
-    return abs(estimate - exact) / abs(exact)
+    return _ratio(abs(estimate - exact), abs(exact))
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
@@ -331,7 +339,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
             exact_mat = oracles.matrix_product(xmat, ymat)
             est = float(np.linalg.norm(r - exact_mat))
             exact = float(np.linalg.norm(xmat) * np.linalg.norm(ymat))
-            error = est / exact if exact > 0 else (0.0 if est == 0.0 else math.inf)
+            error = _ratio(est, exact)
             success = error <= spec.eps
         else:
             players = generate_players(spec, data_rng)
@@ -352,7 +360,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
                 est = float(np.max(np.abs(x_tilde - x)))
                 tail = oracles.tail_l2(x, math.ceil(1.0 / spec.eps**2))
                 exact = spec.eps * tail
-                error = est / exact if exact > 0 else (0.0 if est == 0.0 else math.inf)
+                error = _ratio(est, exact)
                 hits = heavy_hitters(x_tilde, spec.eps, f2_est)
                 recovered = all(q in hits for q in _planted_ids(spec.dist))
                 success = error <= 1.0 and recovered

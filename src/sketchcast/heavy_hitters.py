@@ -173,14 +173,12 @@ def point_estimate_all(inputs, tree: SpanningTree, spec: CountSketchSpec, eps: f
                        seed, codec: str = "rounding") -> tuple[np.ndarray, CommStats, float]:
     """Aggregate per-player tables up ``tree``; return (x_tilde, stats, f2).
 
-    Every player ships exactly rows*width rounded cells, on the grid
-    gamma_for builds for rounding failure mass 1/4.  codec="exact"
-    reproduces a pooled-data count-sketch bit-for-bit (integer cells).
+    A vertex sends rows*width cells rounded on the grid gamma_for builds for
+    failure mass 1/4, or only the 1-bit flag if its subtree's tables are all
+    zero.  codec="exact" reproduces a pooled count-sketch bit-for-bit.
     """
     m = tree.m
     data = as_count_matrix(inputs, m)
-    if data.shape[1] != spec.n:
-        raise ValueError(f"inputs have {data.shape[1]} coordinates, spec has {spec.n}")
     bucket, sign = spec.bucket_of(), spec.sign_of()
 
     payload = local_table(data, spec, bucket, sign).reshape(m, -1)

@@ -128,8 +128,8 @@ def amp_estimate(x_inputs, y_inputs, tree: SpanningTree, cfg: AmpConfig, seed,
     """One convergecast of both sketches over ``tree``; returns (R: t1 x t2, stats).
 
     x_inputs is (m, n, t1) and y_inputs (m, n, t2); slices sum to the
-    global matrices.  Each player ships exactly k*(t1+t2) cells.  An
-    all-zero side collapses to zero flags and R = 0 exactly.
+    global matrices.  A vertex sends k*(t1+t2) cells, or only the 1-bit flag
+    if its subtree's sketches are all zero.  An all-zero side gives R = 0.
     """
     m = tree.m
     xs = _player_matrices(x_inputs, m, cfg.t1, "x_inputs")

@@ -187,6 +187,8 @@ def test_missing_counts_file_exits_one(capsys):
     ("simulate", "fp", "--p", "1.5", "--seed", "-1"),
     # the p>1 sketch, 1200 x 1e5 cells, is over the sketch cap (MemoryError)
     ("simulate", "fp", "--p", "1.5", "--eps", "0.1", "--n", "100000"),
+    # entropy sends Morris counters, which no codec encodes
+    ("simulate", "entropy", "--codec", "exact"),
 ])
 def test_invalid_value_exits_one_with_one_error_line(argv):
     src = Path(sketchcast.__file__).parent.parent

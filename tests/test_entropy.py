@@ -13,11 +13,12 @@ from sketchcast.entropy import (
     estimate_entropy,
     stream_entropy,
 )
+from sketchcast.harness import zipf_weights
 from sketchcast.oracles import entropy_nats
 from sketch_reference import MEDIAN_SKEWED_STANDARD
 from sketchcast.stable import build_sketch
 from sketchcast.streams import DOMAIN_SKETCH, substream
-from sketchcast.topology import line, star
+from sketchcast.topology import line, spanning_tree, star
 
 
 def test_config_validation():
@@ -123,6 +124,18 @@ def test_stream_entropy_rejects_empty():
         stream_entropy([], cfg)
     with pytest.raises(ValueError):
         stream_entropy([(0, 0)], cfg)
+
+
+def test_stream_verb_is_the_network_protocol_on_one_player():
+    # one player sends nothing, and its near-1 counter base counts exactly
+    cfg = EntropyConfig(eps=0.3)
+    rng = np.random.default_rng(21)
+    tree = spanning_tree(star(1), 0)
+    for t in range(20):
+        counts = rng.multinomial(2000, zipf_weights(80, 1.3))
+        stream = np.column_stack([np.arange(80), counts])
+        want, _ = estimate_entropy(counts[None].astype(float), tree, cfg, seed=t)
+        assert math.isclose(stream_entropy(stream, cfg, seed=t), want, abs_tol=1e-12)
 
 
 def test_stream_single_item_near_zero():

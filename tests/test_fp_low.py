@@ -8,6 +8,7 @@ import pytest
 
 from helpers import tree_of
 from sketchcast import morris
+from sketchcast.entropy import EntropyConfig, estimate_entropy
 from sketchcast.fp_high import lower_median, stream_counts
 from sketchcast.fp_low import (
     FpLowConfig,
@@ -116,16 +117,19 @@ def test_counter_pipeline_matches_exact_sums():
     assert math.isclose(est, want, rel_tol=1e-9)
 
 
-def test_max_edge_bits_is_flat_across_depth():
+@pytest.mark.parametrize("run", [
+    lambda data, tree: estimate_fp_low(data, tree, FpLowConfig(p=0.5, eps=0.2), 5)[1],
+    lambda data, tree: estimate_entropy(data, tree, EntropyConfig(eps=0.2), 5)[1].comm,
+], ids=["fp_low", "entropy"])
+def test_max_edge_bits_is_flat_across_depth(run):
     # Fixed aggregate, entries divisible by both player counts: the wire
-    # width depends on m*M which stays constant, so messages are equal.
+    # width both protocols share depends on m*M, which stays constant, so
+    # messages are equal.
     total = np.arange(1.0, 17.0) * 16.0
     sizes = {}
     for m in (4, 16):
         data = np.tile(total / m, (m, 1))
-        cfg = FpLowConfig(p=0.5, eps=0.2)
-        _, stats = estimate_fp_low(data, tree_of(line(m)), cfg, seed=5)
-        sizes[m] = stats.max_edge_bits
+        sizes[m] = run(data, tree_of(line(m))).max_edge_bits
     assert sizes[4] == sizes[16]
 
 

@@ -105,6 +105,11 @@ def test_spec_validation():
     # zipf's token-count field is a stream spec's only
     (dict(protocol="fp", p=1.5, dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
     (dict(protocol="amp", dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
+    # only fp p>1, hh and amp send value vectors, which is what a codec encodes
+    (dict(protocol="fp", p=0.5, codec="exact"), "codec 'exact' applies only"),
+    (dict(protocol="entropy", codec="exact"), "codec 'exact' applies only"),
+    (dict(protocol="stream-fp", p=0.5, codec="exact"), "codec 'exact' applies only"),
+    (dict(protocol="stream-entropy", codec="exact"), "codec 'exact' applies only"),
 ])
 def test_spec_rejects_unknown_kinds_when_built(kw, match):
     # each of these used to fail only inside the first trial
