@@ -154,12 +154,18 @@ def add_children(verts, own, prev, slots, gens):
 def send_rounded(verts, x, gens, *, tree: SpanningTree, params: RoundingParams):
     """Round a layer's sums once on the grid; the message is the decoded values.
 
-    Wire format, lane by lane: a lane truncated to zero costs the single
-    bit ``1``.  Any other lane is ``0``, a sign bit, then the Elias gamma
-    code of zigzag(exponent) + 1, so it costs
-    2 + gamma_len(zigzag(exponent) + 1) bits (``kernels.rounded_bits``).
-    The code is prefix-free, so lanes concatenate without separators;
-    ``tests/bitcodec.py`` holds a reference encoder that realises it.
+    Wire format, one two-part code per message of L lanes:
+
+    - L zero flags, ``1`` for a lane truncated or exactly zero;
+    - if any lane is live, a header: the Elias gamma codes of
+      zigzag(lo) + 1 and w + 1, where lo and hi are the smallest and
+      largest live exponents and w = bit_length(hi - lo);
+    - for each live lane in order, a sign bit and exponent - lo in w bits.
+
+    A message with ``live`` live lanes thus costs
+    L + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + live * (1 + w) bits
+    (``kernels.rounded_bits``).  The receiver needs only L, which is
+    public; ``tests/bitcodec.py`` holds a reference encoder and decoder.
     Values under the layer floor truncate to an exact zero, and a live
     exponent outside the parameter window raises :class:`WindowError`
     naming the first such vertex.
@@ -175,7 +181,7 @@ def send_rounded(verts, x, gens, *, tree: SpanningTree, params: RoundingParams):
         escaped = ~is_zero & ((exponents < lo) | (exponents > hi))
         v = verts[np.flatnonzero(escaped.any(axis=1))[0]]
         raise WindowError(f"vertex {v}: rounded exponent escaped [{lo}, {hi}]")
-    return decoded, kernels.rounded_bits(exponents, is_zero).sum(axis=-1)
+    return decoded, kernels.rounded_bits(exponents, is_zero)
 
 
 def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed):

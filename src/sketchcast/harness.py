@@ -473,7 +473,12 @@ def comm_scaling(depths=(4, 16, 64, 256), eps: float = 0.25, p: float = 1.5,
     Runs line topologies of the given diameters, averages max_edge_bits
     per sketch row, and fits bits = a + b*log2(d).  Returns per-depth
     rows plus the fit and the saving factor over the 64-bit baseline.
+    Raises ValueError for a depth below 1 (a one-vertex line sends
+    nothing) or fewer than two distinct depths (no line to fit).
     """
+    if min(depths, default=0) < 1 or len(set(depths)) < 2:
+        raise ValueError(f"depths must be >= 1 with at least two distinct values, "
+                         f"got {list(depths)}")
     cfg = FpHighConfig(p=p, eps=eps)
     rows = []
     for d in depths:

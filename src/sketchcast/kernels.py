@@ -2,12 +2,12 @@
 
 Six kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
 stable transforms (``cms_symmetric``, ``cms_skewed_one``), stochastic
-rounding onto the (1+gamma) grid and its wire length (``round_to_grid``,
-``rounded_bits``), and the Morris counter batch update and merge
-(``morris_add_batch``, ``morris_merge``).  The transforms overwrite
-their pre-drawn (uniform, exponential) pairs with the draws, the rounding
-consumes pre-drawn uniforms, and the Morris kernels draw from the
-generator they are given.
+rounding onto the (1+gamma) grid (``round_to_grid``), the wire length of
+a rounded message in its two-part code (``rounded_bits``), and the Morris
+counter batch update and merge (``morris_add_batch``, ``morris_merge``).
+The transforms overwrite their pre-drawn (uniform, exponential) pairs
+with the draws, the rounding consumes pre-drawn uniforms, and the Morris
+kernels draw from the generator they are given.
 """
 
 from __future__ import annotations
@@ -196,22 +196,35 @@ def round_to_grid(
 
 
 # ---------------------------------------------------------------------------
-# Wire-length accounting for the lane format stated on
-# engine.send_rounded.
+# Wire length of the two-part message code stated on engine.send_rounded.
+# Exponents are reduced as float64, exact below 2^53; frexp's exponent is
+# the bit length of a non-negative integer.  With bl = bit_length,
+# gamma_len(zigzag(lo) + 1) = 2 bl(|lo|) + 1 and gamma_len(w + 1) =
+# 2 bl(w + 1) - 1, so a live row's header is 2 bl(|lo|) + 2 bl(w + 1).
+# Zero lanes are masked with -+_FAR, so a row without live lanes gets a
+# finite header, which its zero live count then drops.
 # ---------------------------------------------------------------------------
 
-
-def _floor_log2_f64(v: np.ndarray) -> np.ndarray:
-    # frexp gives v = m * 2^e with m in [0.5, 1), so floor(log2 v) = e - 1
-    _, e = np.frexp(v)
-    return (e - 1).astype(np.int64)
+_FAR = 2.0**60
+# 2 * bit_length(w + 1) for every width w a 64-bit spread can have
+_GAMMA_W = np.array([2 * (w + 1).bit_length() for w in range(65)])
 
 
 def rounded_bits(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
-    """Wire length in bits of each rounded lane."""
-    zz = np.where(exponents >= 0, 2 * exponents, -2 * exponents - 1)
-    glen = 2 * _floor_log2_f64((zz + 1).astype(np.float64)) + 1
-    return np.where(is_zero, 1, 2 + glen).astype(np.int64)
+    """Wire length in bits of each rounded message, one per row of the last axis.
+
+    A row of L lanes, ``live`` of them not zero, with live exponents in
+    [lo, hi] and w = bit_length(hi - lo), costs
+    L + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + live * (1 + w)
+    bits, or L when no lane is live.
+    """
+    lanes = exponents.shape[-1]
+    live = lanes - is_zero.sum(axis=-1)
+    lo = np.where(is_zero, _FAR, exponents).min(axis=-1)
+    hi = np.where(is_zero, -_FAR, exponents).max(axis=-1)
+    w = np.frexp(hi - lo)[1]
+    header = 2 * np.frexp(np.abs(lo))[1] + _GAMMA_W[w]
+    return lanes + live * (1 + w) + header * (live > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""Reference encoders for the prefix-free integer codes of the simulated wire.
+"""Reference encoders for the prefix-free codes of the simulated wire.
 
-Two small pieces live here: zigzag mapping of signed integers onto the
-non-negative integers, and the Elias gamma code for positive integers.
-Gamma codes ``v >= 1`` as ``floor(log2 v)`` zero bits followed by the
-binary expansion of ``v``, for a total of ``2*floor(log2 v) + 1`` bits.
+Three pieces live here: zigzag mapping of signed integers onto the
+non-negative integers, the Elias gamma code for positive integers, and
+the two-part code of a rounded message that ``engine.send_rounded``
+states.  Gamma codes ``v >= 1`` as ``floor(log2 v)`` zero bits followed by
+the binary expansion of ``v``, for a total of ``2*floor(log2 v) + 1`` bits.
+A rounded message of L lanes is L zero flags, then, if a lane is live, the
+gamma codes of zigzag(lo) + 1 and w + 1 (lo and hi the smallest and
+largest live exponents, w = bit_length(hi - lo)), then per live lane a
+sign bit and exponent - lo in w bits.
 
 Bit strings are plain ``str`` of '0'/'1'.  The simulator never ships real
-bytes; it meters exact bit counts (``engine.send_rounded`` states the
-rounded lane format), and the tests encode lanes with these functions to
-check the counts against an actual prefix-free encoding.
+bytes; it meters exact bit counts, and the tests encode messages with
+these functions to check the counts against an actual prefix-free
+encoding that decodes back.
 """
 
 from __future__ import annotations
@@ -45,3 +50,50 @@ def gamma_decode(bits: str, pos: int = 0) -> tuple[int, int]:
         z += 1
     value = int(bits[pos + z : pos + 2 * z + 1], 2)
     return value, pos + 2 * z + 1
+
+
+def encode_rounded(is_zero, negative, exponents) -> str:
+    """One rounded message in the two-part code stated on ``engine.send_rounded``.
+
+    The three sequences hold one entry per lane; a zero lane's sign and
+    exponent are not sent.
+    """
+    flags = "".join("1" if z else "0" for z in is_zero)
+    live = [(bool(neg), int(e)) for z, neg, e in zip(is_zero, negative, exponents) if not z]
+    if not live:
+        return flags
+    lo = min(e for _, e in live)
+    w = (max(e for _, e in live) - lo).bit_length()
+    body = "".join(("1" if neg else "0") + (format(e - lo, f"0{w}b") if w else "")
+                   for neg, e in live)
+    return flags + gamma_encode(zigzag(lo) + 1) + gamma_encode(w + 1) + body
+
+
+def decode_rounded(bits: str, lanes: int, pos: int = 0):
+    """Inverse of :func:`encode_rounded` for a message of ``lanes`` lanes.
+
+    Returns (is_zero, negative, exponents, next pos) as lists; a zero lane
+    decodes as not negative with exponent 0.
+    """
+    is_zero = [b == "1" for b in bits[pos : pos + lanes]]
+    pos += lanes
+    negative, exponents = [False] * lanes, [0] * lanes
+    if all(is_zero):
+        return is_zero, negative, exponents, pos
+    zz, pos = gamma_decode(bits, pos)
+    w, pos = gamma_decode(bits, pos)
+    lo, w = unzigzag(zz - 1), w - 1
+    for i in (i for i, z in enumerate(is_zero) if not z):
+        negative[i] = bits[pos] == "1"
+        exponents[i] = lo + (int(bits[pos + 1 : pos + 1 + w], 2) if w else 0)
+        pos += 1 + w
+    return is_zero, negative, exponents, pos
+
+
+def rounded_len_bound(lanes: int, exponent_min: int, exponent_max: int) -> int:
+    """Most bits a rounded message of ``lanes`` lanes can cost when every
+    live exponent lies in [exponent_min, exponent_max]: all lanes live, lo
+    at the window edge of larger zigzag, and w at the window's full width."""
+    w = (exponent_max - exponent_min).bit_length()
+    edge = max(zigzag(exponent_min), zigzag(exponent_max))
+    return lanes + gamma_len(edge + 1) + gamma_len(w + 1) + lanes * (1 + w)

@@ -1,10 +1,13 @@
-"""Round-trip and length checks for the zigzag and Elias gamma codes."""
+"""Round-trip and length checks for the zigzag, Elias gamma and rounded-message codes."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitcodec import gamma_decode, gamma_encode, gamma_len, unzigzag, zigzag
+from bitcodec import (decode_rounded, encode_rounded, gamma_decode, gamma_encode, gamma_len,
+                      rounded_len_bound, unzigzag, zigzag)
+from sketchcast import kernels
 
 
 def test_zigzag_interleaves_small_integers():
@@ -59,3 +62,37 @@ def test_gamma_rejects_non_positive(bad):
         gamma_len(bad)
     with pytest.raises(ValueError):
         gamma_encode(bad)
+
+
+LANE = st.tuples(st.booleans(), st.booleans(), st.integers(min_value=-(10**6), max_value=10**6))
+
+
+def _message(lanes):
+    return [list(col) for col in zip(*lanes)]
+
+
+@given(st.lists(st.lists(LANE, min_size=1, max_size=12), min_size=1, max_size=6))
+def test_rounded_messages_round_trip_at_the_metered_length(messages):
+    # consecutive messages decode back one by one, so the code is
+    # prefix-free given each message's public lane count
+    messages = [_message(m) for m in messages]
+    bits = "".join(encode_rounded(*m) for m in messages)
+    pos = 0
+    for is_zero, negative, exponents in messages:
+        start = pos
+        got_zero, got_neg, got_e, pos = decode_rounded(bits, len(is_zero), pos)
+        assert got_zero == is_zero
+        for z, neg, e, gn, ge in zip(is_zero, negative, exponents, got_neg, got_e):
+            assert (gn, ge) == ((False, 0) if z else (neg, e))
+        metered = kernels.rounded_bits(np.array(exponents), np.array(is_zero))
+        assert pos - start == metered
+        live = [e for z, e in zip(is_zero, exponents) if not z]
+        if live:
+            assert metered <= rounded_len_bound(len(is_zero), min(live), max(live))
+    assert pos == len(bits)
+
+
+def test_rounded_message_hand_encodings():
+    assert encode_rounded([True, True], [False, False], [0, 0]) == "11"
+    # flags 10, gamma(zigzag(-1) + 1) = 010, gamma(w + 1) = 1, sign 1
+    assert encode_rounded([True, False], [False, True], [0, -1]) == "1001011"

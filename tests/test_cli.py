@@ -189,6 +189,10 @@ def test_missing_counts_file_exits_one(capsys):
     ("simulate", "fp", "--p", "1.5", "--eps", "0.1", "--n", "100000"),
     # entropy sends Morris counters, which no codec encodes
     ("simulate", "entropy", "--codec", "exact"),
+    # a one-vertex line sends nothing; one distinct depth fits no slope
+    ("bench", "comms", "--depths", "0"),
+    ("bench", "comms", "--depths", "16"),
+    ("bench", "comms", "--depths", "16,16"),
 ])
 def test_invalid_value_exits_one_with_one_error_line(argv):
     src = Path(sketchcast.__file__).parent.parent

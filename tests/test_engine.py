@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bitcodec import gamma_len, zigzag
+from bitcodec import encode_rounded
 from sketchcast import engine, kernels, streams
 from sketchcast.engine import (
     CommStats,
@@ -322,9 +322,7 @@ def reference_rounded(payloads, tree, params, seed):
         if not ok:
             raise WindowError(f"rounded exponent escaped "
                               f"[{params.exponent_min}, {params.exponent_max}]")
-        bits = sum(1 if z else 2 + gamma_len(zigzag(int(e)) + 1)
-                   for z, e in zip(is_zero, exponents))
-        return decoded, bits
+        return decoded, len(encode_rounded(is_zero, decoded < 0, exponents))
 
     def root(v, own, children, gen):
         return _accumulate(own, children)

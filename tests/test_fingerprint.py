@@ -45,8 +45,8 @@ SPECS = {
 # (sha256 of the CSV, sha256 of the summary JSON) per spec
 PINNED = {
     "fp-p1.5-star": (
-        "ad6797e0ebe1d4fa4bb9312ff3b9e6e0f9ea1f4327b32d1f9a886dccdabe4e45",
-        "de35200456665d7b4066622200425ecb77c4c6a93c6ad27bd444fc8ac5222be7",
+        "b544dc1796cc6b62776af052058ee68468e4942899d469c5f5140ed4d1235c86",
+        "fccaf6dafc9b19dc4f2a43ea8407499b605c90af3dce985a0fef1c71b374651e",
     ),
     "fp-p0.5-line": (
         "68e73cc40e729e097e6c5af513aa960965f70b9666761bc7dec4f62af736c2f5",
@@ -57,12 +57,12 @@ PINNED = {
         "eb393efa24d8413c17301cdcc161153c51b3cdfbcb8120673b505a9011a8cd1d",
     ),
     "hh-line": (
-        "6aa91d4586c0d3ea62fda06f02c9d40cb473a470e884f318fbcf5e2e6c8e0014",
-        "4de2cfe811ebaef4d7de382d2648e34ad37db09c675ac62e2a21cdaac25b11a2",
+        "2046e3734fa3324b09af1206653b655e1128efe57fa84260a3998b15565ddeec",
+        "0c0f76cf3e44f1667e9030129e5738d7a119ed274cb8769a67b15004052abca2",
     ),
     "amp-star": (
-        "0f0c68668ff39ea55a95ad00207cbae8fe6512e41100dc43fe865623e514de2a",
-        "0d6a8390feb50b35cbdc3e523b31932b5974be951f20ec159b566fcd3113504c",
+        "7495ec771412843a934535768a24067a53d8085877d88970b335a65f1d8abd14",
+        "69500bf2c1d5b2194ea4d70edb13c4fd4ce481d816cefdf7da14ec7a57bc2bdf",
     ),
     "stream-fp-exact-y": (
         "467c658cd6a4781f270422dad2887edff8a495e7f61b014491393f24e301c22f",
@@ -81,12 +81,12 @@ PINNED = {
         "1b314af5fd6267740982c41a562de20474fe6081fac7b6c2f414545ce4f5922f",
     ),
     "amp-grid-sparse": (
-        "471be333a91a9dd977ebddc6dd442a8f414a80de61fb16fa2b838acb4b1c5ebd",
-        "d5da8ba41c4677c3d04499e848e18c539f77fa6849efb44689169a9fe488ee31",
+        "e49f020f91416174e7c4a7279e009ec263f6fb866c8c3063afa176a0896f5ae4",
+        "9ec03f33ff1152f345bd30c9fa52191d49bc06445b42365405b42982c62cb54c",
     ),
     "hh-grid": (
-        "f3017947eea18f51bb931fec587b50a54928868d13e24a82a3334f600420010e",
-        "25651417912c66783915b905eaacdb8b7d0c7fff50ab266fb888b51e430ef80f",
+        "dbd99d54f18a6e6eb5849aa5994b95dc44cfe3e021db55ea44126d6bfdf2283d",
+        "f19b2c1886f5784b112bfc084e3ad710ae89c8d6932eab9a8da506a75fb6c327",
     ),
 }
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bitcodec import gamma_len, zigzag
+from bitcodec import rounded_len_bound
 from helpers import tree_of
 from sketchcast import kernels
 from sketchcast.fp_high import (
@@ -161,10 +161,9 @@ def test_every_message_fits_the_window_bound():
     _, _, stats = estimate_fp_high(data, tree, cfg, seed=4)
 
     params = gamma_for(cfg.eps, cfg.delta, tree.depth, 64, 12, M=float(data.max()))
-    worst_exp = max(-params.exponent_min, params.exponent_max)
-    per_lane = 2 + gamma_len(zigzag(worst_exp) + 1)
+    budget = rounded_len_bound(cfg.k, params.exponent_min, params.exponent_max)
     for bits in stats.per_edge_bits.values():
-        assert bits <= 1 + cfg.k * per_lane
+        assert bits <= 1 + budget
 
 
 def test_relative_error_against_moment_oracle():

@@ -461,3 +461,12 @@ def test_comm_scaling_smoke():
         assert row["bits_per_row"] > 0
         assert row["baseline_ratio"] == 64.0 / row["bits_per_row"]
     assert set(out["fit"]) == {"slope", "intercept", "max_rel_residual"}
+
+
+def test_comm_scaling_bits_grow_at_most_a_bit_and_a_half_per_doubling_of_depth():
+    # a small-scale copy of the log d law: the rounded wire's bits per row
+    # on lines of depth 4, 16 and 64 (slope 1.27, 19.2 bits at d = 64)
+    out = comm_scaling(depths=(4, 16, 64), trials=3, seed=0)
+    assert out["fit"]["slope"] <= 1.6
+    assert out["rows"][-1]["bits_per_row"] <= 24
+

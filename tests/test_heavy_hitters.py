@@ -186,7 +186,7 @@ def test_rounded_table_f2_is_within_eps_on_a_deep_line(dist):
 
 
 def test_messages_respect_the_per_lane_budget():
-    from bitcodec import gamma_len, zigzag
+    from bitcodec import rounded_len_bound
     from sketchcast.rounding import gamma_for
 
     spec = CountSketchSpec.build(64, 0.25, seed=9)
@@ -195,10 +195,10 @@ def test_messages_respect_the_per_lane_budget():
     tree = tree_of(grid(2, 3))
     _, stats, _ = point_estimate_all(data, tree, spec, 0.25, seed=9)
     params = gamma_for(0.25, 0.25, max(1, tree.depth), 64, 6, M=float(data.max()))
-    per_lane = 2 + gamma_len(zigzag(max(-params.exponent_min, params.exponent_max)) + 1)
-    lanes = spec.rows * spec.width
+    budget = rounded_len_bound(spec.rows * spec.width, params.exponent_min,
+                               params.exponent_max)
     for bits in stats.per_edge_bits.values():
-        assert bits <= 1 + lanes * per_lane
+        assert bits <= 1 + budget
 
 
 def test_heavy_hitters_threshold_and_ordering():

@@ -101,13 +101,17 @@ def test_round_to_grid_reports_window_escape():
 
 
 def test_rounded_bits_formula():
-    from bitcodec import gamma_len, zigzag
+    from bitcodec import encode_rounded, gamma_len, zigzag
 
-    exponents = np.array([0, -3, 17, 2], dtype=np.int64)
-    is_zero = np.array([False, False, False, True])
+    exponents = np.array([[0, -3, 17, 2], [9, 9, 9, 9], [4, 1, 1, 0]], dtype=np.int64)
+    is_zero = np.array([[False, False, False, True], [False] * 4, [True] * 4])
     bits = kernels.rounded_bits(exponents, is_zero)
-    want = [2 + gamma_len(zigzag(int(e)) + 1) for e in exponents[:3]] + [1]
+    # row 0: lo = -3, w = bit_length(20) = 5; row 1: w = 0; row 2: flags only
+    want = [4 + gamma_len(zigzag(-3) + 1) + gamma_len(6) + 3 * 6,
+            4 + gamma_len(zigzag(9) + 1) + gamma_len(1) + 4, 4]
     assert list(bits) == want
+    assert want == [len(encode_rounded(z, [False] * 4, e))
+                    for z, e in zip(is_zero.tolist(), exponents.tolist())]
 
 
 def test_morris_add_batch_skips_zero_lanes():

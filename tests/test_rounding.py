@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitcodec import gamma_decode, gamma_encode, gamma_len, unzigzag, zigzag
+from bitcodec import (decode_rounded, encode_rounded, gamma_len, rounded_len_bound,
+                      zigzag)
 from sketchcast import kernels
 from sketchcast.engine import rounded_sum_convergecast
 from sketchcast.rounding import RoundingParams, WindowError, gamma_for
@@ -26,21 +27,6 @@ def round_lanes(x, params, unif, log_floor=-math.inf):
 def stratified(k):
     """k uniforms, one at the midpoint of each 1/k slice of [0, 1)."""
     return (np.arange(k) + 0.5) / k
-
-
-def encode_lane(is_zero, negative, exponent):
-    """One lane in the rounded wire format stated on ``engine.send_rounded``."""
-    if is_zero:
-        return "1"
-    return "0" + ("1" if negative else "0") + gamma_encode(zigzag(int(exponent)) + 1)
-
-
-def decode_lane(bits, pos):
-    """Inverse of encode_lane; returns (is_zero, negative, exponent, next pos)."""
-    if bits[pos] == "1":
-        return True, False, 0, pos + 1
-    v, nxt = gamma_decode(bits, pos + 2)
-    return False, bits[pos + 1] == "1", unzigzag(v - 1), nxt
 
 
 @given(
@@ -93,7 +79,8 @@ def test_zero_stays_zero():
     exponents, is_zero, decoded, ok = round_lanes([0.0, 0.0], WIDE, 0.5)
     assert ok and is_zero.all()
     assert not decoded.any()
-    assert list(kernels.rounded_bits(exponents, is_zero)) == [1, 1]
+    # an all-zero message is its zero flags alone
+    assert kernels.rounded_bits(exponents, is_zero) == 2
 
 
 def test_decode_examples():
@@ -105,45 +92,61 @@ def test_decode_examples():
 
 
 def test_message_bits_hand_counts():
-    bits = kernels.rounded_bits(np.array([0, -3]), np.array([False, False]))
-    assert list(bits) == [3, 7]
+    # [0, -3]: 2 flags, gamma(zigzag(-3) + 1) = 5 bits, w = 2 so gamma(3) =
+    # 3 bits, then 1 + 2 bits per lane; [_, 7] with lane 0 zero: 2 flags,
+    # gamma(15) = 7, gamma(1) = 1 and a lone sign bit; all zero: 2 flags
+    exponents = np.array([[0, -3], [5, 7], [0, 0]])
+    is_zero = np.array([[False, False], [True, False], [True, True]])
+    assert list(kernels.rounded_bits(exponents, is_zero)) == [16, 11, 2]
+    assert encode_rounded([False, False], [False, True], [0, -3]) == "0000110011011100"
 
 
 @pytest.mark.parametrize("exponent", range(-40, 41))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_codec_round_trip_over_window(exponent, sign):
-    bits = encode_lane(False, sign < 0, exponent)
-    metered = kernels.rounded_bits(np.array([exponent]), np.array([False]))[0]
-    assert len(bits) == metered == 2 + gamma_len(zigzag(exponent) + 1)
-    assert decode_lane(bits, 0) == (False, sign < 0, exponent, len(bits))
+    # the lane beside a fixed exponent-3 lane, so lo, w and the residuals all
+    # move with the exponent
+    message = ([False, False], [sign < 0, False], [exponent, 3])
+    bits = encode_rounded(*message)
+    metered = kernels.rounded_bits(np.array(message[2]), np.array(message[0]))
+    lo, w = min(exponent, 3), abs(exponent - 3).bit_length()
+    assert len(bits) == metered == 2 + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + 2 * (1 + w)
+    assert decode_rounded(bits, 2) == (*message, len(bits))
 
 
 def test_zero_codec_round_trip():
-    bits = encode_lane(True, False, 0)
-    assert len(bits) == kernels.rounded_bits(np.array([0]), np.array([True]))[0]
-    assert decode_lane(bits, 0) == (True, False, 0, 1)
+    bits = encode_rounded([True], [False], [0])
+    assert bits == "1"
+    assert len(bits) == kernels.rounded_bits(np.array([0]), np.array([True]))
+    assert decode_rounded(bits, 1) == ([True], [False], [0], 1)
 
 
 def test_rounded_vectors_are_realisable_at_the_metered_length():
-    # Encode every lane the kernel emits, zeros and sub-floor values
-    # included, as one bit string: it must decode back lane for lane and be
-    # exactly as long as the production meter says.
+    # Encode every message the kernel emits, one per row, zeros and
+    # sub-floor values included, as one bit string: it must decode back
+    # message by message and be exactly as long as the production meter says.
     rng = np.random.default_rng(12)
     params = RoundingParams(gamma=0.3, exponent_min=-400, exponent_max=400)
     x = rng.standard_normal(3000) * 10.0 ** rng.integers(-9, 9, 3000)
     x[::11] = 0.0
-    exponents, is_zero, _, ok = round_lanes(x, params, rng.random(x.size),
+    x = x.reshape(100, 30)
+    x[7] = 0.0  # one all-zero message
+    exponents, is_zero, _, ok = round_lanes(x, params, rng.random(x.shape),
                                             log_floor=math.log(1e-6))
     assert ok and is_zero.sum() > x.size // 11
     negative = x < 0
-    stream = "".join(encode_lane(z, neg, e) for z, neg, e in zip(is_zero, negative, exponents))
-    assert len(stream) == kernels.rounded_bits(exponents, is_zero).sum()
+    rows = list(zip(is_zero.tolist(), negative.tolist(), exponents.tolist()))
+    stream = "".join(encode_rounded(*row) for row in rows)
+    metered = kernels.rounded_bits(exponents, is_zero)
+    assert metered.shape == (100,) and len(stream) == metered.sum()
     pos = 0
-    for z, neg, e in zip(is_zero, negative, exponents):
-        got_zero, got_neg, got_e, pos = decode_lane(stream, pos)
+    for (z, neg, e), length in zip(rows, metered):
+        start = pos
+        got_zero, got_neg, got_e, pos = decode_rounded(stream, len(z), pos)
         assert got_zero == z
-        if not z:
-            assert (got_neg, got_e) == (neg, e)
+        assert [(a, b) for a, b, c in zip(got_neg, got_e, z) if not c] == \
+            [(a, b) for a, b, c in zip(neg, e, z) if not c]
+        assert pos - start == length
     assert pos == len(stream)
 
 
@@ -211,8 +214,14 @@ def test_floor_ratio_between_layers():
 
 def test_desk_scale_messages_fit_in_48_bits():
     params = gamma_for(0.1, 0.25, d=4, n=1000, m=16, M=1000)
-    window = np.array([params.exponent_min, params.exponent_max])
-    assert kernels.rounded_bits(window, np.zeros(2, dtype=bool)).max() <= 48
+    lo, hi = params.exponent_min, params.exponent_max
+    # one lane at either window edge, and both edges in one message
+    alone = kernels.rounded_bits(np.array([[lo], [hi]]), np.zeros((2, 1), dtype=bool))
+    assert alone.max() <= 48
+    assert kernels.rounded_bits(np.array([lo, hi]), np.zeros(2, dtype=bool)) <= 2 * 48
+    # any message of two or more lanes inside the window
+    for lanes in (2, 3, 64, 4096):
+        assert rounded_len_bound(lanes, lo, hi) <= 48 * lanes
 
 
 def test_window_covers_floor_and_cap():
