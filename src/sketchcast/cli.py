@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     hh = sim.add_parser("hh", help="count-sketch point estimates and heavy hitters")
     _add_common(hh, dist="planted:1000:1", eps=0.25)
-    hh.add_argument("--planted", help="VALUE:COUNT shorthand for --dist planted:...")
 
     ent = sim.add_parser("entropy", help="Shannon entropy of the aggregate")
     _add_common(ent, dist="uniform:100", eps=0.2)
@@ -115,10 +114,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     kw = dict(protocol=protocol, n=args.n, eps=args.eps, trials=args.trials,
               seed=args.seed)
     if args.command == "simulate":
-        dist = args.dist
-        if protocol == "hh" and getattr(args, "planted", None):
-            dist = f"planted:{args.planted}"
-        kw.update(topology=args.topology, m=args.m, dist=dist, tokens=args.tokens,
+        kw.update(topology=args.topology, m=args.m, dist=args.dist, tokens=args.tokens,
                   codec=args.codec)
         if protocol == "fp":
             kw.update(p=args.p)

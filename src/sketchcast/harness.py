@@ -217,13 +217,8 @@ def generate_aggregate(spec: ExperimentSpec, rng: np.random.Generator) -> np.nda
     if kind == "zipfagg":
         total = args[1] if len(args) > 1 else spec.tokens * spec.m
         return rng.multinomial(total, zipf_weights(n, args[0])).astype(np.int64)
-    if kind == "uniform":
-        v = args[0] if args else 1
-        return np.full(n, v, dtype=np.int64)
-    if kind == "sparse":
-        density = args[0] if args else 0.1
-        support = rng.random(n) < density
-        return np.where(support, rng.integers(1, 11, n), 0).astype(np.int64)
+    if kind in ("uniform", "sparse"):
+        return _draw_cells(kind, args, n, rng)
     if kind == "planted":
         x = np.ones(n, dtype=np.int64)
         x[:_planted_count(args)] = args[0]
@@ -246,20 +241,21 @@ def generate_aggregate(spec: ExperimentSpec, rng: np.random.Generator) -> np.nda
     return x
 
 
+def _draw_cells(kind: str, args: list, shape, rng: np.random.Generator) -> np.ndarray:
+    """int64 cells of ``shape`` for a uniform:v or sparse:density spec's fields."""
+    if kind == "uniform":
+        return np.full(shape, args[0] if args else 1, dtype=np.int64)
+    support = rng.random(shape) < (args[0] if args else 0.1)
+    return np.where(support, rng.integers(1, 11, shape), 0)
+
+
 def generate_matrix(spec: ExperimentSpec, t: int, rng: np.random.Generator) -> np.ndarray:
     """(n, t) non-negative aggregate matrix for the amp protocol."""
     kind, args = _dist_args(spec.dist, MATRIX_DISTS, "distribution")
-    n = spec.n
-    if kind == "sparse":
-        density = args[0] if args else 0.1
-        support = rng.random((n, t)) < density
-        return np.where(support, rng.integers(1, 11, (n, t)), 0).astype(np.float64)
     if kind == "zipf":
-        w = zipf_weights(n, args[0])
-        cols = [rng.multinomial(spec.tokens, w) for _ in range(t)]
-        return np.stack(cols, axis=1).astype(np.float64)
-    v = args[0] if args else 1  # uniform:v
-    return np.full((n, t), v, dtype=np.float64)
+        cols = rng.multinomial(spec.tokens, zipf_weights(spec.n, args[0]), size=t)
+        return cols.T.astype(np.float64)
+    return _draw_cells(kind, args, (spec.n, t), rng).astype(np.float64)
 
 
 def generate_stream(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
@@ -466,13 +462,13 @@ def write_summary(path, summary: dict) -> None:
 
 
 def comm_scaling(depths=(4, 16, 64, 256), eps: float = 0.25, p: float = 1.5,
-                 n: int = 200, trials: int = 8, seed: int = 0,
-                 dist: str = "zipf:1.1", tokens: int = 1000) -> dict:
+                 n: int = 200, trials: int = 8, seed: int = 0) -> dict:
     """Max-communication growth of the fp_high convergecast on line graphs.
 
-    Runs line topologies of the given diameters, averages max_edge_bits
-    per sketch row, and fits bits = a + b*log2(d).  Returns per-depth
-    rows plus the fit and the saving factor over the 64-bit baseline.
+    Runs line topologies of the given diameters on zipf:1.1 players of
+    1000 tokens each, averages max_edge_bits per sketch row, and fits
+    bits = a + b*log2(d).  Returns per-depth rows plus the fit and the
+    saving factor over the 64-bit baseline.
     Raises ValueError for a depth below 1 (a one-vertex line sends
     nothing) or fewer than two distinct depths (no line to fit).
     """
@@ -483,8 +479,8 @@ def comm_scaling(depths=(4, 16, 64, 256), eps: float = 0.25, p: float = 1.5,
     rows = []
     for d in depths:
         m = d + 1
-        spec = ExperimentSpec(protocol="fp", topology="line", n=n, m=m, dist=dist,
-                              eps=eps, trials=trials, seed=seed, p=p, tokens=tokens)
+        spec = ExperimentSpec(protocol="fp", topology="line", n=n, m=m, dist="zipf:1.1",
+                              eps=eps, trials=trials, seed=seed, p=p, tokens=1000)
         reports, _ = run_experiment(spec)
         per_row = float(np.mean([r.max_edge_bits for r in reports])) / cfg.k
         rows.append({"d": d, "m": m, "bits_per_row": per_row,

@@ -8,8 +8,8 @@ eps0^2) rows, ||R - X^T Y||_F <= eps ||X||_F ||Y||_F with probability
 1 - delta, where eps0 = eps/4 splits the budget across the error terms.
 
 S is drawn one row block at a time, like the stable sketches, and each
-block meets many players' columns in a single product, in place of one
-product per player over the whole of S.
+block meets the columns of every player that holds data in a single
+product, in place of one product per player over the whole of S.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from .engine import CommStats, sum_convergecast
 from .stable import block_rows
 from .streams import DOMAIN_SKETCH, generator
 from .topology import SpanningTree
-
-# Cells in one player group's copied columns, and in its product with S,
-# when S is drawn as one block.
-GROUP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,49 +73,46 @@ def _player_matrices(inputs, m: int, t: int, name: str) -> np.ndarray:
 def _sketch_payload(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
     """(m, k*(t1+t2)) payload: row v is (S X_v).ravel() followed by (S Y_v).ravel().
 
-    Each row block of S meets a group of players' columns, copied side by
-    side into one (n, group*(t1+t2)) matrix, in a single product.  When S
-    takes several blocks the group is every player, so the players' data
-    is copied once; when S is one block, groups whose copy and product
-    each hold at most GROUP_CELLS cells are copied once each, which keeps
-    the copy from adding to the payload's memory.
+    The columns of the players that hold data are copied once, side by
+    side, into one (n, held*(t1+t2)) matrix, and each row block of S meets
+    them in a single product.  Blocks are sized for the wider of S's rows
+    and the product's, so S's block and the product each hold about
+    ``stable.BLOCK_CELLS`` cells.  Players that hold zero X and Y keep the
+    +0.0 rows the payload starts with, which is what their product with S
+    gives.
 
-    A group whose players all hold zero X and Y skips its copy and its
-    product: its rows keep the +0.0 the payload starts with, which is what
-    the product of S with zero columns gives.  The other groups keep all
-    their columns, zero or not, so each product keeps its shape and with it
-    its bits: OpenBLAS tiles a product by its shape, and other tilings can
-    move the last bits of its sums (see ``stable.BLOCK_ROW_MULTIPLE``).
+    Which players hold data sets the product's width, and a column of a
+    product keeps its bits across widths only where BLAS runs one kernel
+    for both.  Measured with OpenBLAS 0.3.31 on AVX-512, a product with two
+    or more columns and over 1e6 multiply-adds (block rows x n x columns)
+    gives each column the bits it has in any wider such product.  numpy
+    sends a one-column product to gemv, and OpenBLAS sends smaller ones to
+    its small-matrix kernel; both sum in other orders and can move the last
+    bits.  One held player with t1 + t2 <= 4 on a small sketch is such a
+    case; the benchmark's amp workloads, with about 10 held players, are not.
     """
     m, n, t1 = xs.shape
     t = t1 + ys.shape[2]
-    rows = block_rows(k, n)
-    group = m if rows < k else min(m, max(1, GROUP_CELLS // (max(n, k) * t)))
-    held = xs.any(axis=(1, 2)) | ys.any(axis=(1, 2))
+    held = np.flatnonzero(xs.any(axis=(1, 2)) | ys.any(axis=(1, 2)))
+    cols = np.empty((n, held.size, t))
+    for j, v in enumerate(held):
+        cols[:, j, :t1] = xs[v]
+        cols[:, j, t1:] = ys[v]
+    cols = cols.reshape(n, held.size * t)
+    rows = block_rows(k, max(n, cols.shape[1]))
 
     payload = np.zeros((m, k * t))
     px = payload[:, :k * t1].reshape(m, k, t1)
     py = payload[:, k * t1:].reshape(m, k, t - t1)
     block = np.empty((rows, n))
-    cols = np.empty(n * group * t)
-    prod = np.empty(rows * group * t)
+    prod = np.empty((rows, cols.shape[1]))
     rng = generator(seed, DOMAIN_SKETCH)
     for r0 in range(0, k, rows):
         h = min(rows, k - r0)
-        s = sketch_matrix(rng, block[:h], k)
-        for g0 in range(0, m, group):
-            g = min(group, m - g0)
-            if not held[g0:g0 + g].any():
-                continue
-            c = cols[:n * g * t].reshape(n, g, t)
-            if r0 == 0:
-                c[:, :, :t1] = xs[g0:g0 + g].transpose(1, 0, 2)
-                c[:, :, t1:] = ys[g0:g0 + g].transpose(1, 0, 2)
-            out = prod[:h * g * t].reshape(h, g * t)
-            np.matmul(s, c.reshape(n, g * t), out=out)
-            out = out.reshape(h, g, t)
-            px[g0:g0 + g, r0:r0 + h] = out[:, :, :t1].transpose(1, 0, 2)
-            py[g0:g0 + g, r0:r0 + h] = out[:, :, t1:].transpose(1, 0, 2)
+        out = np.matmul(sketch_matrix(rng, block[:h], k), cols, out=prod[:h])
+        out = out.reshape(h, held.size, t)
+        px[held, r0:r0 + h] = out[:, :, :t1].transpose(1, 0, 2)
+        py[held, r0:r0 + h] = out[:, :, t1:].transpose(1, 0, 2)
     return payload
 
 

@@ -26,6 +26,9 @@ import numpy as np
 
 from .streams import generator
 
+# Edge probability of a random topology whose spec names none.
+RANDOM_EDGE_P = 0.15
+
 
 class TopologyError(ValueError):
     pass
@@ -205,7 +208,7 @@ def grid(rows: int, cols: int) -> Topology:
     return make_topology(rows * cols, edges)
 
 
-def random_connected(m: int, p_edge: float = 0.15, seed=0) -> Topology:
+def random_connected(m: int, p_edge: float = RANDOM_EDGE_P, seed=0) -> Topology:
     """Random tree plus Bernoulli(p_edge) extra edges; always connected."""
     if m < 1:
         raise TopologyError("random topology needs m >= 1")
@@ -306,5 +309,5 @@ def from_spec(spec: str, m: int, seed=0) -> Topology:
             r -= 1
         return grid(r, m // r)
     if kind == "random":
-        return random_connected(m, 0.15 if arg is None else arg, seed)
+        return random_connected(m, RANDOM_EDGE_P if arg is None else arg, seed)
     return arg  # file:PATH

@@ -1,9 +1,10 @@
 """Reference encoders for the prefix-free codes of the simulated wire.
 
-Three pieces live here: zigzag mapping of signed integers onto the
-non-negative integers, the Elias gamma code for positive integers, and
-the two-part code of a rounded message that ``engine.send_rounded``
-states.  Gamma codes ``v >= 1`` as ``floor(log2 v)`` zero bits followed by
+Five pieces live here: zigzag mapping of signed integers onto the
+non-negative integers, the Elias gamma code for positive integers, the
+two-part code of a rounded message that ``engine.send_rounded`` states,
+and the fixed-width codes of exact and counter messages that
+``engine.send_exact`` and ``engine.send_counters`` state.  Gamma codes ``v >= 1`` as ``floor(log2 v)`` zero bits followed by
 the binary expansion of ``v``, for a total of ``2*floor(log2 v) + 1`` bits.
 A rounded message of L lanes is L zero flags, then, if a lane is live, the
 gamma codes of zigzag(lo) + 1 and w + 1 (lo and hi the smallest and
@@ -17,6 +18,8 @@ encoding that decodes back.
 """
 
 from __future__ import annotations
+
+import struct
 
 
 def zigzag(e: int) -> int:
@@ -97,3 +100,41 @@ def rounded_len_bound(lanes: int, exponent_min: int, exponent_max: int) -> int:
     w = (exponent_max - exponent_min).bit_length()
     edge = max(zigzag(exponent_min), zigzag(exponent_max))
     return lanes + gamma_len(edge + 1) + gamma_len(w + 1) + lanes * (1 + w)
+
+
+def encode_exact(values) -> str:
+    """One exact message: each lane's value as a 64-bit IEEE-754 double."""
+    return "".join(format(struct.unpack(">Q", struct.pack(">d", v))[0], "064b")
+                   for v in values)
+
+
+def decode_exact(bits: str, lanes: int, pos: int = 0) -> tuple[list[float], int]:
+    """Inverse of :func:`encode_exact` for ``lanes`` lanes; returns (values, next pos)."""
+    values = [struct.unpack(">d", struct.pack(">Q", int(bits[i : i + 64], 2)))[0]
+              for i in range(pos, pos + 64 * lanes, 64)]
+    return values, pos + 64 * lanes
+
+
+def encode_counters(state, state_bits: int) -> str:
+    """One counter message of ``[insertions | deletions]`` state ``state``.
+
+    Lane i sends its insertion state, then its deletion state, each as a
+    ``state_bits``-wide unsigned integer.
+    """
+    lanes = len(state) // 2
+    fields = []
+    for s in (state[j] for i in range(lanes) for j in (i, lanes + i)):
+        if s != int(s) or not 0 <= s < 2**state_bits:
+            raise ValueError(f"state {s} is no {state_bits}-bit unsigned integer")
+        fields.append(format(int(s), f"0{state_bits}b"))
+    return "".join(fields)
+
+
+def decode_counters(bits: str, lanes: int, state_bits: int, pos: int = 0):
+    """Inverse of :func:`encode_counters` for ``lanes`` lanes.
+
+    Returns the ``[insertions | deletions]`` state as a list, and the next pos.
+    """
+    fields = [int(bits[i : i + state_bits], 2)
+              for i in range(pos, pos + 2 * lanes * state_bits, state_bits)]
+    return fields[0::2] + fields[1::2], pos + 2 * lanes * state_bits

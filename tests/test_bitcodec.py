@@ -1,11 +1,12 @@
-"""Round-trip and length checks for the zigzag, Elias gamma and rounded-message codes."""
+"""Round-trip and length checks for the zigzag, Elias gamma and message codes."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitcodec import (decode_rounded, encode_rounded, gamma_decode, gamma_encode, gamma_len,
+from bitcodec import (decode_counters, decode_exact, decode_rounded, encode_counters,
+                      encode_exact, encode_rounded, gamma_decode, gamma_encode, gamma_len,
                       rounded_len_bound, unzigzag, zigzag)
 from sketchcast import kernels
 
@@ -96,3 +97,14 @@ def test_rounded_message_hand_encodings():
     assert encode_rounded([True, True], [False, False], [0, 0]) == "11"
     # flags 10, gamma(zigzag(-1) + 1) = 010, gamma(w + 1) = 1, sign 1
     assert encode_rounded([True, False], [False, True], [0, -1]) == "1001011"
+
+
+def test_exact_and_counter_message_hand_encodings():
+    # 1.0: sign 0, biased exponent 1023, zero mantissa; -2.0: sign 1, exponent 1024
+    assert encode_exact([1.0, -2.0]) == "0" + "01111111111" + "0" * 52 + "1" + "1" + "0" * 62
+    assert decode_exact(encode_exact([1.0, -2.0]), 2) == ([1.0, -2.0], 128)
+    # [insertions 3, 0 | deletions 1, 2]: lane 0 sends 3 then 1, lane 1 sends 0 then 2
+    assert encode_counters([3.0, 0.0, 1.0, 2.0], 3) == "011" "001" "000" "010"
+    assert decode_counters("011001000010", 2, 3) == ([3, 0, 1, 2], 12)
+    with pytest.raises(ValueError):
+        encode_counters([8.0, 0.0], 3)

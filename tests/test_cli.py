@@ -114,17 +114,6 @@ def test_simulate_entropy_smoke(capsys):
     assert stdout.startswith("protocol=entropy ")
 
 
-def test_simulate_hh_planted_shorthand(tmp_path, capsys):
-    summary = tmp_path / "s.json"
-    code, stdout, _ = run_cli(
-        capsys, "simulate", "hh", "--planted", "500:1", "--m", "4", "--n", "100",
-        "--eps", "0.25", "--trials", "2", "--seed", "4", "--summary", str(summary))
-    assert code == 0
-    loaded = json.loads(summary.read_text(encoding="ascii"))
-    assert loaded["spec"]["dist"] == "planted:500:1"
-    assert "recovery_rate" in loaded
-
-
 def test_simulate_amp_smoke(capsys):
     code, stdout, _ = run_cli(
         capsys, "simulate", "amp", "--t1", "2", "--t2", "2", "--m", "4",

@@ -34,7 +34,7 @@ SPECS = {
                            dist="zipf:1.3:2000"),
     "fp-p1.5-grid-exact-codec": dict(protocol="fp", p=1.5, topology="grid", m=9, n=60,
                                      eps=0.25, tokens=200, codec="exact"),
-    # players at id 10 and up hold nothing, so 5 of amp's 6 player groups
+    # players at id 10 and up hold nothing, so 54 of amp's 64 payload rows
     # and most hh table cells come from all-zero data
     "amp-grid-sparse": dict(protocol="amp", topology="grid:8x8", m=64, n=40, eps=0.3,
                             dist="sparse:0.2", t1=2, t2=2),

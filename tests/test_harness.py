@@ -455,7 +455,7 @@ def test_protocols_take_the_tree_not_a_topology():
 
 
 def test_comm_scaling_smoke():
-    out = comm_scaling(depths=(2, 4), eps=0.25, n=30, trials=2, tokens=100)
+    out = comm_scaling(depths=(2, 4), eps=0.25, n=30, trials=2)
     assert [r["d"] for r in out["rows"]] == [2, 4]
     for row in out["rows"]:
         assert row["bits_per_row"] > 0
