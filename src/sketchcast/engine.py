@@ -58,7 +58,7 @@ from .topology import SpanningTree
 
 
 class CounterOverflowError(RuntimeError):
-    """A Morris counter exceeded the configured wire-size cap."""
+    """A Morris counter state reached the configured state bound."""
 
 
 @dataclass(frozen=True)
@@ -258,23 +258,26 @@ def merge_counters(verts, own, prev, slots, gens, *, log_b: float):
 def send_counters(verts, state, gens, *, state_bits: int):
     """Send the counter states as they are.
 
-    Wire format, lane by lane: lane i's insertion and deletion states
-    (columns i and lanes + i of its ``[insertions | deletions]`` row),
-    each as a fixed ``state_bits``-wide unsigned integer, so a lane costs
-    2 * state_bits bits.  No base is sent: every receiver derives it, like
-    the field width, from public parameters (eps, n, p and the update-mass
-    bound), never from the realized states, so a message's bit length is
-    the same on every edge of every tree.  A state outside the field
-    models the "safely fail" event: exceeding it raises
+    Wire format, lane by lane: lane i's insertion state, then its deletion
+    state (columns i and lanes + i of its ``[insertions | deletions]``
+    row), each state s as the Elias delta code of s + 1.  With
+    N = bit_length(s + 1) a state costs N + 2 * bit_length(N) - 2 bits, so
+    a zero state costs 1 bit and a message costs what its states hold
+    (``kernels.counter_bits``).  The code is self-delimiting, so the
+    receiver needs only the lane count; no base is sent either: every
+    receiver derives it from public parameters (eps, n, p).
+    ``tests/bitcodec.py`` holds a reference encoder and decoder.
+    ``state_bits`` bounds the states, not the wire: a state of
+    ``state_bits`` bits or more models the "safely fail" event and raises
     :class:`CounterOverflowError`, naming the first row's largest state.
     """
     worst = state.max(axis=-1, initial=0.0)
     over = worst >= 2.0 ** state_bits
     if over.any():
         raise CounterOverflowError(
-            f"counter state {worst[over].flat[0]:.0f} exceeds {state_bits}-bit field"
+            f"counter state {worst[over].flat[0]:.0f} exceeds {state_bits}-bit bound"
         )
-    return state, np.full(worst.shape, state.shape[-1] * state_bits)
+    return state, kernels.counter_bits(state)
 
 
 def morris_sum_convergecast(values, tree: SpanningTree, log_b: float, seed, state_bits=64):

@@ -4,10 +4,12 @@ Each player feeds the integer sketch coordinates eta^-1 <S_i, X_j> into
 one signed Morris counter per row, counters merge up the tree, and the
 root reports (eta * lower_median |estimate(C_i)| / theta_p)^p.  The
 counter base b = 1 + (eps' * delta')^2 is tuned so that counting noise
-stays below eps' relative to the absorbed mass, while a counter state
-occupies O(log log) bits on the wire regardless of tree depth.  The entry
-cap, the base and the field width are derived in :func:`counter_sum` only,
-which entropy shares.
+stays below eps' relative to the absorbed mass.  Each state travels in
+an Elias delta code (``engine.send_counters``); at this base, within
+1e-30 of 1, a state is about the count it holds, so it costs about log2
+of that count, not the O(log log) of a statistics-scale base.  The entry
+cap, the base and the state bound are derived in :func:`counter_sum`
+only, which entropy shares.
 
 Also hosts the log-cosine streaming estimator in random-oracle mode: it
 maintains y = S X (exactly, or through signed Morris counters) plus an
@@ -74,9 +76,8 @@ def counter_sum(inputs, tree: SpanningTree, cfg, seed, lanes_of) -> tuple[np.nda
     Returns (lane estimates, stats).  ``data`` is the (m, n) player counts,
     ``cfg`` an FpLowConfig or EntropyConfig, and entry_cap = (M n m)^3 for
     M the largest count.  The base is ``cfg.base_minus_one(n)``; the state
-    field holds what the public update-mass bound m n M entry_cap / eta can
-    reach, so a message's size does not depend on the tree, and a state
-    outside it raises CounterOverflowError.
+    bound holds what the public update-mass bound m n M entry_cap / eta can
+    reach, and a state past it raises CounterOverflowError.
     """
     m = tree.m
     data = as_count_matrix(inputs, m)
@@ -84,9 +85,9 @@ def counter_sum(inputs, tree: SpanningTree, cfg, seed, lanes_of) -> tuple[np.nda
     M = float(max(1.0, data.max()))
     entry_cap = (M * n * m) ** 3
     bm1 = cfg.base_minus_one(n)
-    width = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
+    bound = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
     counters, stats = morris_sum_convergecast(lanes_of(data, entry_cap), tree,
-                                              math.log1p(bm1), seed, state_bits=width)
+                                              math.log1p(bm1), seed, state_bits=bound)
     return estimates_signed(counters, bm1), stats
 
 

@@ -463,26 +463,28 @@ def write_summary(path, summary: dict) -> None:
 
 def comm_scaling(depths=(4, 16, 64, 256), eps: float = 0.25, p: float = 1.5,
                  n: int = 200, trials: int = 8, seed: int = 0) -> dict:
-    """Max-communication growth of the fp_high convergecast on line graphs.
+    """Max-communication growth of the fp convergecast on line graphs.
 
     Runs line topologies of the given diameters on zipf:1.1 players of
-    1000 tokens each, averages max_edge_bits per sketch row, and fits
-    bits = a + b*log2(d).  Returns per-depth rows plus the fit and the
-    saving factor over the 64-bit baseline.
+    1000 tokens each, averages max_edge_bits per sketch row (k from the
+    spec's config: rounded values at p > 1, Morris counter pairs at
+    p < 1), and fits bits = a + b*log2(d).  Returns per-depth rows plus the
+    fit and the saving factor over the 64-bit baseline.
     Raises ValueError for a depth below 1 (a one-vertex line sends
-    nothing) or fewer than two distinct depths (no line to fit).
+    nothing), fewer than two distinct depths (no line to fit), or a p no
+    fp protocol takes.
     """
     if min(depths, default=0) < 1 or len(set(depths)) < 2:
         raise ValueError(f"depths must be >= 1 with at least two distinct values, "
                          f"got {list(depths)}")
-    cfg = FpHighConfig(p=p, eps=eps)
     rows = []
     for d in depths:
         m = d + 1
         spec = ExperimentSpec(protocol="fp", topology="line", n=n, m=m, dist="zipf:1.1",
                               eps=eps, trials=trials, seed=seed, p=p, tokens=1000)
+        k = spec.config().k
         reports, _ = run_experiment(spec)
-        per_row = float(np.mean([r.max_edge_bits for r in reports])) / cfg.k
+        per_row = float(np.mean([r.max_edge_bits for r in reports])) / k
         rows.append({"d": d, "m": m, "bits_per_row": per_row,
                      "baseline_ratio": 64.0 / per_row})
     x = np.array([math.log2(r["d"]) for r in rows])
@@ -492,7 +494,7 @@ def comm_scaling(depths=(4, 16, 64, 256), eps: float = 0.25, p: float = 1.5,
     resid = np.abs(y - fitted) / fitted
     return {
         "schema_version": SCHEMA_VERSION,
-        "eps": eps, "p": p, "n": n, "k": cfg.k, "trials": trials, "seed": seed,
+        "eps": eps, "p": p, "n": n, "k": k, "trials": trials, "seed": seed,
         "rows": rows,
         "fit": {"slope": float(coeffs[0]), "intercept": float(coeffs[1]),
                 "max_rel_residual": float(resid.max())},

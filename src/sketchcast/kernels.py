@@ -1,9 +1,10 @@
 """Hot numeric kernels, vectorised in numpy.
 
-Six kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
+Seven kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
 stable transforms (``cms_symmetric``, ``cms_skewed_one``), stochastic
-rounding onto the (1+gamma) grid (``round_to_grid``), the wire length of
-a rounded message in its two-part code (``rounded_bits``), and the Morris
+rounding onto the (1+gamma) grid (``round_to_grid``), the wire lengths of
+a rounded message in its two-part code (``rounded_bits``) and of a
+counter message in Elias delta codes (``counter_bits``), and the Morris
 counter batch update and merge (``morris_add_batch``, ``morris_merge``).
 The transforms overwrite their pre-drawn (uniform, exponential) pairs
 with the draws, the rounding consumes pre-drawn uniforms, and the Morris
@@ -225,6 +226,43 @@ def rounded_bits(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
     w = np.frexp(hi - lo)[1]
     header = 2 * np.frexp(np.abs(lo))[1] + _GAMMA_W[w]
     return lanes + live * (1 + w) + header * (live > 0)
+
+
+# ---------------------------------------------------------------------------
+# Wire length of the Elias delta codes stated on engine.send_counters.
+# A state s travels as delta(s + 1); with N = bit_length(s + 1) that is
+# N + 2 bit_length(N) - 2 bits.  States are integer-valued float64 up to
+# about 7e19, past 2^53 and 2^64, so they are never cast to an integer
+# type: N is read from the biased exponent field (bits 52-62) of a float
+# in [2^(N-1), 2^N), which holds N + 1022.
+#
+# That float is s + c with c = 1 - 2^-53, the largest double below 1, in
+# one correctly rounded add.  The exact sum s + 1 - 2^-53 lies 2^-53 below
+# s + 1, so it rounds to s + 1 wherever s + 1 is a double and the spacing
+# below it is at least 2^-51, which holds for 2 <= s < 2^53 (at s = 1 the
+# sum ties and goes to the even 2).  From 2^53 on the spacing is 2 or
+# more, so it rounds to s instead, which has the bit length of s + 1
+# because s is even.  A plain s + 1 would round 2^54 - 2 + 1 up to 2^54,
+# one bit too many.  s = 0 gives c itself, exponent field 1022, which the
+# table maps to the 1-bit code of N = 1.
+# ---------------------------------------------------------------------------
+
+_BELOW_ONE = 1.0 - 2.0**-53
+# code length N + 2 * bit_length(N) - 2 by exponent field N + 1022; the
+# fields below 1023 are only read for s = 0
+_DELTA_LEN = np.array([n + 2 * n.bit_length() - 2
+                       for n in (max(e - 1022, 1) for e in range(2048))])
+
+
+def counter_bits(state: np.ndarray) -> np.ndarray:
+    """Wire length in bits of each counter message, one per row of the last axis.
+
+    Each state s costs the Elias delta code of s + 1, N + 2 bit_length(N) - 2
+    bits for N = bit_length(s + 1): one bit for a zero state.
+    """
+    exponent = (state + _BELOW_ONE).view(np.int64)
+    exponent >>= 52
+    return np.take(_DELTA_LEN, exponent).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ many updates in O(final state) time instead of O(n) by run-length
 sampling, and ``kernels.morris_merge`` folds one counter into another so
 that merge(counter(n1), counter(n2)) is distributed as counter(n1 + n2).
 This module holds the estimator, its bounds, and the counter base and
-state width the protocols derive from them.
+state bound the protocols derive from them.
 
 L signed counters are one state of 2L columns laid out ``[insertions |
 deletions]``, and lane i estimates column i minus column L + i.  States
@@ -16,8 +16,13 @@ are kept as integer-valued float64: beyond 2^53 the state no longer
 advances by exact units, which perturbs estimates at relative order 1e-16,
 far below the counter's own statistical noise.
 
-The wire format of a counter vector is stated on
-``engine.send_counters``.
+A counter vector travels as one Elias delta code per state, so a state
+s costs about log2(s) + 2 log2 log2(s) bits: what it holds, not the
+worst case.  At the protocol bases (``counter_base_offset``, within 1e-30
+of 1) a state is about its count, so it costs about log2 of the count;
+the O(log log) states of the paper's analysis need a statistics-scale
+base.  The format is stated on ``engine.send_counters``;
+``state_field_bits`` only bounds the states.
 """
 
 from __future__ import annotations
@@ -58,7 +63,12 @@ def counter_base_offset(eps: float, delta: float, n: int, p: float = 1.0) -> flo
 
 
 def state_field_bits(total_updates: float, b_minus_1: float) -> int:
-    """Fixed wire width holding any state reachable from the update bound."""
+    """Bit bound holding any state reachable from the update bound.
+
+    It bounds the states, not the wire: a state at or past it raises
+    ``engine.CounterOverflowError``, and each state is sent in a code as
+    long as the state needs (``engine.send_counters``).
+    """
     worst = state_bound(total_updates, b_minus_1)
     return max(1, int(worst).bit_length() + 1)
 

@@ -1,20 +1,29 @@
 """Reference encoders for the prefix-free codes of the simulated wire.
 
-Five pieces live here: zigzag mapping of signed integers onto the
-non-negative integers, the Elias gamma code for positive integers, the
-two-part code of a rounded message that ``engine.send_rounded`` states,
-and the fixed-width codes of exact and counter messages that
-``engine.send_exact`` and ``engine.send_counters`` state.  Gamma codes ``v >= 1`` as ``floor(log2 v)`` zero bits followed by
-the binary expansion of ``v``, for a total of ``2*floor(log2 v) + 1`` bits.
+Six pieces live here: zigzag mapping of signed integers onto the
+non-negative integers, the Elias gamma and delta codes for positive
+integers, the two-part code of a rounded message that
+``engine.send_rounded`` states, the fixed-width code of an exact message
+that ``engine.send_exact`` states, and the delta-coded counter message
+that ``engine.send_counters`` states.
+
+Gamma codes ``v >= 1`` as ``floor(log2 v)`` zero bits followed by the
+binary expansion of ``v``, for a total of ``2*floor(log2 v) + 1`` bits.
+Delta codes ``v >= 1`` as the gamma code of N = bit_length(v) followed by
+the N - 1 bits of ``v`` below its leading one, for a total of
+``N + 2*bit_length(N) - 2`` bits (Elias 1975).
+
 A rounded message of L lanes is L zero flags, then, if a lane is live, the
 gamma codes of zigzag(lo) + 1 and w + 1 (lo and hi the smallest and
 largest live exponents, w = bit_length(hi - lo)), then per live lane a
-sign bit and exponent - lo in w bits.
+sign bit and exponent - lo in w bits.  A counter message of L lanes is,
+lane by lane, the delta codes of the insertion state + 1 and the deletion
+state + 1.
 
 Bit strings are plain ``str`` of '0'/'1'.  The simulator never ships real
 bytes; it meters exact bit counts, and the tests encode messages with
 these functions to check the counts against an actual prefix-free
-encoding that decodes back.
+encoding that decodes back.  Integers are Python ints, exact at any size.
 """
 
 from __future__ import annotations
@@ -53,6 +62,20 @@ def gamma_decode(bits: str, pos: int = 0) -> tuple[int, int]:
         z += 1
     value = int(bits[pos + z : pos + 2 * z + 1], 2)
     return value, pos + 2 * z + 1
+
+
+def delta_encode(v: int) -> str:
+    """Elias delta code of ``v >= 1``: gamma(bit_length(v)), then v below its leading one."""
+    if v < 1:
+        raise ValueError(f"delta code needs v >= 1, got {v}")
+    b = bin(int(v))[2:]
+    return gamma_encode(len(b)) + b[1:]
+
+
+def delta_decode(bits: str, pos: int = 0) -> tuple[int, int]:
+    """Decode one delta code starting at ``pos``; return (value, next pos)."""
+    n, pos = gamma_decode(bits, pos)
+    return int("1" + bits[pos : pos + n - 1], 2), pos + n - 1
 
 
 def encode_rounded(is_zero, negative, exponents) -> str:
@@ -115,26 +138,29 @@ def decode_exact(bits: str, lanes: int, pos: int = 0) -> tuple[list[float], int]
     return values, pos + 64 * lanes
 
 
-def encode_counters(state, state_bits: int) -> str:
+def encode_counters(state) -> str:
     """One counter message of ``[insertions | deletions]`` state ``state``.
 
-    Lane i sends its insertion state, then its deletion state, each as a
-    ``state_bits``-wide unsigned integer.
+    Lane i sends its insertion state, then its deletion state, each state
+    s as the delta code of s + 1.  States are integer-valued floats or
+    ints; each converts to an exact Python int, so no size loses bits.
     """
     lanes = len(state) // 2
-    fields = []
+    codes = []
     for s in (state[j] for i in range(lanes) for j in (i, lanes + i)):
-        if s != int(s) or not 0 <= s < 2**state_bits:
-            raise ValueError(f"state {s} is no {state_bits}-bit unsigned integer")
-        fields.append(format(int(s), f"0{state_bits}b"))
-    return "".join(fields)
+        if s != int(s) or s < 0:
+            raise ValueError(f"state {s} is no unsigned integer")
+        codes.append(delta_encode(int(s) + 1))
+    return "".join(codes)
 
 
-def decode_counters(bits: str, lanes: int, state_bits: int, pos: int = 0):
+def decode_counters(bits: str, lanes: int, pos: int = 0):
     """Inverse of :func:`encode_counters` for ``lanes`` lanes.
 
     Returns the ``[insertions | deletions]`` state as a list, and the next pos.
     """
-    fields = [int(bits[i : i + state_bits], 2)
-              for i in range(pos, pos + 2 * lanes * state_bits, state_bits)]
-    return fields[0::2] + fields[1::2], pos + 2 * lanes * state_bits
+    states = []
+    for _ in range(2 * lanes):
+        v, pos = delta_decode(bits, pos)
+        states.append(v - 1)
+    return states[0::2] + states[1::2], pos

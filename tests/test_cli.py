@@ -182,6 +182,8 @@ def test_missing_counts_file_exits_one(capsys):
     ("bench", "comms", "--depths", "0"),
     ("bench", "comms", "--depths", "16"),
     ("bench", "comms", "--depths", "16,16"),
+    # p = 1 is neither the rounded (p > 1) nor the counter (p < 1) protocol
+    ("bench", "comms", "--p", "1.0"),
 ])
 def test_invalid_value_exits_one_with_one_error_line(argv):
     src = Path(sketchcast.__file__).parent.parent
@@ -194,15 +196,15 @@ def test_invalid_value_exits_one_with_one_error_line(argv):
 
 
 def test_counter_overflow_exits_one_with_one_error_line(capsys, monkeypatch):
-    # the field width is sized from the update-mass bound, so no small spec
+    # the state bound is sized from the update-mass bound, so no small spec
     # overflows a counter: the experiment runner raises the error instead
     def overflow(*args, **kwargs):
-        raise CounterOverflowError("counter state 70000 exceeds 16-bit field")
+        raise CounterOverflowError("counter state 70000 exceeds 16-bit bound")
 
     monkeypatch.setattr(sketchcast.cli, "run_experiment", overflow)
     code, stdout, stderr = run_cli(capsys, "simulate", "fp", "--p", "0.5", "--trials", "1")
     assert code == 1 and stdout == ""
-    assert stderr == "error: counter state 70000 exceeds 16-bit field\n"
+    assert stderr == "error: counter state 70000 exceeds 16-bit bound\n"
 
 
 def test_bench_comms_smoke(tmp_path, capsys):
@@ -215,3 +217,10 @@ def test_bench_comms_smoke(tmp_path, capsys):
     assert "fit: slope=" in stdout
     loaded = json.loads(summary.read_text(encoding="ascii"))
     assert [r["d"] for r in loaded["rows"]] == [2, 4]
+
+
+def test_bench_comms_runs_the_counter_protocol_below_p_one(capsys):
+    code, stdout, _ = run_cli(capsys, "bench", "comms", "--p", "0.5", "--depths", "2,4",
+                              "--n", "30", "--trials", "1")
+    assert code == 0
+    assert stdout.count("baseline_ratio=") == 2

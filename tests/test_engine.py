@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bitcodec import encode_rounded
+from bitcodec import encode_counters, encode_rounded
 from sketchcast import engine, kernels, streams
 from sketchcast.engine import (
     CommStats,
@@ -205,16 +205,19 @@ def test_exact_sum_zero_subtree_uses_flag():
 
 
 def counter_bits(msg, state_bits):
-    sent, bits = send_counters([0], msg, [], state_bits=state_bits)
+    sent, bits = send_counters(list(range(len(msg))), msg, [], state_bits=state_bits)
     assert sent is msg
-    return bits
+    return bits.tolist()
 
 
-def test_counter_codec_bits_ignore_values():
-    # two lanes, laid out [insertions | deletions]
-    small = np.array([[1.0, 0.0, 0.0, 2.0]])
-    large = np.array([[4000.0, 1.0, 0.0, 0.0]])
-    assert counter_bits(small, 12) == counter_bits(large, 12) == 2 * 24
+def test_counter_codec_bits_are_delta_code_lengths():
+    # two lanes, laid out [insertions | deletions]; a state s costs the delta
+    # code of s + 1: 1 bit for 0, 4 for 1 and 2, 18 for 4000 (N = 12, and
+    # 12 has 4 bits: 12 + 2 * 4 - 2)
+    small = [1.0, 0.0, 0.0, 2.0]
+    large = [4000.0, 1.0, 0.0, 0.0]
+    assert counter_bits(np.array([small, large]), 12) == [4 + 1 + 1 + 4, 18 + 4 + 1 + 1]
+    assert counter_bits(np.zeros((1, 4)), 12) == [4]
 
 
 def test_counter_codec_overflow_raises():
@@ -233,20 +236,34 @@ def test_morris_sum_recovers_exact_counts_at_protocol_base():
     counters, stats = morris_sum_convergecast(payload, tree, log_b, seed=0)
     assert np.array_equal(counters, np.concatenate([np.maximum(payload, 0.0).sum(axis=0),
                                                     np.maximum(-payload, 0.0).sum(axis=0)]))
-    assert stats.max_edge_bits == 8 * 2 * 64 + 1
+    # The busiest edge, 2 -> 3, carries rows 0-2: insertions [30, 65, 11, 17,
+    # 45, 90, 8, 0] and deletions [35, 100, 35, 69, 67, 0, 25, 124].  A state
+    # s costs delta(s + 1): 1 bit at s = 0, 8 at 7-14, 9 at 15-30, 10 at
+    # 31-62 and 11 at 63-126.  Lane by lane, plus the flag:
+    lanes = [9 + 10, 11 + 11, 8 + 10, 9 + 11, 10 + 11, 11 + 1, 8 + 9, 1 + 11]
+    assert stats.max_edge_bits == 1 + sum(lanes) == 142
+    assert stats.per_edge_bits == {(0, 1): 80, (1, 2): 137, (2, 3): 142, (4, 3): 108,
+                                   (5, 4): 76}
 
 
-def test_morris_sum_message_size_is_depth_invariant():
-    # Fixed aggregate, two depths: every non-flag message has one size.
+def test_morris_sum_message_size_follows_subtree_mass_not_depth():
+    # Fixed aggregate of 64 per lane, two depths, exact counting: the edge
+    # out of a vertex whose subtree holds c per lane sends 8 lanes of
+    # delta(c + 1) and delta(1), so its size is set by c, wherever the edge
+    # sits.  delta(c + 1) costs 5 bits at c = 4, 8 at c = 8 and 12, 9 at
+    # c = 16 to 28 and 10 at c = 32 to 60.
+    cost = {4: 5, 8: 8, 12: 8} | {c: 9 for c in range(16, 32, 4)} | {
+        c: 10 for c in range(32, 64, 4)}
     total = np.full(8, 64.0)
     log_b = math.log1p(1e-30)
-    sizes = set()
     for m in (4, 16):
         payload = np.tile(total / m, (m, 1))
         tree = spanning_tree(line(m), 0)
         _, stats = morris_sum_convergecast(payload, tree, log_b, seed=0, state_bits=20)
-        sizes.update(stats.per_edge_bits.values())
-    assert sizes == {8 * 2 * 20 + 1}
+        mass = {(v, v - 1): (m - v) * 64 // m for v in range(1, m)}
+        assert stats.per_edge_bits == {e: 1 + 8 * (cost[c] + 1) for e, c in mass.items()}
+        if m == 4:
+            assert list(stats.per_edge_bits.values()) == [81, 89, 89]
 
 
 def test_morris_sum_zero_subtrees_send_flags():
@@ -275,8 +292,9 @@ def test_morris_sum_all_zero_returns_zero_states():
 # subtree.  Each node transform returns its message and the message's bit
 # length, which the reference works out on its own: from the reference
 # encoder's code lengths for rounded lanes, at 64 bits per exact lane, and
-# from the counter field width for Morris lanes.  The layer engine must
-# reproduce its root output and every per-edge bit count exactly.
+# from the reference encoder's delta codes for Morris lanes.  The layer
+# engine must reproduce its root output and every per-edge bit count
+# exactly.
 # ---------------------------------------------------------------------------
 
 ZERO = object()
@@ -364,8 +382,8 @@ def reference_morris(values, tree, log_b, seed, state_bits=64):
         worst = out.max()
         if worst >= 2.0 ** state_bits:
             raise CounterOverflowError(
-                f"counter state {worst:.0f} exceeds {state_bits}-bit field")
-        return out, out.size * state_bits
+                f"counter state {worst:.0f} exceeds {state_bits}-bit bound")
+        return out, len(encode_counters(out.tolist()))
 
     def root(v, own, children, gen):
         out = fold(v, own, children, gen)

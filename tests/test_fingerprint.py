@@ -49,12 +49,12 @@ PINNED = {
         "fccaf6dafc9b19dc4f2a43ea8407499b605c90af3dce985a0fef1c71b374651e",
     ),
     "fp-p0.5-line": (
-        "68e73cc40e729e097e6c5af513aa960965f70b9666761bc7dec4f62af736c2f5",
-        "09135e4ce7c6a6ba4f659d25b8ddd89610f5b24bc139a2cfcae8c96e42d8eb67",
+        "019144895844aa7c725f6890568b241187d70b3ed5d96239d4fb1d7506bf1dfd",
+        "b7ec8c343cdf058c3a3479e0e5bfa55597f2244159c32d1663a4bd742ad85dbc",
     ),
     "entropy-star": (
-        "002384c2e6cf5de2f35b6e4c277c21ecc73616cfddf2206e4e5cc98f840bef40",
-        "eb393efa24d8413c17301cdcc161153c51b3cdfbcb8120673b505a9011a8cd1d",
+        "86229447296faa0d4a296d0881c9fc6465baf09acf674862540cd576196d2be6",
+        "3442286857b5201f8d6282bfa74daa8d067fa6358d656224193e6be4579bb7bc",
     ),
     "hh-line": (
         "2046e3734fa3324b09af1206653b655e1128efe57fa84260a3998b15565ddeec",

@@ -470,3 +470,18 @@ def test_comm_scaling_bits_grow_at_most_a_bit_and_a_half_per_doubling_of_depth()
     assert out["fit"]["slope"] <= 1.6
     assert out["rows"][-1]["bits_per_row"] <= 24
 
+
+
+def test_comm_scaling_counter_bits_stay_under_the_old_fixed_field():
+    # At p < 1 each sketch row sends an insertion and a deletion state in
+    # delta codes; the fixed field they replaced cost 2 * state_field_bits
+    # per row, at least 122/136/152 bits at depths 4/16/64 (M = 1, its
+    # smallest).  8 trials give 57.4, 69.5 and 77.2 bits per row.
+    out = comm_scaling(depths=(4, 16, 64), p=0.5, trials=3, seed=0)
+    cfg = fp_low.FpLowConfig(p=0.5, eps=0.25)
+    assert out["k"] == cfg.k
+    n, bm1 = out["n"], cfg.base_minus_one(out["n"])
+    for row in out["rows"]:
+        m = row["m"]
+        fixed = 2 * morris.state_field_bits(m * n * (n * m) ** 3 / cfg.eta, bm1)
+        assert row["bits_per_row"] < fixed

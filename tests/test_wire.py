@@ -3,7 +3,7 @@
 Hooks around ``engine.send_rounded``, ``engine.send_exact`` and
 ``engine.send_counters`` encode each sending row's message with the
 ``bitcodec`` encoder of its family and decode it knowing only public
-parameters: the lane count, the grid ratio and the counter field width.
+parameters: the lane count and the grid ratio.
 The encoding must be exactly as long as the edge's metered bits less the
 1-bit subtree flag, and it must decode to the message the engine passes to
 the parent; for a rounded message the decoded lanes must also be the
@@ -104,9 +104,9 @@ class WireRecorder:
     def _send_counters(self, real):
         def send_counters(verts, state, gens, *, state_bits):
             msg, lengths = real(verts, state, gens, state_bits=state_bits)
-            encodings = [encode_counters(row.tolist(), state_bits) for row in msg]
+            encodings = [encode_counters(row.tolist()) for row in msg]
             for row, bits in zip(msg, encodings):
-                got, end = decode_counters(bits, msg.shape[-1] // 2, state_bits)
+                got, end = decode_counters(bits, msg.shape[-1] // 2)
                 assert end == len(bits)
                 assert np.array_equal(np.array(got, dtype=np.float64), row)
             self._record("counters", verts, lengths, encodings)
