@@ -9,9 +9,9 @@ protocols here: stochastically rounded value vectors, exact
 sketch-equivalence checks), and signed Morris counter vectors.
 
 A family is two plain functions.  ``combine(verts, own, prev, slots,
-gens)`` builds a layer's state from its own payload rows and its
+gen)`` builds a layer's state from its own payload rows and its
 children's messages; row 0 of the root's state is the run's output.
-``send(verts, state, gens)`` returns the layer's message and each row's
+``send(verts, state, gen)`` returns the layer's message and each row's
 wire length; its docstring states the family's wire format.  Messages are
 plain arrays: rounded and exact vectors send their decoded values, Morris
 counters their states, laid out ``[insertions | deletions]`` per row.
@@ -32,15 +32,15 @@ its own payload, then its children one by one in the order a
 vertex-at-a-time loop would, so every sum is bit-identical to that loop's
 (``np.add.at`` on the parent index would not keep that order).
 
-Random streams.  Vertex v draws only from its own stream, which equals
-``generator(seed, DOMAIN_NODES, v)``, with the same calls in the same order
-as if it were processed alone; the layer kernels route each row's draws to
-that row's generator.  The streams of all vertices are seeded in one batch
-at the start of a run (``streams.substream_words``), and a Generator is
-built from its vertex's words only when the vertex sends or is the root: a
-non-root vertex whose subtree is all zero creates no generator.  A run is
-thus fully determined by (seed, topology, inputs), however its vertices
-are batched.
+Random streams.  A run draws from one stream, ``generator(seed,
+DOMAIN_NODES)``, built once: the vertices need randomness independent of
+each other's, not a stream each.  Layers draw in turn, leaves first and
+the root last, and each kernel call draws for its whole layer:
+``send_rounded`` takes one ``gen.random`` of the layer's shape, which
+equals one draw per vertex in (layer, id) order, and the Morris kernels
+draw for the lanes of all the layer's rows together.  A vertex whose
+subtree is all zero draws nothing.  A run is thus fully determined by
+(seed, tree, inputs), drawn layer by layer.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ from functools import partial
 
 import numpy as np
 
-from . import kernels
+from . import kernels, streams
 from .morris import signed_updates
 from .rounding import RoundingParams, WindowError, gamma_for
-from .streams import DOMAIN_NODES, generator_from_words, substream_words
 from .topology import SpanningTree
 
 
@@ -100,9 +99,9 @@ def run_convergecast(tree, inputs, combine, send, seed=0):
     (ascending ids), their payload rows as a fresh float64 matrix, the
     previous layer's message, the child slots (``(rows, src)`` pairs: row
     ``rows[i]`` has as its j-th child the sender in row ``src[i]`` of
-    ``prev``; ``rows`` is ``slice(None)`` when every row has one) and one
-    generator per vertex; ``send`` gets the vertices, the state and the
-    generators.  The 1-bit subtree flag is added to each wire length here.
+    ``prev``; ``rows`` is ``slice(None)`` when every row has one) and the
+    run's generator; ``send`` gets the vertices, the state and the
+    generator.  The 1-bit subtree flag is added to each wire length here.
     A layer in which no vertex sends skips both calls.  The root's
     ``combine`` runs whether or not its subtree holds anything.
     """
@@ -111,7 +110,7 @@ def run_convergecast(tree, inputs, combine, send, seed=0):
     by_layer: list[list[int]] = [[] for _ in range(tree.depth + 1)]
     for v in range(tree.m):
         by_layer[tree.layer[v]].append(v)
-    words = substream_words(seed, DOMAIN_NODES, last=np.arange(tree.m))
+    gen = streams.generator(seed, streams.DOMAIN_NODES)
     row_of = [-1] * tree.m  # row of a sending vertex in its layer's message
     per_edge: dict[tuple[int, int], int] = {}
     prev = None
@@ -120,10 +119,9 @@ def run_convergecast(tree, inputs, combine, send, seed=0):
         senders = [v for v in verts if kids[v] or has_data[v]]
         msg, bits = None, {}
         if senders:
-            gens = [generator_from_words(words[v]) for v in senders]
             state = combine(senders, inputs[senders], prev,
-                            _slots([kids[v] for v in senders]), gens)
-            msg, lengths = send(senders, state, gens)
+                            _slots([kids[v] for v in senders]), gen)
+            msg, lengths = send(senders, state, gen)
             bits = dict(zip(senders, (1 + lengths).tolist()))
             for r, v in enumerate(senders):
                 row_of[v] = r
@@ -131,12 +129,11 @@ def run_convergecast(tree, inputs, combine, send, seed=0):
         prev = msg
     root = tree.root
     kids = [[row_of[c] for c in tree.children[root] if row_of[c] >= 0]]
-    out = combine([root], inputs[[root]], prev, _slots(kids),
-                  [generator_from_words(words[root])])
+    out = combine([root], inputs[[root]], prev, _slots(kids), gen)
     return out[0], CommStats(per_edge_bits=per_edge, rounds=tree.depth)
 
 
-def add_children(verts, own, prev, slots, gens):
+def add_children(verts, own, prev, slots, gen):
     """Combine of the value families: each payload row plus its children's messages.
 
     Children are added one child slot at a time (see "Addition order").
@@ -151,7 +148,7 @@ def add_children(verts, own, prev, slots, gens):
 # ---------------------------------------------------------------------------
 
 
-def send_rounded(verts, x, gens, *, tree: SpanningTree, params: RoundingParams):
+def send_rounded(verts, x, gen, *, tree: SpanningTree, params: RoundingParams):
     """Round a layer's sums once on the grid; the message is the decoded values.
 
     Wire format, one two-part code per message of L lanes:
@@ -171,11 +168,8 @@ def send_rounded(verts, x, gens, *, tree: SpanningTree, params: RoundingParams):
     naming the first such vertex.
     """
     lo, hi = params.exponent_min, params.exponent_max
-    unif = np.empty_like(x)
-    for row, gen in zip(unif, gens):
-        gen.random(out=row)
     exponents, is_zero, decoded, ok = kernels.round_to_grid(
-        x, unif, params.log_gamma, params.log_floor(tree.layer[verts[0]]), lo, hi
+        x, gen.random(x.shape), params.log_gamma, params.log_floor(tree.layer[verts[0]]), lo, hi
     )
     if not ok:
         escaped = ~is_zero & ((exponents < lo) | (exponents > hi))
@@ -200,7 +194,7 @@ def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParam
 # ---------------------------------------------------------------------------
 
 
-def send_exact(verts, values, gens):
+def send_exact(verts, values, gen):
     """Send a layer's sums as they are.
 
     Wire format: one raw 64-bit float per lane.  This is the flat
@@ -239,23 +233,23 @@ def sum_convergecast(codec: str, payloads, tree: SpanningTree, seed, *,
 # ---------------------------------------------------------------------------
 
 
-def merge_counters(verts, own, prev, slots, gens, *, log_b: float):
+def merge_counters(verts, own, prev, slots, gen, *, log_b: float):
     """Combine of the Morris family.
 
     Each row batches its payload into one ``[insertions | deletions]``
     state row, then merges its children one child slot at a time.
     """
     state = np.zeros((own.shape[0], 2 * own.shape[1]))
-    kernels.morris_add_batch(gens, state, signed_updates(own), log_b)
+    kernels.morris_add_batch(gen, state, signed_updates(own), log_b)
     for rows, src in slots:
         # rows without a j-th child merge zero states, which draw nothing
         child = np.zeros_like(state)
         child[rows] = prev[src]
-        kernels.morris_merge(gens, state, child, log_b)
+        kernels.morris_merge(gen, state, child, log_b)
     return state
 
 
-def send_counters(verts, state, gens, *, state_bits: int):
+def send_counters(verts, state, gen, *, state_bits: int):
     """Send the counter states as they are.
 
     Wire format, lane by lane: lane i's insertion state, then its deletion

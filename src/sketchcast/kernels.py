@@ -303,9 +303,16 @@ def counter_bits(state: np.ndarray) -> np.ndarray:
 # keep the exact loop and its draws, and statistics-scale bases, where
 # max_p > 1e-4 from the first update, take neither shortcut.
 #
-# Lanes may draw from one generator or from one generator per row of a
-# 2-D state array (a tree layer, one row per vertex).  Each row then sees
-# exactly the draws, in the same order, that it would see alone.
+# Failures of many lanes are drawn as one Poisson(sum lam) total, split
+# over the lanes in proportion to lam by a multinomial only when the total
+# is not zero: by the Poisson splitting theorem the split counts are
+# independent Poisson(lam_i), the same joint law as one draw per lane.  At
+# the protocol bases the total is almost always zero, so a batch costs one
+# scalar draw.  Lanes past _POISSON_LAM_MAX take the normal limit, and a
+# batch whose total passes it takes one per-lane Poisson call.
+#
+# Every draw comes from the one generator given, however many rows the
+# state array has (a tree layer holds one row per vertex).
 # ---------------------------------------------------------------------------
 
 _RARE_P = 1e-8
@@ -319,46 +326,22 @@ def _poisson_path(lam: np.ndarray, max_p: np.ndarray) -> np.ndarray:
     return max_p <= np.where(lam > _MANY_FAILURES, _MANY_FAILURES_P, _RARE_P)
 
 
-def _draw(gens, lanes: np.ndarray, width: int, sample) -> np.ndarray:
-    """``sample(gen, lo, hi)`` for each row's run of ``lanes[lo:hi]``, concatenated.
-
-    ``lanes`` are ascending flat lane indices, never empty, into a
-    ``(len(gens), width)`` state array, so each row's lanes form one run.
-    A run that covers all of ``lanes`` goes straight to its generator.
-    """
-    if len(gens) == 1:
-        return sample(gens[0], 0, lanes.size)
-    first, last = int(lanes[0]) // width, int(lanes[-1]) // width
-    if first == last:
-        return sample(gens[first], 0, lanes.size)
-    cuts = np.searchsorted(lanes, np.arange(first + 1, last + 1) * width).tolist()
-    return np.concatenate([sample(gens[row], lo, hi) for row, lo, hi
-                           in zip(range(first, last + 1), [0, *cuts], [*cuts, lanes.size])
-                           if hi > lo])
-
-
-def _uniforms(gens, lanes, width):
-    return _draw(gens, lanes, width, lambda g, lo, hi: g.random(hi - lo))
-
-
-def _rare_failures(gens, lanes, width, lam: np.ndarray) -> np.ndarray:
+def _rare_failures(gen, lam: np.ndarray) -> np.ndarray:
+    """Independent Poisson(lam[i]) failure counts, one per lane."""
+    f = np.zeros_like(lam)
     big = lam > _POISSON_LAM_MAX
-    if not big.any():
-        return _draw(gens, lanes, width, lambda g, lo, hi: g.poisson(lam[lo:hi]))
-    f = np.empty_like(lam)
-    small = ~big
-    if small.any():
-        lam_s = lam[small]
-        f[small] = _draw(gens, lanes[small], width, lambda g, lo, hi: g.poisson(lam_s[lo:hi]))
-    lam_b = lam[big]
-    f[big] = np.maximum(np.rint(_draw(
-        gens, lanes[big], width,
-        lambda g, lo, hi: g.normal(lam_b[lo:hi], np.sqrt(lam_b[lo:hi])))), 0.0)
+    small = slice(None)
+    if big.any():
+        lam_b = lam[big]
+        f[big] = np.maximum(np.rint(gen.normal(lam_b, np.sqrt(lam_b))), 0.0)
+        small = ~big
+    lam_s = lam[small]
+    total = lam_s.sum()
+    if total > _POISSON_LAM_MAX:
+        f[small] = gen.poisson(lam_s)
+    elif failures := gen.poisson(total):
+        f[small] = gen.multinomial(failures, lam_s / total)
     return f
-
-
-def _streams(gen):
-    return (gen,) if isinstance(gen, np.random.Generator) else gen
 
 
 def _flat_view(c: np.ndarray) -> np.ndarray:
@@ -370,9 +353,9 @@ def _flat_view(c: np.ndarray) -> np.ndarray:
 def morris_add_batch(gen, c: np.ndarray, u: np.ndarray, log_b: float):
     """Play u[i] updates into counter state c[i] in place; returns c.
 
-    ``gen`` is one Generator, or a sequence of one per row of a 2-D ``c``.
+    ``c`` may have any shape, such as one row per vertex of a tree layer;
+    every lane draws from ``gen``.
     """
-    gens, width = _streams(gen), c.shape[-1]
     cf = _flat_view(c)
     rem = u.astype(np.float64).reshape(-1)
     active = rem >= 1.0
@@ -383,14 +366,14 @@ def morris_add_batch(gen, c: np.ndarray, u: np.ndarray, log_b: float):
         rare = _poisson_path(lam, (ci + ui) * log_b)
         if rare.any():
             ri = idx[rare]
-            f = np.minimum(_rare_failures(gens, ri, width, lam[rare]), ui[rare])
+            f = np.minimum(_rare_failures(gen, lam[rare]), ui[rare])
             cf[ri] += ui[rare] - f
             rem[ri] = 0.0
             idx = idx[~rare]
             if not idx.size:
                 break
         ci = cf[idx]
-        draws = _uniforms(gens, idx, width)
+        draws = gen.random(idx.size)
         fast = ci * log_b <= _LN2
         # failure-time branch
         fi = idx[fast]
@@ -416,9 +399,9 @@ def morris_add_batch(gen, c: np.ndarray, u: np.ndarray, log_b: float):
 def morris_merge(gen, cx: np.ndarray, cy: np.ndarray, log_b: float):
     """Fold counter states cy into cx in place; returns cx.
 
-    ``gen`` is one Generator, or a sequence of one per row of a 2-D ``cx``.
+    ``cx`` may have any shape, as in :func:`morris_add_batch`; every lane
+    draws from ``gen``.
     """
-    gens, width = _streams(gen), cx.shape[-1]
     xf = _flat_view(cx)
     y = np.asarray(cy, dtype=np.float64).reshape(-1)
     rem = y.copy()
@@ -435,13 +418,13 @@ def morris_merge(gen, cx: np.ndarray, cy: np.ndarray, log_b: float):
         rare = ~free & _poisson_path(p * rem[idx], p)
         ri = idx[rare]
         if ri.size:
-            f = np.minimum(_rare_failures(gens, ri, width, p[rare] * rem[ri]), rem[ri])
+            f = np.minimum(_rare_failures(gen, p[rare] * rem[ri]), rem[ri])
             xf[ri] += rem[ri] - f
             rem[ri] = 0.0
         keep = ~free & ~rare
         gi = idx[keep]
         if gi.size:
-            runs = np.floor(-np.log1p(-_uniforms(gens, gi, width)) / (w[keep] * log_b))
+            runs = np.floor(-np.log1p(-gen.random(gi.size)) / (w[keep] * log_b))
             done = runs >= rem[gi]
             xf[gi] += np.where(done, rem[gi], runs)
             rem[gi] = np.where(done, 0.0, rem[gi] - runs - 1.0)

@@ -196,53 +196,41 @@ def test_poisson_path_takes_only_rare_or_long_loops():
     assert list(kernels._poisson_path(lam, max_p)) == list(cases.values())
 
 
-def test_layer_kernels_draw_each_row_from_its_own_generator():
-    # A (rows x lanes) call must give each row what a one-row call with
-    # that row's generator gives, whatever the other rows hold.
-    rng = np.random.default_rng(0)
-    u = np.rint(np.abs(rng.standard_cauchy((5, 7))) * 50.0)
-    u[2] = 0.0
-    y = np.rint(np.abs(rng.standard_cauchy((5, 7))) * 50.0)
-    y[[1, 4]] = 0.0
-    for log_b in (math.log(1.05), 1e-21, 1e-9):
-        layer = np.zeros((5, 7))
-        gens = [np.random.default_rng(10 + r) for r in range(5)]
-        kernels.morris_add_batch(gens, layer, u, log_b)
-        kernels.morris_merge(gens, layer, y, log_b)
-        for r in range(5):
-            alone = np.zeros(7)
-            gen = np.random.default_rng(10 + r)
-            kernels.morris_add_batch(gen, alone, u[r], log_b)
-            kernels.morris_merge(gen, alone, y[r], log_b)
-            assert np.array_equal(layer[r], alone)
-            assert gen.bit_generator.state == gens[r].bit_generator.state
+def test_rare_failures_are_independent_poisson_per_lane():
+    # One Poisson total split by a multinomial must give each lane
+    # Poisson(lam) failures, independent of the other lanes'.
+    lam = np.tile([0.0, 0.3, 2.0, 7.0], 250)
+    gen = np.random.default_rng(11)
+    draws = 2000
+    f = np.array([kernels._rare_failures(gen, lam) for _ in range(draws)])
+    assert not f[:, lam == 0.0].any()
+    for value in (0.3, 2.0, 7.0):
+        group = f[:, lam == value]
+        size = group.size
+        assert abs(group.mean() - value) < 4 * math.sqrt(value / size)
+        # Var(sample variance) ~ (mu4 - sigma^4) / size, mu4 = lam + 3 lam^2
+        assert abs(group.var() - value) < 4 * math.sqrt((value + 2 * value**2) / size)
+    # uncorrelated lanes: the total over lanes has variance sum(lam), which a
+    # split of a fixed total would not reach
+    totals = f.sum(axis=1)
+    mass = lam.sum()
+    assert abs(totals.var() - mass) < 4 * math.sqrt((mass + 2 * mass**2) / draws)
+    corr = np.corrcoef(f[:, [1, 2, 3, 5]].T)  # a lane of each nonzero rate, and a 0.3 lane
+    assert np.all(np.abs(corr[np.triu_indices(4, 1)]) < 4 / math.sqrt(draws))
 
 
-def test_one_call_on_signed_halves_equals_two_calls_at_a_protocol_base():
-    # At a protocol-scale base every lane takes the rare-failure draw in
-    # one pass, and numpy draws an array's Poisson variates lane by lane,
-    # so one call on [insertions | deletions] draws exactly what a call on
-    # each half in turn draws (the engine's Morris layers rely on this).
-    rng = np.random.default_rng(4)
-    log_b = math.log1p(1e-30)
-    u = np.rint(rng.random((3, 2, 6)) * 1e21)  # (rows, halves, lanes)
-    u[1, 1] = 0.0
-    y = np.rint(rng.random((3, 2, 6)) * 1e21)
-    y[2, 0] = 0.0
-    fused = np.zeros((3, 12))
-    fused_gens = [np.random.default_rng(20 + r) for r in range(3)]
-    kernels.morris_add_batch(fused_gens, fused, u.reshape(3, 12), log_b)
-    kernels.morris_merge(fused_gens, fused, y.reshape(3, 12), log_b)
-    halves = np.zeros((2, 3, 6))
-    gens = [np.random.default_rng(20 + r) for r in range(3)]
-    for h in (0, 1):
-        kernels.morris_add_batch(gens, halves[h], u[:, h], log_b)
-    for h in (0, 1):
-        kernels.morris_merge(gens, halves[h], y[:, h], log_b)
-    assert np.array_equal(fused, np.concatenate(halves, axis=1))
-    assert not np.array_equal(fused, (u + y).reshape(3, 12))  # failures were drawn
-    for a, b in zip(fused_gens, gens):
-        assert a.bit_generator.state == b.bit_generator.state
+def test_rare_failures_of_a_huge_batch_stay_within_poisson_limits():
+    # 1e4 lanes at lam = 1e17 total 1e21, past numpy's Poisson limit: the
+    # batch takes a per-lane draw instead of one Poisson total.  numpy's
+    # sampler spreads about 1.3 sqrt(lam) at this rate, so the bound is
+    # relative: 1e-7 is about 30 sqrt(lam).
+    lam = np.full(10**4, 1e17)
+    f = kernels._rare_failures(np.random.default_rng(12), lam)
+    assert np.all(np.abs(f - lam) < 1e-7 * lam)
+    # lanes past the limit take the normal limit beside ordinary lanes
+    lam = np.array([1e18, 0.5, 3e18, 2.0])
+    f = kernels._rare_failures(np.random.default_rng(13), lam)
+    assert np.all(np.abs(f - lam) < 8 * np.sqrt(lam) + 10)
 
 
 def test_layer_kernels_reject_non_contiguous_states():

@@ -65,8 +65,8 @@ class WireRecorder:
             self.messages[family] += 1
 
     def _send_rounded(self, real):
-        def send_rounded(verts, x, gens, *, tree, params):
-            msg, lengths = real(verts, x, gens, tree=tree, params=params)
+        def send_rounded(verts, x, gen, *, tree, params):
+            msg, lengths = real(verts, x, gen, tree=tree, params=params)
             exponents, is_zero, _, _ = self._rounded.pop()
             assert not self._rounded
             lanes = x.shape[-1]
@@ -90,8 +90,8 @@ class WireRecorder:
         return send_rounded
 
     def _send_exact(self, real):
-        def send_exact(verts, values, gens):
-            msg, lengths = real(verts, values, gens)
+        def send_exact(verts, values, gen):
+            msg, lengths = real(verts, values, gen)
             encodings = [encode_exact(row.tolist()) for row in msg]
             for row, bits in zip(msg, encodings):
                 got, end = decode_exact(bits, msg.shape[-1])
@@ -102,8 +102,8 @@ class WireRecorder:
         return send_exact
 
     def _send_counters(self, real):
-        def send_counters(verts, state, gens, *, state_bits):
-            msg, lengths = real(verts, state, gens, state_bits=state_bits)
+        def send_counters(verts, state, gen, *, state_bits):
+            msg, lengths = real(verts, state, gen, state_bits=state_bits)
             encodings = [encode_counters(row.tolist()) for row in msg]
             for row, bits in zip(msg, encodings):
                 got, end = decode_counters(bits, msg.shape[-1] // 2)
