@@ -45,8 +45,8 @@ SPECS = {
 # (sha256 of the CSV, sha256 of the summary JSON) per spec
 PINNED = {
     "fp-p1.5-star": (
-        "b544dc1796cc6b62776af052058ee68468e4942899d469c5f5140ed4d1235c86",
-        "fccaf6dafc9b19dc4f2a43ea8407499b605c90af3dce985a0fef1c71b374651e",
+        "e540423840e1490d87e44e20ff035b52f490e0829ac2d017e28df5302bfbbba0",
+        "b678cfa1848267bf3bb5b5e6653e8528d4196d270490b5710c52173ad92a009f",
     ),
     "fp-p0.5-line": (
         "019144895844aa7c725f6890568b241187d70b3ed5d96239d4fb1d7506bf1dfd",
@@ -57,20 +57,20 @@ PINNED = {
         "3442286857b5201f8d6282bfa74daa8d067fa6358d656224193e6be4579bb7bc",
     ),
     "hh-line": (
-        "2046e3734fa3324b09af1206653b655e1128efe57fa84260a3998b15565ddeec",
-        "0c0f76cf3e44f1667e9030129e5738d7a119ed274cb8769a67b15004052abca2",
+        "fea4dc09079c594e5e0388bf2617deb8b9ce38f94eec7fd9dc598c917e611d2b",
+        "3ec5e0ce467dc1dde21ac0ed3e4e869021ad1d728d6d95ba25e45befe51ab7be",
     ),
     "amp-star": (
-        "7495ec771412843a934535768a24067a53d8085877d88970b335a65f1d8abd14",
-        "69500bf2c1d5b2194ea4d70edb13c4fd4ce481d816cefdf7da14ec7a57bc2bdf",
+        "2df22bb33199f7db8634d1db6bfdb4ecba4dd1fa9415f5820b1f86a0fe3b2899",
+        "80bd7fd560049578acb3ab21989ae15e86e62a1ab4f33e7e81f8f70969bb73f4",
     ),
     "stream-fp-exact-y": (
         "467c658cd6a4781f270422dad2887edff8a495e7f61b014491393f24e301c22f",
         "a2e76294239a7e628b70c5b16c929271ce59f368fd4110aeae4c760c1fcf432f",
     ),
     "stream-fp-morris-y": (
-        "6b505830c7ceceee70beb6ba6c7204f1d50b5fb27eed114072777de6ee429e8a",
-        "19d18ce9b9925ca8a113c4a8e93a648767621954effa7755e2398692c31e897c",
+        "dfc74c8e5ec279f049b1b352ab9408f70d24654c486fcbf309228f8ed5493afe",
+        "e246a68b315d956a001a22592e97eccd08378d02a5ecdf335dbe3f409504c90b",
     ),
     "stream-entropy": (
         "c711fcd3cc17377c122ad263a340a4cc6ec182f1813260730e34cba8b5b9fc3a",
@@ -81,12 +81,12 @@ PINNED = {
         "1b314af5fd6267740982c41a562de20474fe6081fac7b6c2f414545ce4f5922f",
     ),
     "amp-grid-sparse": (
-        "e49f020f91416174e7c4a7279e009ec263f6fb866c8c3063afa176a0896f5ae4",
-        "9ec03f33ff1152f345bd30c9fa52191d49bc06445b42365405b42982c62cb54c",
+        "eee9cdfb54adb516179db0de25ce43e5146d85a0a05e33a7a49c219e25cf0607",
+        "d4a2109ff86fec1425da740c827c61d3c2ac8fbfe63c88d782a768c28d43c8ff",
     ),
     "hh-grid": (
-        "dbd99d54f18a6e6eb5849aa5994b95dc44cfe3e021db55ea44126d6bfdf2283d",
-        "f19b2c1886f5784b112bfc084e3ad710ae89c8d6932eab9a8da506a75fb6c327",
+        "6eadd0b61e168d4110f74739f03ff7941a2d06110d276d35b78d2878ed109dc3",
+        "ff4496c1dc308517e542b9b087847b51d37d3d51c4ae65e1bafe75894e7fcaa1",
     ),
 }
 
