@@ -310,9 +310,6 @@ def counter_bits(state: np.ndarray) -> np.ndarray:
 # the protocol bases the total is almost always zero, so a batch costs one
 # scalar draw.  Lanes past _POISSON_LAM_MAX take the normal limit, and a
 # batch whose total passes it takes one per-lane Poisson call.
-#
-# Every draw comes from the one generator given, however many rows the
-# state array has (a tree layer holds one row per vertex).
 # ---------------------------------------------------------------------------
 
 _RARE_P = 1e-8
