@@ -10,6 +10,7 @@ and counter overflows, which print one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .engine import CODECS, CounterOverflowError
@@ -21,40 +22,39 @@ from .harness import (
     check_summary,
     comm_scaling,
     run_experiment,
+    spec_defaults,
     write_csv,
     write_summary,
 )
 
 
-def _add_common(parser: argparse.ArgumentParser, *, dist: str, eps: float) -> None:
-    parser.add_argument("--topology", default="star",
-                        help="line | star | tree | grid[:RxC] | random[:p] | file:PATH")
-    parser.add_argument("--m", type=int, default=16, help="number of players")
-    parser.add_argument("--n", type=int, default=1000, help="coordinate count")
-    parser.add_argument("--dist", default=dist, help="data distribution spec")
-    parser.add_argument("--eps", type=float, default=eps, help="accuracy target")
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tokens", type=int, default=5000,
-                        help="tokens per player for zipf data")
-    parser.add_argument("--codec", default="rounding", choices=CODECS)
+def _add_common(parser: argparse.ArgumentParser, protocol: str) -> dict:
+    """Add an experiment verb's common flags; returns the protocol's spec defaults."""
+    d = spec_defaults(protocol)
+    if protocol.startswith("stream-"):
+        parser.add_argument("--updates", default=d["dist"],
+                            help="zipf:s:COUNT | file:PATH with 'index delta' lines")
+    else:
+        parser.add_argument("--topology", default=d["topology"],
+                            help="line | star | tree | grid[:RxC] | random[:p] | file:PATH")
+        parser.add_argument("--m", type=int, default=d["m"], help="number of players")
+        parser.add_argument("--dist", default=d["dist"], help="data distribution spec")
+        parser.add_argument("--tokens", type=int, default=d["tokens"],
+                            help="tokens per player for zipf data")
+        parser.add_argument("--codec", default=d["codec"], choices=CODECS)
+    parser.add_argument("--n", type=int, default=d["n"], help="coordinate count")
+    parser.add_argument("--eps", type=float, default=d["eps"], help="accuracy target")
+    parser.add_argument("--trials", type=int, default=d["trials"])
+    parser.add_argument("--seed", type=int, default=d["seed"])
     parser.add_argument("--out", help="write per-trial CSV here")
     parser.add_argument("--summary", help="write summary JSON here")
     parser.add_argument("--check", action="store_true",
                         help="exit 2 unless the acceptance success floor is met")
+    return d
 
 
-def _add_stream_common(parser: argparse.ArgumentParser, *, eps: float) -> None:
-    parser.add_argument("--updates", default="zipf:1.3:100000",
-                        help="zipf:s:COUNT | file:PATH with 'index delta' lines")
-    parser.add_argument("--n", type=int, default=1000, help="coordinate count")
-    parser.add_argument("--eps", type=float, default=eps, help="accuracy target")
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", help="write per-trial CSV here")
-    parser.add_argument("--summary", help="write summary JSON here")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 2 unless the acceptance success floor is met")
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,63 +68,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = sim.add_parser("fp", help="frequency moment F_p, p in (0,1) or (1,2]")
     fp.add_argument("--p", type=float, required=True)
-    _add_common(fp, dist="zipf:1.1", eps=0.1)
+    _add_common(fp, "fp")
 
     hh = sim.add_parser("hh", help="count-sketch point estimates and heavy hitters")
-    _add_common(hh, dist="planted:1000:1", eps=0.25)
+    _add_common(hh, "hh")
 
     ent = sim.add_parser("entropy", help="Shannon entropy of the aggregate")
-    _add_common(ent, dist="uniform:100", eps=0.2)
+    _add_common(ent, "entropy")
     ent.add_argument("--bits", action="store_true", help="print entropy errors in bits")
 
     amp = sim.add_parser("amp", help="approximate matrix product")
-    amp.add_argument("--t1", type=int, default=4)
-    amp.add_argument("--t2", type=int, default=4)
-    _add_common(amp, dist="sparse:0.1", eps=0.25)
+    d = _add_common(amp, "amp")
+    amp.add_argument("--t1", type=int, default=d["t1"])
+    amp.add_argument("--t2", type=int, default=d["t2"])
 
     stream = top.add_parser("stream", help="run a single-machine streaming estimator")
     stm = stream.add_subparsers(dest="protocol", required=True)
 
     sfp = stm.add_parser("fp", help="log-cosine F_p norm estimate, p in (0,1)")
     sfp.add_argument("--p", type=float, required=True)
-    sfp.add_argument("--mode", default="exact-y", choices=LOGCOSINE_MODES)
-    _add_stream_common(sfp, eps=0.15)
+    d = _add_common(sfp, "stream-fp")
+    sfp.add_argument("--mode", default=d["mode"], choices=LOGCOSINE_MODES)
 
     sent = stm.add_parser("entropy", help="streaming entropy estimate")
     sent.add_argument("--bits", action="store_true", help="print entropy errors in bits")
-    _add_stream_common(sent, eps=0.2)
+    _add_common(sent, "stream-entropy")
 
     bench = top.add_parser("bench", help="measurement utilities")
     bsub = bench.add_subparsers(dest="target", required=True)
 
     comms = bsub.add_parser("comms", help="max-communication scaling on line graphs")
-    comms.add_argument("--depths", default="4,16,64,256")
-    comms.add_argument("--eps", type=float, default=0.25)
-    comms.add_argument("--p", type=float, default=1.5)
-    comms.add_argument("--n", type=int, default=200)
-    comms.add_argument("--trials", type=int, default=8)
-    comms.add_argument("--seed", type=int, default=0)
+    for name, param in inspect.signature(comm_scaling).parameters.items():
+        kind = _ints if name == "depths" else type(param.default)
+        comms.add_argument(f"--{name}", type=kind, default=param.default)
     comms.add_argument("--summary", help="write scaling JSON here")
 
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """The spec an experiment verb's flags name; a stream verb's --updates is its dist."""
     protocol = args.protocol if args.command == "simulate" else f"stream-{args.protocol}"
-    kw = dict(protocol=protocol, n=args.n, eps=args.eps, trials=args.trials,
-              seed=args.seed)
-    if args.command == "simulate":
-        kw.update(topology=args.topology, m=args.m, dist=args.dist, tokens=args.tokens,
-                  codec=args.codec)
-        if protocol == "fp":
-            kw.update(p=args.p)
-        if protocol == "amp":
-            kw.update(t1=args.t1, t2=args.t2)
-    else:
-        kw.update(dist=args.updates)
-        if protocol == "stream-fp":
-            kw.update(p=args.p, mode=args.mode)
-    return ExperimentSpec(**kw)
+    flags = {"dist": getattr(args, "updates", None), **vars(args)}
+    return ExperimentSpec(protocol, **{name: value for name, value in flags.items()
+                                       if name in spec_defaults(protocol)})
 
 
 def _print_summary(summary: dict, in_bits: bool = False) -> None:
@@ -157,9 +144,8 @@ def _run_experiment_command(args: argparse.Namespace) -> int:
 
 
 def _run_bench_command(args: argparse.Namespace) -> int:
-    depths = tuple(int(d) for d in args.depths.split(","))
-    result = comm_scaling(depths=depths, eps=args.eps, p=args.p, n=args.n,
-                          trials=args.trials, seed=args.seed)
+    params = inspect.signature(comm_scaling).parameters
+    result = comm_scaling(**{name: getattr(args, name) for name in params})
     for row in result["rows"]:
         print(f"d={row['d']} bits_per_row={row['bits_per_row']:.3f} "
               f"baseline_ratio={row['baseline_ratio']:.2f}")

@@ -29,7 +29,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,17 @@ SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "trial", "estimate", "exact", "error",
                "success", "recovered", "max_edge_bits", "total_bits", "rounds")
 
-PROTOCOLS = ("fp", "hh", "entropy", "amp", "stream-fp", "stream-entropy")
+# Each protocol's default dist and eps, and amp's t1 and t2 (1 for the
+# others); every other field's default is ExperimentSpec's own.
+PROTOCOL_DEFAULTS = {
+    "fp": dict(dist="zipf:1.1", eps=0.1),
+    "hh": dict(dist="planted:1000:1", eps=0.25),
+    "entropy": dict(dist="uniform:100", eps=0.2),
+    "amp": dict(dist="sparse:0.1", eps=0.25, t1=4, t2=4),
+    "stream-fp": dict(dist="zipf:1.3:100000", eps=0.15),
+    "stream-entropy": dict(dist="zipf:1.3:100000", eps=0.2),
+}
+PROTOCOLS = tuple(PROTOCOL_DEFAULTS)
 
 # The dist kinds each generator accepts (see the module docstring), each
 # with how many of its ':' fields are required and the type of each field
@@ -85,13 +95,13 @@ class ExperimentSpec:
     topology: str = "star"
     n: int = 1000
     m: int = 16
-    dist: str = "zipf:1.1"
-    eps: float = 0.1
+    dist: str | None = None
+    eps: float | None = None
     trials: int = 100
     seed: int = 0
     p: float | None = None
-    t1: int = 1
-    t2: int = 1
+    t1: int | None = None
+    t2: int | None = None
     tokens: int = 5000
     mode: str = "exact-y"
     codec: str = "rounding"
@@ -99,6 +109,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        for name, value in spec_defaults(self.protocol).items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.n < 1 or self.m < 1:
@@ -145,6 +158,12 @@ class ExperimentSpec:
         if self.p > 1.0:
             return FpHighConfig(p=self.p, eps=self.eps)
         return FpLowConfig(p=self.p, eps=self.eps)
+
+
+def spec_defaults(protocol: str) -> dict:
+    """The value each ExperimentSpec field takes for ``protocol`` when left unset."""
+    unset = {f.name: f.default for f in fields(ExperimentSpec) if f.name != "protocol"}
+    return {**unset, "t1": 1, "t2": 1, **PROTOCOL_DEFAULTS[protocol]}
 
 
 @dataclass
@@ -400,12 +419,7 @@ def summarize(spec: ExperimentSpec, reports: list[TrialReport]) -> dict:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "protocol": spec.protocol,
-        "spec": {
-            "topology": spec.topology, "n": spec.n, "m": spec.m, "dist": spec.dist,
-            "eps": spec.eps, "trials": spec.trials, "seed": spec.seed, "p": spec.p,
-            "t1": spec.t1, "t2": spec.t2, "tokens": spec.tokens, "mode": spec.mode,
-            "codec": spec.codec,
-        },
+        "spec": {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "protocol"},
         "success_rate": sum(r.success for r in reports) / len(reports),
         "error_p50": quantile(0.5),
         "error_p90": quantile(0.9),
