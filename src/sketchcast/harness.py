@@ -122,6 +122,8 @@ class ExperimentSpec:
             raise ValueError(f"stream-fp needs p in (0,1), got {self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.tokens < 0:
+            raise ValueError(f"tokens must be non-negative, got {self.tokens}")
         if self.codec not in CODECS:
             raise ValueError(f"unknown codec {self.codec!r}")
         if self.mode not in LOGCOSINE_MODES:
@@ -208,10 +210,15 @@ def _dist_args(spec: str, kinds: dict[str, tuple | None], what: str) -> tuple[st
         count = required if required == len(types) else f"{required} to {len(types)}"
         raise ValueError(f"{what} {spec!r}: {kind} takes {count} field(s)")
     try:
-        return kind, [t(f) for t, f in zip(types, fields)]
+        args = [t(f) for t, f in zip(types, fields)]
     except ValueError:
         names = ", ".join(t.__name__ for t in types)
         raise ValueError(f"{what} {spec!r}: {kind} takes fields of types {names}") from None
+    if any(a < 0 for t, a in zip(types, args) if t is int):
+        raise ValueError(f"{what} {spec!r}: {kind} takes non-negative counts")
+    if kind == "sparse" and args and not 0.0 <= args[0] <= 1.0:
+        raise ValueError(f"{what} {spec!r}: sparse takes a density in [0, 1]")
+    return kind, args
 
 
 def _planted_count(args: list) -> int:

@@ -184,6 +184,8 @@ def test_missing_counts_file_exits_one(capsys):
     ("bench", "comms", "--depths", "16,16"),
     # p = 1 is neither the rounded (p > 1) nor the counter (p < 1) protocol
     ("bench", "comms", "--p", "1.0"),
+    # a negative density used to run on all-zero data and report success
+    ("simulate", "amp", "--dist", "sparse:-1"),
 ])
 def test_invalid_value_exits_one_with_one_error_line(argv):
     src = Path(sketchcast.__file__).parent.parent
