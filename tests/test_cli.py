@@ -1,5 +1,7 @@
 """CLI verbs: argument wiring, outputs, exit codes, rerun determinism."""
 
+import functools
+import inspect
 import json
 import os
 import subprocess
@@ -9,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import sketchcast
-from sketchcast.cli import build_parser, main
+from sketchcast import harness
+from sketchcast.cli import _spec_from_args, build_parser, main
 from sketchcast.engine import CounterOverflowError
+from sketchcast.harness import ExperimentSpec, run_experiment, write_summary
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +108,43 @@ def test_stream_verbs_share_flag_defaults():
     assert fp == dict(common, protocol="fp", p=0.5, mode="exact-y", eps=0.15)
     ent = vars(build_parser().parse_args(["stream", "entropy"]))
     assert ent == dict(common, protocol="entropy", bits=False, eps=0.2)
+
+
+@pytest.mark.parametrize("argv, kw", [
+    (("simulate", "fp", "--p", "1.5"), dict(p=1.5)),
+    (("simulate", "hh"), {}),
+    (("simulate", "entropy"), {}),
+    (("simulate", "amp"), {}),
+    (("stream", "fp", "--p", "0.5"), dict(p=0.5)),
+    (("stream", "entropy"), {}),
+], ids=["fp", "hh", "entropy", "amp", "stream-fp", "stream-entropy"])
+def test_bare_command_builds_the_protocols_default_spec(argv, kw):
+    protocol = argv[1] if argv[0] == "simulate" else f"stream-{argv[1]}"
+    spec = _spec_from_args(build_parser().parse_args(argv))
+    assert spec == ExperimentSpec(protocol, **kw)
+
+
+def test_spec_with_a_commands_flags_reproduces_its_summary(tmp_path, capsys):
+    flags = dict(topology="grid:8x8", m=64, n=200, tokens=200, dist="zipf:1.1", trials=20)
+    cli_json, spec_json = tmp_path / "cli.json", tmp_path / "spec.json"
+    argv = [arg for name, value in flags.items() for arg in (f"--{name}", str(value))]
+    assert run_cli(capsys, "simulate", "amp", *argv, "--summary", str(cli_json))[0] == 0
+    write_summary(spec_json, run_experiment(ExperimentSpec("amp", **flags))[1])
+    assert spec_json.read_bytes() == cli_json.read_bytes()
+
+
+def test_bare_bench_comms_runs_comm_scaling_with_its_defaults(capsys, monkeypatch):
+    calls = []
+
+    @functools.wraps(harness.comm_scaling)
+    def record(**kw):
+        calls.append(kw)
+        return {"rows": [], "fit": dict(slope=0.0, intercept=0.0, max_rel_residual=0.0)}
+
+    monkeypatch.setattr(sketchcast.cli, "comm_scaling", record)
+    assert run_cli(capsys, "bench", "comms")[0] == 0
+    params = inspect.signature(harness.comm_scaling).parameters
+    assert calls == [{name: param.default for name, param in params.items()}]
 
 
 def test_simulate_entropy_smoke(capsys):
