@@ -1,5 +1,11 @@
 """Command-line front end: simulate, stream, and bench verbs.
 
+Each simulate and stream verb runs the ExperimentSpec its flags name
+(``_spec_from_args``).  A flag left out takes the value its spec field
+takes for that protocol (``harness.spec_defaults``), and ``bench comms``
+takes its flags and their defaults from ``comm_scaling``'s signature, so
+no spec or ``comm_scaling`` default is written here.
+
 Every invocation is deterministic for a fixed seed: stdout and any files
 written contain no timing or host-dependent fields.  Exit status is 0 on
 completion, 2 when --check finds a success rate below the acceptance
@@ -53,7 +59,8 @@ def _add_common(parser: argparse.ArgumentParser, protocol: str) -> dict:
     return d
 
 
-def _ints(text: str) -> tuple[int, ...]:
+def int_list(text: str) -> tuple[int, ...]:
+    """The ints of a comma-separated list such as ``4,16,64``."""
     return tuple(int(v) for v in text.split(","))
 
 
@@ -99,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     comms = bsub.add_parser("comms", help="max-communication scaling on line graphs")
     for name, param in inspect.signature(comm_scaling).parameters.items():
-        kind = _ints if name == "depths" else type(param.default)
+        kind = int_list if name == "depths" else type(param.default)
         comms.add_argument(f"--{name}", type=kind, default=param.default)
     comms.add_argument("--summary", help="write scaling JSON here")
 

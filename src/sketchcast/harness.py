@@ -91,6 +91,15 @@ CHECK_THRESHOLDS = {
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment: a protocol, its network and data, and its trials.
+
+    ``dist``, ``eps``, ``t1`` and ``t2`` left unset (None) take the
+    protocol's default from ``PROTOCOL_DEFAULTS``; every other field's
+    default is written below.  The CLI verbs' flags default to the same
+    values, so a spec built with a command's flags runs that command's
+    experiment.  A bad field raises ValueError when the spec is built.
+    """
+
     protocol: str
     topology: str = "star"
     n: int = 1000
@@ -216,6 +225,8 @@ def _dist_args(spec: str, kinds: dict[str, tuple | None], what: str) -> tuple[st
         raise ValueError(f"{what} {spec!r}: {kind} takes fields of types {names}") from None
     if any(a < 0 for t, a in zip(types, args) if t is int):
         raise ValueError(f"{what} {spec!r}: {kind} takes non-negative counts")
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"{what} {spec!r}: {kind} takes finite numbers")
     if kind == "sparse" and args and not 0.0 <= args[0] <= 1.0:
         raise ValueError(f"{what} {spec!r}: sparse takes a density in [0, 1]")
     return kind, args

@@ -136,6 +136,7 @@ def test_spec_with_a_commands_flags_reproduces_its_summary(tmp_path, capsys):
 def test_bare_bench_comms_runs_comm_scaling_with_its_defaults(capsys, monkeypatch):
     calls = []
 
+    # the CLI reads its bench flags from this signature, which wraps keeps
     @functools.wraps(harness.comm_scaling)
     def record(**kw):
         calls.append(kw)
@@ -225,7 +226,7 @@ def test_missing_counts_file_exits_one(capsys):
     ("bench", "comms", "--depths", "16,16"),
     # p = 1 is neither the rounded (p > 1) nor the counter (p < 1) protocol
     ("bench", "comms", "--p", "1.0"),
-    # a negative density used to run on all-zero data and report success
+    # a negative density would run on all-zero data and report success
     ("simulate", "amp", "--dist", "sparse:-1"),
 ])
 def test_invalid_value_exits_one_with_one_error_line(argv):

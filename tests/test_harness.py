@@ -110,8 +110,8 @@ def test_spec_validation():
     (dict(protocol="entropy", codec="exact"), "codec 'exact' applies only"),
     (dict(protocol="stream-fp", p=0.5, codec="exact"), "codec 'exact' applies only"),
     (dict(protocol="stream-entropy", codec="exact"), "codec 'exact' applies only"),
-    # a density outside [0, 1], or a negative count or token total, used to
-    # run on wrong data or fail inside the first trial
+    # a density outside [0, 1] would run on wrong data, and a negative count
+    # or token total or a non-finite exponent would fail inside a trial
     (dict(protocol="amp", dist="sparse:-1"), "distribution 'sparse:-1': sparse takes a density"),
     (dict(protocol="amp", dist="sparse:1.5"), "distribution 'sparse:1.5': sparse takes a density"),
     (dict(protocol="fp", p=1.5, tokens=-1), "tokens must be non-negative, got -1"),
@@ -122,6 +122,8 @@ def test_spec_validation():
     (dict(protocol="hh", dist="planted:5:-1"), "distribution 'planted:5:-1': planted takes non"),
     (dict(protocol="hh", dist="delta:-3"), "distribution 'delta:-3': delta takes non"),
     (dict(protocol="hh", dist="pair:4:-2"), "distribution 'pair:4:-2': pair takes non"),
+    (dict(protocol="fp", p=1.5, dist="zipf:nan"), "distribution 'zipf:nan': zipf takes finite"),
+    (dict(protocol="stream-fp", p=0.5, dist="zipf:inf:10"), "stream spec 'zipf:inf:10'"),
 ])
 def test_spec_rejects_unknown_kinds_when_built(kw, match):
     # each of these used to fail only inside the first trial
