@@ -275,6 +275,9 @@ def generate_aggregate(spec: ExperimentSpec, rng: np.random.Generator) -> np.nda
         raise OSError(f"cannot read counts file {path}: {exc}") from exc
     if x.size != n:
         raise ValueError(f"counts file {path} has {x.size} rows, spec says n={n}")
+    if (x < 0).any():
+        raise ValueError(f"counts file {path} has a negative count on row "
+                         f"{np.argmax(x < 0) + 1}")
     return x
 
 

@@ -213,6 +213,9 @@ def test_generate_aggregate_file_round_trip(tmp_path):
     assert list(generate_aggregate(spec, rng_for())) == [3, 1, 4, 1]
     with pytest.raises(ValueError):
         generate_aggregate(dataclasses.replace(spec, n=5), rng_for())
+    np.savetxt(path, np.array([3, 1, -4, 1]), fmt="%d")
+    with pytest.raises(ValueError, match=f"counts file {path} has a negative count on row 3"):
+        generate_aggregate(spec, rng_for())
     missing = ExperimentSpec(protocol="hh", n=4, dist=f"file:{tmp_path}/no.txt")
     with pytest.raises(OSError):
         generate_aggregate(missing, rng_for())
