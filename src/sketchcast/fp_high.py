@@ -36,10 +36,12 @@ def lower_median(values: np.ndarray) -> float:
 
 
 def as_count_matrix(inputs, m: int) -> np.ndarray:
-    """Validate player inputs as an (m, n) non-negative float matrix."""
+    """Validate player inputs as an (m, n) finite, non-negative float matrix."""
     data = np.asarray(inputs, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != m:
         raise ValueError(f"inputs must be (m={m}, n), got {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError("player counts must be finite, got NaN or inf")
     if np.any(data < 0):
         raise ValueError("player counts must be non-negative")
     return data

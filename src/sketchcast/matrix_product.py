@@ -65,6 +65,8 @@ def _player_matrices(inputs, m: int, t: int, name: str) -> np.ndarray:
     data = np.asarray(inputs, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != m or data.shape[2] != t:
         raise ValueError(f"{name} must be (m={m}, n, t={t}), got {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{name} entries must be finite, got NaN or inf")
     if np.any(data < 0):
         raise ValueError(f"{name} entries must be non-negative")
     return data

@@ -66,6 +66,14 @@ def test_zero_aggregate_raises():
         estimate_entropy(np.zeros((3, 8)), tree_of(line(3)), EntropyConfig(eps=0.2), seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_counts_rejected(bad):
+    data = np.ones((3, 50))
+    data[1, 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimate_entropy(data, tree_of(star(3)), EntropyConfig(eps=0.2), seed=0)
+
+
 def test_single_coordinate_universe_has_zero_entropy():
     data = np.array([[10.0], [30.0]])
     h, stats = estimate_entropy(data, tree_of(line(2)), EntropyConfig(eps=0.2), seed=1)

@@ -111,6 +111,14 @@ def test_unknown_codec_rejected():
         estimate_fp_high(np.ones((2, 4)), tree_of(line(2)), cfg, seed=0, codec="utf-8")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_counts_rejected(bad):
+    data = np.ones((3, 50))
+    data[1, 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimate_fp_high(data, tree_of(star(3)), FpHighConfig(p=1.5, eps=0.25), seed=0)
+
+
 def test_single_player_l2_norm_of_3_4():
     # ||X||_2 = 5; the median estimator should land within 10% most runs.
     cfg = FpHighConfig(p=2.0, eps=0.1)

@@ -85,6 +85,14 @@ def test_single_coordinate_is_rejected_whatever_the_counts(value):
         estimate_fp_low(np.full((3, 1), value), tree_of(line(3)), cfg, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_counts_rejected(bad):
+    data = np.ones((3, 50))
+    data[1, 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimate_fp_low(data, tree_of(star(3)), FpLowConfig(p=0.5, eps=0.2), seed=0)
+
+
 def test_single_unit_coordinate_is_near_one():
     # F_p(e_1) = 1 for every p; spread over 100 sketch seeds.
     cfg = FpLowConfig(p=0.5, eps=0.2)

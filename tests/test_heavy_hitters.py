@@ -1,6 +1,7 @@
 """Count-sketch tables, point estimates, and the heavy hitter filter."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +135,15 @@ def test_point_estimate_rejects_mismatched_universe():
         point_estimate_all(np.ones((2, 9)), tree_of(star(2)), spec, 0.3, seed=0)
     with pytest.raises(ValueError):
         point_estimate_all(np.ones((2, 8)), tree_of(star(2)), spec, 0.3, seed=0, codec="gzip")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_counts_rejected(bad):
+    data = np.ones((3, 50))
+    data[1, 7] = bad
+    spec = CountSketchSpec.build(50, 0.3, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        point_estimate_all(data, tree_of(star(3)), spec, 0.3, seed=0)
 
 
 def test_single_support_recovered_exactly():

@@ -104,6 +104,16 @@ def test_player_matrix_validation():
         amp_estimate(xs, ys, tree_of(line(2)), cfg, seed=0, codec="brotli")
 
 
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entries_rejected(bad, side):
+    cfg = AmpConfig(t1=2, t2=2, eps=0.25)
+    xs, ys = np.ones((3, 50, 2)), np.ones((3, 50, 2))
+    (xs if side == "x" else ys)[1, 7, 0] = bad
+    with pytest.raises(ValueError, match=f"{side}_inputs entries must be finite"):
+        amp_estimate(xs, ys, tree_of(star(3)), cfg, seed=0)
+
+
 def test_zero_side_returns_zero_product():
     cfg = AmpConfig(t1=2, t2=2, eps=0.25)
     xs = np.ones((3, 8, 2))
