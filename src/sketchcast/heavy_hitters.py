@@ -14,6 +14,9 @@ make each row an unbiased AMS estimate with variance about 2 F_2^2 / w
 
 Table cells are integers (signed sums of counts), so exact-codec
 aggregation is bit-identical to a count-sketch of the pooled vector.
+
+``matrix_product`` shares these hash families: amp's sketch is a
+one-row ``CountSketchSpec`` of width k, drawn by ``CountSketchSpec.draw``.
 """
 
 from __future__ import annotations
@@ -108,13 +111,19 @@ class CountSketchSpec:
     @classmethod
     def build(cls, n: int, eps: float, seed) -> "CountSketchSpec":
         rows, width = cls.shape(n, eps)
-        rng = generator(seed, DOMAIN_HASHES)
+        return cls.draw(n, rows, width, generator(seed, DOMAIN_HASHES))
 
-        def draw(lo: int) -> int:
+    @classmethod
+    def draw(cls, n: int, rows: int, width: int, rng: np.random.Generator) -> "CountSketchSpec":
+        """A rows x width table over n coordinates, its hash coefficients drawn from ``rng``.
+
+        Every row's bucket pair is drawn before any row's sign polynomial.
+        """
+        def coeff(lo: int) -> int:
             return int(rng.integers(lo, MERSENNE_61))
 
-        h = tuple((draw(1), draw(0)) for _ in range(rows))
-        g = tuple((draw(1), draw(0), draw(0), draw(0)) for _ in range(rows))
+        h = tuple((coeff(1), coeff(0)) for _ in range(rows))
+        g = tuple((coeff(1), coeff(0), coeff(0), coeff(0)) for _ in range(rows))
         return cls(n, rows, width, h, g)
 
     def bucket_of(self) -> np.ndarray:

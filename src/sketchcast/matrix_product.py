@@ -1,15 +1,29 @@
-"""Distributed approximate matrix product via a shared Gaussian sketch.
+"""Distributed approximate matrix product via a shared count sketch.
 
 Players hold non-negative slices X_v (n x t1) and Y_v (n x t2) of two
-matrices; a common k x n sketch S with N(0, 1/k) entries compresses both
-sides, the k(t1+t2) sketch cells travel the convergecast with stochastic
-rounding, and the root returns R = (SX)^T (SY).  With k = c_k/(delta *
-eps0^2) rows, ||R - X^T Y||_F <= eps ||X||_F ||Y||_F with probability
-1 - delta, where eps0 = eps/4 splits the budget across the error terms.
+matrices.  The shared k x n sketch S is a one-row count sketch of width
+k: column j holds the sign g(j) in row h(j) and zeros elsewhere, with h
+the pairwise bucket hash and g the 4-wise sign hash of ``heavy_hitters``,
+their coefficients drawn from generator(seed, DOMAIN_SKETCH).  The
+k(t1+t2) cells of S X_v and S Y_v travel the convergecast with
+stochastic rounding, and the root returns R = (SX)^T (SY).
 
-S is drawn one row block at a time, like the stable sketches, and each
-block meets the columns of every player that holds data in a single
-product, in place of one product per player over the whole of S.
+The sketch error has second moment
+E||(SX)^T (SY) - X^T Y||_F^2 <= (2/k) ||X||_F^2 ||Y||_F^2 (Charikar, Chen &
+Farach-Colton 2002; Clarkson & Woodruff 2013), the same bound the dense
+Gaussian sketch with N(0, 1/k) entries meets, so k is sized as before:
+with k = c_k/(delta * eps0^2) rows, Chebyshev's inequality keeps the
+sketch error under sqrt(2) eps0 ||X||_F ||Y||_F with probability
+1 - delta, and ||R - X^T Y||_F <= eps ||X||_F ||Y||_F holds as the
+``AmpConfig`` guarantee, where eps0 = eps/4 splits the budget across the
+error terms.
+
+Sketching costs O(n) hash evaluations, one pass over the entries of the
+players that hold data, O(nnz) bucket additions and an O(held k (t1+t2))
+table, in place of a dense k x n product.  On integer data every payload
+cell is a signed sum of integers, exact in float64, so the payload does
+not depend on summation order, and exact-codec aggregation equals the
+pooled sketch product bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import CommStats, sum_convergecast
-from .stable import block_rows
+from .heavy_hitters import CountSketchSpec
 from .streams import DOMAIN_SKETCH, generator
 from .topology import SpanningTree
 
@@ -49,18 +63,6 @@ class AmpConfig:
         return math.ceil(self.c_k / (self.delta * self.eps0**2))
 
 
-def sketch_matrix(rng: np.random.Generator, block: np.ndarray, k: int) -> np.ndarray:
-    """Fill ``block`` with the next rows of the shared k x n Gaussian sketch.
-
-    Entries have variance 1/k and are drawn row-major from ``rng``, so
-    filling successive row blocks from generator(seed, DOMAIN_SKETCH)
-    reproduces its standard_normal((k, n)) / sqrt(k) value for value.
-    """
-    rng.standard_normal(out=block)
-    block /= math.sqrt(k)
-    return block
-
-
 def _player_matrices(inputs, m: int, t: int, name: str) -> np.ndarray:
     data = np.asarray(inputs, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != m or data.shape[2] != t:
@@ -72,49 +74,31 @@ def _player_matrices(inputs, m: int, t: int, name: str) -> np.ndarray:
     return data
 
 
-def _sketch_payload(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
+def sketch_matrix(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
     """(m, k*(t1+t2)) payload: row v is (S X_v).ravel() followed by (S Y_v).ravel().
 
-    The columns of the players that hold data are copied once, side by
-    side, into one (n, held*(t1+t2)) matrix, and each row block of S meets
-    them in a single product.  Blocks are sized for the wider of S's rows
-    and the product's, so S's block and the product each hold about
-    ``stable.BLOCK_CELLS`` cells.  Players that hold zero X and Y keep the
-    +0.0 rows the payload starts with, which is what their product with S
-    gives.
-
-    Which players hold data sets the product's width, and a column of a
-    product keeps its bits across widths only where BLAS runs one kernel
-    for both.  Measured with OpenBLAS 0.3.31 on AVX-512, a product with two
-    or more columns and over 1e6 multiply-adds (block rows x n x columns)
-    gives each column the bits it has in any wider such product.  numpy
-    sends a one-column product to gemv, and OpenBLAS sends smaller ones to
-    its small-matrix kernel; both sum in other orders and can move the last
-    bits.  One held player with t1 + t2 <= 4 on a small sketch is such a
-    case; the benchmark's amp workloads, with about 10 held players, are not.
+    S is the one-row count sketch of width k whose hashes are drawn from
+    generator(seed, DOMAIN_SKETCH).  Each side of the players that hold
+    data is tabled with one ``bincount`` over player, bucket and column,
+    fed only its nonzero entries; players that hold zero X and Y keep the
+    +0.0 rows the payload starts with.
     """
     m, n, t1 = xs.shape
-    t = t1 + ys.shape[2]
+    spec = CountSketchSpec.draw(n, 1, k, generator(seed, DOMAIN_SKETCH))
+    bucket, sign = spec.bucket_of()[0], spec.sign_of()[0]
     held = np.flatnonzero(xs.any(axis=(1, 2)) | ys.any(axis=(1, 2)))
-    cols = np.empty((n, held.size, t))
-    for j, v in enumerate(held):
-        cols[:, j, :t1] = xs[v]
-        cols[:, j, t1:] = ys[v]
-    cols = cols.reshape(n, held.size * t)
-    rows = block_rows(k, max(n, cols.shape[1]))
-
-    payload = np.zeros((m, k * t))
-    px = payload[:, :k * t1].reshape(m, k, t1)
-    py = payload[:, k * t1:].reshape(m, k, t - t1)
-    block = np.empty((rows, n))
-    prod = np.empty((rows, cols.shape[1]))
-    rng = generator(seed, DOMAIN_SKETCH)
-    for r0 in range(0, k, rows):
-        h = min(rows, k - r0)
-        out = np.matmul(sketch_matrix(rng, block[:h], k), cols, out=prod[:h])
-        out = out.reshape(h, held.size, t)
-        px[held, r0:r0 + h] = out[:, :, :t1].transpose(1, 0, 2)
-        py[held, r0:r0 + h] = out[:, :, t1:].transpose(1, 0, 2)
+    payload = np.zeros((m, k * (t1 + ys.shape[2])))
+    start = 0
+    for side in (xs, ys):
+        t = side.shape[2]
+        cells = side[held].ravel()
+        at = np.flatnonzero(cells != 0)  # (player * n + coord) * t + col
+        row, col = np.divmod(at, t)
+        player, coord = np.divmod(row, n)
+        sums = np.bincount((player * k + bucket[coord]) * t + col,
+                           weights=sign[coord] * cells[at], minlength=held.size * k * t)
+        payload[held, start:start + k * t] = sums.reshape(held.size, k * t)
+        start += k * t
     return payload
 
 
@@ -132,7 +116,7 @@ def amp_estimate(x_inputs, y_inputs, tree: SpanningTree, cfg: AmpConfig, seed,
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"inner dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
     n = xs.shape[1]
-    payload = _sketch_payload(xs, ys, cfg.k, seed)
+    payload = sketch_matrix(xs, ys, cfg.k, seed)
     split = cfg.k * cfg.t1
 
     M = float(max(1.0, xs.max(initial=0.0), ys.max(initial=0.0)))

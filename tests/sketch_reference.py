@@ -4,8 +4,9 @@
 generator draws all k*n uniforms, then all k*n exponentials, and the
 transform runs with fresh temporaries over the whole matrix.  The
 streamed ``StableSketch`` must reproduce it bit for bit.
-``gaussian_sketch`` and ``sketch_product`` are the dense amp sketch and
-the pooled sketch product.  The stable samplers here are the test
+``count_sketch`` is amp's count sketch as a dense matrix, and
+``dense_amp_payload`` and ``sketch_product`` multiply by it: the per-player
+payload and the pooled sketch product.  The stable samplers here are the test
 suite's source of plain i.i.d. stable draws from any F(p, beta, gamma,
 loc), described by a ``StableLaw`` record, and ``montecarlo_median_abs``
 is the sampling oracle for ``stable.median_abs``.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sketchcast import kernels
+from sketchcast.heavy_hitters import CountSketchSpec
 from sketchcast.streams import DOMAIN_SKETCH, as_seed_sequence, generator
 
 # Median of the standard maximally skewed law F(1,-1,pi/2,0), a fixed-seed
@@ -177,14 +179,17 @@ def streamed_entries(sk) -> np.ndarray:
     return np.concatenate([block.copy() for _, block in sk.blocks()])
 
 
-def gaussian_sketch(n: int, k: int, seed) -> np.ndarray:
-    """The shared k x n amp sketch with variance-1/k entries, drawn whole."""
-    return generator(seed, DOMAIN_SKETCH).standard_normal((k, n)) / math.sqrt(k)
+def count_sketch(n: int, k: int, seed) -> np.ndarray:
+    """The shared k x n amp sketch as a dense matrix: column j holds g(j) in row h(j)."""
+    spec = CountSketchSpec.draw(n, 1, k, generator(seed, DOMAIN_SKETCH))
+    s = np.zeros((k, n))
+    s[spec.bucket_of()[0], np.arange(n)] = spec.sign_of()[0]
+    return s
 
 
 def dense_amp_payload(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
     """Per-player amp payload rows (S X_v).ravel(), (S Y_v).ravel() over the whole S."""
-    s = gaussian_sketch(xs.shape[1], k, seed)
+    s = count_sketch(xs.shape[1], k, seed)
     return np.stack([np.concatenate([(s @ x).ravel(), (s @ y).ravel()])
                      for x, y in zip(xs, ys)])
 
@@ -195,5 +200,5 @@ def sketch_product(x_total: np.ndarray, y_total: np.ndarray, cfg, seed) -> np.nd
     y = np.asarray(y_total, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"pooled shapes {x.shape} and {y.shape} do not align")
-    s = gaussian_sketch(x.shape[0], cfg.k, seed)
+    s = count_sketch(x.shape[0], cfg.k, seed)
     return (s @ x).T @ (s @ y)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import tree_of
-from sketch_reference import dense_amp_payload, gaussian_sketch, sketch_product
-from sketchcast.matrix_product import AmpConfig, _sketch_payload, amp_estimate, sketch_matrix
+from sketch_reference import count_sketch, dense_amp_payload, sketch_product
+from sketchcast.matrix_product import AmpConfig, amp_estimate, sketch_matrix
 from sketchcast.oracles import matrix_product
-from sketchcast.streams import DOMAIN_SKETCH, generator
 from sketchcast.topology import line, star
 
 
@@ -31,46 +30,40 @@ def test_config_row_count():
 
 
 def test_sketch_matrix_shape_and_scale():
-    s = gaussian_sketch(400, 2048, seed=0)
-    assert s.shape == (2048, 400)
-    assert not np.array_equal(s, gaussian_sketch(400, 2048, seed=1))
-    # row blocks of one generator reproduce the whole draw
-    rng = generator(0, DOMAIN_SKETCH)
-    blocks = [sketch_matrix(rng, np.empty((rows, 400)), 2048).copy() for rows in (96, 1, 1951)]
-    assert np.array_equal(np.concatenate(blocks), s)
-    # variance 1/k pins column norms near 1
-    norms = np.linalg.norm(s, axis=0)
-    assert abs(norms.mean() - 1.0) < 0.01
+    # a player holding the identity on both sides sends S itself, twice
+    n, k = 400, 159
+    eye = np.eye(n)[None]
+
+    def sketch(seed):
+        row = sketch_matrix(eye, eye, k, seed)[0]
+        assert np.array_equal(row[:k * n], row[k * n:])
+        return row[:k * n].reshape(k, n)
+
+    s = sketch(0)
+    assert np.all(np.count_nonzero(s, axis=0) == 1)
+    assert set(np.abs(s[s != 0])) == {1.0}
+    assert np.array_equal(s, count_sketch(n, k, seed=0))
+    assert np.array_equal(s, sketch(0))
+    assert not np.array_equal(s, sketch(1))
 
 
 @pytest.mark.parametrize("m, n, t1, t2, k", [
     (4, 40, 2, 2, 2048),     # the fingerprint's amp star
     (1024, 200, 2, 2, 512),  # the mesh-grid amp's shape with every player holding data
-    (8, 3000, 1, 3, 200),    # S wider than a block: several row blocks
-    (64, 200, 4, 4, 2048),   # 512 held columns split S into 4 blocks of 512 rows
+    (8, 3000, 1, 3, 200),    # n >> k: most buckets sum several coordinates
+    (64, 200, 4, 4, 2048),   # many held players, each with several columns
 ])
 def test_blocked_payload_is_within_rounding_of_per_player_products(m, n, t1, t2, k):
-    # One product per row block sums each cell in another order than the
-    # per-player products over the whole S, so cells may differ in their
-    # last bits: by at most 2 n u sum_l |S_il X_lj| with u = 2^-53.
+    # integer data: every cell is an exact sum, whatever order it is taken in
     rng = np.random.default_rng(5)
     xs = rng.integers(0, 9, (m, n, t1)) * (rng.random((m, n, t1)) < 0.3)
     ys = rng.integers(0, 9, (m, n, t2)) * (rng.random((m, n, t2)) < 0.3)
     xs, ys = xs.astype(np.float64), ys.astype(np.float64)
-    got = _sketch_payload(xs, ys, k, seed=6)
-    want = dense_amp_payload(xs, ys, k, seed=6)
-    s = np.abs(gaussian_sketch(n, k, seed=6))
-    scale = np.stack([np.concatenate([(s @ x).ravel(), (s @ y).ravel()])
-                      for x, y in zip(xs, ys)])
-    assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 2 * n * 2.0**-53 * scale)
+    got = sketch_matrix(xs, ys, k, seed=6)
+    assert np.array_equal(got, dense_amp_payload(xs, ys, k, seed=6))
 
 
 def test_empty_players_keep_zero_rows_and_leave_held_rows_alone():
-    # the held players' columns meet S in a product of 124 columns here and
-    # of 256 when every player holds data; both are past the 1e6
-    # multiply-adds up to which OpenBLAS takes its small-matrix kernel, so
-    # each column has the same bits in both (see _sketch_payload)
     m, n, k, t = 64, 40, 1000, 2
     rng = np.random.default_rng(5)
     xs = rng.integers(0, 9, (m, n, t)).astype(np.float64)
@@ -79,8 +72,8 @@ def test_empty_players_keep_zero_rows_and_leave_held_rows_alone():
     held = np.setdiff1d(np.arange(m), empty)
     sparse_x, sparse_y = xs.copy(), ys.copy()
     sparse_x[empty] = sparse_y[empty] = 0.0
-    got = _sketch_payload(sparse_x, sparse_y, k, seed=6)
-    full = _sketch_payload(xs, ys, k, seed=6)
+    got = sketch_matrix(sparse_x, sparse_y, k, seed=6)
+    full = sketch_matrix(xs, ys, k, seed=6)
     assert got[empty].tobytes() == np.zeros((empty.size, k * 2 * t)).tobytes()
     assert got[held].tobytes() == full[held].tobytes()
     want = dense_amp_payload(sparse_x, sparse_y, k, seed=6)
@@ -146,7 +139,7 @@ def test_exact_codec_matches_pooled_sketch_product():
     ys = rng.integers(0, 9, size=(5, 40, 2)).astype(np.float64)
     r, _ = amp_estimate(xs, ys, tree_of(line(5)), cfg, seed=6, codec="exact")
     pooled = sketch_product(xs.sum(axis=0), ys.sum(axis=0), cfg, seed=6)
-    np.testing.assert_allclose(r, pooled, rtol=1e-10)
+    assert np.array_equal(r, pooled)
 
 
 def test_sketch_norm_preservation():
@@ -155,11 +148,35 @@ def test_sketch_norm_preservation():
     hits = 0
     for t in range(40):
         x = rng.integers(0, 10, size=(64, 4)).astype(np.float64)
-        s = gaussian_sketch(64, cfg.k, seed=t)
+        s = count_sketch(64, cfg.k, seed=t)
         lhs = np.linalg.norm(s @ x)
         rhs = np.linalg.norm(x)
         hits += abs(lhs - rhs) <= cfg.eps0 * rhs
     assert hits >= 33
+
+
+def test_squared_error_matches_the_count_sketch_second_moment():
+    # n = 4000 against k = 159, so most buckets sum many coordinates.  The
+    # exact second moment is (1/k)(|x|^2 |y|^2 + <x,y>^2 - 2 sum_i x_i^2 y_i^2);
+    # a biased bucket or sign hash moves the mean squared error off it.  A
+    # bucket hash onto half the buckets lands 6.7 to 8.2 sigma off at 500
+    # seeds; a heavier head fattens the tail of the squared error and hides it.
+    cfg = AmpConfig(t1=1, t2=1, eps=0.9)
+    n, seeds = 4000, 500
+    rng = np.random.default_rng(3)
+    head = np.rint(60 * np.arange(1, 41) ** -1.1)
+    x = rng.integers(0, 10, n).astype(np.float64)
+    y = rng.integers(0, 10, n).astype(np.float64)
+    x[:40] += head
+    y[rng.permutation(n)[:40]] += head
+    want = (x @ x * (y @ y) + (x @ y) ** 2 - 2 * np.sum(x**2 * y**2)) / cfg.k
+    tree = tree_of(star(1))
+    err = np.empty(seeds)
+    for seed in range(seeds):
+        r, _ = amp_estimate(x[None, :, None], y[None, :, None], tree, cfg, seed, codec="exact")
+        err[seed] = (r[0, 0] - x @ y) ** 2
+    sigma = err.std(ddof=1) / math.sqrt(seeds)
+    assert abs(err.mean() - want) <= 4 * sigma
 
 
 def test_frobenius_error_against_exact_product():
