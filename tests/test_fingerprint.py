@@ -61,8 +61,8 @@ PINNED = {
         "3ec5e0ce467dc1dde21ac0ed3e4e869021ad1d728d6d95ba25e45befe51ab7be",
     ),
     "amp-star": (
-        "2df22bb33199f7db8634d1db6bfdb4ecba4dd1fa9415f5820b1f86a0fe3b2899",
-        "80bd7fd560049578acb3ab21989ae15e86e62a1ab4f33e7e81f8f70969bb73f4",
+        "7885b3b21e1c1179f3d60245a48e88c8c82e1e7bf3cc844802bc1a3622a8e198",
+        "cd8de03bdfc430a664c7faaa6176e7c3db2785a063875c777a262fcd625bb553",
     ),
     "stream-fp-exact-y": (
         "467c658cd6a4781f270422dad2887edff8a495e7f61b014491393f24e301c22f",
@@ -81,8 +81,8 @@ PINNED = {
         "1b314af5fd6267740982c41a562de20474fe6081fac7b6c2f414545ce4f5922f",
     ),
     "amp-grid-sparse": (
-        "eee9cdfb54adb516179db0de25ce43e5146d85a0a05e33a7a49c219e25cf0607",
-        "d4a2109ff86fec1425da740c827c61d3c2ac8fbfe63c88d782a768c28d43c8ff",
+        "05ffc7ef2758e9a1ba4ff2d94bdd7c2f1e09922d1debc53c05b9e5139a2c4f18",
+        "977d75b65f7221cf3d7552db36a2dcd6db324850a081aa5acd2c445a3fafeb5a",
     ),
     "hh-grid": (
         "6eadd0b61e168d4110f74739f03ff7941a2d06110d276d35b78d2878ed109dc3",
