@@ -9,8 +9,9 @@ no spec or ``comm_scaling`` default is written here.
 Every invocation is deterministic for a fixed seed: stdout and any files
 written contain no timing or host-dependent fields.  Exit status is 0 on
 completion, 2 when --check finds a success rate below the acceptance
-floor, and 1 on I/O failures, invalid values, sketches over the size cap
-and counter overflows, which print one ``error:`` line on stderr.
+floor, and 1 on I/O failures, invalid values (a rounded value escaping
+its window among them) and sketches over the size cap, which print one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import inspect
 import sys
 
-from .engine import CODECS, CounterOverflowError
+from .engine import CODECS
 from .entropy import entropy_to_bits
 from .fp_low import LOGCOSINE_MODES
 from .harness import (
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = top.add_parser("simulate", help="run a distributed protocol")
     sim = simulate.add_subparsers(dest="protocol", required=True)
 
-    fp = sim.add_parser("fp", help="frequency moment F_p, p in (0,1) or (1,2]")
+    fp = sim.add_parser("fp", help="frequency moment F_p, p in (0,2]")
     fp.add_argument("--p", type=float, required=True)
     _add_common(fp, "fp")
 
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _run_bench_command(args)
         return _run_experiment_command(args)
-    except (OSError, ValueError, MemoryError, CounterOverflowError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

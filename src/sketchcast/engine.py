@@ -3,10 +3,14 @@
 Every non-root vertex sends exactly one message to its tree parent, and
 the root combines without sending.  A vertex whose whole subtree holds
 exact zeros sends only the 1-bit subtree-empty flag; every other message
-costs 1 flag bit plus its wire length.  Three message families cover all
-protocols here: stochastically rounded value vectors, exact
+costs 1 flag bit plus its wire length.  Two message families cover all
+protocols here: stochastically rounded value vectors, and exact
 64-bit-per-scalar vectors (the communication baseline, also used for
-sketch-equivalence checks), and signed Morris counter vectors.
+sketch-equivalence checks).  A third family, signed Morris counter
+vectors (``morris_sum_convergecast``), serves no protocol: it is kept,
+with ``kernels.morris_merge`` and :class:`CounterOverflowError`, only
+because the benchmark under ``perfbench/`` imports and traces them by
+name, and goes with the next change to the benchmark.
 
 A family is two plain functions.  ``combine(verts, own, prev, slots,
 gen)`` builds a layer's state from its own payload rows and its

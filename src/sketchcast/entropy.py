@@ -6,10 +6,12 @@ y_i = <S_i, X> / ||X||_1 is distributed F(1, -1, pi/2, H): the entropy
 shows up as the location parameter, and E[e^{y_i}] = e^{-H}.  The
 coordinator therefore reports H = -ln((1/k) sum_i e^{y_i}).
 
-Both verbs decode the same k + 1 lanes: the k sketch rows plus an F_1
-lane that estimates ||X||_1 for the normalization.  The network verb sums
-them in Morris counters (``fp_low.counter_sum``), the stream verb exactly.
-Estimates are in nats, clamped to [0, ln n]; clamps are counted in stats.
+Both verbs decode the same k + 1 lanes: the k sketch rows, scaled by
+eta, plus an F_1 lane that estimates ||X||_1 for the normalization.  The
+network verb sums them as rounded values, as fp does
+(``fp_high._sketch_sum``), or exactly with ``codec="exact"``; the stream
+verb sums them exactly.  Estimates are in nats, clamped to [0, ln n];
+clamps are counted in stats.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import CommStats
-from .fp_high import stream_counts
-from .fp_low import counter_sum
-from .morris import counter_base_offset
+from .fp_high import _sketch_sum, stream_counts
 from .stable import build_sketch
 from .streams import DOMAIN_SKETCH, substream
 from .topology import SpanningTree
@@ -33,9 +33,8 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class EntropyConfig:
-    """k = max(16, ceil(c_k/eps^2)) sketch rows at precision eta; eps0 = eps^6
-    is the additive precision the Morris layer must deliver on each y_i,
-    which sets the counter base far below the sketch noise floor."""
+    """Accuracy target eps: k = max(16, ceil(c_k/eps^2)) skewed sketch rows
+    at precision eta.  The network verb's rounding grid is sized at eps."""
 
     eps: float
     c_k: ClassVar[float] = 12.0
@@ -48,18 +47,6 @@ class EntropyConfig:
     @property
     def k(self) -> int:
         return max(16, math.ceil(self.c_k / self.eps**2))
-
-    @property
-    def eps0(self) -> float:
-        return self.eps**6
-
-    @property
-    def delta(self) -> float:
-        return 1.0 / (200.0 * self.k)
-
-    def base_minus_one(self, n: int) -> float:
-        """Counter base offset from the p=1 low-moment derivation at eps0."""
-        return counter_base_offset(self.eps0, self.delta, max(n, 2))
 
 
 @dataclass(frozen=True)
@@ -84,27 +71,27 @@ def _entropy_from_rows(y: np.ndarray, n: int) -> tuple[float, float, int]:
     return min(max(raw, 0.0), hi), raw, clamped
 
 
-def entropy_lanes(data: np.ndarray, cfg: EntropyConfig, seed,
-                  entry_cap: float | None = None) -> np.ndarray:
-    """The k skewed sketch rows, then the F_1 lane, of an (m, n) matrix's rows or one vector."""
+def entropy_lanes(data: np.ndarray, cfg: EntropyConfig, seed) -> np.ndarray:
+    """The k eta-scaled skewed sketch rows, then the F_1 lane, of an (m, n) matrix's rows or one vector."""
     sk = build_sketch(cfg.k, data.shape[-1], p=1.0, eta=cfg.eta,
-                      seed=substream(seed, DOMAIN_SKETCH), entry_cap=entry_cap, skewed=True)
-    return np.concatenate([sk.apply(data), data.sum(axis=-1, keepdims=True)], axis=-1)
+                      seed=substream(seed, DOMAIN_SKETCH), skewed=True)
+    rows = sk.apply(data)
+    rows *= cfg.eta
+    return np.concatenate([rows, data.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 def decode_lanes(lanes: np.ndarray, cfg: EntropyConfig, n: int) -> tuple[float, float, int]:
     """(clamped H, raw H, clamp count) from summed lanes; ValueError unless F_1 > 0."""
     if lanes[cfg.k] <= 0.0:
         raise ValueError("entropy undefined for an all-zero aggregate")
-    return _entropy_from_rows(cfg.eta * lanes[:cfg.k] / lanes[cfg.k], n)
+    return _entropy_from_rows(lanes[:cfg.k] / lanes[cfg.k], n)
 
 
-def estimate_entropy(inputs, tree: SpanningTree, cfg: EntropyConfig,
-                     seed) -> tuple[float, EntropyStats]:
-    """Entropy of the aggregate in nats, k + 1 counter pairs per edge; ValueError if all zero."""
-    est, comm = counter_sum(inputs, tree, cfg, seed,
-                            lambda data, entry_cap: entropy_lanes(data, cfg, seed, entry_cap))
-    h, raw, clamped = decode_lanes(est, cfg, np.shape(inputs)[1])
+def estimate_entropy(inputs, tree: SpanningTree, cfg: EntropyConfig, seed,
+                     codec: str = "rounding") -> tuple[float, EntropyStats]:
+    """Entropy of the aggregate in nats from k + 1 ``codec`` lanes per edge; ValueError if all zero."""
+    lanes, comm = _sketch_sum(inputs, tree, cfg, seed, codec, entropy_lanes)
+    h, raw, clamped = decode_lanes(lanes, cfg, np.shape(inputs)[1])
     return h, EntropyStats(comm=comm, raw=raw, clamped=clamped)
 
 
@@ -112,7 +99,7 @@ def stream_entropy(stream, cfg: EntropyConfig, seed=0, n: int | None = None) -> 
     """Entropy of an insertion-only stream: the lanes of its summed counts, decoded.
 
     They are normalized by their F_1 lane; an all-zero stream raises
-    ValueError.  No entry cap: it only bounds the network verb's counters.
+    ValueError.
     """
     x = stream_counts(stream, n)
     return decode_lanes(entropy_lanes(x, cfg, seed), cfg, x.size)[0]

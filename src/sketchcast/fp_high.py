@@ -99,6 +99,30 @@ class FpHighConfig:
         return math.ceil(self.c_k / self.eps**2)
 
 
+def _stable_lanes(data: np.ndarray, cfg, seed) -> np.ndarray:
+    """eta * S data for the k x n symmetric p-stable sketch of ``cfg`` at ``seed``."""
+    sk = build_sketch(cfg.k, data.shape[-1], cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
+    lanes = sk.apply(data)
+    lanes *= cfg.eta
+    return lanes
+
+
+def _sketch_sum(inputs, tree: SpanningTree, cfg, seed, codec: str,
+                lanes_of=_stable_lanes) -> tuple[np.ndarray, CommStats]:
+    """Sum ``lanes_of(data, cfg, seed)`` up ``tree`` in the value family ``codec`` names.
+
+    ``data`` is the validated (m, n) player counts.  The rounding grid is
+    ``gamma_for``'s at accuracy ``cfg.eps``, failure mass
+    ``FpHighConfig.delta`` and M the largest count.  fp at every p and
+    entropy send their lanes through here.
+    """
+    data = as_count_matrix(inputs, tree.m)
+    n = data.shape[1]
+    M = float(max(1.0, data.max(initial=0.0)))
+    return sum_convergecast(codec, lanes_of(data, cfg, seed), tree, seed,
+                            eps=cfg.eps, delta=FpHighConfig.delta, n=n, M=M)
+
+
 def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,
                      codec: str = "rounding") -> tuple[float, float, CommStats]:
     """Run one convergecast over ``tree`` and return (norm_estimate, fp_estimate, stats).
@@ -107,17 +131,6 @@ def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,
     codec="exact" ships unrounded float64 sketches, useful for isolating
     rounding error.
     """
-    data = as_count_matrix(inputs, tree.m)
-    n = data.shape[1]
-    M = float(max(1.0, data.max(initial=0.0)))
-
-    sk = build_sketch(cfg.k, n, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
-    payload = sk.apply(data)
-    payload *= cfg.eta
-
-    vec, stats = sum_convergecast(codec, payload, tree, seed,
-                                  eps=cfg.eps, delta=cfg.delta, n=n, M=M)
-
+    vec, stats = _sketch_sum(inputs, tree, cfg, seed, codec)
     norm = lower_median(np.abs(vec)) / median_abs(cfg.p)
     return norm, norm**cfg.p, stats
-

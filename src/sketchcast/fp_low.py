@@ -1,15 +1,14 @@
-"""F_p estimation for p in (0, 1) with p-stable sketches over Morris counters.
+"""F_p estimation for p in (0, 1] with p-stable sketches sent as rounded values.
 
-Each player feeds the integer sketch coordinates eta^-1 <S_i, X_j> into
-one signed Morris counter per row, counters merge up the tree, and the
-root reports (eta * lower_median |estimate(C_i)| / theta_p)^p.  The
-counter base b = 1 + (eps' * delta')^2 is tuned so that counting noise
-stays below eps' relative to the absorbed mass.  Each state travels in
-an Elias delta code (``engine.send_counters``); at this base, within
-1e-30 of 1, a state is about the count it holds, so it costs about log2
-of that count, not the O(log log) of a statistics-scale base.  The entry
-cap, the base and the state bound are derived in :func:`counter_sum`
-only, which entropy shares.
+Each player sketches its counts with a shared p-stable matrix at
+precision eta, and the tree sums the k rows as fp p > 1 does
+(``fp_high._sketch_sum``): stochastically rounded on every hop, or
+exactly with ``codec="exact"``.  The root reports
+(lower_median |y_i| / theta_p)^p.  The grid is ``gamma_for``'s at eps,
+failure mass 1/4 and M the largest count, so a row costs O(log) bits per
+edge, as at p > 1.  The paper states the rounding bound for p in (1, 2];
+at p <= 1, sum_j |S_ij| x_j is itself of order ||x||_p, so relative
+rounding of the partial sums adds only O(gamma) ||x||_p.
 
 Also hosts the log-cosine streaming estimator in random-oracle mode: it
 maintains y = S X (exactly, or through signed Morris counters) plus an
@@ -26,9 +25,9 @@ from typing import ClassVar
 import numpy as np
 
 from . import kernels
-from .engine import CommStats, morris_sum_convergecast
-from .fp_high import as_count_matrix, lower_median, stream_counts
-from .morris import counter_base_offset, estimates_signed, signed_updates, state_field_bits
+from .engine import CommStats
+from .fp_high import _sketch_sum, lower_median, stream_counts
+from .morris import counter_base_offset, estimates_signed, signed_updates
 from .stable import build_sketch, median_abs
 from .streams import DOMAIN_DATA, DOMAIN_SKETCH, generator, substream
 from .topology import SpanningTree
@@ -40,8 +39,8 @@ class FpLowConfig:
 
     The constants are fixed: k = max(16, ceil(c_k / eps^2)) sketch rows
     at precision eta.  delta = 1/(200k) is both the per-row failure
-    budget and the delta' in the counter base (the two roles share one
-    symbol upstream, kept literal here).
+    budget and the delta' in the stream verb's counter base (the two
+    roles share one symbol upstream, kept literal here).
     """
 
     p: float
@@ -50,8 +49,8 @@ class FpLowConfig:
     eta: ClassVar[float] = 2.0 ** -20
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0,1), got {self.p}")
+        if not 0.0 < self.p <= 1.0:
+            raise ValueError(f"p must be in (0,1], got {self.p}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {self.eps}")
 
@@ -70,36 +69,14 @@ class FpLowConfig:
         return counter_base_offset(self.eps, self.delta, n, self.p)
 
 
-def counter_sum(inputs, tree: SpanningTree, cfg, seed, lanes_of) -> tuple[np.ndarray, CommStats]:
-    """Sum ``lanes_of(data, entry_cap)`` up ``tree`` in signed Morris counters.
+def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig, seed,
+                    codec: str = "rounding") -> tuple[float, CommStats]:
+    """Sum the k sketch rows up ``tree`` as ``codec`` values; returns (fp, stats).
 
-    Returns (lane estimates, stats).  ``data`` is the (m, n) player counts,
-    ``cfg`` an FpLowConfig or EntropyConfig, and entry_cap = (M n m)^3 for
-    M the largest count.  The base is ``cfg.base_minus_one(n)``; the state
-    bound holds what the public update-mass bound m n M entry_cap / eta can
-    reach, and a state past it raises CounterOverflowError.
+    ``inputs`` is an (m, n) array of non-negative per-player counts.
     """
-    m = tree.m
-    data = as_count_matrix(inputs, m)
-    n = data.shape[1]
-    M = float(max(1.0, data.max()))
-    entry_cap = (M * n * m) ** 3
-    bm1 = cfg.base_minus_one(n)
-    bound = state_field_bits(m * n * M * entry_cap / cfg.eta, bm1)
-    counters, stats = morris_sum_convergecast(lanes_of(data, entry_cap), tree,
-                                              math.log1p(bm1), seed, state_bits=bound)
-    return estimates_signed(counters, bm1), stats
-
-
-def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig,
-                    seed) -> tuple[float, CommStats]:
-    """One counter pair per sketch row per edge (:func:`counter_sum`); returns (fp, stats)."""
-    def lanes(data, entry_cap):
-        return build_sketch(cfg.k, data.shape[1], cfg.p, cfg.eta,
-                            substream(seed, DOMAIN_SKETCH), entry_cap=entry_cap).apply(data)
-
-    est, stats = counter_sum(inputs, tree, cfg, seed, lanes)
-    norm = cfg.eta * lower_median(np.abs(est)) / median_abs(cfg.p)
+    vec, stats = _sketch_sum(inputs, tree, cfg, seed, codec)
+    norm = lower_median(np.abs(vec)) / median_abs(cfg.p)
     return norm**cfg.p, stats
 
 
@@ -115,7 +92,10 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
     is how a space-bounded streamer would hold y.  Both modes share the
     precision-eta sketch and the exact coarse normalizer y', so they
     differ only by counting noise.  Empty or all-zero streams return 0.
+    ``FpLowConfig`` also takes p = 1, for the network verb; this one does not.
     """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0,1), got {p}")
     cfg = FpLowConfig(p=p, eps=eps)
     if mode not in LOGCOSINE_MODES:
         raise ValueError(f"unknown mode {mode!r}")

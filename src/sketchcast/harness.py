@@ -150,15 +150,12 @@ class ExperimentSpec:
                                  f"spec says n={self.n}")
         if self.protocol == "hh":  # an eps or n out of range fails here, not in a trial
             CountSketchSpec.shape(self.n, self.eps)
-        elif self.protocol == "fp" and self.p < 1.0:
-            self.config().base_minus_one(self.n)
         else:
             self.config()
-        # fp p<1 and entropy send Morris counters, and the stream verbs send nothing
-        sends_values = self.protocol in ("hh", "amp") or self.protocol == "fp" and self.p > 1.0
-        if self.codec != "rounding" and not sends_values:
-            raise ValueError(f"codec {self.codec!r} applies only to the value vectors "
-                             f"of fp p>1, hh and amp, not to {self.protocol}")
+        # every network protocol sends value vectors; the stream verbs send nothing
+        if self.codec != "rounding" and self.protocol.startswith("stream-"):
+            raise ValueError(f"codec {self.codec!r} applies only to the network "
+                             f"protocols, not to {self.protocol}")
 
     def config(self) -> FpHighConfig | FpLowConfig | EntropyConfig | AmpConfig:
         """The protocol's accuracy config; hh has none: ``CountSketchSpec`` sizes its table."""
@@ -385,7 +382,8 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
                     _, est, comm = estimate_fp_high(players, tree, spec.config(), pseed,
                                                     codec=spec.codec)
                 else:
-                    est, comm = estimate_fp_low(players, tree, spec.config(), pseed)
+                    est, comm = estimate_fp_low(players, tree, spec.config(), pseed,
+                                                codec=spec.codec)
                 exact = oracles.frequency_moment(x, spec.p)
                 error = _rel_error(est, exact)
                 success = error <= spec.eps
@@ -401,7 +399,8 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
                 recovered = all(q in hits for q in _planted_ids(spec.dist))
                 success = error <= 1.0 and recovered
             elif spec.protocol == "entropy":
-                h, stats = estimate_entropy(players, tree, spec.config(), pseed)
+                h, stats = estimate_entropy(players, tree, spec.config(), pseed,
+                                            codec=spec.codec)
                 comm = stats.comm
                 est = h
                 exact = oracles.entropy_nats(x)
@@ -502,8 +501,8 @@ def comm_scaling(depths=(4, 16, 64, 256), eps: float = 0.25, p: float = 1.5,
 
     Runs line topologies of the given diameters on zipf:1.1 players of
     1000 tokens each, averages max_edge_bits per sketch row (k from the
-    spec's config: rounded values at p > 1, Morris counter pairs at
-    p < 1), and fits bits = a + b*log2(d).  Returns per-depth rows plus the
+    spec's config, which differs between p <= 1 and p > 1), and fits
+    bits = a + b*log2(d).  Returns per-depth rows plus the
     fit and the saving factor over the 64-bit baseline.
     Raises ValueError for a depth below 1 (a one-vertex line sends
     nothing), fewer than two distinct depths (no line to fit), or a p no

@@ -13,7 +13,6 @@ import pytest
 import sketchcast
 from sketchcast import harness
 from sketchcast.cli import _spec_from_args, build_parser, main
-from sketchcast.engine import CounterOverflowError
 from sketchcast.harness import ExperimentSpec, run_experiment, write_summary
 
 
@@ -212,20 +211,20 @@ def test_missing_counts_file_exits_one(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("simulate", "fp", "--p", "1.0"),
+    ("simulate", "fp", "--p", "0"),
     ("simulate", "fp", "--p", "1.5", "--eps", "0.6"),
     ("stream", "fp", "--p", "1.5"),
     ("simulate", "fp", "--p", "1.5", "--seed", "-1"),
     # the p>1 sketch, 1200 x 1e5 cells, is over the sketch cap (MemoryError)
     ("simulate", "fp", "--p", "1.5", "--eps", "0.1", "--n", "100000"),
-    # entropy sends Morris counters, which no codec encodes
-    ("simulate", "entropy", "--codec", "exact"),
+    # the network verb takes p = 1, the stream verb does not
+    ("stream", "fp", "--p", "1.0"),
     # a one-vertex line sends nothing; one distinct depth fits no slope
     ("bench", "comms", "--depths", "0"),
     ("bench", "comms", "--depths", "16"),
     ("bench", "comms", "--depths", "16,16"),
-    # p = 1 is neither the rounded (p > 1) nor the counter (p < 1) protocol
-    ("bench", "comms", "--p", "1.0"),
+    # no fp protocol takes p > 2
+    ("bench", "comms", "--p", "2.5"),
     # a negative density would run on all-zero data and report success
     ("simulate", "amp", "--dist", "sparse:-1"),
 ])
@@ -237,18 +236,6 @@ def test_invalid_value_exits_one_with_one_error_line(argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
-
-
-def test_counter_overflow_exits_one_with_one_error_line(capsys, monkeypatch):
-    # the state bound is sized from the update-mass bound, so no small spec
-    # overflows a counter: the experiment runner raises the error instead
-    def overflow(*args, **kwargs):
-        raise CounterOverflowError("counter state 70000 exceeds 16-bit bound")
-
-    monkeypatch.setattr(sketchcast.cli, "run_experiment", overflow)
-    code, stdout, stderr = run_cli(capsys, "simulate", "fp", "--p", "0.5", "--trials", "1")
-    assert code == 1 and stdout == ""
-    assert stderr == "error: counter state 70000 exceeds 16-bit bound\n"
 
 
 def test_bench_comms_smoke(tmp_path, capsys):

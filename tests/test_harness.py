@@ -64,7 +64,8 @@ def test_spec_validation():
         ExperimentSpec(protocol="stream-fp")
     with pytest.raises(ValueError, match="stream-fp needs p in"):
         ExperimentSpec(protocol="stream-fp", p=1.5)
-    for p in (1.0, 2.5):  # fp runs p in (0,1) or (1,2]
+    ExperimentSpec(protocol="fp", p=1.0)
+    for p in (0.0, 2.5):  # fp runs p in (0,1] or (1,2]
         with pytest.raises(ValueError):
             ExperimentSpec(protocol="fp", p=p)
     # eps outside the protocol config's range fails here, not in the first trial
@@ -88,7 +89,8 @@ def test_spec_validation():
     (dict(protocol="amp", dist="planted:5:1"), "unknown distribution 'planted:5:1'"),
     (dict(protocol="stream-fp", p=0.5, dist="uniform:3"), "unknown stream spec 'uniform:3'"),
     (dict(protocol="hh", n=1), "need n >= 2 coordinates, got 1"),
-    (dict(protocol="fp", p=0.5, n=1), "need n >= 2 coordinates, got 1"),
+    # the count sketch needs two coordinates whatever the codec
+    (dict(protocol="hh", n=1, codec="exact"), "need n >= 2 coordinates, got 1"),
     (dict(protocol="fp", p=1.5, topology="grid:4x4", m=9),
      "topology spec 'grid:4x4' has 16 vertices, spec says m=9"),
     (dict(protocol="fp", p=1.5, topology="grid:3by3", m=9), "topology spec 'grid:3by3'"),
@@ -105,9 +107,11 @@ def test_spec_validation():
     # zipf's token-count field is a stream spec's only
     (dict(protocol="fp", p=1.5, dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
     (dict(protocol="amp", dist="zipf:1.1:7"), "distribution 'zipf:1.1:7'"),
-    # only fp p>1, hh and amp send value vectors, which is what a codec encodes
-    (dict(protocol="fp", p=0.5, codec="exact"), "codec 'exact' applies only"),
-    (dict(protocol="entropy", codec="exact"), "codec 'exact' applies only"),
+    # every network protocol sends value vectors, which is what a codec
+    # encodes; the stream verbs send nothing, in either mode
+    (dict(protocol="stream-fp", p=0.5, mode="morris-y", codec="exact"),
+     "codec 'exact' applies only"),
+    (dict(protocol="stream-entropy", n=50, codec="exact"), "codec 'exact' applies only"),
     (dict(protocol="stream-fp", p=0.5, codec="exact"), "codec 'exact' applies only"),
     (dict(protocol="stream-entropy", codec="exact"), "codec 'exact' applies only"),
     # a density outside [0, 1] would run on wrong data, and a negative count
@@ -482,23 +486,9 @@ def test_comm_scaling_smoke():
 
 def test_comm_scaling_bits_grow_at_most_a_bit_and_a_half_per_doubling_of_depth():
     # a small-scale copy of the log d law: the rounded wire's bits per row
-    # on lines of depth 4, 16 and 64 (slope 1.27, 19.2 bits at d = 64)
-    out = comm_scaling(depths=(4, 16, 64), trials=3, seed=0)
-    assert out["fit"]["slope"] <= 1.6
-    assert out["rows"][-1]["bits_per_row"] <= 24
-
-
-
-def test_comm_scaling_counter_bits_stay_under_the_old_fixed_field():
-    # At p < 1 each sketch row sends an insertion and a deletion state in
-    # delta codes; the fixed field they replaced cost 2 * state_field_bits
-    # per row, at least 122/136/152 bits at depths 4/16/64 (M = 1, its
-    # smallest).  8 trials give 57.4, 69.5 and 77.2 bits per row.
-    out = comm_scaling(depths=(4, 16, 64), p=0.5, trials=3, seed=0)
-    cfg = fp_low.FpLowConfig(p=0.5, eps=0.25)
-    assert out["k"] == cfg.k
-    n, bm1 = out["n"], cfg.base_minus_one(out["n"])
-    for row in out["rows"]:
-        m = row["m"]
-        fixed = 2 * morris.state_field_bits(m * n * (n * m) ** 3 / cfg.eta, bm1)
-        assert row["bits_per_row"] < fixed
+    # on lines of depth 4, 16 and 64, at p = 1.5 (slope 1.27, 19.2 bits at
+    # d = 64) and p = 0.5 (slope 1.27, 20.3 bits at d = 64)
+    for p in (1.5, 0.5):
+        out = comm_scaling(depths=(4, 16, 64), p=p, trials=3, seed=0)
+        assert out["fit"]["slope"] <= 1.6, p
+        assert out["rows"][-1]["bits_per_row"] <= 24, p

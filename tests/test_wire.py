@@ -1,9 +1,9 @@
 """Every message of a whole protocol run is realisable.
 
-Hooks around ``engine.send_rounded``, ``engine.send_exact`` and
-``engine.send_counters`` encode each sending row's message with the
-``bitcodec`` encoder of its family and decode it knowing only public
-parameters: the lane count and the grid ratio.
+Hooks around ``engine.send_rounded`` and ``engine.send_exact`` encode
+each sending row's message with the ``bitcodec`` encoder of its family
+and decode it knowing only public parameters: the lane count and the
+grid ratio.
 The encoding must be exactly as long as the edge's metered bits less the
 1-bit subtree flag, and it must decode to the message the engine passes to
 the parent; for a rounded message the decoded lanes must also be the
@@ -17,21 +17,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bitcodec import (decode_counters, decode_exact, decode_rounded, encode_counters,
-                      encode_exact, encode_rounded)
+from bitcodec import decode_exact, decode_rounded, encode_exact, encode_rounded
 from sketchcast import engine, kernels
 from sketchcast.harness import ExperimentSpec, run_experiment
 
-# the protocols that send value vectors, rounded or exact
+# every network protocol sends value vectors, rounded or exact
 PROTOCOLS = {
     "fp": dict(protocol="fp", p=1.5, n=60, eps=0.25, tokens=200),
-    "hh": dict(protocol="hh", n=60, eps=0.3, dist="planted:500:1"),
-    "amp": dict(protocol="amp", n=40, eps=0.3, dist="sparse:0.2", t1=2, t2=2),
-}
-# the protocols that send Morris counters
-COUNTER_PROTOCOLS = {
     "fp-p0.5": dict(protocol="fp", p=0.5, n=60, eps=0.25, tokens=200),
     "entropy": dict(protocol="entropy", n=40, eps=0.3, dist="zipf:1.1", tokens=200),
+    "hh": dict(protocol="hh", n=60, eps=0.3, dist="planted:500:1"),
+    "amp": dict(protocol="amp", n=40, eps=0.3, dist="sparse:0.2", t1=2, t2=2),
 }
 TOPOLOGIES = {"star": 6, "line": 9, "grid:8x8": 64}
 
@@ -47,7 +43,6 @@ class WireRecorder:
         monkeypatch.setattr(kernels, "round_to_grid", self._round_to_grid(kernels.round_to_grid))
         monkeypatch.setattr(engine, "send_rounded", self._send_rounded(engine.send_rounded))
         monkeypatch.setattr(engine, "send_exact", self._send_exact(engine.send_exact))
-        monkeypatch.setattr(engine, "send_counters", self._send_counters(engine.send_counters))
         monkeypatch.setattr(engine, "run_convergecast",
                             self._convergecast(engine.run_convergecast))
 
@@ -101,18 +96,6 @@ class WireRecorder:
             return msg, lengths
         return send_exact
 
-    def _send_counters(self, real):
-        def send_counters(verts, state, gen, *, state_bits):
-            msg, lengths = real(verts, state, gen, state_bits=state_bits)
-            encodings = [encode_counters(row.tolist()) for row in msg]
-            for row, bits in zip(msg, encodings):
-                got, end = decode_counters(bits, msg.shape[-1] // 2)
-                assert end == len(bits)
-                assert np.array_equal(np.array(got, dtype=np.float64), row)
-            self._record("counters", verts, lengths, encodings)
-            return msg, lengths
-        return send_counters
-
     def _convergecast(self, real):
         def run_convergecast(tree, inputs, combine, send, seed=0):
             self.encoded = {}
@@ -151,11 +134,3 @@ def test_every_exact_message_of_a_run_is_realisable(protocol, topology, monkeypa
     spec = ExperimentSpec(topology=topology, m=TOPOLOGIES[topology], trials=2, seed=3,
                           codec="exact", **PROTOCOLS[protocol])
     _check_run(spec, "exact", monkeypatch)
-
-
-@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-@pytest.mark.parametrize("protocol", sorted(COUNTER_PROTOCOLS))
-def test_every_counter_message_of_a_run_is_realisable(protocol, topology, monkeypatch):
-    spec = ExperimentSpec(topology=topology, m=TOPOLOGIES[topology], trials=2, seed=3,
-                          **COUNTER_PROTOCOLS[protocol])
-    _check_run(spec, "counters", monkeypatch)
