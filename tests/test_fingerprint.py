@@ -49,12 +49,12 @@ PINNED = {
         "b678cfa1848267bf3bb5b5e6653e8528d4196d270490b5710c52173ad92a009f",
     ),
     "fp-p0.5-line": (
-        "019144895844aa7c725f6890568b241187d70b3ed5d96239d4fb1d7506bf1dfd",
-        "b7ec8c343cdf058c3a3479e0e5bfa55597f2244159c32d1663a4bd742ad85dbc",
+        "260761471d8337c96578e42c45738958613a2abc046e9a68d9982c82bfe67939",
+        "bbfa6f84d1c8c095d318caa04cbf3f8ff9f7adb6e991a905d25139d79690d3eb",
     ),
     "entropy-star": (
-        "86229447296faa0d4a296d0881c9fc6465baf09acf674862540cd576196d2be6",
-        "3442286857b5201f8d6282bfa74daa8d067fa6358d656224193e6be4579bb7bc",
+        "78e0eba21b1174727f058b1db24aed4512b0c7dd648441bf4c787d427e13b5a2",
+        "31653c61d17e181b0e6aac0e0cd41d5dfc8c503d2bae554a41f37530b250ac4b",
     ),
     "hh-line": (
         "fea4dc09079c594e5e0388bf2617deb8b9ce38f94eec7fd9dc598c917e611d2b",
