@@ -6,9 +6,9 @@ rounding onto the (1+gamma) grid (``round_to_grid``), the wire lengths of
 a rounded message in its two-part code (``rounded_bits``) and of a
 counter message in Elias delta codes (``counter_bits``), and the Morris
 counter batch update and merge (``morris_add_batch``, ``morris_merge``).
-Only the stream verb's counters use ``morris_add_batch`` now; the
-counter message kernels serve the engine's counter family, which no
-protocol runs (see ``engine``).
+Of the counter kernels only ``morris_add_batch`` runs in a protocol, the
+stream verb; ``morris_merge`` and ``counter_bits`` serve the engine's
+counter family, which no protocol runs (see ``engine``).
 The transforms overwrite their pre-drawn (uniform, exponential) pairs
 with the draws, the rounding consumes pre-drawn uniforms, and the Morris
 kernels draw from the generator they are given.
