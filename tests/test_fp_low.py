@@ -8,6 +8,7 @@ import pytest
 
 from helpers import tree_of
 from sketchcast import morris
+from sketchcast.entropy import EntropyConfig, estimate_entropy
 from sketchcast.fp_high import lower_median, stream_counts
 from sketchcast.fp_low import (
     FpLowConfig,
@@ -104,6 +105,30 @@ def test_exact_codec_matches_the_uncompressed_formula():
             / median_abs(cfg.p)) ** cfg.p
     assert math.isclose(est, want, rel_tol=1e-9)
     assert set(stats.per_edge_bits.values()) == {1 + 64 * cfg.k}
+
+
+@pytest.mark.parametrize("run", [
+    lambda data, tree, codec: estimate_fp_low(
+        data, tree, FpLowConfig(p=0.5, eps=0.2), 5, codec=codec)[1],
+    lambda data, tree, codec: estimate_entropy(
+        data, tree, EntropyConfig(eps=0.2), 5, codec=codec)[1].comm,
+], ids=["fp_low", "entropy"])
+def test_max_edge_bits_is_flat_across_depth(run):
+    # Fixed aggregate, entries divisible by both player counts, on a line
+    # rooted at its center: the busiest edge carries the larger half of the
+    # players, half the aggregate at either depth.  The exact codec meters
+    # 64 bits a lane whatever the depth, so its busiest edge is flat; the
+    # rounded lanes grow with log d (2,831 to 3,437 bits for fp_low, 3,944
+    # to 4,851 for entropy) but stay under that flat baseline at both.
+    total = np.arange(1.0, 17.0) * 16.0
+    sizes = {}
+    for m in (4, 16):
+        data = np.tile(total / m, (m, 1))
+        for codec in ("exact", "rounding"):
+            sizes[m, codec] = run(data, tree_of(line(m)), codec).max_edge_bits
+    assert sizes[4, "exact"] == sizes[16, "exact"]
+    for m in (4, 16):
+        assert sizes[m, "rounding"] < sizes[m, "exact"], m
 
 
 def test_relative_error_against_moment_oracle():

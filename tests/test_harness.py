@@ -492,3 +492,19 @@ def test_comm_scaling_bits_grow_at_most_a_bit_and_a_half_per_doubling_of_depth()
         out = comm_scaling(depths=(4, 16, 64), p=p, trials=3, seed=0)
         assert out["fit"]["slope"] <= 1.6, p
         assert out["rows"][-1]["bits_per_row"] <= 24, p
+
+
+def test_comm_scaling_counter_bits_stay_under_the_old_fixed_field():
+    # At p < 1 each sketch row once travelled as an insertion and a
+    # deletion Morris state in a fixed field of 2 * (bit length of the
+    # state bound + 1) bits: at least 122/136/152 bits at depths 4/16/64
+    # (M = 1, its smallest).  The rounded rows cost 15.3, 17.6 and 20.3.
+    out = comm_scaling(depths=(4, 16, 64), p=0.5, trials=3, seed=0)
+    cfg = fp_low.FpLowConfig(p=0.5, eps=0.25)
+    assert out["k"] == cfg.k
+    n, bm1 = out["n"], cfg.base_minus_one(out["n"])
+    for row in out["rows"]:
+        m = row["m"]
+        worst = morris.state_bound(m * n * (n * m) ** 3 / cfg.eta, bm1)
+        fixed = 2 * max(1, int(worst).bit_length() + 1)
+        assert row["bits_per_row"] < fixed
