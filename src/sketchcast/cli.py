@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = top.add_parser("simulate", help="run a distributed protocol")
     sim = simulate.add_subparsers(dest="protocol", required=True)
 
-    fp = sim.add_parser("fp", help="frequency moment F_p, p in (0,2]")
+    fp = sim.add_parser("fp", help="frequency moment F_p, p in [0.1,2]")
     fp.add_argument("--p", type=float, required=True)
     _add_common(fp, "fp")
 

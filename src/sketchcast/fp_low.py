@@ -33,6 +33,13 @@ from .streams import DOMAIN_DATA, DOMAIN_SKETCH, generator, substream
 from .topology import SpanningTree
 
 
+# The smallest p the network verb takes: below it D_p's tails carry the
+# sketch's partial sums out of the rounding window (``rounding.gamma_for``)
+# and a trial raises WindowError.  At eps 0.25 on lines, stars and grids of
+# up to 64 players, every experiment escaped at p = 0.05 and none at 0.1.
+NETWORK_MIN_P = 0.1
+
+
 @dataclass(frozen=True)
 class FpLowConfig:
     """Moment p and accuracy target eps of the low-moment protocol.

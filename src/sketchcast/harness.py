@@ -38,7 +38,8 @@ from . import oracles
 from .engine import CODECS, CommStats
 from .entropy import EntropyConfig, estimate_entropy, stream_entropy
 from .fp_high import FpHighConfig, estimate_fp_high, stream_counts
-from .fp_low import LOGCOSINE_MODES, FpLowConfig, estimate_fp_low, stream_fp_logcosine
+from .fp_low import (LOGCOSINE_MODES, NETWORK_MIN_P, FpLowConfig, estimate_fp_low,
+                     stream_fp_logcosine)
 from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
 from .streams import DOMAIN_DATA, DOMAIN_TOPOLOGY, DOMAIN_TRIAL, generator, substream
@@ -129,6 +130,9 @@ class ExperimentSpec:
             raise ValueError(f"protocol {self.protocol} requires p")
         if self.protocol == "stream-fp" and not 0.0 < self.p < 1.0:
             raise ValueError(f"stream-fp needs p in (0,1), got {self.p}")
+        if self.protocol == "fp" and self.p < NETWORK_MIN_P:
+            raise ValueError(f"fp needs p >= {NETWORK_MIN_P}, got {self.p}: below it the "
+                             f"sketch's tails escape the rounding window")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.tokens < 0:

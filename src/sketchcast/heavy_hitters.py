@@ -15,8 +15,9 @@ make each row an unbiased AMS estimate with variance about 2 F_2^2 / w
 Table cells are integers (signed sums of counts), so exact-codec
 aggregation is bit-identical to a count-sketch of the pooled vector.
 
-``matrix_product`` shares these hash families: amp's sketch is a
-one-row ``CountSketchSpec`` of width k, drawn by ``CountSketchSpec.draw``.
+``matrix_product`` shares these hash families and this tabler: amp's
+sketch is a one-row ``CountSketchSpec`` of width k, drawn by
+``CountSketchSpec.draw`` and tabled by ``bucket_sums``.
 """
 
 from __future__ import annotations
@@ -136,34 +137,47 @@ class CountSketchSpec:
         return 2.0 * odd - 1.0
 
 
+def bucket_sums(data: np.ndarray, bucket: np.ndarray, sign: np.ndarray,
+                width: int) -> np.ndarray:
+    """(P, rows, width, t) count-sketch tables of (P, n, t) data.
+
+    Cell (v, i, b, c) sums sign[i, q] * data[v, q, c] over the q with
+    bucket[i, q] == b.  Each sketch row is one ``bincount`` over
+    (v * width + bucket) * t + c, fed only the nonzero entries in row-major
+    order, so each cell adds its terms in ascending q.  The skipped terms
+    are +-0, and adding them never changes a sum that starts at +0 (a sum
+    of nonzero terms rounds to +0, never -0), so every cell is
+    bit-identical to the plain ascending sum over all its terms.
+    """
+    players, n, t = data.shape
+    cells = data.ravel()
+    at = np.flatnonzero(cells != 0)  # (v * n + q) * t + c
+    row, col = np.divmod(at, t)
+    player, coord = np.divmod(row, n)
+    values = cells[at]
+    offset = player * (width * t) + col
+    table = np.empty((players, bucket.shape[0], width, t))
+    for i in range(bucket.shape[0]):
+        sums = np.bincount(offset + bucket[i, coord] * t, weights=sign[i, coord] * values,
+                           minlength=players * width * t)
+        table[:, i] = sums.reshape(players, width, t)
+    return table
+
+
 def local_table(x: np.ndarray, spec: CountSketchSpec,
                 bucket: np.ndarray | None = None,
                 sign: np.ndarray | None = None) -> np.ndarray:
     """(rows, width) count-sketch table of one vector, or (players, rows, width) of a matrix.
 
-    A matrix of players is tabled with one ``bincount`` per sketch row over
-    player * width + bucket, fed only the entries that ``np.nonzero``
-    returns.  They come in row-major order, so each cell still sums its
-    player's nonzero coordinates in ascending order.  The skipped terms
-    are +-0, and adding them never changes a sum that starts at +0 (a
-    sum of nonzero terms rounds to +0, never -0), so every player's table
-    is bit-identical to tabling that player's whole vector alone.
+    Tabled by ``bucket_sums``, so each player's table is bit-identical to
+    tabling that player's vector alone.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != spec.n:
         raise ValueError(f"expected length-{spec.n} vectors, got {x.shape}")
     bucket = spec.bucket_of() if bucket is None else bucket
     sign = spec.sign_of() if sign is None else sign
-    players = x.reshape(-1, spec.n)
-    count = players.shape[0]
-    player, coord = np.nonzero(players)
-    values = players[player, coord]
-    offset = player * spec.width
-    table = np.empty((count, spec.rows, spec.width))
-    for i in range(spec.rows):
-        sums = np.bincount(offset + bucket[i, coord], weights=sign[i, coord] * values,
-                           minlength=count * spec.width)
-        table[:, i] = sums.reshape(count, spec.width)
+    table = bucket_sums(x.reshape(-1, spec.n, 1), bucket, sign, spec.width)
     return table.reshape(x.shape[:-1] + (spec.rows, spec.width))
 
 

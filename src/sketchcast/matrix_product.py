@@ -4,9 +4,10 @@ Players hold non-negative slices X_v (n x t1) and Y_v (n x t2) of two
 matrices.  The shared k x n sketch S is a one-row count sketch of width
 k: column j holds the sign g(j) in row h(j) and zeros elsewhere, with h
 the pairwise bucket hash and g the 4-wise sign hash of ``heavy_hitters``,
-their coefficients drawn from generator(seed, DOMAIN_SKETCH).  The
-k(t1+t2) cells of S X_v and S Y_v travel the convergecast with
-stochastic rounding, and the root returns R = (SX)^T (SY).
+their coefficients drawn from generator(seed, DOMAIN_SKETCH), and S X_v
+and S Y_v are tabled by hh's ``bucket_sums``.  Their k(t1+t2) cells
+travel the convergecast with stochastic rounding, and the root returns
+R = (SX)^T (SY).
 
 The sketch error has second moment
 E||(SX)^T (SY) - X^T Y||_F^2 <= (2/k) ||X||_F^2 ||Y||_F^2 (Charikar, Chen &
@@ -35,7 +36,8 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import CommStats, sum_convergecast
-from .heavy_hitters import CountSketchSpec
+from .fp_high import as_count_matrix
+from .heavy_hitters import CountSketchSpec, bucket_sums
 from .streams import DOMAIN_SKETCH, generator
 from .topology import SpanningTree
 
@@ -63,42 +65,25 @@ class AmpConfig:
         return math.ceil(self.c_k / (self.delta * self.eps0**2))
 
 
-def _player_matrices(inputs, m: int, t: int, name: str) -> np.ndarray:
-    data = np.asarray(inputs, dtype=np.float64)
-    if data.ndim != 3 or data.shape[0] != m or data.shape[2] != t:
-        raise ValueError(f"{name} must be (m={m}, n, t={t}), got {data.shape}")
-    if not np.isfinite(data).all():
-        raise ValueError(f"{name} entries must be finite, got NaN or inf")
-    if np.any(data < 0):
-        raise ValueError(f"{name} entries must be non-negative")
-    return data
-
-
 def sketch_matrix(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
     """(m, k*(t1+t2)) payload: row v is (S X_v).ravel() followed by (S Y_v).ravel().
 
     S is the one-row count sketch of width k whose hashes are drawn from
     generator(seed, DOMAIN_SKETCH).  Each side of the players that hold
-    data is tabled with one ``bincount`` over player, bucket and column,
-    fed only its nonzero entries; players that hold zero X and Y keep the
-    +0.0 rows the payload starts with.
+    data is tabled by ``heavy_hitters.bucket_sums``; players that hold
+    zero X and Y keep the +0.0 rows the payload starts with.
     """
     m, n, t1 = xs.shape
     spec = CountSketchSpec.draw(n, 1, k, generator(seed, DOMAIN_SKETCH))
-    bucket, sign = spec.bucket_of()[0], spec.sign_of()[0]
+    bucket, sign = spec.bucket_of(), spec.sign_of()
     held = np.flatnonzero(xs.any(axis=(1, 2)) | ys.any(axis=(1, 2)))
     payload = np.zeros((m, k * (t1 + ys.shape[2])))
     start = 0
     for side in (xs, ys):
-        t = side.shape[2]
-        cells = side[held].ravel()
-        at = np.flatnonzero(cells != 0)  # (player * n + coord) * t + col
-        row, col = np.divmod(at, t)
-        player, coord = np.divmod(row, n)
-        sums = np.bincount((player * k + bucket[coord]) * t + col,
-                           weights=sign[coord] * cells[at], minlength=held.size * k * t)
-        payload[held, start:start + k * t] = sums.reshape(held.size, k * t)
-        start += k * t
+        cells = k * side.shape[2]
+        table = bucket_sums(side[held], bucket, sign, k)
+        payload[held, start:start + cells] = table.reshape(held.size, cells)
+        start += cells
     return payload
 
 
@@ -111,8 +96,8 @@ def amp_estimate(x_inputs, y_inputs, tree: SpanningTree, cfg: AmpConfig, seed,
     if its subtree's sketches are all zero.  An all-zero side gives R = 0.
     """
     m = tree.m
-    xs = _player_matrices(x_inputs, m, cfg.t1, "x_inputs")
-    ys = _player_matrices(y_inputs, m, cfg.t2, "y_inputs")
+    xs = as_count_matrix(x_inputs, m, cfg.t1, "x_inputs")
+    ys = as_count_matrix(y_inputs, m, cfg.t2, "y_inputs")
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"inner dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
     n = xs.shape[1]

@@ -5,9 +5,9 @@ b^-C, and estimates the count as (b^C - b)/(b - 1) + 1, equivalently
 expm1(C ln b)/(b - 1), which is exactly unbiased with variance
 (b-1) n (n+1) / 2 after n updates.  ``kernels.morris_add_batch`` absorbs
 many updates in O(final state) time instead of O(n) by run-length
-sampling.  This module holds the estimator, its bounds, and the counter
-base the stream verb (``fp_low.stream_fp_logcosine``, mode "morris-y")
-derives from them; no network protocol sends counters.
+sampling.  This module holds the estimator and the counter base of the
+stream verb (``fp_low.stream_fp_logcosine``, mode "morris-y"); no
+network protocol sends counters.
 
 L signed counters are one state of 2L columns laid out ``[insertions |
 deletions]``, and lane i estimates column i minus column L + i.  States
@@ -28,18 +28,6 @@ import numpy as np
 
 # The constant c' in the counters' relative error eps' (counter_base_offset).
 C_PRIME = 0.25
-
-
-def state_bound(total: float, b_minus_1: float) -> float:
-    """Upper bound on the state after ``total`` updates.
-
-    The state never exceeds the update count, and concentrates near
-    log_b(1 + total*(b-1)); the bound takes the min plus slack for the
-    far tail.
-    """
-    lb = math.log1p(b_minus_1)
-    concentrated = math.log1p(total * b_minus_1) / lb if total > 0 else 0.0
-    return min(total, 8.0 * (concentrated + 64.0))
 
 
 def counter_base_offset(eps: float, delta: float, n: int, p: float = 1.0) -> float:

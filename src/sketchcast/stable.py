@@ -100,10 +100,9 @@ class StableSketch:
     A handle, not a matrix: ``blocks()`` regenerates the entries row block
     by row block from ``seed`` (see the module docstring for the stream
     contract), and ``apply`` contracts data with them block by block.
-    The law is D_p, or F(1, -1, pi/2, 0) when ``skewed``; ``cap`` clamps
-    the raw draws |z| before eta-scaling.  Entries are float64 but
-    integer-valued, so eta^-1 * S is exactly integral; the scaled sketch is
-    eta * entries.
+    The law is D_p, or F(1, -1, pi/2, 0) when ``skewed``.  Entries are
+    float64 but integer-valued, so eta^-1 * S is exactly integral; the
+    scaled sketch is eta * entries.
     """
 
     k: int
@@ -112,7 +111,6 @@ class StableSketch:
     seed: np.random.SeedSequence = field(repr=False)
     p: float
     skewed: bool = False
-    cap: float | None = None
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (first row, entries of the block's rows) down the sketch.
@@ -146,8 +144,6 @@ class StableSketch:
             z += SKEWED_DRIFT
         else:
             kernels.cms_symmetric(self.p, z, w)
-        if self.cap is not None:
-            np.clip(z, -self.cap, self.cap, out=z)
         z /= self.eta
         np.rint(z, out=z)
 
@@ -219,7 +215,6 @@ def build_sketch(
     p: float,
     eta: float = DEFAULT_ETA,
     seed=0,
-    entry_cap: float | None = None,
     skewed: bool = False,
 ) -> StableSketch:
     """k x n sketch of i.i.d. stable draws at precision eta.
@@ -232,13 +227,11 @@ def build_sketch(
     blocks are used.  Cell (i, j) is made from the (i*n + j)-th uniform
     and the (i*n + j)-th exponential of one PCG64 stream seeded by
     ``seed``: the uniforms take raw positions [0, k*n) and the
-    exponentials follow from position k*n.  ``entry_cap`` clamps the raw
-    draws |z| before eta-scaling.  No protocol passes one: at small p a
-    cap of (M n m)^3 clamps enough cells to move the row median (fp
-    p = 0.1 on a line of 9 players succeeded in 0 of 10 trials with it,
-    10 of 10 without).  Raises ``MemoryError`` on sketches larger than
-    ``MAX_SKETCH_CELLS``, a cap kept although no sketch is materialized
-    because the benchmark's smoke test asserts it.
+    exponentials follow from position k*n.  Draws are not clamped: at
+    small p a clamp of (M n m)^3 moves the row median.  Raises
+    ``MemoryError`` on sketches larger than ``MAX_SKETCH_CELLS``, a cap
+    kept although no sketch is materialized because the benchmark's smoke
+    test asserts it.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k, n >= 1, got k={k} n={n}")
@@ -250,5 +243,4 @@ def build_sketch(
         raise ValueError(f"eta must be in (0,1], got {eta}")
     if k * n > MAX_SKETCH_CELLS:
         raise MemoryError(f"sketch of {k}x{n} cells exceeds cap {MAX_SKETCH_CELLS}")
-    return StableSketch(k=k, n=n, eta=eta, seed=as_seed_sequence(seed), p=p, skewed=skewed,
-                        cap=entry_cap)
+    return StableSketch(k=k, n=n, eta=eta, seed=as_seed_sequence(seed), p=p, skewed=skewed)

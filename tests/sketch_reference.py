@@ -164,13 +164,11 @@ def montecarlo_median_abs(p: float, samples: int, seed: int) -> float:
 
 
 def dense_entries(k: int, n: int, p: float, eta: float, seed=0,
-                  entry_cap: float | None = None, skewed: bool = False) -> np.ndarray:
+                  skewed: bool = False) -> np.ndarray:
     """The k x n integer entries of build_sketch(...) drawn as one dense matrix."""
     rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
     params = SKEWED if skewed else StableLaw(p=p)
     z = sample_stable_array(params, rng, k * n).reshape(k, n)
-    if entry_cap is not None:
-        np.clip(z, -entry_cap, entry_cap, out=z)
     return np.rint(z / eta)
 
 

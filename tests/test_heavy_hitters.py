@@ -13,6 +13,7 @@ from sketchcast.heavy_hitters import (
     MERSENNE_61,
     CountSketchSpec,
     _poly61,
+    bucket_sums,
     estimates_from_table,
     heavy_hitters,
     local_table,
@@ -286,3 +287,25 @@ def test_local_table_of_players_matches_one_at_a_time():
                  for i in range(spec.rows)]
         assert tables[v].tobytes() == np.stack(dense).tobytes()
     assert tables[[2, 5]].tobytes() == np.zeros((2, spec.rows, spec.width)).tobytes()
+
+
+def test_bucket_sums_equal_a_per_cell_loop():
+    # several sketch rows and columns together, which neither caller uses
+    spec = CountSketchSpec.build(60, 0.9, seed=8)
+    bucket, sign = spec.bucket_of(), spec.sign_of()
+    rng = np.random.default_rng(2)
+    # non-integer values, so a cell's sum depends on the order of its terms
+    data = rng.integers(-50, 50, (5, 60, 3)) * rng.random((5, 60, 3))
+    data[rng.random(data.shape) < 0.5] = 0.0
+    data[1] = 0.0          # an all-zero player
+    data[3, :, 2] = 0.0    # an all-zero column
+    data[4, data[4] == 0.0] = -0.0
+    got = bucket_sums(data, bucket, sign, spec.width)
+    want = np.zeros((5, spec.rows, spec.width, 3))
+    for v in range(5):
+        for i in range(spec.rows):
+            for c in range(3):
+                for q in range(60):  # every coordinate, zeros included, in ascending order
+                    want[v, i, bucket[i, q], c] += sign[i, q] * data[v, q, c]
+    assert spec.rows > 1 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ from scipy import stats
 
 from helpers import estimate_from_state, estimate_variance
 from sketchcast import kernels
-from sketchcast.morris import estimates_signed, signed_updates, state_bound
+from sketchcast.morris import estimates_signed, signed_updates
 
 
 def chi2_two_sample(a: np.ndarray, b: np.ndarray, min_count: int = 10) -> float:
@@ -57,13 +57,6 @@ def test_estimate_hand_values():
 
 def test_estimate_variance_formula():
     assert estimate_variance(10.0, 0.2) == 0.2 * 10.0 * 11.0 / 2.0
-
-
-def test_state_bound_properties():
-    assert state_bound(0.0, 0.05) == 0.0
-    assert state_bound(100.0, 1e-12) == 100.0  # exact-count regime
-    assert state_bound(10**6, 0.05) < 10**4
-    assert state_bound(10**6, 0.05) <= state_bound(10**7, 0.05)
 
 
 def single_updates(start: float, b: float, trials: int, seed: int) -> np.ndarray:
