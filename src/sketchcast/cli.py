@@ -9,8 +9,8 @@ no spec or ``comm_scaling`` default is written here.
 Every invocation is deterministic for a fixed seed: stdout and any files
 written contain no timing or host-dependent fields.  Exit status is 0 on
 completion, 2 when --check finds a success rate below the acceptance
-floor, and 1 on I/O failures, invalid values (a rounded value escaping
-its window among them) and sketches over the size cap, which print one
+floor, and 1 on I/O failures, invalid values (a sketch lane that is not
+finite among them) and sketches over the size cap, which print one
 ``error:`` line on stderr.
 """
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import kernels, streams
 from .morris import signed_updates
-from .rounding import RoundingParams, WindowError, gamma_for
+from .rounding import RoundingParams, gamma_for
 from .topology import SpanningTree
 
 
@@ -167,18 +167,12 @@ def send_rounded(verts, x, gen, *, tree: SpanningTree, params: RoundingParams):
     L + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + live * (1 + w) bits
     (``kernels.rounded_bits``).  The receiver needs only L, which is
     public; ``tests/bitcodec.py`` holds a reference encoder and decoder.
-    Values under the layer floor truncate to an exact zero, and a live
-    exponent outside the parameter window raises :class:`WindowError`
-    naming the first such vertex.
+    Values under the layer floor truncate to an exact zero.  No exponent
+    is bounded: the header carries any lo, so any finite sum is sent
+    and metered as it is (the ``rounding`` module says why).
     """
-    lo, hi = params.exponent_min, params.exponent_max
-    exponents, is_zero, decoded, ok = kernels.round_to_grid(
-        x, gen.random(x.shape), params.log_gamma, params.log_floor(tree.layer[verts[0]]), lo, hi
-    )
-    if not ok:
-        escaped = ~is_zero & ((exponents < lo) | (exponents > hi))
-        v = verts[np.flatnonzero(escaped.any(axis=1))[0]]
-        raise WindowError(f"vertex {v}: rounded exponent escaped [{lo}, {hi}]")
+    exponents, is_zero, decoded = kernels.round_to_grid(
+        x, gen.random(x.shape), params.log_gamma, params.log_floor(tree.layer[verts[0]]))
     return decoded, kernels.rounded_bits(exponents, is_zero)
 
 

@@ -119,12 +119,20 @@ def _sketch_sum(inputs, tree: SpanningTree, cfg, seed, codec: str,
     ``data`` is the validated (m, n) player counts.  The rounding grid is
     ``gamma_for``'s at accuracy ``cfg.eps``, failure mass
     ``FpHighConfig.delta`` and M the largest count.  fp at every p and
-    entropy send their lanes through here.
+    entropy send their lanes through here.  A lane that is NaN or
+    infinite, as a sketch product that overflows float64 is, raises
+    ValueError naming its player and lane.
     """
     data = as_count_matrix(inputs, tree.m)
     n = data.shape[1]
     M = float(max(1.0, data.max(initial=0.0)))
-    return sum_convergecast(codec, lanes_of(data, cfg, seed), tree, seed,
+    lanes = lanes_of(data, cfg, seed)
+    finite = np.isfinite(lanes)
+    if not finite.all():
+        player, lane = np.argwhere(~finite)[0]
+        raise ValueError(f"player {player}, lane {lane}: sketch value "
+                         f"{lanes[player, lane]} is not finite")
+    return sum_convergecast(codec, lanes, tree, seed,
                             eps=cfg.eps, delta=FpHighConfig.delta, n=n, M=M)
 
 

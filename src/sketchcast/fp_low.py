@@ -8,7 +8,10 @@ exactly with ``codec="exact"``.  The root reports
 failure mass 1/4 and M the largest count, so a row costs O(log) bits per
 edge, as at p > 1.  The paper states the rounding bound for p in (1, 2];
 at p <= 1, sum_j |S_ij| x_j is itself of order ||x||_p, so relative
-rounding of the partial sums adds only O(gamma) ||x||_p.
+rounding of the partial sums adds only O(gamma) ||x||_p.  The message
+code carries any exponent, so D_p's heavy tails cost bits but never fail
+a trial; the network verb stops at ``NETWORK_MIN_P``, where the draws
+themselves near float64's range.
 
 Also hosts the log-cosine streaming estimator in random-oracle mode: it
 maintains y = S X (exactly, or through signed Morris counters) plus an
@@ -33,11 +36,14 @@ from .streams import DOMAIN_DATA, DOMAIN_SKETCH, generator, substream
 from .topology import SpanningTree
 
 
-# The smallest p the network verb takes: below it D_p's tails carry the
-# sketch's partial sums out of the rounding window (``rounding.gamma_for``)
-# and a trial raises WindowError.  At eps 0.25 on lines, stars and grids of
-# up to 64 players, every experiment escaped at p = 0.05 and none at 0.1.
-NETWORK_MIN_P = 0.1
+# The smallest p the network verb takes, set by float64: D_p's tail draws
+# grow like U^(-1/p).  With warnings as errors, p in {0.04, 0.05, 0.07,
+# 0.1} ran clean at seeds 0-2 on star m=16 at n=1e4 and 6e4 (4.8e7 cells,
+# near MAX_SKETCH_CELLS), line m=257, and grid 8x8 at n=1e5 and eps 0.25;
+# at p = 0.03 a draw over eta (``stable``) overflowed on line m=257 at
+# seed 0 (800 x 1000 cells).  Without warnings as errors that inf fails
+# the finiteness check of ``fp_high._sketch_sum``.
+NETWORK_MIN_P = 0.05
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ class ExperimentSpec:
             raise ValueError(f"stream-fp needs p in (0,1), got {self.p}")
         if self.protocol == "fp" and self.p < NETWORK_MIN_P:
             raise ValueError(f"fp needs p >= {NETWORK_MIN_P}, got {self.p}: below it the "
-                             f"sketch's tails escape the rounding window")
+                             f"sketch's draws overflow float64")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.tokens < 0:

@@ -136,22 +136,17 @@ def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 # Given r with ln|r| >= log_floor, find i with (1+g)^i <= |r| <= (1+g)^(i+1)
 # and round up with probability p_r = (|r| - lo)/(hi - lo), which makes the
 # rounding exactly unbiased.  Values below the floor are truncated to an
-# exact zero.  Inputs outside [exp_min, exp_max] after rounding indicate a
-# mis-sized window and are flagged rather than silently clipped.
+# exact zero.  Exponents are not bounded: the message code carries any
+# exponent a finite lane can reach (see the ``rounding`` module).  A zero
+# lane's log is taken as 0, so its exponent is 0: with a floor of at most
+# 1, as every layer floor is, |x| < 1 = lo leaves it nothing to round up.
 # ---------------------------------------------------------------------------
 
 
-def round_to_grid(
-    x: np.ndarray,
-    unif: np.ndarray,
-    log_gamma: float,
-    log_floor: float,
-    exp_min: int,
-    exp_max: int,
-):
-    """Round each lane of ``x``; returns (exponents, is_zero, decoded, ok).
+def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: float):
+    """Round each lane of ``x``; returns (exponents, is_zero, decoded).
 
-    ``ok`` is False when a live exponent left [exp_min, exp_max].
+    Lanes must be finite: a NaN lane would come out as a zero lane.
     """
     ax = np.abs(x)
     nonzero = ax > 0.0
@@ -190,13 +185,7 @@ def round_to_grid(
     decoded = np.where(up, hi, lo)
     np.copysign(decoded, x, out=decoded)
     decoded[is_zero] = 0.0
-
-    # zero lanes sit at exp_min, inside the window, while it is checked
-    exponents[is_zero] = exp_min
-    ok = bool(exponents.min(initial=exp_min) >= exp_min
-              and exponents.max(initial=exp_max) <= exp_max)
-    exponents[is_zero] = 0
-    return exponents, is_zero, decoded, ok
+    return exponents, is_zero, decoded
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ with (c, s) = (1/2, +1) for p < 1 and (1, -1) for p > 1.  The integral
 is a fixed composite Gauss-Legendre rule, 64 nodes on each of 32 equal
 pieces of [0, pi/2], the first piece split into 8 geometric pieces down
 to 1e-12 of its width because the integrand goes like t^{p/(1-p)} near
-0.  theta_p is then good to 1e-11 relative for p in [0.1, 2) (against
+0.  theta_p is then good to 1e-11 relative for p in [0.05, 2) (against
 the rule on 800 pieces) and matches scipy's ``levy_stable`` quantile to
 1e-10 on [0.2, 1.9].
 """

@@ -116,12 +116,12 @@ def decode_rounded(bits: str, lanes: int, pos: int = 0):
     return is_zero, negative, exponents, pos
 
 
-def rounded_len_bound(lanes: int, exponent_min: int, exponent_max: int) -> int:
+def rounded_len_bound(lanes: int, lo: int, hi: int) -> int:
     """Most bits a rounded message of ``lanes`` lanes can cost when every
-    live exponent lies in [exponent_min, exponent_max]: all lanes live, lo
-    at the window edge of larger zigzag, and w at the window's full width."""
-    w = (exponent_max - exponent_min).bit_length()
-    edge = max(zigzag(exponent_min), zigzag(exponent_max))
+    live exponent lies in [lo, hi]: all lanes live, the header's lo at the
+    end of larger zigzag, and w at the bracket's full width."""
+    w = (hi - lo).bit_length()
+    edge = max(zigzag(lo), zigzag(hi))
     return lanes + gamma_len(edge + 1) + gamma_len(w + 1) + lanes * (1 + w)
 
 

@@ -1,5 +1,6 @@
 """Test-only helpers: the tree a protocol runs on, the topology file
-writer, and the Morris counter's closed-form estimate and variance."""
+writer, the paper's exponent bracket, and the Morris counter's
+closed-form estimate and variance."""
 
 from __future__ import annotations
 
@@ -19,6 +20,18 @@ def write_topology(g: Topology, path) -> None:
         fh.write(f"{g.m}\n")
         for u, v in g.edges:
             fh.write(f"{u} {v}\n")
+
+
+def paper_exponent_bracket(params, m: int) -> tuple[int, int]:
+    """The exponents of the paper's magnitude bracket [(mK)^-(d+3), K^6].
+
+    ``params`` comes from ``gamma_for`` on m players, so ln(mK) is
+    ``params.log_mk`` and (mK)^-(d+3) is the floor of layer 0.  Returns
+    (floor(log_floor(0) / ln(1+gamma)), ceil(6 ln K / ln(1+gamma))).
+    """
+    log_k = params.log_mk - math.log(m)
+    return (math.floor(params.log_floor(0) / params.log_gamma),
+            math.ceil(6.0 * log_k / params.log_gamma))
 
 
 def estimate_from_state(state: float, b_minus_1: float) -> float:

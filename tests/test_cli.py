@@ -227,9 +227,9 @@ def test_missing_counts_file_exits_one(capsys):
     ("bench", "comms", "--p", "2.5"),
     # a negative density would run on all-zero data and report success
     ("simulate", "amp", "--dist", "sparse:-1"),
-    # below p = 0.1 the network fp sketch escapes its rounding window
-    ("simulate", "fp", "--p", "0.09"),
-    ("bench", "comms", "--p", "0.05"),
+    # below p = 0.05 the network fp sketch's draws overflow float64
+    ("simulate", "fp", "--p", "0.04"),
+    ("bench", "comms", "--p", "0.04"),
 ])
 def test_invalid_value_exits_one_with_one_error_line(argv):
     src = Path(sketchcast.__file__).parent.parent

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from bitcodec import rounded_len_bound
-from helpers import tree_of
+from helpers import paper_exponent_bracket, tree_of
 from sketchcast import kernels
+from sketchcast.engine import CODECS
 from sketchcast.fp_high import (
     FpHighConfig,
+    _sketch_sum,
     as_count_matrix,
     estimate_fp_high,
     lower_median,
@@ -66,11 +68,24 @@ def test_config_row_count():
 def truncated_at(x, layer, params):
     """Zero-flag lanes of one layer's rounding, as the convergecast runs it."""
     x = np.asarray(x, dtype=np.float64)
-    out = kernels.round_to_grid(x, np.full(x.shape, 0.5), params.log_gamma,
-                                params.log_floor(layer), params.exponent_min,
-                                params.exponent_max)
-    assert out[3]
-    return out[1], out[2]
+    _, is_zero, decoded = kernels.round_to_grid(x, np.full(x.shape, 0.5), params.log_gamma,
+                                                params.log_floor(layer))
+    return is_zero, decoded
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_lane_names_its_player_and_lane(codec, bad):
+    # Without the check a NaN lane rounds to a zero flag and goes out
+    # without a word, and an exact lane goes out as it is.
+    def lanes_of(data, cfg, seed):
+        lanes = np.ones((data.shape[0], 5))
+        lanes[2, 3] = bad
+        return lanes
+
+    with pytest.raises(ValueError, match=f"player 2, lane 3: sketch value {bad} is not finite"):
+        _sketch_sum(np.ones((4, 8)), tree_of(line(4)), FpHighConfig(p=1.5, eps=0.25), 0,
+                    codec, lanes_of)
 
 
 def test_truncate_message_cases():
@@ -169,7 +184,8 @@ def test_every_message_fits_the_window_bound():
     _, _, stats = estimate_fp_high(data, tree, cfg, seed=4)
 
     params = gamma_for(cfg.eps, cfg.delta, tree.depth, 64, 12, M=float(data.max()))
-    budget = rounded_len_bound(cfg.k, params.exponent_min, params.exponent_max)
+    # the paper's O(log) bound: every lane live, exponents across its bracket
+    budget = rounded_len_bound(cfg.k, *paper_exponent_bracket(params, 12))
     for bits in stats.per_edge_bits.values():
         assert bits <= 1 + budget
 

@@ -8,14 +8,16 @@ import pytest
 
 from helpers import tree_of
 from sketchcast import morris
+from sketchcast.engine import CODECS
 from sketchcast.entropy import EntropyConfig, estimate_entropy
 from sketchcast.fp_high import lower_median, stream_counts
 from sketchcast.fp_low import (
+    NETWORK_MIN_P,
     FpLowConfig,
     estimate_fp_low,
     stream_fp_logcosine,
 )
-from sketchcast.harness import ExperimentSpec, run_experiment
+from sketchcast.harness import CHECK_THRESHOLDS, ExperimentSpec, run_experiment
 from sketchcast.oracles import frequency_moment, lp_norm
 from sketchcast.stable import build_sketch, median_abs
 from sketchcast.streams import DOMAIN_SKETCH, substream
@@ -143,6 +145,18 @@ def test_relative_error_against_moment_oracle():
             truth = frequency_moment(data.sum(axis=0), cfg.p)
             hits += abs(est - truth) <= cfg.eps * truth
         assert hits >= 14, p
+
+
+@pytest.mark.parametrize("topology, m", [("line", 9), ("grid:8x8", 64)])
+def test_rounded_and_exact_codecs_succeed_alike_at_the_p_floor(topology, m):
+    # D_p's tails are heaviest at the floor, so partial sums span the most
+    # exponents; the rounded code carries them all and tracks the exact sums.
+    runs = [run_experiment(ExperimentSpec("fp", p=NETWORK_MIN_P, eps=0.25, topology=topology,
+                                          m=m, trials=20, codec=codec))[1]
+            for codec in CODECS]
+    rounded, exact = (s["success_rate"] for s in runs)
+    assert rounded == exact >= CHECK_THRESHOLDS["fp"]
+    assert math.isclose(runs[0]["error_p50"], runs[1]["error_p50"], abs_tol=1e-3)
 
 
 # ---------------------------------------------------------------------------

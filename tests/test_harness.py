@@ -130,8 +130,8 @@ def test_spec_validation():
     (dict(protocol="hh", dist="pair:4:-2"), "distribution 'pair:4:-2': pair takes non"),
     (dict(protocol="fp", p=1.5, dist="zipf:nan"), "distribution 'zipf:nan': zipf takes finite"),
     (dict(protocol="stream-fp", p=0.5, dist="zipf:inf:10"), "stream spec 'zipf:inf:10'"),
-    # below p = 0.1 the network sketch's tails escape the rounding window
-    (dict(protocol="fp", p=0.09), "fp needs p >= 0.1, got 0.09"),
+    # below p = 0.05 the network sketch's draws overflow float64
+    (dict(protocol="fp", p=0.04), "fp needs p >= 0.05, got 0.04"),
 ])
 def test_spec_rejects_unknown_kinds_when_built(kw, match):
     # each of these used to fail only inside the first trial

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import tree_of
+from helpers import paper_exponent_bracket, tree_of
 from sketchcast.fp_high import lower_median
 from sketchcast.harness import ExperimentSpec, generate_players
 from sketchcast.heavy_hitters import (
@@ -206,8 +206,8 @@ def test_messages_respect_the_per_lane_budget():
     tree = tree_of(grid(2, 3))
     _, stats, _ = point_estimate_all(data, tree, spec, 0.25, seed=9)
     params = gamma_for(0.25, 0.25, max(1, tree.depth), 64, 6, M=float(data.max()))
-    budget = rounded_len_bound(spec.rows * spec.width, params.exponent_min,
-                               params.exponent_max)
+    # the paper's O(log) bound: every lane live, exponents across its bracket
+    budget = rounded_len_bound(spec.rows * spec.width, *paper_exponent_bracket(params, 6))
     for bits in stats.per_edge_bits.values():
         assert bits <= 1 + budget
 

@@ -9,19 +9,18 @@ from hypothesis import strategies as st
 
 from bitcodec import (decode_rounded, encode_rounded, gamma_len, rounded_len_bound,
                       zigzag)
+from helpers import paper_exponent_bracket
 from sketchcast import kernels
-from sketchcast.engine import rounded_sum_convergecast
-from sketchcast.rounding import RoundingParams, WindowError, gamma_for
-from sketchcast.topology import line, spanning_tree
+from sketchcast.rounding import RoundingParams, gamma_for
 
-WIDE = RoundingParams(gamma=1.0, exponent_min=-(10**6), exponent_max=10**6)
+WIDE = RoundingParams(gamma=1.0)
 
 
 def round_lanes(x, params, unif, log_floor=-math.inf):
     """kernels.round_to_grid on float lanes under ``params``."""
     x = np.asarray(x, dtype=np.float64)
     return kernels.round_to_grid(x, np.broadcast_to(unif, x.shape), params.log_gamma,
-                                 log_floor, params.exponent_min, params.exponent_max)
+                                 log_floor)
 
 
 def stratified(k):
@@ -37,21 +36,20 @@ def stratified(k):
 def test_interpolation_identity(r, gamma):
     # Rounding r is unbiased: averaged over stratified uniforms, the
     # decoded value is r up to one stratum of the bracket width hi - lo.
-    params = RoundingParams(gamma=gamma, exponent_min=-(10**9), exponent_max=10**9)
+    params = RoundingParams(gamma=gamma)
     k = 4096
     # a uniform of 1 never rounds up, so it finds the lower grid point
     i = round_lanes([r], params, 1.0)[0][0]
     lo, hi = math.exp(i * params.log_gamma), math.exp((i + 1) * params.log_gamma)
     assert lo <= r * (1 + 1e-12) and r <= hi * (1 + 1e-12)
-    exponents, _, decoded, ok = round_lanes(np.full(k, r), params, stratified(k))
-    assert ok
+    exponents, _, decoded = round_lanes(np.full(k, r), params, stratified(k))
     assert set(exponents) <= {i, i + 1}
     assert abs(decoded.mean() - r) <= (hi - lo) / k + 1e-12 * r
 
 
 def test_power_of_two_grid_brackets_five():
     k = 4000
-    exponents, _, decoded, _ = round_lanes(np.full(k, 5.0), WIDE, stratified(k))
+    exponents, _, decoded = round_lanes(np.full(k, 5.0), WIDE, stratified(k))
     assert set(exponents) == {2, 3}
     assert math.isclose(decoded.min(), 4.0, rel_tol=1e-12)
     assert math.isclose(decoded.max(), 8.0, rel_tol=1e-12)
@@ -60,7 +58,7 @@ def test_power_of_two_grid_brackets_five():
 
 def test_rounding_five_hits_eight_a_quarter_of_the_time():
     rng = np.random.default_rng(5)
-    exponents, _, _, _ = round_lanes(np.full(4000, 5.0), WIDE, rng.random(4000))
+    exponents, _, _ = round_lanes(np.full(4000, 5.0), WIDE, rng.random(4000))
     up = np.mean(exponents == 3)
     assert set(exponents) == {2, 3}
     # 4 sigma band around 0.25 at 4000 draws
@@ -69,15 +67,15 @@ def test_rounding_five_hits_eight_a_quarter_of_the_time():
 
 def test_grid_points_round_to_themselves():
     rng = np.random.default_rng(0)
-    exponents, is_zero, decoded, ok = round_lanes(np.full(50, -4.0), WIDE, rng.random(50))
-    assert ok and not is_zero.any()
+    exponents, is_zero, decoded = round_lanes(np.full(50, -4.0), WIDE, rng.random(50))
+    assert not is_zero.any()
     assert set(exponents) == {2}
     np.testing.assert_allclose(decoded, -4.0, rtol=1e-12)
 
 
 def test_zero_stays_zero():
-    exponents, is_zero, decoded, ok = round_lanes([0.0, 0.0], WIDE, 0.5)
-    assert ok and is_zero.all()
+    exponents, is_zero, decoded = round_lanes([0.0, 0.0], WIDE, 0.5)
+    assert is_zero.all()
     assert not decoded.any()
     # an all-zero message is its zero flags alone
     assert kernels.rounded_bits(exponents, is_zero) == 2
@@ -86,7 +84,7 @@ def test_zero_stays_zero():
 def test_decode_examples():
     eight = round_lanes([8.0], WIDE, 0.5)
     assert eight[0][0] == 3 and math.isclose(eight[2][0], 8.0, rel_tol=1e-12)
-    half = RoundingParams(gamma=0.5, exponent_min=-8, exponent_max=8)
+    half = RoundingParams(gamma=0.5)
     minus_one = round_lanes([-1.0], half, 0.5)
     assert minus_one[0][0] == 0 and minus_one[2][0] == -1.0
 
@@ -126,14 +124,14 @@ def test_rounded_vectors_are_realisable_at_the_metered_length():
     # sub-floor values included, as one bit string: it must decode back
     # message by message and be exactly as long as the production meter says.
     rng = np.random.default_rng(12)
-    params = RoundingParams(gamma=0.3, exponent_min=-400, exponent_max=400)
+    params = RoundingParams(gamma=0.3)
     x = rng.standard_normal(3000) * 10.0 ** rng.integers(-9, 9, 3000)
     x[::11] = 0.0
     x = x.reshape(100, 30)
     x[7] = 0.0  # one all-zero message
-    exponents, is_zero, _, ok = round_lanes(x, params, rng.random(x.shape),
-                                            log_floor=math.log(1e-6))
-    assert ok and is_zero.sum() > x.size // 11
+    exponents, is_zero, _ = round_lanes(x, params, rng.random(x.shape),
+                                        log_floor=math.log(1e-6))
+    assert is_zero.sum() > x.size // 11
     negative = x < 0
     rows = list(zip(is_zero.tolist(), negative.tolist(), exponents.tolist()))
     stream = "".join(encode_rounded(*row) for row in rows)
@@ -153,7 +151,7 @@ def test_rounded_vectors_are_realisable_at_the_metered_length():
 def test_variance_stays_under_grid_bound():
     # Var[round(r)] <= (gamma * r)^2 plus 3 sigma of the estimator.
     rng = np.random.default_rng(11)
-    params = RoundingParams(gamma=0.5, exponent_min=-200, exponent_max=200)
+    params = RoundingParams(gamma=0.5)
     for r in (1.0, 7.3):
         vals = round_lanes(np.full(20000, r), params, rng.random(20000))[2]
         dev2 = (vals - vals.mean()) ** 2
@@ -161,21 +159,31 @@ def test_variance_stays_under_grid_bound():
         assert dev2.mean() <= (params.gamma * r) ** 2 + slack
 
 
-def test_window_violation_raises():
-    narrow = RoundingParams(gamma=1.0, exponent_min=-4, exponent_max=4)
-    tree = spanning_tree(line(2), 1)
-    payload = np.array([[1e9], [0.0]])
-    with pytest.raises(WindowError):
-        rounded_sum_convergecast(payload, tree, narrow, seed=0)
+@pytest.mark.parametrize("gamma", [0.3, 1e-8])
+def test_any_finite_exponent_rounds_and_meters_exactly(gamma):
+    # No floor and lanes at +-1e-300 and +-1e300: exponents near
+    # 690 / ln(1 + gamma) in magnitude, far outside the paper's bracket and
+    # far below the 2^53 up to which rounded_bits reduces exactly.
+    x = np.array([[1e-300, -1e300], [-1e-300, 1e300], [1e300, 0.0]])
+    exponents, is_zero, decoded = round_lanes(x, RoundingParams(gamma=gamma), 0.5)
+    live = ~is_zero
+    assert live.sum() == 5
+    assert np.all(np.abs(exponents[live]) * math.log1p(gamma) > 690)
+    # a live lane decodes to a grid point of its bracket [lo, lo(1 + gamma)]
+    np.testing.assert_allclose(decoded[live], x[live], rtol=gamma)
+    metered = kernels.rounded_bits(exponents, is_zero)
+    for z, neg, e, length in zip(is_zero.tolist(), (x < 0).tolist(), exponents.tolist(),
+                                 metered):
+        bits = encode_rounded(z, neg, e)
+        assert len(bits) == length
+        assert decode_rounded(bits, 2) == (z, neg, e, length)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RoundingParams(gamma=0.0, exponent_min=-1, exponent_max=1)
+        RoundingParams(gamma=0.0)
     with pytest.raises(ValueError):
-        RoundingParams(gamma=2.0, exponent_min=-1, exponent_max=1)
-    with pytest.raises(ValueError):
-        RoundingParams(gamma=0.5, exponent_min=3, exponent_max=3)
+        RoundingParams(gamma=2.0)
 
 
 def test_gamma_for_formula_point():
@@ -214,20 +222,12 @@ def test_floor_ratio_between_layers():
 
 def test_desk_scale_messages_fit_in_48_bits():
     params = gamma_for(0.1, 0.25, d=4, n=1000, m=16, M=1000)
-    lo, hi = params.exponent_min, params.exponent_max
-    # one lane at either window edge, and both edges in one message
+    lo, hi = paper_exponent_bracket(params, m=16)
+    # one lane at either end of the paper's bracket, and both in one message
     alone = kernels.rounded_bits(np.array([[lo], [hi]]), np.zeros((2, 1), dtype=bool))
     assert alone.max() <= 48
     assert kernels.rounded_bits(np.array([lo, hi]), np.zeros(2, dtype=bool)) <= 2 * 48
-    # any message of two or more lanes inside the window
+    # any message of two or more lanes inside the bracket
     for lanes in (2, 3, 64, 4096):
         assert rounded_len_bound(lanes, lo, hi) <= 48 * lanes
 
-
-def test_window_covers_floor_and_cap():
-    # Every admissible magnitude between the deepest floor and K^6 must
-    # land on an in-window exponent.
-    params = gamma_for(0.15, 0.25, d=8, n=500, m=33, M=50)
-    log_gamma = params.log_gamma
-    assert params.exponent_min * log_gamma <= params.log_floor(0)
-    assert params.exponent_max * log_gamma >= 6 * (params.log_mk - math.log(33))

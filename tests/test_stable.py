@@ -265,7 +265,7 @@ def _kernel_input(size, seed):
     return (rng.random(size) - 0.5) * np.pi, rng.standard_exponential(size)
 
 
-@pytest.mark.parametrize("p", [0.25, 0.5, 0.9, 1.1, 1.5, 1.9, 2.0])
+@pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.9, 1.1, 1.5, 1.9, 2.0])
 def test_kernel_draws_split_at_the_quadrature_median(p):
     # median_abs solves the stable CDF by quadrature and shares no code
     # with the kernel.

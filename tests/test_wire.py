@@ -62,7 +62,7 @@ class WireRecorder:
     def _send_rounded(self, real):
         def send_rounded(verts, x, gen, *, tree, params):
             msg, lengths = real(verts, x, gen, tree=tree, params=params)
-            exponents, is_zero, _, _ = self._rounded.pop()
+            exponents, is_zero, _ = self._rounded.pop()
             assert not self._rounded
             lanes = x.shape[-1]
             encodings = []
