@@ -12,26 +12,37 @@ with ``kernels.morris_merge`` and :class:`CounterOverflowError`, only
 because the benchmark under ``perfbench/`` imports and traces them by
 name, and goes with the next change to the benchmark.
 
-A family is two plain functions.  ``combine(verts, own, prev, slots,
-gen)`` builds a layer's state from its own payload rows and its
-children's messages; row 0 of the root's state is the run's output.
-``send(verts, state, gen)`` returns the layer's message and each row's
-wire length; its docstring states the family's wire format.  Messages are
-plain arrays: rounded and exact vectors send their decoded values, Morris
-counters their states, laid out ``[insertions | deletions]`` per row.
+A family is two plain functions, and a third where metering is
+deferred.  ``combine(verts, own, prev, slots, gen)`` builds a layer's
+state from its own payload rows and its children's messages; row 0 of the
+root's state is the run's output.  ``send(verts, state, gen)`` returns the
+layer's message and one meter record per row; its docstring states the
+family's wire format.  ``wire_bits(records)`` turns the records of all of
+a run's sending rows into their wire lengths, in one call at the end of
+the run.  The rounded family records each row's extents and meters them
+with ``kernels.rounded_bits``.  The exact and Morris families have no
+``wire_bits``: their records are the wire lengths themselves, 64 bits per
+lane and the counters' delta-code lengths.  Messages are plain arrays:
+rounded and exact vectors send their decoded values, Morris counters their
+states, laid out ``[insertions | deletions]`` per row.
 
 Layer schedule.  ``spanning_tree`` puts every child of a layer-L vertex in
 layer L-1, so the tree is walked one layer at a time, leaves first: a
 layer is one (vertices x lanes) matrix built from its own payload rows and
-the previous layer's messages.  Kernels run on whole layers: one
-``round_to_grid`` call per layer, and for Morris counters one
-``morris_add_batch`` call per layer and one ``morris_merge`` call per
-child slot, on insertions and deletions alike.  Only the previous layer's
-messages are kept besides the payloads: memory is O(widest layer x lanes).
+the previous layer's messages.  Each layer's vertices and child slots, and
+the edges in (layer, id) order, are built once per tree
+(``SpanningTree.schedule``) and serve every run on it.  A run uses the
+slots as they are where every vertex of a layer and of the layer below
+sends, and otherwise drops the children that send nothing from them.
+Kernels run on whole layers: one ``round_to_grid`` call per layer, and for
+Morris counters one ``morris_add_batch`` call per layer and one
+``morris_merge`` call per child slot, on insertions and deletions alike.
+Only the previous layer's messages are kept besides the payloads and the
+per-row meter records: memory is O(widest layer x lanes + vertices).
 
 Addition order.  Child sums are formed by child slot: for j = 0, 1, ...,
-``x[rows with a j-th child] += msg[j-th child]``, counting only children
-that send a message, in ``tree.children[v]`` order.  Each vertex thus adds
+``x[rows with a j-th child] += msg[j-th child]``, in ``tree.children[v]``
+order, skipping children that send no message.  Each vertex thus adds
 its own payload, then its children one by one in the order a
 vertex-at-a-time loop would, so every sum is bit-identical to that loop's
 (``np.add.at`` on the parent index would not keep that order).
@@ -82,20 +93,30 @@ def baseline_codec_bits(count: int) -> int:
     return 64 * int(count)
 
 
-def _slots(kids: list[list[int]]) -> list[tuple[slice | np.ndarray, np.ndarray]]:
-    """Per child slot j: (rows with a j-th child, message row of that child).
+def _sending_slots(slots, here, below):
+    """``slots`` cut down to the children that send, in message rows.
 
-    The rows are ``slice(None)`` when every row has a j-th child.
+    ``here`` and ``below`` describe the layer and the layer below: None
+    when every row sends, else (mask, pos), where mask marks the rows that
+    send and pos[r] is row r's row in the layer's message.  Dropping a
+    child from its slot keeps each row's other children in order, so every
+    sum stays as it was (see "Addition order").
     """
-    slots = []
-    for j in range(max(map(len, kids), default=0)):
-        rows = [i for i, k in enumerate(kids) if len(k) > j]
-        src = np.array([kids[i][j] for i in rows])
-        slots.append((slice(None) if len(rows) == len(kids) else np.array(rows), src))
-    return slots
+    out = []
+    for rows, src in slots:
+        if below is not None:
+            keep = below[0][src]
+            if not keep.any():
+                continue
+            rows = np.flatnonzero(keep) if isinstance(rows, slice) else rows[keep]
+            src = below[1][src[keep]]
+        if here is not None:
+            rows = here[1][rows]
+        out.append((rows, src))
+    return out
 
 
-def run_convergecast(tree, inputs, combine, send, seed=0):
+def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None):
     """Run one protocol over ``tree``, a layer at a time; returns (root output, CommStats).
 
     ``inputs`` holds one payload row per vertex.  For each layer below the
@@ -105,36 +126,57 @@ def run_convergecast(tree, inputs, combine, send, seed=0):
     ``rows[i]`` has as its j-th child the sender in row ``src[i]`` of
     ``prev``; ``rows`` is ``slice(None)`` when every row has one) and the
     run's generator; ``send`` gets the vertices, the state and the
-    generator.  The 1-bit subtree flag is added to each wire length here.
-    A layer in which no vertex sends skips both calls.  The root's
+    generator, and returns the message and one meter record per row.
+    ``wire_bits`` maps the records of all sending rows, stacked in (layer,
+    id) order, to their wire lengths in one call; without it the records
+    are the lengths.  The 1-bit subtree flag is added to each wire length
+    here.  A layer in which no vertex sends skips both calls.  The root's
     ``combine`` runs whether or not its subtree holds anything.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    has_data = inputs.any(axis=1).tolist()
-    by_layer: list[list[int]] = [[] for _ in range(tree.depth + 1)]
-    for v in range(tree.m):
-        by_layer[tree.layer[v]].append(v)
+    schedule = tree.schedule
+    has_data = inputs.any(axis=1)
+    sends = None  # per vertex, whether its subtree holds data; None when all do
+    if not has_data.all():
+        sends = has_data.tolist()
+        for v, p in schedule.edges:  # children before parents
+            if sends[v]:
+                sends[p] = True
     gen = streams.generator(seed, streams.DOMAIN_NODES)
-    row_of = [-1] * tree.m  # row of a sending vertex in its layer's message
-    per_edge: dict[tuple[int, int], int] = {}
-    prev = None
-    for verts in by_layer[:-1]:
-        kids = {v: [row_of[c] for c in tree.children[v] if row_of[c] >= 0] for v in verts}
-        senders = [v for v in verts if kids[v] or has_data[v]]
-        msg, bits = None, {}
-        if senders:
-            state = combine(senders, inputs[senders], prev,
-                            _slots([kids[v] for v in senders]), gen)
-            msg, lengths = send(senders, state, gen)
-            bits = dict(zip(senders, (1 + lengths).tolist()))
-            for r, v in enumerate(senders):
-                row_of[v] = r
-        per_edge.update(((v, tree.parent[v]), bits.get(v, 1)) for v in verts)
-        prev = msg
-    root = tree.root
-    kids = [[row_of[c] for c in tree.children[root] if row_of[c] >= 0]]
-    out = combine([root], inputs[[root]], prev, _slots(kids), gen)
-    return out[0], CommStats(per_edge_bits=per_edge, rounds=tree.depth)
+    records = []
+    prev = below = None
+    *lower, top = schedule.layers
+    for layer in lower:
+        senders, ids, slots, here = layer.verts, layer.ids, layer.slots, None
+        if sends is not None:
+            mask = [sends[v] for v in senders]
+            if not all(mask):
+                senders = ids = [v for v, s in zip(senders, mask) if s]
+                mask = np.array(mask)
+                here = (mask, np.cumsum(mask) - 1)
+        if not senders:
+            prev, below = None, here
+            continue
+        if here is not None or below is not None:
+            slots = _sending_slots(slots, here, below)
+        below = here
+        state = combine(senders, inputs[ids], prev, slots, gen)
+        prev, record = send(senders, state, gen)
+        records.append(record)
+    slots = top.slots if below is None else _sending_slots(top.slots, None, below)
+    out = combine(top.verts, inputs[top.ids], prev, slots, gen)
+
+    edges = schedule.edges
+    bits = np.ones(len(edges), dtype=np.int64)
+    if records:
+        lengths = np.concatenate(records)
+        if wire_bits is not None:
+            lengths = wire_bits(lengths)
+        if sends is None:
+            bits += lengths
+        else:
+            bits[[sends[v] for v, _ in edges]] += lengths
+    return out[0], CommStats(per_edge_bits=dict(zip(edges, bits.tolist())), rounds=tree.depth)
 
 
 def add_children(verts, own, prev, slots, gen):
@@ -164,16 +206,21 @@ def send_rounded(verts, x, gen, *, tree: SpanningTree, params: RoundingParams):
     - for each live lane in order, a sign bit and exponent - lo in w bits.
 
     A message with ``live`` live lanes thus costs
-    L + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + live * (1 + w) bits
-    (``kernels.rounded_bits``).  The receiver needs only L, which is
-    public; ``tests/bitcodec.py`` holds a reference encoder and decoder.
-    Values under the layer floor truncate to an exact zero.  No exponent
-    is bounded: the header carries any lo, so any finite sum is sent
-    and metered as it is (the ``rounding`` module says why).
+    L + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + live * (1 + w) bits.
+    The receiver needs only L, which is public; ``tests/bitcodec.py``
+    holds a reference encoder and decoder.  Values under the layer floor
+    truncate to an exact zero.  No exponent is bounded: the header carries
+    any lo, so any finite sum is sent and metered as it is (the
+    ``rounding`` module says why).
+
+    Metering is deferred: each row's record is its extents
+    (``kernels.rounded_extents``: its zero-lane count, lo and hi), all the
+    length depends on, and ``kernels.rounded_bits`` meters the whole run's
+    records in one call at its end.
     """
     exponents, is_zero, decoded = kernels.round_to_grid(
         x, gen.random(x.shape), params.log_gamma, params.log_floor(tree.layer[verts[0]]))
-    return decoded, kernels.rounded_bits(exponents, is_zero)
+    return decoded, kernels.rounded_extents(exponents, is_zero)
 
 
 def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed):
@@ -184,7 +231,8 @@ def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParam
     exact zero); the root sum is returned unrounded.
     """
     send = partial(send_rounded, tree=tree, params=params)
-    return run_convergecast(tree, payloads, add_children, send, seed)
+    wire_bits = partial(kernels.rounded_bits, lanes=np.shape(payloads)[-1])
+    return run_convergecast(tree, payloads, add_children, send, seed, wire_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -326,10 +326,20 @@ def _build_tree(topology: str, m: int, seed: int) -> SpanningTree:
     return spanning_tree(topo, center(topo))
 
 
-# The topology seed does not depend on the trial, so every trial of an
-# experiment, and every experiment on the same (topology, m, seed), runs on
-# one tree; SpanningTree is frozen with tuple fields, so sharing it is safe.
+# The topology seed does not depend on the trial, and only random
+# topologies draw from it.  So every trial of an experiment, and every
+# experiment on the same (topology, m), and the same seed if random, runs
+# on one tree and on the layer schedule cached on it.  SpanningTree is
+# frozen with tuple fields, so sharing it is safe.
 _shared_tree = functools.lru_cache(maxsize=1)(_build_tree)
+
+
+def _tree(spec: ExperimentSpec) -> SpanningTree:
+    """The tree ``spec``'s network trials run on."""
+    kind = spec.topology.partition(":")[0]
+    if kind == "file":  # a topology file can change between experiments
+        return _build_tree(spec.topology, spec.m, spec.seed)
+    return _shared_tree(spec.topology, spec.m, spec.seed if kind == "random" else 0)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -365,9 +375,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
         success = error <= spec.eps
         comm = CommStats(per_edge_bits={}, rounds=0)
     else:
-        # a topology file can change between experiments, so it is read every time
-        build = _build_tree if spec.topology.startswith("file:") else _shared_tree
-        tree = build(spec.topology, spec.m, spec.seed)
+        tree = _tree(spec)
         if spec.protocol == "amp":
             xmat = generate_matrix(spec, spec.t1, data_rng)
             ymat = generate_matrix(spec, spec.t2, data_rng)

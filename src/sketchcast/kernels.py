@@ -1,11 +1,12 @@
 """Hot numeric kernels, vectorised in numpy.
 
-Seven kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
+Eight kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
 stable transforms (``cms_symmetric``, ``cms_skewed_one``), stochastic
 rounding onto the (1+gamma) grid (``round_to_grid``), the wire lengths of
-a rounded message in its two-part code (``rounded_bits``) and of a
-counter message in Elias delta codes (``counter_bits``), and the Morris
-counter batch update and merge (``morris_add_batch``, ``morris_merge``).
+rounded messages in their two-part code (``rounded_extents`` per layer,
+``rounded_bits`` once per run) and of a counter message in Elias delta
+codes (``counter_bits``), and the Morris counter batch update and merge
+(``morris_add_batch``, ``morris_merge``).
 Of the counter kernels only ``morris_add_batch`` runs in a protocol, the
 stream verb; ``morris_merge`` and ``counter_bits`` serve the engine's
 counter family, which no protocol runs (see ``engine``).
@@ -148,41 +149,58 @@ def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: 
 
     Lanes must be finite: a NaN lane would come out as a zero lane.
     """
-    ax = np.abs(x)
-    nonzero = ax > 0.0
-    lv = np.full(x.shape, -np.inf)
-    np.log(ax, out=lv, where=nonzero)
-    # exact zeros stay zero even when there is no floor (log_floor = -inf)
-    is_zero = ~nonzero | (lv < log_floor)
-    lv[is_zero] = 0.0
-    e0 = np.floor(lv / log_gamma).astype(np.int64)
-    # one-step boundary corrections; the float division is off by at most 1,
-    # and a pass that moves nothing leaves nothing for the next one
-    for _ in range(2):
-        step = (e0 + 1) * log_gamma <= lv
-        if not step.any():
-            break
-        e0 += step
-    for _ in range(2):
-        step = e0 * log_gamma > lv
-        if not step.any():
-            break
-        e0 -= step
-
     # The engine rounds a whole tree layer per call, so layer-sized
-    # temporaries set its memory: the rest works in place where it can.
+    # temporaries set its memory: the work happens in place where it can.
+    ax = np.abs(x)
+    is_zero = ax == 0.0
+    # ln|x|, with ln 1 = 0 in an exact zero's place: exact zeros stay zero
+    # even when there is no floor (log_floor = -inf).  A NaN lane fails the
+    # floor test, so it is cut with the lanes under the floor.
+    lv = np.add(ax, is_zero)
+    np.log(lv, out=lv)
+    cut = ~(lv >= log_floor)
+    is_zero |= cut
+    lv[cut] = 0.0
+    q = np.divide(lv, log_gamma)
+    e0 = np.floor(q, out=q).astype(np.int64)
+    # ln lo and ln hi as the products e0 * log_gamma and (e0 + 1) *
+    # log_gamma (e0 + 1.0 is exact).  The float division is off by at most
+    # 1, which one check against both products finds.
+    lo = np.multiply(e0, log_gamma, out=q)
+    hi = np.add(e0, 1.0)
+    hi *= log_gamma
+    off = lo > lv
+    off |= hi <= lv
+    if off.any():
+        # one-step boundary corrections; a pass that moves nothing leaves
+        # nothing for the next one
+        for _ in range(2):
+            step = (e0 + 1) * log_gamma <= lv
+            if not step.any():
+                break
+            e0 += step
+        for _ in range(2):
+            step = e0 * log_gamma > lv
+            if not step.any():
+                break
+            e0 -= step
+        np.multiply(e0, log_gamma, out=lo)
+        np.add(e0, 1.0, out=hi)
+        hi *= log_gamma
+
     # pr = (|x| - lo) / (hi - lo); uniforms in [0, 1) compare against pr as
     # against pr clipped to [0, 1], and a NaN pr rounds down either way.
-    lo = np.exp(e0 * log_gamma, out=lv)
-    hi = np.exp((e0 + 1) * log_gamma)
+    np.exp(lo, out=lo)
+    np.exp(hi, out=hi)
     pr = np.subtract(ax, lo, out=ax)
-    pr /= hi - lo
+    pr /= np.subtract(hi, lo, out=lv)
     up = unif < pr
     exponents = e0
     exponents += up
     # exp(exponents * log_gamma) is lo or hi: the same product of the same
     # float64 operands
-    decoded = np.where(up, hi, lo)
+    decoded = lo
+    np.copyto(decoded, hi, where=up)
     np.copysign(decoded, x, out=decoded)
     decoded[is_zero] = 0.0
     return exponents, is_zero, decoded
@@ -190,31 +208,49 @@ def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: 
 
 # ---------------------------------------------------------------------------
 # Wire length of the two-part message code stated on engine.send_rounded.
-# Exponents are reduced as float64, exact below 2^53; frexp's exponent is
-# the bit length of a non-negative integer.  With bl = bit_length,
-# gamma_len(zigzag(lo) + 1) = 2 bl(|lo|) + 1 and gamma_len(w + 1) =
-# 2 bl(w + 1) - 1, so a live row's header is 2 bl(|lo|) + 2 bl(w + 1).
-# Zero lanes are masked with -+_FAR, so a row without live lanes gets a
-# finite header, which its zero live count then drops.
+# A message's length depends on its lanes only through three numbers, its
+# extents: its zero-lane count and its lowest and highest live exponents.
+# The engine keeps the extents of each sending row (``rounded_extents``,
+# one call per layer) and meters all of a run's rows in one
+# ``rounded_bits`` call.  Exponents are reduced as float64, exact below
+# 2^53; frexp's exponent is the bit length of a non-negative integer.  With
+# bl = bit_length, gamma_len(zigzag(lo) + 1) = 2 bl(|lo|) + 1 and
+# gamma_len(w + 1) = 2 bl(w + 1) - 1, so a live row's header is
+# 2 bl(|lo|) + 2 bl(w + 1).  A row without live lanes has lo = _FAR and
+# hi = -_FAR, so it gets a finite header, which its zero live count then
+# drops.
 # ---------------------------------------------------------------------------
 
-_FAR = 2.0**60
+_FAR = 2**60
 # 2 * bit_length(w + 1) for every width w a 64-bit spread can have
 _GAMMA_W = np.array([2 * (w + 1).bit_length() for w in range(65)])
 
 
-def rounded_bits(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
-    """Wire length in bits of each rounded message, one per row of the last axis.
+def rounded_extents(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
+    """Extents of each rounded message, one per row of the last axis.
 
-    A row of L lanes, ``live`` of them not zero, with live exponents in
-    [lo, hi] and w = bit_length(hi - lo), costs
-    L + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + live * (1 + w)
-    bits, or L when no lane is live.
+    Returns int64 of shape ``exponents.shape[:-1] + (3,)``: the zero-lane
+    count, the lowest and the highest live exponent; (L, _FAR, -_FAR) for
+    a row of L lanes none of which is live.
     """
-    lanes = exponents.shape[-1]
-    live = lanes - is_zero.sum(axis=-1)
-    lo = np.where(is_zero, _FAR, exponents).min(axis=-1)
-    hi = np.where(is_zero, -_FAR, exponents).max(axis=-1)
+    out = np.empty(exponents.shape[:-1] + (3,), dtype=np.int64)
+    is_zero.sum(axis=-1, out=out[..., 0])
+    # faster than masked reductions (``where=``) at a few hundred lanes or more
+    np.where(is_zero, _FAR, exponents).min(axis=-1, out=out[..., 1])
+    np.where(is_zero, -_FAR, exponents).max(axis=-1, out=out[..., 2])
+    return out
+
+
+def rounded_bits(extents: np.ndarray, lanes: int) -> np.ndarray:
+    """Wire length in bits of each rounded message of ``lanes`` lanes, from its extents.
+
+    A message with ``live`` live lanes, live exponents in [lo, hi] and
+    w = bit_length(hi - lo) costs
+    lanes + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + live * (1 + w)
+    bits, or ``lanes`` when no lane is live.
+    """
+    live = lanes - extents[..., 0]
+    lo, hi = extents[..., 1], extents[..., 2]
     w = np.frexp(hi - lo)[1]
     header = 2 * np.frexp(np.abs(lo))[1] + _GAMMA_W[w]
     return lanes + live * (1 + w) + header * (live > 0)

@@ -18,9 +18,11 @@ of m vertices needs m/2 probes, and no graph needs more than m.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +51,32 @@ class Topology:
         return adj
 
 
+class Layer(NamedTuple):
+    """One tree layer: its vertices in ascending id order, and their child slots.
+
+    ``ids`` holds ``verts`` as an intp array.  ``slots`` has one
+    ``(rows, src)`` pair per child slot j = 0, 1, ...: row ``rows[i]`` of
+    the layer has as its j-th child (in ``children`` order) row ``src[i]``
+    of the layer below.  ``rows`` is ``slice(None)`` when every row has a
+    j-th child.
+    """
+
+    verts: tuple[int, ...]
+    ids: np.ndarray
+    slots: tuple[tuple[slice | np.ndarray, np.ndarray], ...]
+
+
+class Schedule(NamedTuple):
+    """A tree's layers, leaves first and the root's last, and its edges.
+
+    ``edges`` holds (v, parent of v) for every non-root vertex in (layer,
+    id) order.
+    """
+
+    layers: tuple[Layer, ...]
+    edges: tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     root: int
@@ -60,6 +88,11 @@ class SpanningTree:
     @property
     def m(self) -> int:
         return len(self.parent)
+
+    @functools.cached_property
+    def schedule(self) -> Schedule:
+        """The layer schedule a convergecast walks, built on first use."""
+        return layer_schedule(self)
 
 
 def make_topology(m: int, edges) -> Topology:
@@ -162,6 +195,32 @@ def spanning_tree(g: Topology, root: int) -> SpanningTree:
         layer=layer,
         depth=depth,
     )
+
+
+def layer_schedule(tree: SpanningTree) -> Schedule:
+    """Group ``tree``'s vertices by layer and give each layer its child slots.
+
+    ``spanning_tree`` puts every child of a layer-L vertex in layer L-1, so
+    a child's slot row indexes the layer below.
+    """
+    by_layer: list[list[int]] = [[] for _ in range(tree.depth + 1)]
+    row = [0] * tree.m  # a vertex's row in its layer
+    for v in range(tree.m):
+        verts = by_layer[tree.layer[v]]
+        row[v] = len(verts)
+        verts.append(v)
+    layers = []
+    for verts in by_layer:
+        kids = [tree.children[v] for v in verts]
+        slots = []
+        for j in range(max(map(len, kids), default=0)):
+            rows = [i for i, k in enumerate(kids) if len(k) > j]
+            src = np.array([row[kids[i][j]] for i in rows], dtype=np.intp)
+            full = len(rows) == len(kids)
+            slots.append((slice(None) if full else np.array(rows, dtype=np.intp), src))
+        layers.append(Layer(tuple(verts), np.array(verts, dtype=np.intp), tuple(slots)))
+    edges = tuple((v, tree.parent[v]) for verts in by_layer[:-1] for v in verts)
+    return Schedule(tuple(layers), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Test-only helpers: the tree a protocol runs on, the topology file
-writer, the paper's exponent bracket, and the Morris counter's
-closed-form estimate and variance."""
+writer, the paper's exponent bracket, the metered length of whole rounded
+messages, and the Morris counter's closed-form estimate and variance."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from sketchcast import kernels
 from sketchcast.topology import SpanningTree, Topology, center, spanning_tree
 
 
@@ -32,6 +35,17 @@ def paper_exponent_bracket(params, m: int) -> tuple[int, int]:
     log_k = params.log_mk - math.log(m)
     return (math.floor(params.log_floor(0) / params.log_gamma),
             math.ceil(6.0 * log_k / params.log_gamma))
+
+
+def message_bits(exponents, is_zero):
+    """Metered length of each rounded message, one per row of the last axis.
+
+    The engine's meter in one step: each row's extents, then their wire
+    lengths.
+    """
+    exponents, is_zero = np.asarray(exponents), np.asarray(is_zero)
+    return kernels.rounded_bits(kernels.rounded_extents(exponents, is_zero),
+                                exponents.shape[-1])
 
 
 def estimate_from_state(state: float, b_minus_1: float) -> float:

@@ -9,6 +9,7 @@ from bitcodec import (decode_counters, decode_exact, decode_rounded, delta_decod
                       delta_encode, encode_counters, encode_exact, encode_rounded,
                       gamma_decode, gamma_encode, gamma_len, rounded_len_bound, unzigzag,
                       zigzag)
+from helpers import message_bits
 from sketchcast import kernels
 
 
@@ -155,7 +156,7 @@ def test_rounded_messages_round_trip_at_the_metered_length(messages):
         assert got_zero == is_zero
         for z, neg, e, gn, ge in zip(is_zero, negative, exponents, got_neg, got_e):
             assert (gn, ge) == ((False, 0) if z else (neg, e))
-        metered = kernels.rounded_bits(np.array(exponents), np.array(is_zero))
+        metered = message_bits(np.array(exponents), np.array(is_zero))
         assert pos - start == metered
         live = [e for z, e in zip(is_zero, exponents) if not z]
         if live:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bitcodec import encode_counters, encode_rounded
-from sketchcast import kernels, streams
+from sketchcast import kernels, streams, topology
 from sketchcast.engine import (
     CommStats,
     CounterOverflowError,
@@ -510,3 +510,32 @@ def test_a_run_builds_one_generator(monkeypatch):
     params = gamma_for(0.3, 0.25, tree.depth, 4, topo.m, M=100)
     rounded_sum_convergecast(payload, tree, params, seed=0)
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("topo", [grid(32, 32), line(257)], ids=["grid32x32", "line257"])
+def test_a_rounded_run_meters_once_and_rounds_once_per_layer(monkeypatch, topo):
+    # the run's rows are metered in one call from the extents each layer
+    # keeps, whether every subtree holds data or only the low ids do
+    tree = spanning_tree(topo, center(topo))
+    payload = np.random.default_rng(0).standard_normal((topo.m, 8)) * 30.0
+    params = gamma_for(0.3, 0.25, tree.depth, 8, topo.m, M=100)
+    rounds = _count_calls(monkeypatch, "round_to_grid")
+    metered = _count_calls(monkeypatch, "rounded_bits")
+    for zero_from in (topo.m, topo.m // 3):
+        payload[zero_from:] = 0.0
+        rounds.clear()
+        metered.clear()
+        rounded_sum_convergecast(payload, tree, params, seed=0)
+        assert len(metered) == 1
+        assert len(rounds) <= tree.depth
+
+
+def test_runs_on_one_tree_build_its_schedule_once(monkeypatch):
+    built = _count_calls(monkeypatch, "layer_schedule", topology)
+    topo = grid(6, 6)
+    tree = spanning_tree(topo, center(topo))
+    payload = np.random.default_rng(2).standard_normal((topo.m, 4))
+    params = gamma_for(0.3, 0.25, tree.depth, 4, topo.m, M=10)
+    rounded_sum_convergecast(payload, tree, params, seed=0)
+    exact_sum_convergecast(payload, tree, seed=1)
+    assert len(built) == 1

@@ -457,6 +457,16 @@ def test_experiments_on_one_network_share_its_tree(monkeypatch):
         [dataclasses.replace(r, wall_time=0.0) for r in fp]
 
 
+@pytest.mark.parametrize("topology,m,trees_built", [("grid:8x8", 64, 1), ("random", 8, 2)])
+def test_only_random_topologies_build_a_tree_per_seed(monkeypatch, topology, m, trees_built):
+    # the other kinds draw nothing from the seed, so their tree is shared
+    trees = _count_trees(monkeypatch)
+    base = dict(topology=topology, n=40, m=m, eps=0.25, trials=2, tokens=100)
+    run_experiment(ExperimentSpec("fp", p=1.5, seed=0, **base))
+    run_experiment(ExperimentSpec("fp", p=1.5, seed=1, **base))
+    assert len(trees) == trees_built
+
+
 def test_a_rewritten_topology_file_is_read_again(monkeypatch, tmp_path):
     trees = _count_trees(monkeypatch)
     path = tmp_path / "t.txt"

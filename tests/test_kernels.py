@@ -96,7 +96,10 @@ def test_rounded_bits_formula():
 
     exponents = np.array([[0, -3, 17, 2], [9, 9, 9, 9], [4, 1, 1, 0]], dtype=np.int64)
     is_zero = np.array([[False, False, False, True], [False] * 4, [True] * 4])
-    bits = kernels.rounded_bits(exponents, is_zero)
+    extents = kernels.rounded_extents(exponents, is_zero)
+    far = 2**60  # the lowest and highest exponent of a row without live lanes
+    assert extents.tolist() == [[1, -3, 17], [0, 9, 9], [4, far, -far]]
+    bits = kernels.rounded_bits(extents, 4)
     # row 0: lo = -3, w = bit_length(20) = 5; row 1: w = 0; row 2: flags only
     want = [4 + gamma_len(zigzag(-3) + 1) + gamma_len(6) + 3 * 6,
             4 + gamma_len(zigzag(9) + 1) + gamma_len(1) + 4, 4]

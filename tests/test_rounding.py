@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bitcodec import (decode_rounded, encode_rounded, gamma_len, rounded_len_bound,
                       zigzag)
-from helpers import paper_exponent_bracket
+from helpers import message_bits, paper_exponent_bracket
 from sketchcast import kernels
 from sketchcast.rounding import RoundingParams, gamma_for
 
@@ -78,7 +78,7 @@ def test_zero_stays_zero():
     assert is_zero.all()
     assert not decoded.any()
     # an all-zero message is its zero flags alone
-    assert kernels.rounded_bits(exponents, is_zero) == 2
+    assert message_bits(exponents, is_zero) == 2
 
 
 def test_decode_examples():
@@ -95,7 +95,7 @@ def test_message_bits_hand_counts():
     # gamma(15) = 7, gamma(1) = 1 and a lone sign bit; all zero: 2 flags
     exponents = np.array([[0, -3], [5, 7], [0, 0]])
     is_zero = np.array([[False, False], [True, False], [True, True]])
-    assert list(kernels.rounded_bits(exponents, is_zero)) == [16, 11, 2]
+    assert list(message_bits(exponents, is_zero)) == [16, 11, 2]
     assert encode_rounded([False, False], [False, True], [0, -3]) == "0000110011011100"
 
 
@@ -106,7 +106,7 @@ def test_codec_round_trip_over_window(exponent, sign):
     # move with the exponent
     message = ([False, False], [sign < 0, False], [exponent, 3])
     bits = encode_rounded(*message)
-    metered = kernels.rounded_bits(np.array(message[2]), np.array(message[0]))
+    metered = message_bits(np.array(message[2]), np.array(message[0]))
     lo, w = min(exponent, 3), abs(exponent - 3).bit_length()
     assert len(bits) == metered == 2 + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + 2 * (1 + w)
     assert decode_rounded(bits, 2) == (*message, len(bits))
@@ -115,7 +115,7 @@ def test_codec_round_trip_over_window(exponent, sign):
 def test_zero_codec_round_trip():
     bits = encode_rounded([True], [False], [0])
     assert bits == "1"
-    assert len(bits) == kernels.rounded_bits(np.array([0]), np.array([True]))
+    assert len(bits) == message_bits(np.array([0]), np.array([True]))
     assert decode_rounded(bits, 1) == ([True], [False], [0], 1)
 
 
@@ -135,7 +135,7 @@ def test_rounded_vectors_are_realisable_at_the_metered_length():
     negative = x < 0
     rows = list(zip(is_zero.tolist(), negative.tolist(), exponents.tolist()))
     stream = "".join(encode_rounded(*row) for row in rows)
-    metered = kernels.rounded_bits(exponents, is_zero)
+    metered = message_bits(exponents, is_zero)
     assert metered.shape == (100,) and len(stream) == metered.sum()
     pos = 0
     for (z, neg, e), length in zip(rows, metered):
@@ -171,7 +171,7 @@ def test_any_finite_exponent_rounds_and_meters_exactly(gamma):
     assert np.all(np.abs(exponents[live]) * math.log1p(gamma) > 690)
     # a live lane decodes to a grid point of its bracket [lo, lo(1 + gamma)]
     np.testing.assert_allclose(decoded[live], x[live], rtol=gamma)
-    metered = kernels.rounded_bits(exponents, is_zero)
+    metered = message_bits(exponents, is_zero)
     for z, neg, e, length in zip(is_zero.tolist(), (x < 0).tolist(), exponents.tolist(),
                                  metered):
         bits = encode_rounded(z, neg, e)
@@ -224,9 +224,9 @@ def test_desk_scale_messages_fit_in_48_bits():
     params = gamma_for(0.1, 0.25, d=4, n=1000, m=16, M=1000)
     lo, hi = paper_exponent_bracket(params, m=16)
     # one lane at either end of the paper's bracket, and both in one message
-    alone = kernels.rounded_bits(np.array([[lo], [hi]]), np.zeros((2, 1), dtype=bool))
+    alone = message_bits(np.array([[lo], [hi]]), np.zeros((2, 1), dtype=bool))
     assert alone.max() <= 48
-    assert kernels.rounded_bits(np.array([lo, hi]), np.zeros(2, dtype=bool)) <= 2 * 48
+    assert message_bits(np.array([lo, hi]), np.zeros(2, dtype=bool)) <= 2 * 48
     # any message of two or more lanes inside the bracket
     for lanes in (2, 3, 64, 4096):
         assert rounded_len_bound(lanes, lo, hi) <= 48 * lanes

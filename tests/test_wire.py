@@ -3,7 +3,9 @@
 Hooks around ``engine.send_rounded`` and ``engine.send_exact`` encode
 each sending row's message with the ``bitcodec`` encoder of its family
 and decode it knowing only public parameters: the lane count and the
-grid ratio.
+grid ratio.  A rounded run is metered once, from the extents its layers
+keep: a hook around ``kernels.rounded_bits`` checks that it runs once per
+run, on every layer's extents in order.
 The encoding must be exactly as long as the edge's metered bits less the
 1-bit subtree flag, and it must decode to the message the engine passes to
 the parent; for a rounded message the decoded lanes must also be the
@@ -40,7 +42,11 @@ class WireRecorder:
         self.messages: Counter[str] = Counter()  # family -> messages checked
         self.encoded: dict[int, int] = {}  # sending vertex -> encoding length
         self._rounded = []
+        self._extents = []  # the extents of each rounded layer of the current run
+        self._metered = 0  # rounded_bits calls in the current run
+        self._meter = kernels.rounded_bits
         monkeypatch.setattr(kernels, "round_to_grid", self._round_to_grid(kernels.round_to_grid))
+        monkeypatch.setattr(kernels, "rounded_bits", self._rounded_bits(kernels.rounded_bits))
         monkeypatch.setattr(engine, "send_rounded", self._send_rounded(engine.send_rounded))
         monkeypatch.setattr(engine, "send_exact", self._send_exact(engine.send_exact))
         monkeypatch.setattr(engine, "run_convergecast",
@@ -53,6 +59,13 @@ class WireRecorder:
             return out
         return round_to_grid
 
+    def _rounded_bits(self, real):
+        def rounded_bits(extents, lanes):
+            assert np.array_equal(extents, np.concatenate(self._extents))
+            self._metered += 1
+            return real(extents, lanes)
+        return rounded_bits
+
     def _record(self, family, verts, lengths, encodings):
         for v, length, bits in zip(verts, lengths, encodings):
             assert len(bits) == length
@@ -61,10 +74,13 @@ class WireRecorder:
 
     def _send_rounded(self, real):
         def send_rounded(verts, x, gen, *, tree, params):
-            msg, lengths = real(verts, x, gen, tree=tree, params=params)
+            msg, extents = real(verts, x, gen, tree=tree, params=params)
             exponents, is_zero, _ = self._rounded.pop()
             assert not self._rounded
+            self._extents.append(extents)
             lanes = x.shape[-1]
+            # what the run's one rounded_bits call meters for these rows
+            lengths = self._meter(extents, lanes)
             encodings = []
             for r in range(len(verts)):
                 live = ~is_zero[r]
@@ -81,7 +97,7 @@ class WireRecorder:
                 assert np.array_equal(value, msg[r])
                 encodings.append(bits)
             self._record("rounded", verts, lengths, encodings)
-            return msg, lengths
+            return msg, extents
         return send_rounded
 
     def _send_exact(self, real):
@@ -97,12 +113,14 @@ class WireRecorder:
         return send_exact
 
     def _convergecast(self, real):
-        def run_convergecast(tree, inputs, combine, send, seed=0):
-            self.encoded = {}
-            out, stats = real(tree, inputs, combine, send, seed)
+        def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None):
+            self.encoded, self._extents, self._metered = {}, [], 0
+            out, stats = real(tree, inputs, combine, send, seed, wire_bits)
             want = {(v, tree.parent[v]): 1 + self.encoded.get(v, 0)
                     for v in range(tree.m) if v != tree.root}
             assert stats.per_edge_bits == want
+            # a rounded run with a sending row is metered once
+            assert self._metered == (1 if self._extents else 0)
             self.runs += 1
             return out, stats
         return run_convergecast
