@@ -19,8 +19,9 @@ root's state is the run's output.  ``send(verts, state, gen)`` returns the
 layer's message and one meter record per row; its docstring states the
 family's wire format.  ``wire_bits(records)`` turns the records of all of
 a run's sending rows into their wire lengths, in one call at the end of
-the run.  The rounded family records each row's extents and meters them
-with ``kernels.rounded_bits``.  The exact and Morris families have no
+the run.  The rounded family records each row's extents, which
+``kernels.round_to_grid`` returns with the rounding, and meters them with
+``kernels.rounded_bits``.  The exact and Morris families have no
 ``wire_bits``: their records are the wire lengths themselves, 64 bits per
 lane and the counters' delta-code lengths.  Messages are plain arrays:
 rounded and exact vectors send their decoded values, Morris counters their
@@ -33,8 +34,11 @@ the previous layer's messages.  Each layer's vertices and child slots, and
 the edges in (layer, id) order, are built once per tree
 (``SpanningTree.schedule``) and serve every run on it.  A run uses the
 slots as they are where every vertex of a layer and of the layer below
-sends, and otherwise drops the children that send nothing from them.
-Kernels run on whole layers: one ``round_to_grid`` call per layer, and for
+sends.  Otherwise it builds the layer's slots from its senders' sending
+children, with each sender's message row set once per run
+(``_sending_layers``).
+Kernels run on whole layers: one ``round_to_grid`` call per layer, which
+rounds the layer and returns its rows' meter records, and for
 Morris counters one ``morris_add_batch`` call per layer and one
 ``morris_merge`` call per child slot, on insertions and deletions alike.
 Only the previous layer's messages are kept besides the payloads and the
@@ -50,16 +54,21 @@ vertex-at-a-time loop would, so every sum is bit-identical to that loop's
 Random streams.  A run draws from one stream, ``generator(seed,
 DOMAIN_NODES)``, built once: the vertices need randomness independent of
 each other's, not a stream each.  Layers draw in turn, leaves first and
-the root last, and each kernel call draws for its whole layer:
-``send_rounded`` takes one ``gen.random`` of the layer's shape, which
-equals one draw per vertex in (layer, id) order, and the Morris kernels
-draw for the lanes of all the layer's rows together.  A vertex whose
-subtree is all zero draws nothing.  A run is thus fully determined by
-(seed, tree, inputs), drawn layer by layer.
+the root last, and each kernel call draws for its whole layer.  The
+rounded family draws nothing but uniforms, so it gets them from
+:class:`Uniforms`, which draws them from the generator in batches of at
+least 32K doubles and hands them out in (layer, id) order:
+``send_rounded`` takes the next uniforms of the layer's shape, which
+equal what one ``gen.random`` of that shape draws, and one draw per
+vertex in (layer, id) order.  The Morris family gets the generator
+itself, and its kernels draw for the lanes of all the layer's rows
+together.  A vertex whose subtree is all zero draws nothing.  A run is
+thus fully determined by (seed, tree, inputs), drawn layer by layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -93,30 +102,85 @@ def baseline_codec_bits(count: int) -> int:
     return 64 * int(count)
 
 
-def _sending_slots(slots, here, below):
-    """``slots`` cut down to the children that send, in message rows.
+def _sending_layers(schedule, children, sends):
+    """Each layer's senders, their payload ids and their child slots, leaves first.
 
-    ``here`` and ``below`` describe the layer and the layer below: None
-    when every row sends, else (mask, pos), where mask marks the rows that
-    send and pos[r] is row r's row in the layer's message.  Dropping a
-    child from its slot keeps each row's other children in order, so every
-    sum stays as it was (see "Addition order").
+    The slots are ``(rows, src)`` pairs in message rows (see
+    :func:`run_convergecast`).  With ``sends`` None every vertex sends and
+    the schedule serves as it is.  Otherwise a layer's senders are its
+    vertices whose subtree holds data, each sender's row in its layer's
+    message is set once, and a layer whose own or lower layer has a
+    silent vertex gets slots built from its senders' sending children in
+    ``children`` order, so every row adds the children it adds vertex by
+    vertex, in the same order (see "Addition order").  A run of rows
+    0, 1, ... becomes a slice.  The root's layer comes last, with the
+    root as its one row whether or not it holds anything.
     """
-    out = []
-    for rows, src in slots:
-        if below is not None:
-            keep = below[0][src]
-            if not keep.any():
-                continue
-            rows = np.flatnonzero(keep) if isinstance(rows, slice) else rows[keep]
-            src = below[1][src[keep]]
-        if here is not None:
-            rows = here[1][rows]
-        out.append((rows, src))
-    return out
+    if sends is None:
+        yield from ((layer.verts, layer.ids, layer.slots) for layer in schedule.layers)
+        return
+    row = {}  # a sender's row in its layer's message
+    below_full = True
+    root_layer = schedule.layers[-1]
+    for layer in schedule.layers:
+        verts = layer.verts
+        senders = verts if layer is root_layer else [v for v in verts if sends[v]]
+        full = len(senders) == len(verts)
+        if full and below_full:
+            slots = layer.slots
+        else:
+            slots = []
+            for i, v in enumerate(senders):
+                kids = [row[c] for c in children[v] if sends[c]]
+                for j, r in enumerate(kids):
+                    if j == len(slots):
+                        slots.append(([], []))
+                    slots[j][0].append(i)
+                    slots[j][1].append(r)
+            slots = [(_rows(rows, len(senders)), _rows(src)) for rows, src in slots]
+        row.update(zip(senders, range(len(senders))))
+        below_full = full
+        yield senders, (layer.ids if full else senders), slots
 
 
-def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None):
+def _rows(rows, count=None):
+    """``rows`` as a slice when it is 0, 1, ..., else as an index array."""
+    if rows == list(range(len(rows))):
+        return slice(None) if len(rows) == count else slice(len(rows))
+    return np.array(rows, dtype=np.intp)
+
+
+class Uniforms:
+    """The run's uniforms, drawn from its generator in batches and handed out in order.
+
+    ``random(shape)`` returns the next uniforms in the stream, so its
+    values equal those of ``gen.random(shape)`` calls made in the same
+    order: ``Generator.random`` turns one 64-bit output into each double,
+    whatever the size of the call.  A batch holds at least ``BATCH``
+    doubles, so a deep tree's small layers share one generator call.
+    """
+
+    BATCH = 1 << 15
+
+    def __init__(self, gen):
+        self._gen = gen
+        self._buf = np.empty(0)
+        self._pos = 0
+
+    def random(self, shape):
+        size = math.prod(shape)
+        end = self._pos + size
+        if end > self._buf.size:
+            rest = self._buf[self._pos:]
+            fresh = self._gen.random(max(self.BATCH, size - rest.size))
+            self._buf = np.concatenate((rest, fresh)) if rest.size else fresh
+            self._pos, end = 0, size
+        out = self._buf[self._pos:end].reshape(shape)
+        self._pos = end
+        return out
+
+
+def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, uniforms=False):
     """Run one protocol over ``tree``, a layer at a time; returns (root output, CommStats).
 
     ``inputs`` holds one payload row per vertex.  For each layer below the
@@ -124,14 +188,16 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None):
     (ascending ids), their payload rows as a fresh float64 matrix, the
     previous layer's message, the child slots (``(rows, src)`` pairs: row
     ``rows[i]`` has as its j-th child the sender in row ``src[i]`` of
-    ``prev``; ``rows`` is ``slice(None)`` when every row has one) and the
-    run's generator; ``send`` gets the vertices, the state and the
-    generator, and returns the message and one meter record per row.
-    ``wire_bits`` maps the records of all sending rows, stacked in (layer,
-    id) order, to their wire lengths in one call; without it the records
-    are the lengths.  The 1-bit subtree flag is added to each wire length
-    here.  A layer in which no vertex sends skips both calls.  The root's
-    ``combine`` runs whether or not its subtree holds anything.
+    ``prev``; either may be a slice) and the run's generator; ``send``
+    gets the vertices, the state and the generator, and returns the
+    message and one meter record per row.  With ``uniforms`` both get the
+    run's :class:`Uniforms` in the generator's place, for families that
+    draw nothing else.  ``wire_bits`` maps the records of all sending
+    rows, stacked in (layer, id) order, to their wire lengths in one call;
+    without it the records are the lengths.  The 1-bit subtree flag is
+    added to each wire length here.  A layer in which no vertex sends
+    skips both calls.  The root's ``combine`` runs whether or not its
+    subtree holds anything.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     schedule = tree.schedule
@@ -143,28 +209,19 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None):
             if sends[v]:
                 sends[p] = True
     gen = streams.generator(seed, streams.DOMAIN_NODES)
+    if uniforms:
+        gen = Uniforms(gen)
     records = []
-    prev = below = None
-    *lower, top = schedule.layers
-    for layer in lower:
-        senders, ids, slots, here = layer.verts, layer.ids, layer.slots, None
-        if sends is not None:
-            mask = [sends[v] for v in senders]
-            if not all(mask):
-                senders = ids = [v for v, s in zip(senders, mask) if s]
-                mask = np.array(mask)
-                here = (mask, np.cumsum(mask) - 1)
+    prev = None
+    *lower, (top, top_ids, top_slots) = _sending_layers(schedule, tree.children, sends)
+    for senders, ids, slots in lower:
         if not senders:
-            prev, below = None, here
+            prev = None
             continue
-        if here is not None or below is not None:
-            slots = _sending_slots(slots, here, below)
-        below = here
         state = combine(senders, inputs[ids], prev, slots, gen)
         prev, record = send(senders, state, gen)
         records.append(record)
-    slots = top.slots if below is None else _sending_slots(top.slots, None, below)
-    out = combine(top.verts, inputs[top.ids], prev, slots, gen)
+    out = combine(top, inputs[top_ids], prev, top_slots, gen)
 
     edges = schedule.edges
     bits = np.ones(len(edges), dtype=np.int64)
@@ -213,14 +270,15 @@ def send_rounded(verts, x, gen, *, tree: SpanningTree, params: RoundingParams):
     any lo, so any finite sum is sent and metered as it is (the
     ``rounding`` module says why).
 
-    Metering is deferred: each row's record is its extents
-    (``kernels.rounded_extents``: its zero-lane count, lo and hi), all the
-    length depends on, and ``kernels.rounded_bits`` meters the whole run's
-    records in one call at its end.
+    Metering is deferred: each row's record is its extents, all the
+    length depends on, which ``kernels.round_to_grid`` returns with the
+    rounding (its zero-lane count, lo and hi), and
+    ``kernels.rounded_bits`` meters the whole run's records in one call
+    at its end.  ``gen`` is the run's :class:`Uniforms`.
     """
-    exponents, is_zero, decoded = kernels.round_to_grid(
+    _, _, decoded, extents = kernels.round_to_grid(
         x, gen.random(x.shape), params.log_gamma, params.log_floor(tree.layer[verts[0]]))
-    return decoded, kernels.rounded_extents(exponents, is_zero)
+    return decoded, extents
 
 
 def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed):
@@ -232,7 +290,8 @@ def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParam
     """
     send = partial(send_rounded, tree=tree, params=params)
     wire_bits = partial(kernels.rounded_bits, lanes=np.shape(payloads)[-1])
-    return run_convergecast(tree, payloads, add_children, send, seed, wire_bits)
+    return run_convergecast(tree, payloads, add_children, send, seed, wire_bits,
+                            uniforms=True)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,16 @@ _P61 = np.uint64(MERSENNE_61)
 
 
 def _fold61(v: np.ndarray) -> np.ndarray:
-    """Reduce uint64 values mod 2^61 - 1 into [0, 2^61 - 1), in place."""
+    """Reduce uint64 values mod 2^61 - 1 into [0, 2^61 - 1), in place.
+
+    After the fold v < 2^61 + 7, so one conditional subtraction finishes
+    it, taken branch-free: below 2^61 - 1, v - (2^61 - 1) wraps around to
+    more than v, and the minimum keeps v.
+    """
     hi = v >> np.uint64(61)
     v &= _P61
     v += hi
-    v -= _P61 * (v >= _P61)
-    return v
+    return np.minimum(v, v - _P61, out=v)
 
 
 def _mulmod61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -64,21 +68,34 @@ def _mulmod61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _fold61(low)
 
 
+# Points per column block of _poly61, so that a block's uint64 temporaries
+# stay in cache through every Horner step: at the 27 rows of an n = 1e4
+# count sketch each one is 432 KB.  On a 2 MB-per-core L2 host the sign and
+# bucket polynomials of that sketch took 19.5 ms at 2048 points, 26 ms at
+# 4096 and 45 ms unblocked.
+_POLY_BLOCK = 2048
+
+
 def _poly61(coeffs: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
     """(rows, n): row i is the polynomial coeffs[i] over GF(2^61 - 1) at 0..n-1.
 
-    Coefficients run from the leading one down, evaluated by Horner's rule.
+    Coefficients run from the leading one down, evaluated by Horner's rule,
+    one column block of points at a time; each point's value depends on
+    that point alone.
     """
     if n > 1 << 32:
         raise ValueError(f"hash points must stay below 2^32, got n={n}")
     c = np.array(coeffs, dtype=np.uint64)
-    x = np.arange(n, dtype=np.uint64)
-    acc = np.zeros((c.shape[0], n), dtype=np.uint64)
-    for j in range(c.shape[1]):
-        acc = _mulmod61(acc, x)
-        acc += c[:, j:j + 1]
-        _fold61(acc)
-    return acc
+    out = np.empty((c.shape[0], n), dtype=np.uint64)
+    for x0 in range(0, n, _POLY_BLOCK):
+        x = np.arange(x0, min(x0 + _POLY_BLOCK, n), dtype=np.uint64)
+        acc = np.zeros((c.shape[0], x.size), dtype=np.uint64)
+        for j in range(c.shape[1]):
+            acc = _mulmod61(acc, x)
+            acc += c[:, j:j + 1]
+            _fold61(acc)
+        out[:, x0:x0 + x.size] = acc
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Hot numeric kernels, vectorised in numpy.
 
-Eight kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
+Seven kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
 stable transforms (``cms_symmetric``, ``cms_skewed_one``), stochastic
-rounding onto the (1+gamma) grid (``round_to_grid``), the wire lengths of
-rounded messages in their two-part code (``rounded_extents`` per layer,
-``rounded_bits`` once per run) and of a counter message in Elias delta
+rounding onto the (1+gamma) grid, which also returns each rounded
+message's extents (``round_to_grid``, once per layer), the wire lengths of
+rounded messages in their two-part code from those extents
+(``rounded_bits``, once per run) and of a counter message in Elias delta
 codes (``counter_bits``), and the Morris counter batch update and merge
 (``morris_add_batch``, ``morris_merge``).
 Of the counter kernels only ``morris_add_batch`` runs in a protocol, the
@@ -145,9 +146,13 @@ def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: float):
-    """Round each lane of ``x``; returns (exponents, is_zero, decoded).
+    """Round each lane of ``x`` and meter each row; returns (exponents, is_zero, decoded, extents).
 
-    Lanes must be finite: a NaN lane would come out as a zero lane.
+    ``exponents`` are float64 integers, 0 in zero lanes.  ``extents`` has
+    shape ``x.shape[:-1] + (3,)``, float64: each row's zero-lane count and
+    its lowest and highest live exponent, NaN for a row with no live lane
+    (see :func:`rounded_bits`).  Lanes must be finite: a NaN lane would
+    come out as a zero lane.
     """
     # The engine rounds a whole tree layer per call, so layer-sized
     # temporaries set its memory: the work happens in place where it can.
@@ -160,13 +165,15 @@ def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: 
     np.log(lv, out=lv)
     cut = ~(lv >= log_floor)
     is_zero |= cut
-    lv[cut] = 0.0
-    q = np.divide(lv, log_gamma)
-    e0 = np.floor(q, out=q).astype(np.int64)
+    np.putmask(lv, cut, 0.0)
+    # Exponents stay float64 throughout: integers far below 2^53, so every
+    # product with log_gamma is the one an int64 exponent would give.
+    e0 = np.divide(lv, log_gamma)
+    np.floor(e0, out=e0)
     # ln lo and ln hi as the products e0 * log_gamma and (e0 + 1) *
-    # log_gamma (e0 + 1.0 is exact).  The float division is off by at most
+    # log_gamma (e0 + 1 is exact).  The float division is off by at most
     # 1, which one check against both products finds.
-    lo = np.multiply(e0, log_gamma, out=q)
+    lo = np.multiply(e0, log_gamma)
     hi = np.add(e0, 1.0)
     hi *= log_gamma
     off = lo > lv
@@ -175,7 +182,7 @@ def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: 
         # one-step boundary corrections; a pass that moves nothing leaves
         # nothing for the next one
         for _ in range(2):
-            step = (e0 + 1) * log_gamma <= lv
+            step = (e0 + 1.0) * log_gamma <= lv
             if not step.any():
                 break
             e0 += step
@@ -194,62 +201,56 @@ def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: 
     np.exp(hi, out=hi)
     pr = np.subtract(ax, lo, out=ax)
     pr /= np.subtract(hi, lo, out=lv)
-    up = unif < pr
     exponents = e0
-    exponents += up
+    exponents += unif < pr
     # exp(exponents * log_gamma) is lo or hi: the same product of the same
     # float64 operands
-    decoded = lo
-    np.copyto(decoded, hi, where=up)
+    decoded = np.multiply(exponents, log_gamma, out=lo)
+    np.exp(decoded, out=decoded)
     np.copysign(decoded, x, out=decoded)
-    decoded[is_zero] = 0.0
-    return exponents, is_zero, decoded
+    np.putmask(decoded, is_zero, 0.0)
+
+    # the extents, from the live exponents in hi's buffer: NaN in a zero
+    # lane drops it from fmin and fmax, and a row of NaN reduces to NaN
+    extents = np.empty(x.shape[:-1] + (3,))
+    np.add.reduce(is_zero, axis=-1, dtype=np.float64, out=extents[..., 0])
+    live = hi
+    np.copyto(live, exponents)
+    np.putmask(live, is_zero, np.nan)
+    np.fmin.reduce(live, axis=-1, out=extents[..., 1])
+    np.fmax.reduce(live, axis=-1, out=extents[..., 2])
+    return exponents, is_zero, decoded, extents
 
 
 # ---------------------------------------------------------------------------
 # Wire length of the two-part message code stated on engine.send_rounded.
 # A message's length depends on its lanes only through three numbers, its
 # extents: its zero-lane count and its lowest and highest live exponents.
-# The engine keeps the extents of each sending row (``rounded_extents``,
-# one call per layer) and meters all of a run's rows in one
-# ``rounded_bits`` call.  Exponents are reduced as float64, exact below
-# 2^53; frexp's exponent is the bit length of a non-negative integer.  With
-# bl = bit_length, gamma_len(zigzag(lo) + 1) = 2 bl(|lo|) + 1 and
-# gamma_len(w + 1) = 2 bl(w + 1) - 1, so a live row's header is
-# 2 bl(|lo|) + 2 bl(w + 1).  A row without live lanes has lo = _FAR and
-# hi = -_FAR, so it gets a finite header, which its zero live count then
-# drops.
+# ``round_to_grid`` returns the extents of each row it rounds, and the
+# engine meters all of a run's rows in one ``rounded_bits`` call.
+# Exponents are reduced as float64, exact below 2^53; frexp's exponent is
+# the bit length of a non-negative integer.  With bl = bit_length,
+# gamma_len(zigzag(lo) + 1) = 2 bl(|lo|) + 1 and gamma_len(w + 1) =
+# 2 bl(w + 1) - 1, so a live row's header is 2 bl(|lo|) + 2 bl(w + 1).  A
+# row without live lanes has NaN extents, which are read as lo = hi = 0:
+# a finite header, which its zero live count then drops.
 # ---------------------------------------------------------------------------
 
-_FAR = 2**60
 # 2 * bit_length(w + 1) for every width w a 64-bit spread can have
 _GAMMA_W = np.array([2 * (w + 1).bit_length() for w in range(65)])
-
-
-def rounded_extents(exponents: np.ndarray, is_zero: np.ndarray) -> np.ndarray:
-    """Extents of each rounded message, one per row of the last axis.
-
-    Returns int64 of shape ``exponents.shape[:-1] + (3,)``: the zero-lane
-    count, the lowest and the highest live exponent; (L, _FAR, -_FAR) for
-    a row of L lanes none of which is live.
-    """
-    out = np.empty(exponents.shape[:-1] + (3,), dtype=np.int64)
-    is_zero.sum(axis=-1, out=out[..., 0])
-    # faster than masked reductions (``where=``) at a few hundred lanes or more
-    np.where(is_zero, _FAR, exponents).min(axis=-1, out=out[..., 1])
-    np.where(is_zero, -_FAR, exponents).max(axis=-1, out=out[..., 2])
-    return out
 
 
 def rounded_bits(extents: np.ndarray, lanes: int) -> np.ndarray:
     """Wire length in bits of each rounded message of ``lanes`` lanes, from its extents.
 
-    A message with ``live`` live lanes, live exponents in [lo, hi] and
+    ``extents`` are rows of :func:`round_to_grid`'s extents.  A message
+    with ``live`` live lanes, live exponents in [lo, hi] and
     w = bit_length(hi - lo) costs
     lanes + gamma_len(zigzag(lo) + 1) + gamma_len(w + 1) + live * (1 + w)
     bits, or ``lanes`` when no lane is live.
     """
-    live = lanes - extents[..., 0]
+    extents = np.nan_to_num(extents)
+    live = lanes - extents[..., 0].astype(np.int64)
     lo, hi = extents[..., 1], extents[..., 2]
     w = np.frexp(hi - lo)[1]
     header = 2 * np.frexp(np.abs(lo))[1] + _GAMMA_W[w]

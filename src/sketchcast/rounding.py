@@ -6,8 +6,11 @@ p_r*hi + (1-p_r)*lo = r exactly, so the rounding is unbiased no matter how
 accurately lo and hi themselves were computed.  The variance is at most
 (gamma * r)^2.
 
-The rounding itself runs in ``kernels.round_to_grid``; the message format
-is stated once, on ``engine.send_rounded``.  The grid ratio comes from
+The rounding itself runs in ``kernels.round_to_grid``, which returns each
+lane's exponent, zero flag and decoded value and each row's extents (its
+zero-lane count and lowest and highest live exponent, all a message's
+wire length depends on); the message format is stated once, on
+``engine.send_rounded``.  The grid ratio comes from
 gamma = eps*delta / (d * log2(n*m)), and the truncation bound
 K = (M*n*m)^2 / gamma sets the floors: a convergecast node at layer l
 truncates magnitudes below (mK)^-(d+3-l) to an exact zero.  Those floors

@@ -69,8 +69,11 @@ DEFAULT_ETA = 2.0**-30
 MAX_SKETCH_CELLS = 50_000_000
 
 # A sketch is generated in row blocks of about BLOCK_CELLS cells, and each
-# block's elementwise transform runs over CHUNK_CELLS cells at a time, which
-# keeps its operands in cache.  The rows of a block are a multiple of
+# block's elementwise transform runs over CHUNK_CELLS cells at a time: each
+# of its four chunk-sized operands is 256 KB, so together they stay in a
+# 2 MB per-core L2, and chunks that large spend little on per-call numpy
+# overhead.  Cells are elementwise and drawn in stream order, so the chunk
+# size moves no entry.  The rows of a block are a multiple of
 # BLOCK_ROW_MULTIPLE, so OpenBLAS tiles a block product as it tiles the same
 # rows of the whole product, and on the benchmark's shapes every block
 # product equals its columns of the whole product bit for bit (blocks of 1,
@@ -79,7 +82,7 @@ MAX_SKETCH_CELLS = 50_000_000
 # two or three data rows a block product can still differ in the last bits.
 BLOCK_CELLS = 1 << 18
 BLOCK_ROW_MULTIPLE = 32
-CHUNK_CELLS = 1 << 13
+CHUNK_CELLS = 1 << 15
 
 # F(1, -1, pi/2, 0) from the standard skewed draw: scale by pi/2, then add
 # the drift (2/pi) beta g ln g at beta = -1, g = pi/2.

@@ -1,6 +1,7 @@
 """Test-only helpers: the tree a protocol runs on, the topology file
-writer, the paper's exponent bracket, the metered length of whole rounded
-messages, and the Morris counter's closed-form estimate and variance."""
+writer, the paper's exponent bracket, the reference extents and metered
+length of whole rounded messages, and the Morris counter's closed-form
+estimate and variance."""
 
 from __future__ import annotations
 
@@ -37,15 +38,31 @@ def paper_exponent_bracket(params, m: int) -> tuple[int, int]:
             math.ceil(6.0 * log_k / params.log_gamma))
 
 
+def rounded_extents(exponents, is_zero):
+    """Extents of each rounded message, one per row of the last axis.
+
+    The plain form of the extents ``kernels.round_to_grid`` returns, kept
+    as their reference: float64 of shape ``exponents.shape[:-1] + (3,)``,
+    the zero-lane count and the lowest and highest live exponent; NaN lo
+    and hi for a row none of whose lanes is live.
+    """
+    exponents, is_zero = np.asarray(exponents), np.asarray(is_zero)
+    out = np.empty(exponents.shape[:-1] + (3,))
+    out[..., 0] = is_zero.sum(axis=-1)
+    dead = is_zero.all(axis=-1)
+    out[..., 1] = np.where(dead, np.nan, np.where(is_zero, np.inf, exponents).min(axis=-1))
+    out[..., 2] = np.where(dead, np.nan, np.where(is_zero, -np.inf, exponents).max(axis=-1))
+    return out
+
+
 def message_bits(exponents, is_zero):
     """Metered length of each rounded message, one per row of the last axis.
 
     The engine's meter in one step: each row's extents, then their wire
     lengths.
     """
-    exponents, is_zero = np.asarray(exponents), np.asarray(is_zero)
-    return kernels.rounded_bits(kernels.rounded_extents(exponents, is_zero),
-                                exponents.shape[-1])
+    exponents = np.asarray(exponents)
+    return kernels.rounded_bits(rounded_extents(exponents, is_zero), exponents.shape[-1])
 
 
 def estimate_from_state(state: float, b_minus_1: float) -> float:

@@ -10,6 +10,7 @@ from sketchcast import kernels, streams, topology
 from sketchcast.engine import (
     CommStats,
     CounterOverflowError,
+    Uniforms,
     baseline_codec_bits,
     exact_sum_convergecast,
     morris_sum_convergecast,
@@ -330,7 +331,7 @@ def reference_rounded(payloads, tree, params, seed):
         if all(c is ZERO for c in children) and not np.any(x):
             return ZERO, 0
         unif = gen.random(x.shape[0])
-        exponents, is_zero, decoded = kernels.round_to_grid(
+        exponents, is_zero, decoded, _ = kernels.round_to_grid(
             x, unif, params.log_gamma, params.log_floor(tree.layer[v]))
         return decoded, len(encode_rounded(is_zero, decoded < 0, exponents))
 
@@ -496,6 +497,19 @@ def test_kernels_run_once_per_layer_on_a_wide_grid(monkeypatch):
     # against 1024 adds and 1023 merges vertex by vertex
     assert len(adds) <= tree.depth + 1
     assert len(merges) <= 4 * tree.depth
+
+
+def test_uniforms_hand_out_the_generator_stream_in_order():
+    # layer-sized takes across batch boundaries, an empty take and takes
+    # larger than a batch equal gen.random calls of the same shapes
+    shapes = [(2, 192)] * 200 + [(3, 5), (0, 7), (1, Uniforms.BATCH + 3), (2, 1000),
+                                 (3 * Uniforms.BATCH,), (2, 192)]
+    uniforms = Uniforms(generator(5, DOMAIN_NODES))
+    gen = generator(5, DOMAIN_NODES)
+    for shape in shapes:
+        got = uniforms.random(shape)
+        assert got.shape == shape
+        assert got.tobytes() == gen.random(shape).tobytes()
 
 
 def test_a_run_builds_one_generator(monkeypatch):

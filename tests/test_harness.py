@@ -417,9 +417,9 @@ def test_run_trial_builds_one_tree_per_network_trial(monkeypatch, protocol, p, b
     calls = {"center": 0, "spanning_tree": 0, "run_convergecast": 0}
     for module, name in ((harness, "center"), (harness, "spanning_tree"),
                          (engine, "run_convergecast")):
-        def counted(*args, name=name, fn=getattr(module, name)):
+        def counted(*args, name=name, fn=getattr(module, name), **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     dist = "zipf:1.3:1000" if protocol.startswith("stream-") else "zipf:1.1"
     spec = ExperimentSpec(protocol=protocol, p=p, topology="grid", n=64, m=6, dist=dist,

@@ -55,9 +55,14 @@ def test_poly_mod_matches_horner_by_hand():
     (MERSENNE_61 - 1, 0, MERSENNE_61 - 1, 0),
 ])
 def test_vectorised_hashes_equal_horner_at_extreme_coefficients(coeffs):
-    n = 10**5
-    want = np.array(_poly_mod(coeffs, n), dtype=np.uint64)
-    assert np.array_equal(_poly61((coeffs,), n)[0], want)
+    # n around one and two 2048-point column blocks and past several, with a
+    # second row, the coefficients reversed, running through the same blocks
+    rows = (coeffs, coeffs[::-1])
+    for n in (1, 2047, 2048, 2049, 4095, 4096, 4097, 10_000, 10**5):
+        got = _poly61(rows, n)
+        assert got.shape == (2, n) and got.dtype == np.uint64
+        for row, c in zip(got, rows):
+            assert np.array_equal(row, np.array(_poly_mod(c, n), dtype=np.uint64))
 
 
 def test_bucket_and_sign_equal_horner_oracle():

@@ -1,11 +1,16 @@
 """Hot kernels: rounding edge cases, wire lengths, and the Morris fast paths."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import rounded_extents
 from sketchcast import kernels
 
 KERNELS = ("cms_symmetric", "cms_skewed_one", "round_to_grid", "rounded_bits",
@@ -23,10 +28,12 @@ def test_active_backend_is_known():
 def test_round_to_grid_truncates_below_floor():
     x = np.array([0.0, 1e-9, 5.0])
     unif = np.full(3, 0.5)
-    exponents, is_zero, decoded = kernels.round_to_grid(x, unif, math.log1p(0.5), math.log(1e-6))
+    exponents, is_zero, decoded, extents = kernels.round_to_grid(x, unif, math.log1p(0.5),
+                                                                 math.log(1e-6))
     assert list(is_zero) == [True, True, False]
     assert decoded[0] == decoded[1] == 0.0
     assert decoded[2] > 0.0
+    assert extents.tolist() == [2.0, exponents[2], exponents[2]]
 
 
 def reference_round_to_grid(x, unif, log_gamma, log_floor):
@@ -84,11 +91,71 @@ def test_round_to_grid_matches_reference_bit_for_bit(shape, gamma, floor, window
     args = (math.log1p(gamma), math.log(floor) if floor > 0.0 else -math.inf)
     got = kernels.round_to_grid(x, unif, *args)
     want = reference_round_to_grid(x, unif, *args)
-    assert len(got) == 3
-    for g, w in zip(got, want):
+    assert len(got) == 4
+    # the kernel keeps its exponents as float64 integers
+    assert got[0].dtype == np.float64 and np.array_equal(got[0], want[0])
+    for g, w in zip(got[1:3], want[1:]):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[3].shape == shape[:-1] + (3,)
+    assert np.array_equal(got[3], rounded_extents(*want[:2]), equal_nan=True)
     live = got[0][~got[1]]
     assert np.all((window[0] <= live) & (live <= window[1])) == (want_ok or x.size == 0)
+
+
+# numpy's AVX-512 exp, log, tan and power give other last bits than libm;
+# the session turns them off (conftest.py), the benchmark runs with them on.
+# On that path the child checks the rounding kernel against its reference
+# (exponents, zero flags and decoded bytes, with -0.0, NaN, sub-floor and
+# all-zero rows, and the extents) and a streamed sketch's products at two
+# chunk sizes.  On a host without AVX-512 it checks the libm path again.
+_NATIVE = r"""
+import math, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from helpers import rounded_extents
+from test_kernels import reference_round_to_grid
+from sketchcast import kernels, stable
+
+rng = np.random.default_rng(16)
+for shape, gamma, floor in [((2, 192), 1e-3, 1e-6), ((32, 608), 0.05, 0.0),
+                            ((3, 2048), 3e-4, 1e-30), ((1, 5), 0.3, 1e-9)]:
+    x = np.exp(rng.uniform(-40.0, 40.0, shape)) * rng.choice([-1.0, 1.0], shape)
+    special = rng.random(shape)
+    x[special < 0.05] = 0.0
+    x[(0.05 <= special) & (special < 0.1)] = -0.0
+    x[(0.1 <= special) & (special < 0.12)] = np.nan
+    x[(0.12 <= special) & (special < 0.2)] *= 1e-30
+    x[-1, :] = -0.0
+    unif = rng.random(shape)
+    args = (math.log1p(gamma), math.log(floor) if floor > 0.0 else -math.inf)
+    exponents, is_zero, decoded, extents = kernels.round_to_grid(x, unif, *args)
+    want = reference_round_to_grid(x, unif, *args)
+    print(shape, np.array_equal(exponents, want[0]) and is_zero.tobytes() == want[1].tobytes()
+          and decoded.tobytes() == want[2].tobytes()
+          and np.array_equal(extents, rounded_extents(*want[:2]), equal_nan=True))
+
+data = rng.integers(0, 4, (16, 3000)).astype(np.float64)
+chunks = (1 << 13, stable.CHUNK_CELLS)
+for p, skewed in [(0.5, False), (1.5, False), (1.0, True)]:
+    sketch = stable.build_sketch(120, 3000, p, seed=17, skewed=skewed)
+    products = []
+    for chunk in chunks:
+        stable.CHUNK_CELLS = chunk
+        products.append(sketch.apply(data).tobytes())
+    print(p, skewed, chunks[0] != chunks[1] and products[0] == products[1])
+"""
+
+
+def test_rounding_and_chunked_sketches_hold_with_avx512_kernels_on():
+    env = {key: value for key, value in os.environ.items()
+           if key != "NPY_DISABLE_CPU_FEATURES"}
+    tests = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _NATIVE, str(tests)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("\n")[:-1]
+    assert len(lines) == 7 and all(line.endswith("True") for line in lines), proc.stdout
 
 
 def test_rounded_bits_formula():
@@ -96,10 +163,20 @@ def test_rounded_bits_formula():
 
     exponents = np.array([[0, -3, 17, 2], [9, 9, 9, 9], [4, 1, 1, 0]], dtype=np.int64)
     is_zero = np.array([[False, False, False, True], [False] * 4, [True] * 4])
-    extents = kernels.rounded_extents(exponents, is_zero)
-    far = 2**60  # the lowest and highest exponent of a row without live lanes
-    assert extents.tolist() == [[1, -3, 17], [0, 9, 9], [4, far, -far]]
+    # on the grid of powers of 2, 2^e rounds to e under a uniform of 1/2:
+    # its probability of rounding up is within rounding of 0 from e, or of
+    # 1 from e - 1
+    x = np.where(is_zero, 0.0, 2.0 ** exponents)
+    got_e, got_zero, _, extents = kernels.round_to_grid(x, np.full(x.shape, 0.5),
+                                                        math.log(2.0), -math.inf)
+    assert np.array_equal(got_zero, is_zero)
+    assert np.array_equal(got_e[~is_zero], exponents[~is_zero])
+    # NaN is the lowest and highest exponent of a row without live lanes
+    want_extents = [[1, -3, 17], [0, 9, 9], [4, np.nan, np.nan]]
+    assert np.array_equal(extents, want_extents, equal_nan=True)
+    assert np.array_equal(rounded_extents(exponents, is_zero), want_extents, equal_nan=True)
     bits = kernels.rounded_bits(extents, 4)
+    assert bits.dtype == np.int64
     # row 0: lo = -3, w = bit_length(20) = 5; row 1: w = 0; row 2: flags only
     want = [4 + gamma_len(zigzag(-3) + 1) + gamma_len(6) + 3 * 6,
             4 + gamma_len(zigzag(9) + 1) + gamma_len(1) + 4, 4]

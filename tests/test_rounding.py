@@ -17,10 +17,10 @@ WIDE = RoundingParams(gamma=1.0)
 
 
 def round_lanes(x, params, unif, log_floor=-math.inf):
-    """kernels.round_to_grid on float lanes under ``params``."""
+    """kernels.round_to_grid on float lanes under ``params``: (exponents, is_zero, decoded)."""
     x = np.asarray(x, dtype=np.float64)
     return kernels.round_to_grid(x, np.broadcast_to(unif, x.shape), params.log_gamma,
-                                 log_floor)
+                                 log_floor)[:3]
 
 
 def stratified(k):

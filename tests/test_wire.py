@@ -3,9 +3,11 @@
 Hooks around ``engine.send_rounded`` and ``engine.send_exact`` encode
 each sending row's message with the ``bitcodec`` encoder of its family
 and decode it knowing only public parameters: the lane count and the
-grid ratio.  A rounded run is metered once, from the extents its layers
-keep: a hook around ``kernels.rounded_bits`` checks that it runs once per
-run, on every layer's extents in order.
+grid ratio.  A rounded run is metered once, from the extents
+``kernels.round_to_grid`` returns for each layer: a hook around
+``kernels.rounded_bits`` checks that it runs once per run, on every
+layer's extents in order, and each layer's extents must equal the
+reference extents of its exponents and zero flags.
 The encoding must be exactly as long as the edge's metered bits less the
 1-bit subtree flag, and it must decode to the message the engine passes to
 the parent; for a rounded message the decoded lanes must also be the
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from bitcodec import decode_exact, decode_rounded, encode_exact, encode_rounded
+from helpers import rounded_extents
 from sketchcast import engine, kernels
 from sketchcast.harness import ExperimentSpec, run_experiment
 
@@ -61,7 +64,7 @@ class WireRecorder:
 
     def _rounded_bits(self, real):
         def rounded_bits(extents, lanes):
-            assert np.array_equal(extents, np.concatenate(self._extents))
+            assert np.array_equal(extents, np.concatenate(self._extents), equal_nan=True)
             self._metered += 1
             return real(extents, lanes)
         return rounded_bits
@@ -75,8 +78,10 @@ class WireRecorder:
     def _send_rounded(self, real):
         def send_rounded(verts, x, gen, *, tree, params):
             msg, extents = real(verts, x, gen, tree=tree, params=params)
-            exponents, is_zero, _ = self._rounded.pop()
+            exponents, is_zero, _, rounded = self._rounded.pop()
             assert not self._rounded
+            assert extents is rounded
+            assert np.array_equal(extents, rounded_extents(exponents, is_zero), equal_nan=True)
             self._extents.append(extents)
             lanes = x.shape[-1]
             # what the run's one rounded_bits call meters for these rows
@@ -113,9 +118,10 @@ class WireRecorder:
         return send_exact
 
     def _convergecast(self, real):
-        def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None):
+        def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None,
+                             uniforms=False):
             self.encoded, self._extents, self._metered = {}, [], 0
-            out, stats = real(tree, inputs, combine, send, seed, wire_bits)
+            out, stats = real(tree, inputs, combine, send, seed, wire_bits, uniforms)
             want = {(v, tree.parent[v]): 1 + self.encoded.get(v, 0)
                     for v in range(tree.m) if v != tree.root}
             assert stats.per_edge_bits == want
