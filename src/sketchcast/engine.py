@@ -57,7 +57,9 @@ each other's, not a stream each.  Layers draw in turn, leaves first and
 the root last, and each kernel call draws for its whole layer.  The
 rounded family draws nothing but uniforms, so it gets them from
 :class:`Uniforms`, which draws them from the generator in batches of at
-least 32K doubles and hands them out in (layer, id) order:
+least 32K doubles, capped at what the run still needs (a uniform per
+lane of each sending row below the root), and hands them out in
+(layer, id) order:
 ``send_rounded`` takes the next uniforms of the layer's shape, which
 equal what one ``gen.random`` of that shape draws, and one draw per
 vertex in (layer, id) order.  The Morris family gets the generator
@@ -157,13 +159,16 @@ class Uniforms:
     values equal those of ``gen.random(shape)`` calls made in the same
     order: ``Generator.random`` turns one 64-bit output into each double,
     whatever the size of the call.  A batch holds at least ``BATCH``
-    doubles, so a deep tree's small layers share one generator call.
+    doubles, so a deep tree's small layers share one generator call, but
+    no more than the run's ``total`` need leaves: the generator ends
+    where ``total`` single draws would leave it.
     """
 
     BATCH = 1 << 15
 
-    def __init__(self, gen):
+    def __init__(self, gen, total):
         self._gen = gen
+        self._left = total  # doubles of the run's need not yet drawn
         self._buf = np.empty(0)
         self._pos = 0
 
@@ -172,7 +177,8 @@ class Uniforms:
         end = self._pos + size
         if end > self._buf.size:
             rest = self._buf[self._pos:]
-            fresh = self._gen.random(max(self.BATCH, size - rest.size))
+            fresh = self._gen.random(min(self._left, max(self.BATCH, size - rest.size)))
+            self._left -= fresh.size
             self._buf = np.concatenate((rest, fresh)) if rest.size else fresh
             self._pos, end = 0, size
         out = self._buf[self._pos:end].reshape(shape)
@@ -192,7 +198,8 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, unifor
     gets the vertices, the state and the generator, and returns the
     message and one meter record per row.  With ``uniforms`` both get the
     run's :class:`Uniforms` in the generator's place, for families that
-    draw nothing else.  ``wire_bits`` maps the records of all sending
+    draw one uniform per lane of each sending row below the root and
+    nothing else.  ``wire_bits`` maps the records of all sending
     rows, stacked in (layer, id) order, to their wire lengths in one call;
     without it the records are the lengths.  The 1-bit subtree flag is
     added to each wire length here.  A layer in which no vertex sends
@@ -201,16 +208,18 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, unifor
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     schedule = tree.schedule
+    edges = schedule.edges
     has_data = inputs.any(axis=1)
     sends = None  # per vertex, whether its subtree holds data; None when all do
     if not has_data.all():
         sends = has_data.tolist()
-        for v, p in schedule.edges:  # children before parents
+        for v, p in edges:  # children before parents
             if sends[v]:
                 sends[p] = True
     gen = streams.generator(seed, streams.DOMAIN_NODES)
     if uniforms:
-        gen = Uniforms(gen)
+        sending = len(edges) if sends is None else sum(sends[v] for v, _ in edges)
+        gen = Uniforms(gen, sending * inputs.shape[1])
     records = []
     prev = None
     *lower, (top, top_ids, top_slots) = _sending_layers(schedule, tree.children, sends)
@@ -223,7 +232,6 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, unifor
         records.append(record)
     out = combine(top, inputs[top_ids], prev, top_slots, gen)
 
-    edges = schedule.edges
     bits = np.ones(len(edges), dtype=np.int64)
     if records:
         lengths = np.concatenate(records)

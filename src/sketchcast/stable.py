@@ -18,16 +18,26 @@ Stuck transform (1976) of a (uniform, exponential) pair:
   law enters negated relative to the symmetric one, matching the
   convention of the entropy-sketch literature.
 
-Sketches are streamed.  A protocol only needs ``data @ S^T`` (or
-``S @ x``), so :class:`StableSketch` generates S one block of rows at a
-time and contracts each block before drawing the next; only a sketch that
-fits in one block is ever held whole.  The stream
-contract fixes every cell: one PCG64 stream seeded from the sketch's
-``SeedSequence`` supplies the uniforms at raw positions [0, k*n) and the
-exponentials from position k*n on, and cells are numbered row-major, so
-cell (i, j) takes the (i*n + j)-th uniform and the (i*n + j)-th
-exponential.  Two cursors on that stream, the second advanced by k*n,
-reproduce the draws of one generator that draws all k*n uniforms first.
+Sketches are streamed and column-addressable, as a streaming algorithm
+holds them: it never stores S, and on an update (i, delta) it regenerates
+column i from the seed and adds delta * S[:, i] (Indyk, "Stable
+distributions, pseudorandom generators, embeddings, and data stream
+computation", J. ACM 2006).  The stream contract fixes every cell on its
+own.  Cells are numbered column-major, cell (i, j) being c = j*k + i, and
+one PCG64 stream seeded from the sketch's ``SeedSequence`` supplies cell
+c's uniform U at raw position c and the double V behind its exponential
+at raw position k*n + c, where W = -log1p(-V) is drawn by the inverse
+CDF.  ``Generator.random`` turns one raw output into each double, so both
+positions are affine in c and a cursor reaches any column by
+``PCG64.advance``.  A protocol only needs ``data @ S^T`` (or ``S @ x``),
+so :class:`StableSketch` draws only the columns in which some row of the
+data is nonzero: a zero column adds nothing to the product, and the
+cursors skip its cells without drawing them.  The held columns are drawn
+in blocks and each block is contracted before the next is drawn, so only
+a sketch that fits in one block is ever held whole.  The result is the
+sum of the block products in block order: it is fixed by (data, seed) and
+the column blocking, but it is not the one GEMM over all columns bit for
+bit, since a block boundary splits the sum over columns.
 ``MAX_SKETCH_CELLS`` still caps k*n: streaming would let it go, but the
 benchmark's smoke test asserts the ``MemoryError`` it raises, so lifting
 it waits on a change to the benchmark.
@@ -68,20 +78,14 @@ DEFAULT_ETA = 2.0**-30
 # Refuse sketches above this many cells.
 MAX_SKETCH_CELLS = 50_000_000
 
-# A sketch is generated in row blocks of about BLOCK_CELLS cells, and each
-# block's elementwise transform runs over CHUNK_CELLS cells at a time: each
-# of its four chunk-sized operands is 256 KB, so together they stay in a
-# 2 MB per-core L2, and chunks that large spend little on per-call numpy
-# overhead.  Cells are elementwise and drawn in stream order, so the chunk
-# size moves no entry.  The rows of a block are a multiple of
-# BLOCK_ROW_MULTIPLE, so OpenBLAS tiles a block product as it tiles the same
-# rows of the whole product, and on the benchmark's shapes every block
-# product equals its columns of the whole product bit for bit (blocks of 1,
-# 2 or 4 rows move the last bits of some sums; multiples of 8 do not).
-# OpenBLAS routes some small products through other kernels, so with only
-# two or three data rows a block product can still differ in the last bits.
+# The held columns of a sketch are drawn in blocks of about BLOCK_CELLS
+# cells (BLOCK_CELLS // k columns, at least one), and each block's
+# elementwise transform runs over CHUNK_CELLS cells at a time: each of its
+# four chunk-sized operands is 256 KB, so together they stay in a 2 MB
+# per-core L2, and chunks that large spend little on per-call numpy
+# overhead.  Cells are elementwise and each takes its draws from its own
+# stream positions, so the chunk size moves no entry.
 BLOCK_CELLS = 1 << 18
-BLOCK_ROW_MULTIPLE = 32
 CHUNK_CELLS = 1 << 15
 
 # F(1, -1, pi/2, 0) from the standard skewed draw: scale by pi/2, then add
@@ -90,19 +94,47 @@ SKEWED_SCALE = math.pi / 2.0
 SKEWED_DRIFT = (2.0 / np.pi) * -1.0 * SKEWED_SCALE * math.log(SKEWED_SCALE)
 
 
-def block_rows(k: int, width: int) -> int:
-    """Rows per block for a k-row operand whose rows are ``width`` cells wide."""
-    rows = BLOCK_CELLS // width // BLOCK_ROW_MULTIPLE * BLOCK_ROW_MULTIPLE
-    return min(k, max(BLOCK_ROW_MULTIPLE, rows))
+class _HeldCells:
+    """A cursor on the sketch's stream that reads the cells of held columns only.
+
+    Cell c is raw position ``offset + c``.  ``starts`` and ``ends`` bound
+    the runs [a, b) of consecutive held columns, ascending, so a run is
+    cells [a*k, b*k).  ``draw(out)`` fills ``out`` with the doubles of the
+    next held cells, one ``random`` call per run it touches, and crosses
+    the cells of empty columns between runs with ``PCG64.advance``.
+    Positions stay Python ints: ``advance`` refuses numpy int64.
+    """
+
+    def __init__(self, seed, offset: int, k: int, starts: list, ends: list):
+        self._bits = np.random.PCG64(seed)
+        self._bits.advance(offset)
+        self._gen = np.random.Generator(self._bits)
+        self._k = k
+        self._runs = zip(starts, ends)
+        self._cell = 0  # the cell at the stream's position
+        self._end = 0  # the end of the current run
+
+    def draw(self, out: np.ndarray) -> None:
+        done = 0
+        while done < out.size:
+            if self._cell == self._end:
+                a, b = next(self._runs)
+                if a * self._k > self._cell:
+                    self._bits.advance(a * self._k - self._cell)
+                self._cell, self._end = a * self._k, b * self._k
+            take = min(out.size - done, self._end - self._cell)
+            self._gen.random(out=out[done:done + take])
+            done += take
+            self._cell += take
 
 
 @dataclass(frozen=True)
 class StableSketch:
     """Integer-precision stable sketch: entries equal round(sample / eta).
 
-    A handle, not a matrix: ``blocks()`` regenerates the entries row block
-    by row block from ``seed`` (see the module docstring for the stream
-    contract), and ``apply`` contracts data with them block by block.
+    A handle, not a matrix: ``columns`` regenerates the entries of any
+    set of columns from ``seed`` (see the module docstring for the stream
+    contract), and ``apply`` contracts data with the columns it holds.
     The law is D_p, or F(1, -1, pi/2, 0) when ``skewed``.  Entries are
     float64 but integer-valued, so eta^-1 * S is exactly integral; the
     scaled sketch is eta * entries.
@@ -115,27 +147,43 @@ class StableSketch:
     p: float
     skewed: bool = False
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (first row, entries of the block's rows) down the sketch.
+    def columns(self, cols) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (column ids, their entries as a (ids, k) array) over ``cols``, block by block.
 
-        The yielded array is reused for the next block.
+        ``cols`` is a strictly increasing sequence of column ids in
+        [0, n); a block holds ``BLOCK_CELLS // k`` of them, at least one.
+        Row r of a block's array is column ``ids[r]`` of the sketch.  The
+        array is reused for the next block.
         """
-        total = self.k * self.n
-        uniforms = np.random.Generator(np.random.PCG64(self.seed))
-        bits = np.random.PCG64(self.seed)
-        bits.advance(total)
-        exponentials = np.random.Generator(bits)
-        rows = block_rows(self.k, self.n)
-        buf = np.empty(rows * self.n)
+        cols = np.asarray(cols, dtype=np.int64)
+        if cols.ndim != 1 or (cols.size and (cols[0] < 0 or cols[-1] >= self.n)) \
+                or np.any(np.diff(cols) <= 0):
+            raise ValueError(f"columns must be strictly increasing ids in [0, {self.n})")
+        if not cols.size:
+            return
+        k = int(self.k)
+        cut = np.flatnonzero(np.diff(cols) != 1) + 1
+        starts = cols[np.r_[0, cut]].tolist()
+        ends = (cols[np.r_[cut - 1, cols.size - 1]] + 1).tolist()
+        uniforms = _HeldCells(self.seed, 0, k, starts, ends)
+        exponentials = _HeldCells(self.seed, k * int(self.n), k, starts, ends)
+        width = max(1, BLOCK_CELLS // k)
+        buf = np.empty(min(width, cols.size) * k)
         w = np.empty(min(CHUNK_CELLS, buf.size))
-        for r0 in range(0, self.k, rows):
-            block = buf[:min(rows, self.k - r0) * self.n]
+        for b0 in range(0, cols.size, width):
+            ids = cols[b0:b0 + width]
+            block = buf[:ids.size * k]
+            uniforms.draw(block)
             for c0 in range(0, block.size, CHUNK_CELLS):
                 z = block[c0:c0 + CHUNK_CELLS]
-                uniforms.random(out=z)
-                exponentials.standard_exponential(out=w[:z.size])
-                self._entries(z, w[:z.size])
-            yield r0, block.reshape(-1, self.n)
+                v = w[:z.size]
+                exponentials.draw(v)
+                # W = -log1p(-V), the inverse CDF of Exp(1)
+                np.negative(v, out=v)
+                np.log1p(v, out=v)
+                np.negative(v, out=v)
+                self._entries(z, v)
+            yield ids, block.reshape(ids.size, k)
 
     def _entries(self, z: np.ndarray, w: np.ndarray) -> None:
         """Turn uniforms ``z`` and exponentials ``w`` into entries, in place in ``z``."""
@@ -154,21 +202,27 @@ class StableSketch:
         """``data @ S^T`` for (m, n) data, ``S @ x`` for a length-n vector x.
 
         S is the integer entries; eta is a power of two, so ``eta * apply``
-        is the product with the scaled sketch bit for bit.  Each block
-        product is written straight into its columns of the result (see
-        BLOCK_ROW_MULTIPLE for when it equals the whole product bit for
-        bit).
+        is the product with the scaled sketch bit for bit.  Only the
+        columns in which some row of the data is nonzero are drawn, and
+        all-zero data returns zeros without drawing anything.  The result
+        is ``sum_b data[:, J_b] @ S[:, J_b]^T`` over the column blocks J_b
+        of ``columns``, added in block order; the first block's product is
+        written straight into the result.
         """
         data = np.asarray(data, dtype=np.float64)
         if data.ndim not in (1, 2) or data.shape[-1] != self.n:
             raise ValueError(f"expected length-{self.n} rows, got {data.shape}")
+        held = np.flatnonzero(data.any(axis=0) if data.ndim == 2 else data)
+        if not held.size:
+            return np.zeros(data.shape[:-1] + (self.k,))
         out = np.empty(data.shape[:-1] + (self.k,))
-        for r0, block in self.blocks():
-            rows = slice(r0, r0 + block.shape[0])
-            if data.ndim == 1:
-                np.matmul(block, data, out=out[rows])
+        every = held.size == self.n  # then a block's columns are a slice
+        for b, (ids, block) in enumerate(self.columns(held)):
+            part = data[..., ids[0]:ids[-1] + 1] if every else data[..., ids]
+            if b == 0:
+                np.matmul(part, block, out=out)
             else:
-                np.matmul(data, block.T, out=out[:, rows])
+                out += part @ block
         return out
 
 
@@ -227,11 +281,14 @@ def build_sketch(
     that entropy uses.
 
     Returns a :class:`StableSketch` handle; nothing is drawn until its
-    blocks are used.  Cell (i, j) is made from the (i*n + j)-th uniform
-    and the (i*n + j)-th exponential of one PCG64 stream seeded by
-    ``seed``: the uniforms take raw positions [0, k*n) and the
-    exponentials follow from position k*n.  Draws are not clamped: at
-    small p a clamp of (M n m)^3 moves the row median.  Raises
+    columns are used.  Cells are numbered column-major: cell (i, j) is
+    c = j*k + i, and takes its uniform from raw position c and its
+    exponential, -log1p(-V), from the double V at raw position k*n + c of
+    one PCG64 stream seeded by ``seed``.  Any set of columns is thus drawn
+    on its own, and a column the data never touches costs nothing.  A
+    product is summed over column blocks, so its last bits are fixed by
+    the blocking, not by one GEMM over all columns.  Draws are not
+    clamped: at small p a clamp of (M n m)^3 moves the row median.  Raises
     ``MemoryError`` on sketches larger than ``MAX_SKETCH_CELLS``, a cap
     kept although no sketch is materialized because the benchmark's smoke
     test asserts it.

@@ -1,9 +1,13 @@
 """Dense reference sketches: the oracles the streamed sketches are checked against.
 
 ``dense_entries`` draws a stable sketch as one dense matrix: one
-generator draws all k*n uniforms, then all k*n exponentials, and the
-transform runs with fresh temporaries over the whole matrix.  The
-streamed ``StableSketch`` must reproduce it bit for bit.
+generator draws all k*n uniforms, then the k*n doubles V behind the
+exponentials -log1p(-V), the transform runs with fresh temporaries over
+the whole matrix, and cell c fills column c // k, row c % k.  The
+column-addressable ``StableSketch`` must reproduce any of its columns bit
+for bit, and ``blocked_product`` is the product ``StableSketch.apply``
+must return: the dense entries' block products over the data's held
+columns, summed in block order.
 ``count_sketch`` is amp's count sketch as a dense matrix, and
 ``dense_amp_payload`` and ``sketch_product`` multiply by it: the per-player
 payload and the pooled sketch product.  The stable samplers here are the test
@@ -135,11 +139,8 @@ def transform_gaps() -> dict[str, float]:
     return gaps
 
 
-def sample_stable_array(params: StableLaw, rng: np.random.Generator, size: int,
-                        loc: float = 0.0) -> np.ndarray:
-    """Vector of i.i.d. draws from F(p, beta, gamma, loc)."""
-    u = (rng.random(size) - 0.5) * np.pi
-    w = rng.standard_exponential(size)
+def stable_from(params: StableLaw, u: np.ndarray, w: np.ndarray, loc: float = 0.0) -> np.ndarray:
+    """Draws from F(p, beta, gamma, loc) of uniforms ``u`` on (-pi/2, pi/2) and exponentials ``w``."""
     if params.beta == 0.0:
         z = cms_symmetric(params.p, u, w)
     else:
@@ -150,6 +151,13 @@ def sample_stable_array(params: StableLaw, rng: np.random.Generator, size: int,
     # Skewed p=1 family: scaling adds the (2/pi) beta g ln g drift and the
     # location enters negated.
     return g * z + (2.0 / np.pi) * params.beta * g * math.log(g) - loc
+
+
+def sample_stable_array(params: StableLaw, rng: np.random.Generator, size: int,
+                        loc: float = 0.0) -> np.ndarray:
+    """Vector of i.i.d. draws from F(p, beta, gamma, loc)."""
+    u = (rng.random(size) - 0.5) * np.pi
+    return stable_from(params, u, rng.standard_exponential(size), loc)
 
 
 def sample_stable(params: StableLaw, rng: np.random.Generator) -> float:
@@ -167,14 +175,33 @@ def dense_entries(k: int, n: int, p: float, eta: float, seed=0,
                   skewed: bool = False) -> np.ndarray:
     """The k x n integer entries of build_sketch(...) drawn as one dense matrix."""
     rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
-    params = SKEWED if skewed else StableLaw(p=p)
-    z = sample_stable_array(params, rng, k * n).reshape(k, n)
-    return np.rint(z / eta)
+    u = (rng.random(k * n) - 0.5) * np.pi
+    w = -np.log1p(-rng.random(k * n))
+    z = stable_from(SKEWED if skewed else StableLaw(p=p), u, w)
+    return np.rint(z / eta).reshape(n, k).T
 
 
-def streamed_entries(sk) -> np.ndarray:
-    """The entries of a StableSketch, gathered from its row blocks."""
-    return np.concatenate([block.copy() for _, block in sk.blocks()])
+def streamed_entries(sk, cols=None) -> np.ndarray:
+    """The k x len(cols) entries of a StableSketch's columns (all by default), from its blocks."""
+    cols = range(sk.n) if cols is None else cols
+    return np.concatenate([block.copy() for _, block in sk.columns(cols)]).reshape(-1, sk.k).T
+
+
+def blocked_product(entries: np.ndarray, data: np.ndarray, width: int) -> np.ndarray:
+    """``data @ entries^T`` as ``StableSketch.apply`` sums it: blocks of ``width`` held columns.
+
+    Held columns are those in which some row of the data is nonzero.  Each
+    block's product takes the block's columns of the data and its entries
+    as a contiguous (columns, k) array; the products are added in block
+    order, the first one to nothing.
+    """
+    held = np.flatnonzero(data.any(axis=0) if data.ndim == 2 else data)
+    out = np.zeros(data.shape[:-1] + (entries.shape[0],))
+    for b0 in range(0, held.size, width):
+        ids = held[b0:b0 + width]
+        part = data[..., ids] @ np.ascontiguousarray(entries[:, ids].T)
+        out = part if b0 == 0 else out + part
+    return out
 
 
 def count_sketch(n: int, k: int, seed) -> np.ndarray:

@@ -504,12 +504,37 @@ def test_uniforms_hand_out_the_generator_stream_in_order():
     # larger than a batch equal gen.random calls of the same shapes
     shapes = [(2, 192)] * 200 + [(3, 5), (0, 7), (1, Uniforms.BATCH + 3), (2, 1000),
                                  (3 * Uniforms.BATCH,), (2, 192)]
-    uniforms = Uniforms(generator(5, DOMAIN_NODES))
+    uniforms = Uniforms(generator(5, DOMAIN_NODES), sum(math.prod(s) for s in shapes))
     gen = generator(5, DOMAIN_NODES)
     for shape in shapes:
         got = uniforms.random(shape)
         assert got.shape == shape
         assert got.tobytes() == gen.random(shape).tobytes()
+
+
+@pytest.mark.parametrize("topo", [grid(12, 12), line(257)], ids=["grid12x12", "line257"])
+def test_a_rounded_run_draws_exactly_its_uniforms(monkeypatch, topo):
+    # a uniform per lane of each sending row below the root, and no more:
+    # the run's generator ends where a fresh one ends after that many doubles
+    built = []
+
+    def keep(*args):
+        built.append(generator(*args))
+        return built[-1]
+
+    monkeypatch.setattr(streams, "generator", keep)
+    tree = spanning_tree(topo, center(topo))
+    payload = np.random.default_rng(3).standard_normal((topo.m, 6)) * 30.0
+    params = gamma_for(0.3, 0.25, tree.depth, 6, topo.m, M=100)
+    for zero_from in (topo.m, topo.m // 3, 0):
+        payload[zero_from:] = 0.0
+        _, stats = rounded_sum_convergecast(payload, tree, params, seed=4)
+        # an edge that sends carries its flag and a message; a silent one, the flag
+        senders = sum(bits > 1 for bits in stats.per_edge_bits.values())
+        assert senders > 0 or zero_from == 0
+        fresh = generator(4, DOMAIN_NODES)
+        fresh.random(senders * 6)
+        assert built[-1].bit_generator.state == fresh.bit_generator.state
 
 
 def test_a_run_builds_one_generator(monkeypatch):

@@ -106,8 +106,10 @@ def test_round_to_grid_matches_reference_bit_for_bit(shape, gamma, floor, window
 # the session turns them off (conftest.py), the benchmark runs with them on.
 # On that path the child checks the rounding kernel against its reference
 # (exponents, zero flags and decoded bytes, with -0.0, NaN, sub-floor and
-# all-zero rows, and the extents) and a streamed sketch's products at two
-# chunk sizes.  On a host without AVX-512 it checks the libm path again.
+# all-zero rows, and the extents), and at two chunk sizes a sketch's held
+# columns against the dense oracle and its product on data holding about
+# half the columns against the blocked oracle.  On a host without AVX-512
+# it checks the libm path again.
 _NATIVE = r"""
 import math, sys
 sys.path.insert(0, sys.argv[1])
@@ -134,15 +136,24 @@ for shape, gamma, floor in [((2, 192), 1e-3, 1e-6), ((32, 608), 0.05, 0.0),
           and decoded.tobytes() == want[2].tobytes()
           and np.array_equal(extents, rounded_extents(*want[:2]), equal_nan=True))
 
-data = rng.integers(0, 4, (16, 3000)).astype(np.float64)
+from sketch_reference import blocked_product, dense_entries, streamed_entries
+
+# about half the columns held, in runs of a few
+data = rng.integers(0, 4, (16, 3000)) * (rng.random((16, 3000)) < 0.05)
 chunks = (1 << 13, stable.CHUNK_CELLS)
 for p, skewed in [(0.5, False), (1.5, False), (1.0, True)]:
     sketch = stable.build_sketch(120, 3000, p, seed=17, skewed=skewed)
-    products = []
+    entries = dense_entries(120, 3000, p, stable.DEFAULT_ETA, seed=17, skewed=skewed)
+    held = np.flatnonzero(data.any(axis=0))
+    want = blocked_product(entries, data, stable.BLOCK_CELLS // 120).tobytes()
+    products, columns = [], []
     for chunk in chunks:
         stable.CHUNK_CELLS = chunk
         products.append(sketch.apply(data).tobytes())
-    print(p, skewed, chunks[0] != chunks[1] and products[0] == products[1])
+        columns.append(streamed_entries(sketch, held).tobytes())
+    print(p, skewed, chunks[0] != chunks[1] and 0.3 < held.size / 3000 < 0.7
+          and products[0] == products[1] == want
+          and columns[0] == columns[1] == entries[:, held].tobytes())
 """
 
 

@@ -18,6 +18,7 @@ from sketch_reference import (
     MEDIAN_SKEWED_STANDARD,
     SKEWED,
     StableLaw,
+    blocked_product,
     dense_entries,
     sample_stable,
     sample_stable_array,
@@ -192,7 +193,6 @@ def test_build_sketch_validates_arguments():
 # Streamed sketches against the dense oracle.
 # ---------------------------------------------------------------------------
 
-ROWS = stable.BLOCK_ROW_MULTIPLE
 CHUNK = stable.CHUNK_CELLS
 
 
@@ -284,14 +284,14 @@ def test_skewed_kernel_draws_split_at_the_standard_median():
 
 
 @pytest.mark.parametrize("k, n, p, beta, gamma_scale", [
-    (3 * ROWS + 5, 9000, 1.5, 0.0, 1.0),      # k not a multiple of the block rows
-    (ROWS + 1, 1, 0.5, 0.0, 1.0),             # n = 1
-    (3, CHUNK + 17, 0.5, 0.0, 1.0),           # one row larger than a chunk
+    (101, 9000, 1.5, 0.0, 1.0),               # four column blocks, the last one short
+    (33, 1, 0.5, 0.0, 1.0),                   # n = 1
+    (3, CHUNK + 17, 0.5, 0.0, 1.0),           # chunks that split columns
     (70, 500, 0.25, 0.0, 1.0),                # heavy tails at small p
     (70, 5000, 1.0, -1.0, math.pi / 2),       # skewed p=1
     (70, 5000, 1.0, 0.0, 1.0),                # symmetric p=1, the tan path
     (70, 5000, 2.0, 0.0, 1.0),                # p=2
-    (400, 700, 0.5, 0.0, 1.0),                # several blocks of many rows
+    (400, 700, 0.5, 0.0, 1.0),                # two blocks of many rows
 ])
 def test_streamed_entries_equal_dense_bit_for_bit(k, n, p, beta, gamma_scale):
     # (beta, gamma_scale) names the law: (0, 1) for D_p, (-1, pi/2) for the skewed law
@@ -302,11 +302,47 @@ def test_streamed_entries_equal_dense_bit_for_bit(k, n, p, beta, gamma_scale):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_block_rows_are_multiples_of_the_row_multiple():
-    for k, width in [(800, 10**4), (800, 200), (5000, 1000), (7, 10**6), (2048, 128)]:
-        rows = stable.block_rows(k, width)
-        assert rows == k or rows % ROWS == 0
-        assert 1 <= rows <= k
+def _column_sets(n, seed):
+    """Column sets of a width-n sketch: gaps, both ends, single columns, long runs."""
+    rng = np.random.default_rng(seed)
+    sets = [np.sort(rng.choice(n, size=max(1, n // 3), replace=False)),
+            np.unique([0, n - 1]), np.array([0]), np.array([n - 1]), np.array([n // 2]),
+            np.r_[np.arange(0, 3 * n // 4), np.arange(3 * n // 4 + 7, n, 5)],
+            np.arange(n)]
+    return [cols for cols in sets if cols.size]
+
+
+@pytest.mark.parametrize("k, n, p, skewed, block_cells", [
+    (70, 5000, 1.5, False, stable.BLOCK_CELLS),  # a 3,750-column run spans two blocks
+    (70, 5000, 1.0, True, stable.BLOCK_CELLS),
+    (33, 1, 0.5, False, stable.BLOCK_CELLS),     # n = 1
+    (70, 300, 0.5, False, 64),                   # k above the block: a column per block
+    (3, CHUNK + 17, 0.25, False, stable.BLOCK_CELLS),
+])
+def test_columns_of_any_set_equal_the_dense_columns_bit_for_bit(monkeypatch, k, n, p, skewed,
+                                                                block_cells):
+    monkeypatch.setattr(stable, "BLOCK_CELLS", block_cells)
+    sk = build_sketch(k, n, p, 2.0**-20, seed=22, skewed=skewed)
+    want = dense_entries(k, n, p, 2.0**-20, seed=22, skewed=skewed)
+    for cols in _column_sets(n, 23):
+        got = streamed_entries(sk, cols)
+        assert np.array_equal(got.view(np.int64), want[:, cols].view(np.int64))
+
+
+def test_column_blocks_hold_block_cells_over_k_columns():
+    sk = build_sketch(101, 9000, 1.5, seed=24)
+    cols = np.sort(np.random.default_rng(25).choice(9000, size=6000, replace=False))
+    width = stable.BLOCK_CELLS // 101
+    blocks = [(ids.copy(), block) for ids, block in sk.columns(cols)]
+    assert [ids.size for ids, _ in blocks] == [width, width, 6000 - 2 * width]
+    assert np.array_equal(np.concatenate([ids for ids, _ in blocks]), cols)
+    # one buffer of one full block serves every block
+    assert all(block.shape == (ids.size, 101) for ids, block in blocks)
+    assert len({block.__array_interface__["data"][0] for _, block in blocks}) == 1
+    assert list(sk.columns([])) == []
+    for bad in ([3, 3], [5, 2], [-1], [9000], [[1, 2]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            next(sk.columns(bad))
 
 
 def test_apply_matches_dense_products_at_small_shapes():
@@ -320,17 +356,75 @@ def test_apply_matches_dense_products_at_small_shapes():
         sk.apply(np.ones(299))
 
 
+def _held_data(m, n, cols, seed):
+    """(m, n) counts held exactly on ``cols``: every listed column has a nonzero row."""
+    rng = np.random.default_rng(seed)
+    data = np.zeros((m, n))
+    data[:, cols] = rng.integers(0, 5, size=(m, len(cols))) * (rng.random((m, len(cols))) < 0.5)
+    data[rng.integers(0, m, len(cols)), cols] = rng.integers(1, 5, len(cols))
+    return data
+
+
+# Summed over blocks, a product differs from the dense one only in the
+# order of its float additions, so each entry is within gamma_n of the sum
+# of absolute terms (Higham, "Accuracy and Stability of Numerical
+# Algorithms", 3.1): |got - want| <= n 2^-52 (|data| @ |S|^T).
+def _dense_gap_ok(got, data, entries):
+    want = data @ entries.T
+    bound = data.shape[-1] * 2.0**-52 * (np.abs(data) @ np.abs(entries).T)
+    return np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("k, n, p, skewed, block_cells", [
+    (70, 5000, 0.5, False, stable.BLOCK_CELLS),
+    (70, 5000, 1.0, True, stable.BLOCK_CELLS),
+    (40, 900, 1.5, False, 4000),                 # blocks of 100 columns
+    (70, 300, 0.5, False, 64),                   # a column per block
+    (33, 1, 1.5, False, stable.BLOCK_CELLS),
+])
+def test_apply_on_held_columns_equals_the_blocked_oracle(monkeypatch, k, n, p, skewed,
+                                                         block_cells):
+    monkeypatch.setattr(stable, "BLOCK_CELLS", block_cells)
+    sk = build_sketch(k, n, p, 2.0**-20, seed=26, skewed=skewed)
+    entries = dense_entries(k, n, p, 2.0**-20, seed=26, skewed=skewed)
+    width = max(1, block_cells // k)
+    for cols in _column_sets(n, 27):
+        data = _held_data(6, n, cols, 28)
+        for x in (data, data[int(np.argmax(data.any(axis=1)))]):
+            got = sk.apply(x)
+            want = blocked_product(entries, x, width)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert _dense_gap_ok(got, x, entries)
+
+
+def test_apply_on_all_zero_data_draws_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cursor was built for all-zero data")
+
+    sk = build_sketch(20, 50, 1.5, seed=29)
+    monkeypatch.setattr(stable, "_HeldCells", refuse)
+    for data in (np.zeros((4, 50)), np.zeros(50), -np.zeros((1, 50))):
+        got = sk.apply(data)
+        assert got.shape == data.shape[:-1] + (20,)
+        assert not got.view(np.int64).any()  # +0.0 in every lane
+    assert sk.seed.n_children_spawned == 0
+
+
 # The products of the benchmark's wide star (m=16 players, n=1e4) at each
 # protocol's CLI accuracy, with BLAS on one thread as the benchmark runs it:
 # (k, p, skewed, scaled, players).  Scaled compares eta * apply
 # with the product of the eta-scaled sketch, as fp_high uses it.  Players
-# = 0 is S @ x.
+# = 0 is S @ x.  Each product must equal the blocked oracle over the
+# sketch's own columns bit for bit, and the one-GEMM product within the
+# summation bound of _dense_gap_ok.
 _WIDE_PRODUCTS = r"""
 import sys
 import numpy as np
+from sketchcast import stable
 from sketchcast.stable import build_sketch
 sys.path.insert(0, sys.argv[1])
-from sketch_reference import streamed_entries
+from sketch_reference import blocked_product, streamed_entries
+from test_stable import _dense_gap_ok
 cases = [(1200, 1.5, False, True, 16), (800, 0.5, False, False, 16), (300, 1.0, True, False, 16),
          (356, 0.5, False, False, 0), (300, 1.0, True, False, 0)]
 rng = np.random.default_rng(8)
@@ -341,11 +435,12 @@ for k, p, skewed, scaled, m in cases:
         s *= sk.eta
     data = rng.integers(0, 4, size=(max(m, 1), 10**4)) * (rng.random((max(m, 1), 10**4)) < 0.3)
     data = data.astype(np.float64)
-    got = sk.apply(data[0] if m == 0 else data)
+    x = data[0] if m == 0 else data
+    got = sk.apply(x)
     if scaled:
         got = sk.eta * got
-    ok = np.array_equal(got, s @ data[0] if m == 0 else data @ s.T)
-    print(k, m, ok)
+    want = blocked_product(s, x, stable.BLOCK_CELLS // k)
+    print(k, m, np.array_equal(got, want) and _dense_gap_ok(got, x, s))
 """
 
 
