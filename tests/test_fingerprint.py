@@ -45,16 +45,16 @@ SPECS = {
 # (sha256 of the CSV, sha256 of the summary JSON) per spec
 PINNED = {
     "fp-p1.5-star": (
-        "e540423840e1490d87e44e20ff035b52f490e0829ac2d017e28df5302bfbbba0",
-        "b678cfa1848267bf3bb5b5e6653e8528d4196d270490b5710c52173ad92a009f",
+        "f6f22471136fe6a7f90925e5b23b9b52bd278a25a569a809fcb743db9e04661a",
+        "629b95b42da13684ff62ac91db52031eb4d81680506ef6be3e5f8631ef5e32e6",
     ),
     "fp-p0.5-line": (
-        "260761471d8337c96578e42c45738958613a2abc046e9a68d9982c82bfe67939",
-        "bbfa6f84d1c8c095d318caa04cbf3f8ff9f7adb6e991a905d25139d79690d3eb",
+        "fc4258f49cc8c3b210b632a8d03051f12003a60da420f67c412156738ab9aa24",
+        "2f7bbc5e5a1bb2bee1cc2208fdfc245f6afb3b94e5cf444463d93dd25946662b",
     ),
     "entropy-star": (
-        "78e0eba21b1174727f058b1db24aed4512b0c7dd648441bf4c787d427e13b5a2",
-        "31653c61d17e181b0e6aac0e0cd41d5dfc8c503d2bae554a41f37530b250ac4b",
+        "7609261cd9a3e8de9ffa305ad34fd8e706a6c6d9d590b28fd763962132e301d7",
+        "366076946f17257ada4e25fa95e3e2da703c6afac4d02ac6a82208f436c5ee73",
     ),
     "hh-line": (
         "fea4dc09079c594e5e0388bf2617deb8b9ce38f94eec7fd9dc598c917e611d2b",
@@ -65,20 +65,20 @@ PINNED = {
         "cd8de03bdfc430a664c7faaa6176e7c3db2785a063875c777a262fcd625bb553",
     ),
     "stream-fp-exact-y": (
-        "467c658cd6a4781f270422dad2887edff8a495e7f61b014491393f24e301c22f",
-        "a2e76294239a7e628b70c5b16c929271ce59f368fd4110aeae4c760c1fcf432f",
+        "baef98e6c9f9a3d53123cfa3aeb6da1bcf3ba00d3574986f69b9d572cb5a0473",
+        "e1eadb83bf62b71ed710603384a9d6f22ac69b3e7f2020b052faf41544f14e5b",
     ),
     "stream-fp-morris-y": (
-        "dfc74c8e5ec279f049b1b352ab9408f70d24654c486fcbf309228f8ed5493afe",
-        "e246a68b315d956a001a22592e97eccd08378d02a5ecdf335dbe3f409504c90b",
+        "99d6da50448b3f04b7f1b898cf88592d13186222c101150f0142c0248e56e1d1",
+        "21da53612c7a15e26809b4bfacfd5728bdca6b368208ca95c26a50fb47f31cf1",
     ),
     "stream-entropy": (
-        "c711fcd3cc17377c122ad263a340a4cc6ec182f1813260730e34cba8b5b9fc3a",
-        "69f5173776347266744dced39e0ba142629594837173d44b48aa22d10f11efd4",
+        "dfa12eaba6259bb50ca1c22fd2897009b23e91a9e2c6c3f2b2a3d9d0402f5b39",
+        "4b374227e7f2f8ddaad21b1c1c629feedb7574b2bcbf79454d5141be8f9d0a77",
     ),
     "fp-p1.5-grid-exact-codec": (
-        "b4aeff3f1d080c501c47bbb88e45e3729e0e116f0b2b70edf00dc00c3164b600",
-        "1b314af5fd6267740982c41a562de20474fe6081fac7b6c2f414545ce4f5922f",
+        "f377e88fdc6284642aa644a7468c9344278d2ccbc4b82a441979f482610894f7",
+        "52004b7625c5ec3e741fd1918a9a5e2b9500aaa5e84863229023d0e6525d4161",
     ),
     "amp-grid-sparse": (
         "05ffc7ef2758e9a1ba4ff2d94bdd7c2f1e09922d1debc53c05b9e5139a2c4f18",
