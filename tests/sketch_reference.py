@@ -184,7 +184,7 @@ def dense_entries(k: int, n: int, p: float, eta: float, seed=0,
 def streamed_entries(sk, cols=None) -> np.ndarray:
     """The k x len(cols) entries of a StableSketch's columns (all by default), from its blocks."""
     cols = range(sk.n) if cols is None else cols
-    return np.concatenate([block.copy() for _, block in sk.columns(cols)]).reshape(-1, sk.k).T
+    return np.concatenate([block.copy() for _, block in sk.columns(cols)]).T
 
 
 def blocked_product(entries: np.ndarray, data: np.ndarray, width: int) -> np.ndarray:
