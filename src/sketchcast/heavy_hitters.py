@@ -1,8 +1,15 @@
 """Count-sketch point estimation and L2 heavy hitters over a convergecast.
 
 Each of the ell rows hashes coordinates into w buckets with a pairwise
-multiply-shift hash and flips signs with a 4-wise polynomial hash, both
-over the Mersenne field 2^61 - 1.  Every player builds its local
+multiply-mod-prime hash, (a x + b mod p) mod w, and flips signs by the low
+bit of a 4-wise cubic polynomial mod p (Carter & Wegman, "Universal
+classes of hash functions", 1979).  Both are over the Mersenne prime
+p = 2^31 - 1: coefficients and points lie below p, so each Horner step
+acc * x + c stays below 2^63 and plain uint64 arithmetic is exact.  The
+points are the coordinates, so the universe is n < 2^31 - 1.  Reducing a
+uniform value mod w leaves each bucket's probability within 1/p of 1/w,
+a bias of at most w/p in total, and the low bit of a uniform value mod
+the odd p is 1 with probability 1/2 - 1/(2p).  Every player builds its local
 ell-by-w table, the flattened tables are aggregated through the rounding
 convergecast, and the coordinator reports the lower median of the signed
 bucket reads per coordinate.  The estimates satisfy
@@ -32,80 +39,39 @@ from .fp_high import as_count_matrix, lower_median
 from .streams import DOMAIN_HASHES, generator
 from .topology import SpanningTree
 
-MERSENNE_61 = (1 << 61) - 1
+MERSENNE_31 = (1 << 31) - 1
+_P31 = np.uint64(MERSENNE_31)
 
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-_P61 = np.uint64(MERSENNE_61)
+def _poly31(coeffs: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
+    """(rows, n): row i is the polynomial coeffs[i] over GF(2^31 - 1) at 0..n-1.
 
-
-def _fold61(v: np.ndarray) -> np.ndarray:
-    """Reduce uint64 values mod 2^61 - 1 into [0, 2^61 - 1), in place.
-
-    After the fold v < 2^61 + 7, so one conditional subtraction finishes
-    it, taken branch-free: below 2^61 - 1, v - (2^61 - 1) wraps around to
-    more than v, and the minimum keeps v.
+    Coefficients run from the leading one down, evaluated by Horner's rule.
+    Every coefficient, point and partial value is below 2^31, so each step
+    acc * x + c stays below 2^63 and is exact in uint64.
     """
-    hi = v >> np.uint64(61)
-    v &= _P61
-    v += hi
-    return np.minimum(v, v - _P61, out=v)
-
-
-def _mulmod61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a * x mod 2^61 - 1 for a < 2^61 - 1 and 0 <= x < 2^32, exact in uint64.
-
-    a is split into 32-bit limbs, a = a1 2^32 + a0, so both partial
-    products fit in 64 bits.  With 2^61 = 1 (mod 2^61 - 1),
-    a1 x 2^32 = (a1 x >> 29) + ((a1 x mod 2^29) << 32), and every term of
-    the sum stays below 2^61 (Thorup, "High speed hashing for integers
-    and strings").
-    """
-    low = _fold61((a & _LOW32) * x)
-    high = (a >> np.uint64(32)) * x
-    low += high >> np.uint64(29)
-    low += (high & np.uint64((1 << 29) - 1)) << np.uint64(32)
-    return _fold61(low)
-
-
-# Points per column block of _poly61, so that a block's uint64 temporaries
-# stay in cache through every Horner step: at the 27 rows of an n = 1e4
-# count sketch each one is 432 KB.  On a 2 MB-per-core L2 host the sign and
-# bucket polynomials of that sketch took 19.5 ms at 2048 points, 26 ms at
-# 4096 and 45 ms unblocked.
-_POLY_BLOCK = 2048
-
-
-def _poly61(coeffs: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
-    """(rows, n): row i is the polynomial coeffs[i] over GF(2^61 - 1) at 0..n-1.
-
-    Coefficients run from the leading one down, evaluated by Horner's rule,
-    one column block of points at a time; each point's value depends on
-    that point alone.
-    """
-    if n > 1 << 32:
-        raise ValueError(f"hash points must stay below 2^32, got n={n}")
+    if n >= MERSENNE_31:
+        raise ValueError(f"hash points must stay below 2^31 - 1, got n={n}")
     c = np.array(coeffs, dtype=np.uint64)
-    out = np.empty((c.shape[0], n), dtype=np.uint64)
-    for x0 in range(0, n, _POLY_BLOCK):
-        x = np.arange(x0, min(x0 + _POLY_BLOCK, n), dtype=np.uint64)
-        acc = np.zeros((c.shape[0], x.size), dtype=np.uint64)
-        for j in range(c.shape[1]):
-            acc = _mulmod61(acc, x)
-            acc += c[:, j:j + 1]
-            _fold61(acc)
-        out[:, x0:x0 + x.size] = acc
-    return out
+    x = np.arange(n, dtype=np.uint64)
+    acc = np.repeat(c[:, :1], n, axis=1)
+    for j in range(1, c.shape[1]):
+        acc *= x
+        acc += c[:, j:j + 1]
+        acc %= _P31
+    return acc
 
 
 @dataclass(frozen=True)
 class CountSketchSpec:
     """Table shape plus the hash coefficients that reconstruct it.
 
-    rows = ceil(2 log2 n) and width = ceil(6 / eps^2); h_coeffs
-    holds (a, b) per row for the pairwise bucket hash, g_coeffs a
-    degree-3 coefficient tuple per row whose low output bit gives the
-    Rademacher sign.
+    rows = ceil(2 log2 n) and width = ceil(6 / eps^2).  h_coeffs holds
+    (a, b) per row for the pairwise bucket hash (a x + b mod p) mod width,
+    g_coeffs a degree-3 coefficient tuple per row, leading one first, whose
+    polynomial's low bit mod p gives the Rademacher sign; p = 2^31 - 1 and
+    every coefficient lies in [0, p), a leading one in [1, p).  The hashes
+    take the points 0..n-1, so they need n < 2^31 - 1.
     """
 
     n: int
@@ -138,7 +104,7 @@ class CountSketchSpec:
         Every row's bucket pair is drawn before any row's sign polynomial.
         """
         def coeff(lo: int) -> int:
-            return int(rng.integers(lo, MERSENNE_61))
+            return int(rng.integers(lo, MERSENNE_31))
 
         h = tuple((coeff(1), coeff(0)) for _ in range(rows))
         g = tuple((coeff(1), coeff(0), coeff(0), coeff(0)) for _ in range(rows))
@@ -146,11 +112,11 @@ class CountSketchSpec:
 
     def bucket_of(self) -> np.ndarray:
         """(rows, n) bucket index per coordinate."""
-        return (_poly61(self.h_coeffs, self.n) % np.uint64(self.width)).astype(np.int64)
+        return (_poly31(self.h_coeffs, self.n) % np.uint64(self.width)).astype(np.int64)
 
     def sign_of(self) -> np.ndarray:
         """(rows, n) Rademacher sign per coordinate."""
-        odd = (_poly61(self.g_coeffs, self.n) & np.uint64(1)).astype(np.float64)
+        odd = (_poly31(self.g_coeffs, self.n) & np.uint64(1)).astype(np.float64)
         return 2.0 * odd - 1.0
 
 

@@ -1,7 +1,9 @@
 """Count-sketch tables, point estimates, and the heavy hitter filter."""
 
 import dataclasses
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from helpers import paper_exponent_bracket, tree_of
 from sketchcast.fp_high import lower_median
 from sketchcast.harness import ExperimentSpec, generate_players
 from sketchcast.heavy_hitters import (
-    MERSENNE_61,
+    MERSENNE_31,
     CountSketchSpec,
-    _poly61,
+    _poly31,
     bucket_sums,
     estimates_from_table,
     heavy_hitters,
@@ -24,12 +26,12 @@ from sketchcast.topology import grid, line, star
 
 
 def _poly_mod(coeffs: tuple[int, ...], n: int) -> list[int]:
-    """Evaluate a polynomial over GF(2^61 - 1) at 0..n-1 by Horner, in Python integers."""
+    """Evaluate a polynomial over GF(2^31 - 1) at 0..n-1 by Horner, in Python integers."""
     out = []
     for x in range(n):
         acc = 0
         for c in coeffs:
-            acc = (acc * x + c) % MERSENNE_61
+            acc = (acc * x + c) % MERSENNE_31
         out.append(acc)
     return out
 
@@ -44,22 +46,22 @@ def test_poly_mod_matches_horner_by_hand():
     assert _poly_mod((3, 5), 4) == [5, 8, 11, 14]
     assert _poly_mod((1, 0, 0, 0), 4) == [0, 1, 8, 27]
     # wraparound stays inside the field
-    assert _poly_mod((MERSENNE_61 - 1, 1), 2) == [1, MERSENNE_61 - 1 + 1 - MERSENNE_61]
+    assert _poly_mod((MERSENNE_31 - 1, 1), 2) == [1, MERSENNE_31 - 1 + 1 - MERSENNE_31]
 
 
 @pytest.mark.parametrize("coeffs", [
     (0, 0),
-    (MERSENNE_61 - 1, MERSENNE_61 - 1),
+    (MERSENNE_31 - 1, MERSENNE_31 - 1),
     (0, 0, 0, 0),
-    (MERSENNE_61 - 1, MERSENNE_61 - 1, MERSENNE_61 - 1, MERSENNE_61 - 1),
-    (MERSENNE_61 - 1, 0, MERSENNE_61 - 1, 0),
+    (MERSENNE_31 - 1, MERSENNE_31 - 1, MERSENNE_31 - 1, MERSENNE_31 - 1),
+    (MERSENNE_31 - 1, 0, MERSENNE_31 - 1, 0),
 ])
 def test_vectorised_hashes_equal_horner_at_extreme_coefficients(coeffs):
-    # n around one and two 2048-point column blocks and past several, with a
-    # second row, the coefficients reversed, running through the same blocks
+    # n from a single point to 10^5, with a second row, the coefficients
+    # reversed, hashed in the same call
     rows = (coeffs, coeffs[::-1])
     for n in (1, 2047, 2048, 2049, 4095, 4096, 4097, 10_000, 10**5):
-        got = _poly61(rows, n)
+        got = _poly31(rows, n)
         assert got.shape == (2, n) and got.dtype == np.uint64
         for row, c in zip(got, rows):
             assert np.array_equal(row, np.array(_poly_mod(c, n), dtype=np.uint64))
@@ -85,7 +87,7 @@ def test_build_shapes_and_determinism():
     assert spec == CountSketchSpec.build(1000, 0.25, seed=5)
     assert spec != CountSketchSpec.build(1000, 0.25, seed=6)
     for a, b in spec.h_coeffs:
-        assert 1 <= a < MERSENNE_61 and 0 <= b < MERSENNE_61
+        assert 1 <= a < MERSENNE_31 and 0 <= b < MERSENNE_31
 
 
 def test_build_validation():
@@ -106,6 +108,53 @@ def test_hash_ranges():
     assert bucket.shape == sign.shape == (spec.rows, 200)
     assert bucket.min() >= 0 and bucket.max() < spec.width
     assert set(np.unique(sign)) == {-1.0, 1.0}
+
+
+class _NoNumpy:
+    """Stands in for numpy where no array may be made."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the universe guard")
+
+
+@pytest.mark.parametrize("n", [MERSENNE_31, 1 << 32])
+def test_hashes_reject_universe_past_the_field_before_allocating(n, monkeypatch):
+    spec = CountSketchSpec(n=n, rows=1, width=6, h_coeffs=((1, 0),), g_coeffs=((1, 0, 0, 0),))
+    monkeypatch.setattr(sys.modules[CountSketchSpec.__module__], "np", _NoNumpy())
+    for hashes in (spec.bucket_of, spec.sign_of, lambda: _poly31(spec.h_coeffs, n)):
+        with pytest.raises(ValueError, match="2\\^31 - 1"):
+            hashes()
+
+
+# Spec draws per independence test, each one row, hashed as one table: the
+# tolerances are 4 sigma of the mean of this many draws.
+_LAW_DRAWS = 20_000
+
+
+@functools.cache
+def _drawn_rows(width: int) -> CountSketchSpec:
+    rng = np.random.default_rng(11)
+    specs = [CountSketchSpec.draw(1000, 1, width, rng) for _ in range(_LAW_DRAWS)]
+    return CountSketchSpec(1000, _LAW_DRAWS, width,
+                           tuple(s.h_coeffs[0] for s in specs),
+                           tuple(s.g_coeffs[0] for s in specs))
+
+
+@pytest.mark.parametrize("width", [6, 37])
+def test_bucket_pairs_collide_at_rate_one_over_width(width):
+    bucket = _drawn_rows(width).bucket_of()
+    for x1, x2 in [(0, 1), (2, 999), (500, 501)]:
+        rate = np.mean(bucket[:, x1] == bucket[:, x2])
+        sigma = math.sqrt((1 / width) * (1 - 1 / width) / _LAW_DRAWS)
+        assert abs(rate - 1 / width) < 4 * sigma, (x1, x2, rate)
+
+
+def test_sign_pairs_and_quadruples_are_uncorrelated():
+    sign = _drawn_rows(6).sign_of()
+    sigma = 1 / math.sqrt(_LAW_DRAWS)
+    for points in [(0, 1), (3, 998), (0, 1, 2, 3), (0, 7, 500, 999)]:
+        mean = np.prod(sign[:, points], axis=1).mean()
+        assert abs(mean) < 4 * sigma, (points, mean)
 
 
 def test_local_table_by_hand():
