@@ -57,12 +57,12 @@ PINNED = {
         "366076946f17257ada4e25fa95e3e2da703c6afac4d02ac6a82208f436c5ee73",
     ),
     "hh-line": (
-        "fea4dc09079c594e5e0388bf2617deb8b9ce38f94eec7fd9dc598c917e611d2b",
-        "3ec5e0ce467dc1dde21ac0ed3e4e869021ad1d728d6d95ba25e45befe51ab7be",
+        "8ff699a6d0f71257512d6386ab7aa41620f825b54375427762d52f1683ca8e93",
+        "f744771ccb9562a106912092e4dd5135e691e8a2a40a4fca2566539bfc5d433d",
     ),
     "amp-star": (
-        "7885b3b21e1c1179f3d60245a48e88c8c82e1e7bf3cc844802bc1a3622a8e198",
-        "cd8de03bdfc430a664c7faaa6176e7c3db2785a063875c777a262fcd625bb553",
+        "d17077e8a652216b139f8a8b46a362ff955b868ef0ffa1f57f372c9c1eda6b37",
+        "ffc22a2174eb31f3d067ab0551daef42092513ac7445a06d4629d55ce18842c9",
     ),
     "stream-fp-exact-y": (
         "baef98e6c9f9a3d53123cfa3aeb6da1bcf3ba00d3574986f69b9d572cb5a0473",
@@ -81,12 +81,12 @@ PINNED = {
         "52004b7625c5ec3e741fd1918a9a5e2b9500aaa5e84863229023d0e6525d4161",
     ),
     "amp-grid-sparse": (
-        "05ffc7ef2758e9a1ba4ff2d94bdd7c2f1e09922d1debc53c05b9e5139a2c4f18",
-        "977d75b65f7221cf3d7552db36a2dcd6db324850a081aa5acd2c445a3fafeb5a",
+        "5e7013ce57916dd70705713f7450d7fe22dec50b3e827838bb9e5d0fe59b6392",
+        "8ea7cbb068b99760606b29ee1c4354449d05705d9b2e318ab1eb52d0cdcc275a",
     ),
     "hh-grid": (
-        "6eadd0b61e168d4110f74739f03ff7941a2d06110d276d35b78d2878ed109dc3",
-        "ff4496c1dc308517e542b9b087847b51d37d3d51c4ae65e1bafe75894e7fcaa1",
+        "d9c3eb55b1ad669e5c73f2a895d4d35f8c5101dcbbcfa9a758ed504f8f0d042a",
+        "073eb01a87467b5a2f878550848f553938ae76256767ccf85f5429152cf85814",
     ),
 }
 
