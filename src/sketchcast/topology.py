@@ -112,8 +112,11 @@ def make_topology(m: int, edges) -> Topology:
     return Topology(m=m, edges=tuple(cleaned))
 
 
-def _bfs_dist(adj: list[list[int]], src: int) -> list[int]:
+def _bfs(adj: list[list[int]], src: int) -> tuple[list[int], list[int]]:
+    """(distance, parent) of every vertex in a BFS from ``src``, scanning
+    neighbours in ``adj`` order; -1 where unreached and as ``src``'s parent."""
     dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
     dist[src] = 0
     q = deque([src])
     while q:
@@ -121,8 +124,9 @@ def _bfs_dist(adj: list[list[int]], src: int) -> list[int]:
         for v in adj[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
+                parent[v] = u
                 q.append(v)
-    return dist
+    return dist, parent
 
 
 def center(g: Topology) -> int:
@@ -158,7 +162,7 @@ def center(g: Topology) -> int:
         else:
             w = int(np.argmax(np.where(open_, upper, -1)))
         probes += 1
-        dist = np.asarray(_bfs_dist(adj, w))
+        dist = np.asarray(_bfs(adj, w)[0])
         if dist.min() < 0:
             raise TopologyError("graph is disconnected")
         e = dist.max()
@@ -170,20 +174,11 @@ def spanning_tree(g: Topology, root: int) -> SpanningTree:
     """BFS shortest-path tree; children visited in ascending id order."""
     if not 0 <= root < g.m:
         raise TopologyError(f"root {root} not a vertex")
-    adj = g.adjacency()
-    dist = [-1] * g.m
-    dist[root] = 0
-    parent = [-1] * g.m
+    dist, parent = _bfs(g.adjacency(), root)
     children: list[list[int]] = [[] for _ in range(g.m)]
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                children[u].append(v)
-                q.append(v)
+    for v, u in enumerate(parent):
+        if u >= 0:
+            children[u].append(v)
     if min(dist) < 0:
         raise TopologyError("graph is disconnected")
     depth = max(dist)

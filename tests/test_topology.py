@@ -150,13 +150,13 @@ def test_center_matches_brute_force_on_every_small_grid():
                          ids=["grid32x32", "line257", "binary1023", "star5000"])
 def test_center_needs_few_bfs_runs(g, monkeypatch):
     calls = []
-    bfs = topology._bfs_dist
+    bfs = topology._bfs
 
     def counting_bfs(adj, src):
         calls.append(src)
         return bfs(adj, src)
 
-    monkeypatch.setattr(topology, "_bfs_dist", counting_bfs)
+    monkeypatch.setattr(topology, "_bfs", counting_bfs)
     center(g)
     assert 1 <= len(calls) <= 10
 
