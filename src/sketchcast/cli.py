@@ -22,7 +22,7 @@ import sys
 
 from .engine import CODECS
 from .entropy import entropy_to_bits
-from .fp_low import LOGCOSINE_MODES
+from .fp_low import LOGCOSINE_MODES, NETWORK_MIN_P
 from .harness import (
     CHECK_THRESHOLDS,
     ExperimentSpec,
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = top.add_parser("simulate", help="run a distributed protocol")
     sim = simulate.add_subparsers(dest="protocol", required=True)
 
-    fp = sim.add_parser("fp", help="frequency moment F_p, p in [0.1,2]")
+    fp = sim.add_parser("fp", help=f"frequency moment F_p, p in [{NETWORK_MIN_P:g},2]")
     fp.add_argument("--p", type=float, required=True)
     _add_common(fp, "fp")
 

@@ -52,6 +52,12 @@ def test_parser_requires_a_command():
         build_parser().parse_args(["simulate", "fp"])  # --p is mandatory
 
 
+def test_simulate_help_names_the_fp_p_floor(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["simulate", "--help"])
+    assert "p in [0.05,2]" in capsys.readouterr().out
+
+
 def test_simulate_fp_writes_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "trials.csv"
     summary = tmp_path / "summary.json"
