@@ -1,15 +1,11 @@
 """Count-sketch point estimation and L2 heavy hitters over a convergecast.
 
-Each of the ell rows hashes coordinates into w buckets with a pairwise
-multiply-mod-prime hash, (a x + b mod p) mod w, and flips signs by the low
-bit of a 4-wise cubic polynomial mod p (Carter & Wegman, "Universal
-classes of hash functions", 1979).  Both are over the Mersenne prime
-p = 2^31 - 1: coefficients and points lie below p, so each Horner step
-acc * x + c stays below 2^63 and plain uint64 arithmetic is exact.  The
-points are the coordinates, so the universe is n < 2^31 - 1.  Reducing a
-uniform value mod w leaves each bucket's probability within 1/p of 1/w,
-a bias of at most w/p in total, and the low bit of a uniform value mod
-the odd p is 1 with probability 1/2 - 1/(2p).  Every player builds its local
+Each of the ell rows hashes coordinates into w buckets with the pairwise
+multiply-mod-prime hash (a x + b mod p) mod w, and flips signs by the low
+bit of a 4-wise cubic mod p (Carter & Wegman 1979), over p = 2^31 - 1.
+Coefficients and points lie below p, so each Horner step acc * x + c
+stays below 2^63, exact in uint64.  The universe is n < 2^31 - 1, and mod
+w leaves the buckets within w/p of uniform.  Every player builds its local
 ell-by-w table, the flattened tables are aggregated through the rounding
 convergecast, and the coordinator reports the lower median of the signed
 bucket reads per coordinate.  The estimates satisfy
@@ -46,9 +42,8 @@ _P31 = np.uint64(MERSENNE_31)
 def _poly31(coeffs: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
     """(rows, n): row i is the polynomial coeffs[i] over GF(2^31 - 1) at 0..n-1.
 
-    Coefficients run from the leading one down, evaluated by Horner's rule.
-    Every coefficient, point and partial value is below 2^31, so each step
-    acc * x + c stays below 2^63 and is exact in uint64.
+    Coefficients run from the leading one down, evaluated by Horner's rule;
+    they and the points lie below 2^31, so acc * x + c < 2^63 is exact.
     """
     if n >= MERSENNE_31:
         raise ValueError(f"hash points must stay below 2^31 - 1, got n={n}")
@@ -66,12 +61,10 @@ def _poly31(coeffs: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
 class CountSketchSpec:
     """Table shape plus the hash coefficients that reconstruct it.
 
-    rows = ceil(2 log2 n) and width = ceil(6 / eps^2).  h_coeffs holds
-    (a, b) per row for the pairwise bucket hash (a x + b mod p) mod width,
-    g_coeffs a degree-3 coefficient tuple per row, leading one first, whose
-    polynomial's low bit mod p gives the Rademacher sign; p = 2^31 - 1 and
-    every coefficient lies in [0, p), a leading one in [1, p).  The hashes
-    take the points 0..n-1, so they need n < 2^31 - 1.
+    rows = ceil(2 log2 n) and width = ceil(6 / eps^2); h_coeffs holds
+    (a, b) per row for the bucket hash (a x + b mod p) mod width, g_coeffs
+    a degree-3 coefficient tuple per row, leading first, whose low output
+    bit gives the Rademacher sign; p = 2^31 - 1 and every one lies below p.
     """
 
     n: int
