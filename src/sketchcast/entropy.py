@@ -8,8 +8,10 @@ coordinator therefore reports H = -ln((1/k) sum_i e^{y_i}).
 
 Both verbs decode the same k + 1 lanes: the k sketch rows, scaled by
 eta, plus an F_1 lane that estimates ||X||_1 for the normalization.  The
-skewed sketch is drawn only in the columns the data holds (``stable``),
-so a coordinate no player or stream update touches costs nothing.  The
+skewed sketch draws one column per distinct count column among those the
+data holds (``stable``): g coordinates with the same counts cost one
+column, scaled to g Z - g ln g, and a coordinate no player or stream
+update touches costs nothing.  The
 network verb sums them as rounded values, as fp does
 (``fp_high._sketch_sum``), or exactly with ``codec="exact"``; the stream
 verb sums them exactly.  Estimates are in nats, clamped to [0, ln n];

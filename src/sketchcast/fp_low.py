@@ -1,8 +1,9 @@
 """F_p estimation for p in (0, 1] with p-stable sketches sent as rounded values.
 
 Each player sketches its counts with a shared p-stable matrix at
-precision eta, of which only the columns some player holds are drawn
-(``stable``), and the tree sums the k rows as fp p > 1 does
+precision eta (``stable``): only the columns some player holds are drawn,
+one per distinct column of counts, scaled to the law of the columns it
+stands for, and the tree sums the k rows as fp p > 1 does
 (``fp_high._sketch_sum``): stochastically rounded on every hop, or
 exactly with ``codec="exact"``.  The root reports
 (lower_median |y_i| / theta_p)^p.  The grid is ``gamma_for``'s at eps,
@@ -18,8 +19,8 @@ Also hosts the log-cosine streaming estimator in random-oracle mode: it
 maintains y = S X (exactly, or through signed Morris counters) plus an
 independent coarse sketch y' and returns
 R = y'_med * (-ln mean_i cos(y_i / y'_med)).  S is never stored: its
-columns are regenerated from the seed, and only those of coordinates the
-stream touches are drawn.
+columns are regenerated from the seed, one per distinct count among the
+coordinates the stream touches.
 """
 
 from __future__ import annotations

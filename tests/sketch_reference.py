@@ -2,12 +2,15 @@
 
 ``dense_entries`` draws a stable sketch as one dense matrix: one
 generator draws all k*n uniforms, then the k*n doubles V behind the
-exponentials -log1p(-V), the transform runs with fresh temporaries over
-the whole matrix, and cell c fills column c // k, row c % k.  The
-column-addressable ``StableSketch`` must reproduce any of its columns bit
-for bit, and ``blocked_product`` is the product ``StableSketch.apply``
-must return: the dense entries' block products over the data's held
-columns, summed in block order.
+exponentials -log1p(-V), the transform runs with fresh temporaries, and
+cell c fills column c // k, row c % k; ``dense_draws`` are its values
+before the eta rounding.  The column-addressable ``StableSketch`` must
+reproduce any of its columns bit for bit.  ``blocked_product`` sums a
+product as ``StableSketch.apply`` does: the block products over the
+data's held columns, in block order.  ``grouped_product`` is the product
+``apply`` must return: held columns with identical data (``data_groups``)
+draw their group's first column once, scaled to the law of the group's
+sum before the rounding (``grouped_entries``).
 ``count_sketch`` is amp's count sketch as a dense matrix, and
 ``dense_amp_payload`` and ``sketch_product`` multiply by it: the per-player
 payload and the pooled sketch product.  The stable samplers here are the test
@@ -171,14 +174,29 @@ def montecarlo_median_abs(p: float, samples: int, seed: int) -> float:
     return float(np.median(np.abs(z)))
 
 
+def dense_draws(k: int, n: int, p: float, seed=0, skewed: bool = False,
+                cols=None) -> np.ndarray:
+    """The unrounded k x n draws of build_sketch(...), or the k x len(cols) of columns ``cols``.
+
+    The transform runs on 2^20 cells at a time, which moves no value: it
+    is elementwise.
+    """
+    rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
+    cols = np.arange(n) if cols is None else np.asarray(cols)
+    u = rng.random(k * n).reshape(n, k)[cols]
+    v = rng.random(k * n).reshape(n, k)[cols]
+    law = SKEWED if skewed else StableLaw(p=p)
+    step = max(1, (1 << 20) // k)
+    for a in range(0, cols.size, step):
+        w = -np.log1p(-v[a:a + step])
+        u[a:a + step] = stable_from(law, (u[a:a + step] - 0.5) * np.pi, w)
+    return u.T
+
+
 def dense_entries(k: int, n: int, p: float, eta: float, seed=0,
                   skewed: bool = False) -> np.ndarray:
     """The k x n integer entries of build_sketch(...) drawn as one dense matrix."""
-    rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
-    u = (rng.random(k * n) - 0.5) * np.pi
-    w = -np.log1p(-rng.random(k * n))
-    z = stable_from(SKEWED if skewed else StableLaw(p=p), u, w)
-    return np.rint(z / eta).reshape(n, k).T
+    return np.rint(dense_draws(k, n, p, seed, skewed) / eta)
 
 
 def streamed_entries(sk, cols=None) -> np.ndarray:
@@ -202,6 +220,45 @@ def blocked_product(entries: np.ndarray, data: np.ndarray, width: int) -> np.nda
         part = data[..., ids] @ np.ascontiguousarray(entries[:, ids].T)
         out = part if b0 == 0 else out + part
     return out
+
+
+def data_groups(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first column of each group, group sizes) of the held columns with identical data bytes."""
+    held = np.flatnonzero(data.any(axis=0) if data.ndim == 2 else data)
+    groups: dict[bytes, list[int]] = {}
+    for j in held.tolist():
+        groups.setdefault(data[..., j].tobytes(), []).append(j)
+    return (np.array([g[0] for g in groups.values()], dtype=np.int64),
+            np.array([len(g) for g in groups.values()], dtype=np.int64))
+
+
+def grouped_entries(k: int, p: float, eta: float, seed, data: np.ndarray,
+                    skewed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(the groups' first columns, their k x groups entries) that ``StableSketch.apply`` multiplies.
+
+    Each group of g held columns with identical data takes the unrounded
+    dense draws of its first column, scaled to the law of a sum of g
+    cells (g^{1/p} Z, or g Z - g ln g for the skewed law), then
+    eta-rounded.  With no repeated column every g is 1 and these are the
+    dense entries of the held columns.
+    """
+    firsts, sizes = data_groups(data)
+    g = sizes.astype(np.float64)
+    z = dense_draws(k, data.shape[-1], p, seed, skewed, cols=firsts)
+    if skewed:
+        z *= g
+        z -= g * np.log(g)
+    else:
+        z *= g ** (1.0 / p)
+    z /= eta
+    return firsts, np.rint(z, out=z)
+
+
+def grouped_product(k: int, p: float, eta: float, seed, data: np.ndarray, width: int,
+                    skewed: bool = False) -> np.ndarray:
+    """The product ``StableSketch.apply`` returns: the blocked product over the groups' first columns."""
+    firsts, entries = grouped_entries(k, p, eta, seed, data, skewed)
+    return blocked_product(entries, data[..., firsts], width)
 
 
 def count_sketch(n: int, k: int, seed) -> np.ndarray:

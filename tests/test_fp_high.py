@@ -7,6 +7,7 @@ import pytest
 
 from bitcodec import rounded_len_bound
 from helpers import paper_exponent_bracket, tree_of
+from sketch_reference import data_groups, dense_entries
 from sketchcast import kernels
 from sketchcast.engine import CODECS
 from sketchcast.fp_high import (
@@ -18,7 +19,7 @@ from sketchcast.fp_high import (
 )
 from sketchcast.oracles import frequency_moment, lp_norm
 from sketchcast.rounding import gamma_for
-from sketchcast.stable import build_sketch, median_abs
+from sketchcast.stable import median_abs
 from sketchcast.streams import DOMAIN_SKETCH, substream
 from sketchcast.topology import line, star
 
@@ -149,15 +150,17 @@ def test_single_player_l2_norm_of_3_4():
 
 def test_exact_codec_matches_pooled_estimator():
     # Shipping raw float64 sketches must reproduce the centralized
-    # median-of-coordinates estimate on the pooled counts.
+    # median-of-coordinates estimate on the pooled counts.  The players
+    # repeat no column, so their sketch is the fixed dense one.
     cfg = FpHighConfig(p=1.5, eps=0.25)
     rng = np.random.default_rng(11)
     data = rng.integers(0, 50, size=(6, 40)).astype(np.float64)
+    assert data_groups(data)[0].size == np.count_nonzero(data.any(axis=0))
     seed = 17
     norm, fp, _ = estimate_fp_high(data, tree_of(star(6)), cfg, seed, codec="exact")
 
-    sk = build_sketch(cfg.k, 40, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
-    pooled = cfg.eta * sk.apply(data.sum(axis=0))
+    entries = dense_entries(cfg.k, 40, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
+    pooled = cfg.eta * (entries @ data.sum(axis=0))
     want = lower_median(np.abs(pooled)) / median_abs(cfg.p)
     assert math.isclose(norm, want, rel_tol=1e-12)
     assert math.isclose(fp, want**cfg.p, rel_tol=1e-12)

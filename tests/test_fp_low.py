@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import tree_of
+from sketch_reference import data_groups, dense_entries
 from sketchcast import morris
 from sketchcast.engine import CODECS
 from sketchcast.entropy import EntropyConfig, estimate_entropy
@@ -19,7 +20,7 @@ from sketchcast.fp_low import (
 )
 from sketchcast.harness import CHECK_THRESHOLDS, ExperimentSpec, run_experiment
 from sketchcast.oracles import frequency_moment, lp_norm
-from sketchcast.stable import build_sketch, median_abs
+from sketchcast.stable import median_abs
 from sketchcast.streams import DOMAIN_SKETCH, substream
 from sketchcast.topology import line, star
 
@@ -94,16 +95,18 @@ def test_single_unit_coordinate_is_near_one():
 
 def test_exact_codec_matches_the_uncompressed_formula():
     # codec="exact" sums the sketch rows unrounded, so the estimate is the
-    # formula on the aggregate, and each sending edge meters 64 bits a row
+    # formula on the aggregate, and each sending edge meters 64 bits a row.
+    # The players repeat no column, so their sketch is the fixed dense one.
     cfg = FpLowConfig(p=0.5, eps=0.2)
     rng = np.random.default_rng(3)
     data = rng.integers(0, 6, size=(4, 8)).astype(np.float64)
     data[:, 0] = 5.0  # every player sends
+    assert data_groups(data)[0].size == np.count_nonzero(data.any(axis=0))
     seed = 42
     est, stats = estimate_fp_low(data, tree_of(line(4)), cfg, seed, codec="exact")
 
-    sk = build_sketch(cfg.k, 8, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
-    want = (cfg.eta * lower_median(np.abs(sk.apply(data.sum(axis=0))))
+    entries = dense_entries(cfg.k, 8, cfg.p, cfg.eta, substream(seed, DOMAIN_SKETCH))
+    want = (cfg.eta * lower_median(np.abs(entries @ data.sum(axis=0)))
             / median_abs(cfg.p)) ** cfg.p
     assert math.isclose(est, want, rel_tol=1e-9)
     assert set(stats.per_edge_bits.values()) == {1 + 64 * cfg.k}

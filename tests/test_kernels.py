@@ -136,22 +136,24 @@ for shape, gamma, floor in [((2, 192), 1e-3, 1e-6), ((32, 608), 0.05, 0.0),
           and decoded.tobytes() == want[2].tobytes()
           and np.array_equal(extents, rounded_extents(*want[:2]), equal_nan=True))
 
-from sketch_reference import blocked_product, dense_entries, streamed_entries
+from sketch_reference import data_groups, dense_entries, grouped_product, streamed_entries
 
-# about half the columns held, in runs of a few
+# about half the columns held, in runs of a few, many of them repeated
 data = rng.integers(0, 4, (16, 3000)) * (rng.random((16, 3000)) < 0.05)
 chunks = (1 << 13, stable.CHUNK_CELLS)
 for p, skewed in [(0.5, False), (1.5, False), (1.0, True)]:
     sketch = stable.build_sketch(120, 3000, p, seed=17, skewed=skewed)
     entries = dense_entries(120, 3000, p, stable.DEFAULT_ETA, seed=17, skewed=skewed)
     held = np.flatnonzero(data.any(axis=0))
-    want = blocked_product(entries, data, stable.BLOCK_CELLS // 120).tobytes()
+    want = grouped_product(120, p, stable.DEFAULT_ETA, 17, data, stable.BLOCK_CELLS // 120,
+                           skewed).tobytes()
     products, columns = [], []
     for chunk in chunks:
         stable.CHUNK_CELLS = chunk
         products.append(sketch.apply(data).tobytes())
         columns.append(streamed_entries(sketch, held).tobytes())
     print(p, skewed, chunks[0] != chunks[1] and 0.3 < held.size / 3000 < 0.7
+          and data_groups(data)[0].size < held.size
           and products[0] == products[1] == want
           and columns[0] == columns[1] == entries[:, held].tobytes())
 """

@@ -19,7 +19,10 @@ from sketch_reference import (
     SKEWED,
     StableLaw,
     blocked_product,
+    data_groups,
     dense_entries,
+    grouped_entries,
+    grouped_product,
     sample_stable,
     sample_stable_array,
     streamed_entries,
@@ -286,7 +289,7 @@ def test_skewed_kernel_draws_split_at_the_standard_median():
 @pytest.mark.parametrize("k, n, p, beta, gamma_scale", [
     (101, 9000, 1.5, 0.0, 1.0),               # four column blocks, the last one short
     (33, 1, 0.5, 0.0, 1.0),                   # n = 1
-    (3, CHUNK + 17, 0.5, 0.0, 1.0),           # chunks that split columns
+    (3, CHUNK + 17, 0.5, 0.0, 1.0),           # k does not divide the chunk
     (70, 500, 0.25, 0.0, 1.0),                # heavy tails at small p
     (70, 5000, 1.0, -1.0, math.pi / 2),       # skewed p=1
     (70, 5000, 1.0, 0.0, 1.0),                # symmetric p=1, the tan path
@@ -346,12 +349,18 @@ def test_column_blocks_hold_block_cells_over_k_columns():
 
 
 def test_apply_matches_dense_products_at_small_shapes():
+    # The data repeat no column, so every group is one column and apply is
+    # the product with the dense sketch itself, one GEMM at this shape.
     sk = build_sketch(50, 300, 1.5, 2.0**-30, seed=6)
     entries = dense_entries(50, 300, 1.5, 2.0**-30, seed=6)
     data = np.random.default_rng(7).integers(0, 9, size=(6, 300)).astype(np.float64)
+    assert data_groups(data)[0].size == 300
     assert np.array_equal(sk.apply(data), data @ entries.T)
     assert np.array_equal(sk.eta * sk.apply(data), data @ (entries * 2.0**-30).T)
-    assert np.array_equal(sk.apply(data[2]), entries @ data[2])
+    # a row repeats its values, so its groups draw once each
+    assert data_groups(data[2])[0].size < 300
+    want = grouped_product(50, 1.5, 2.0**-30, 6, data[2], stable.BLOCK_CELLS // 50)
+    assert np.array_equal(sk.apply(data[2]), want)
     with pytest.raises(ValueError):
         sk.apply(np.ones(299))
 
@@ -386,15 +395,15 @@ def test_apply_on_held_columns_equals_the_blocked_oracle(monkeypatch, k, n, p, s
                                                          block_cells):
     monkeypatch.setattr(stable, "BLOCK_CELLS", block_cells)
     sk = build_sketch(k, n, p, 2.0**-20, seed=26, skewed=skewed)
-    entries = dense_entries(k, n, p, 2.0**-20, seed=26, skewed=skewed)
     width = max(1, block_cells // k)
     for cols in _column_sets(n, 27):
         data = _held_data(6, n, cols, 28)
         for x in (data, data[int(np.argmax(data.any(axis=1)))]):
             got = sk.apply(x)
-            want = blocked_product(entries, x, width)
+            firsts, entries = grouped_entries(k, p, 2.0**-20, 26, x, skewed)
+            want = blocked_product(entries, x[..., firsts], width)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            assert _dense_gap_ok(got, x, entries)
+            assert _dense_gap_ok(got, x[..., firsts], entries)
 
 
 def test_apply_on_all_zero_data_draws_nothing(monkeypatch):
@@ -410,37 +419,94 @@ def test_apply_on_all_zero_data_draws_nothing(monkeypatch):
     assert sk.seed.n_children_spawned == 0
 
 
+@pytest.mark.parametrize("p, skewed", [(0.5, False), (1.0, False), (1.5, False), (2.0, False),
+                                      (1.0, True)])
+def test_grouped_apply_has_the_law_of_the_fixed_sketch_product(p, skewed):
+    # 40 columns in two groups of repeated values: apply draws two columns,
+    # scaled by group, where the fixed dense sketch sums all 40 per row.
+    x = np.where(np.arange(40) % 3 == 0, 2.0, 5.0)
+    assert data_groups(x)[1].tolist() == [14, 26]
+    got = build_sketch(4000, 40, p, 2.0**-30, seed=31, skewed=skewed).apply(x)
+    want = dense_entries(4000, 40, p, 2.0**-30, seed=32, skewed=skewed) @ x
+    assert stats.ks_2samp(got, want).pvalue >= 0.01
+
+
+def test_one_repeated_value_shifts_the_skewed_median_by_the_entropy():
+    # x uniform on n coordinates has entropy H = ln n, and its normalized
+    # rows, all drawn from one scaled column, follow F(1, -1, pi/2, H).
+    n = 50
+    x = np.full(n, 3.0)
+    sk = build_sketch(4 * 10**5, n, 1.0, 2.0**-30, seed=33, skewed=True)
+    rows = sk.eta * sk.apply(x) / x.sum()
+    assert abs(np.median(rows) - (MEDIAN_SKEWED_STANDARD - math.log(n))) < 0.02
+
+
+def _near_twins(m, pairs, seed):
+    """(m, 2 pairs) counts in column pairs (2i, 2i + 1), no two pairs alike.
+
+    The pairs of odd i are equal; those of even i are one ulp apart in one row.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.integers(1, 4, size=(m, pairs)).astype(np.float64)
+    base[0] = np.arange(1, pairs + 1)
+    data = np.repeat(base, 2, axis=1)
+    nudged = 4 * np.arange((pairs + 1) // 2) + 1
+    rows = rng.integers(0, m, nudged.size)
+    data[rows, nudged] = np.nextafter(data[rows, nudged], np.inf)
+    return data, nudged
+
+
+@pytest.mark.parametrize("weights", ["fixed", "colliding"])
+def test_grouping_never_merges_unequal_columns(monkeypatch, weights):
+    # Columns one ulp apart in one row stay apart, with the fixed key
+    # weights and with weights under which every key collides.
+    if weights == "colliding":
+        monkeypatch.setattr(stable, "_key_weights", lambda m: np.zeros(m))
+    data, nudged = _near_twins(5, 20, 34)
+    sk = build_sketch(30, 40, 1.5, 2.0**-20, seed=35)
+    firsts, sizes = data_groups(data)
+    assert firsts.size == 30 and sizes.max() == 2 and np.all(np.isin(nudged, firsts))
+    want = grouped_product(30, 1.5, 2.0**-20, 35, data, stable.BLOCK_CELLS // 30)
+    assert np.array_equal(sk.apply(data).view(np.int64), want.view(np.int64))
+    # with no repeated column, apply is the fixed sketch's product
+    distinct = data[:, firsts]
+    sk = build_sketch(30, distinct.shape[1], 1.5, 2.0**-20, seed=35)
+    entries = dense_entries(30, distinct.shape[1], 1.5, 2.0**-20, seed=35)
+    assert np.array_equal(sk.apply(distinct), distinct @ entries.T)
+
+
 # The products of the benchmark's wide star (m=16 players, n=1e4) at each
 # protocol's CLI accuracy, with BLAS on one thread as the benchmark runs it:
 # (k, p, skewed, scaled, players).  Scaled compares eta * apply
 # with the product of the eta-scaled sketch, as fp_high uses it.  Players
 # = 0 is S @ x.  Each product must equal the blocked oracle over the
-# sketch's own columns bit for bit, and the one-GEMM product within the
-# summation bound of _dense_gap_ok.
+# groups' first columns and their scaled dense entries bit for bit, and
+# their one-GEMM product within the summation bound of _dense_gap_ok.
 _WIDE_PRODUCTS = r"""
 import sys
 import numpy as np
 from sketchcast import stable
 from sketchcast.stable import build_sketch
 sys.path.insert(0, sys.argv[1])
-from sketch_reference import blocked_product, streamed_entries
+from sketch_reference import blocked_product, grouped_entries
 from test_stable import _dense_gap_ok
 cases = [(1200, 1.5, False, True, 16), (800, 0.5, False, False, 16), (300, 1.0, True, False, 16),
          (356, 0.5, False, False, 0), (300, 1.0, True, False, 0)]
 rng = np.random.default_rng(8)
 for k, p, skewed, scaled, m in cases:
     sk = build_sketch(k, 10**4, p, 2.0**-20, seed=9, skewed=skewed)
-    s = streamed_entries(sk)
-    if scaled:
-        s *= sk.eta
     data = rng.integers(0, 4, size=(max(m, 1), 10**4)) * (rng.random((max(m, 1), 10**4)) < 0.3)
     data = data.astype(np.float64)
     x = data[0] if m == 0 else data
+    firsts, s = grouped_entries(k, p, 2.0**-20, 9, x, skewed)
+    if scaled:
+        s *= sk.eta
     got = sk.apply(x)
     if scaled:
         got = sk.eta * got
-    want = blocked_product(s, x, stable.BLOCK_CELLS // k)
-    print(k, m, np.array_equal(got, want) and _dense_gap_ok(got, x, s))
+    want = blocked_product(s, x[..., firsts], stable.BLOCK_CELLS // k)
+    print(k, m, firsts.size < np.count_nonzero(x.any(axis=0) if m else x)
+          and np.array_equal(got, want) and _dense_gap_ok(got, x[..., firsts], s))
 """
 
 
