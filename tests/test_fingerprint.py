@@ -45,16 +45,16 @@ SPECS = {
 # (sha256 of the CSV, sha256 of the summary JSON) per spec
 PINNED = {
     "fp-p1.5-star": (
-        "f6f22471136fe6a7f90925e5b23b9b52bd278a25a569a809fcb743db9e04661a",
-        "629b95b42da13684ff62ac91db52031eb4d81680506ef6be3e5f8631ef5e32e6",
+        "7a4ac59b3a8b8f7e4fb859e3a9cb40fc2cd757b800732e0216cf1d9800b5abd1",
+        "af4fc5a9bfbc6348eb685227d3a6d788dfb4a3835c9b283f4cc9e2f492cd52c8",
     ),
     "fp-p0.5-line": (
-        "fc4258f49cc8c3b210b632a8d03051f12003a60da420f67c412156738ab9aa24",
-        "2f7bbc5e5a1bb2bee1cc2208fdfc245f6afb3b94e5cf444463d93dd25946662b",
+        "11ecdef5ebfcf157f7c7212e4067110261a7b92a7f8c4a67dabedc57243324e8",
+        "e91600482d4be521e4d3bad9182346f064ded97a5b310fd257e569c8ddc42444",
     ),
     "entropy-star": (
-        "7609261cd9a3e8de9ffa305ad34fd8e706a6c6d9d590b28fd763962132e301d7",
-        "366076946f17257ada4e25fa95e3e2da703c6afac4d02ac6a82208f436c5ee73",
+        "71c1f61f0059800dce8e6f5a323a536e01b5dbf172553d69c5454a118414776f",
+        "af2011a99c64bef8d5237abc7897370a80225059e97b26e371e906c1b480f0ae",
     ),
     "hh-line": (
         "8ff699a6d0f71257512d6386ab7aa41620f825b54375427762d52f1683ca8e93",
@@ -65,16 +65,16 @@ PINNED = {
         "ffc22a2174eb31f3d067ab0551daef42092513ac7445a06d4629d55ce18842c9",
     ),
     "stream-fp-exact-y": (
-        "baef98e6c9f9a3d53123cfa3aeb6da1bcf3ba00d3574986f69b9d572cb5a0473",
-        "e1eadb83bf62b71ed710603384a9d6f22ac69b3e7f2020b052faf41544f14e5b",
+        "712f5850b157893e64779cb9aa3461f82c1b167de2f847436d6f7ca3b0e5057c",
+        "5dbc94e1e2ec1b777760703d00d7f3aa68f9af3dc37b89aa36d7a08286c50401",
     ),
     "stream-fp-morris-y": (
-        "99d6da50448b3f04b7f1b898cf88592d13186222c101150f0142c0248e56e1d1",
-        "21da53612c7a15e26809b4bfacfd5728bdca6b368208ca95c26a50fb47f31cf1",
+        "029fc461e91e56a592df76f947a0640b48b18f3209e9707906076f4c9e589c87",
+        "aa5ea4ef44843f130944697520cd2eb2148628ff520241b5ddc5a8ee3abb4286",
     ),
     "stream-entropy": (
-        "dfa12eaba6259bb50ca1c22fd2897009b23e91a9e2c6c3f2b2a3d9d0402f5b39",
-        "4b374227e7f2f8ddaad21b1c1c629feedb7574b2bcbf79454d5141be8f9d0a77",
+        "b075faf8e957a4d2d2e13212d432fbe61fae2481ca25aefe4f4102e9c32d5dff",
+        "5fafdab2466a76d30e22d27413b66c520ab85ff526522bf37d26ee4f9a5614fb",
     ),
     "fp-p1.5-grid-exact-codec": (
         "f377e88fdc6284642aa644a7468c9344278d2ccbc4b82a441979f482610894f7",
