@@ -286,7 +286,9 @@ class StableSketch:
 @functools.lru_cache(maxsize=None)
 def _key_weights(m: int) -> np.ndarray:
     """Fixed random integer weights in [1, 2^26) that key a column of an m-row matrix as w @ column."""
-    return np.random.Generator(np.random.PCG64(0x5EED)).integers(1, 1 << 26, m).astype(np.float64)
+    w = np.random.Generator(np.random.PCG64(0x5EED)).integers(1, 1 << 26, m).astype(np.float64)
+    w.flags.writeable = False  # shared by every caller through the cache
+    return w
 
 
 def _groups(data: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
