@@ -30,13 +30,12 @@ states, laid out ``[insertions | deletions]`` per row.
 Layer schedule.  ``spanning_tree`` puts every child of a layer-L vertex in
 layer L-1, so the tree is walked one layer at a time, leaves first: a
 layer is one (vertices x lanes) matrix built from its own payload rows and
-the previous layer's messages.  Each layer's vertices and child slots, and
-the edges in (layer, id) order, are built once per tree
-(``SpanningTree.schedule``) and serve every run on it.  A run uses the
-slots as they are where every vertex of a layer and of the layer below
-sends.  Otherwise it builds the layer's slots from its senders' sending
-children, with each sender's message row set once per run
-(``_sending_layers``).
+the previous layer's messages.  One function, ``topology.layer_schedule``,
+decides a run's layers, child slots and sending edges in (layer, id)
+order.  A run in which every vertex sends walks the schedule cached on
+its tree (``SpanningTree.schedule``); a run with silent vertices builds
+its own from the mask of vertices whose subtree holds data, so each layer
+holds its senders and each sender's slots its sending children.
 Kernels run on whole layers: one ``round_to_grid`` call per layer, which
 rounds the layer and returns its rows' meter records, and for
 Morris counters one ``morris_add_batch`` call per layer and one
@@ -79,7 +78,7 @@ import numpy as np
 from . import kernels, streams
 from .morris import signed_updates
 from .rounding import RoundingParams, gamma_for
-from .topology import SpanningTree
+from .topology import SpanningTree, layer_schedule
 
 
 class CounterOverflowError(RuntimeError):
@@ -102,54 +101,6 @@ class CommStats:
 def baseline_codec_bits(count: int) -> int:
     """Bits to ship ``count`` scalars at the flat 64-bit baseline."""
     return 64 * int(count)
-
-
-def _sending_layers(schedule, children, sends):
-    """Each layer's senders, their payload ids and their child slots, leaves first.
-
-    The slots are ``(rows, src)`` pairs in message rows (see
-    :func:`run_convergecast`).  With ``sends`` None every vertex sends and
-    the schedule serves as it is.  Otherwise a layer's senders are its
-    vertices whose subtree holds data, each sender's row in its layer's
-    message is set once, and a layer whose own or lower layer has a
-    silent vertex gets slots built from its senders' sending children in
-    ``children`` order, so every row adds the children it adds vertex by
-    vertex, in the same order (see "Addition order").  A run of rows
-    0, 1, ... becomes a slice.  The root's layer comes last, with the
-    root as its one row whether or not it holds anything.
-    """
-    if sends is None:
-        yield from ((layer.verts, layer.ids, layer.slots) for layer in schedule.layers)
-        return
-    row = {}  # a sender's row in its layer's message
-    below_full = True
-    root_layer = schedule.layers[-1]
-    for layer in schedule.layers:
-        verts = layer.verts
-        senders = verts if layer is root_layer else [v for v in verts if sends[v]]
-        full = len(senders) == len(verts)
-        if full and below_full:
-            slots = layer.slots
-        else:
-            slots = []
-            for i, v in enumerate(senders):
-                kids = [row[c] for c in children[v] if sends[c]]
-                for j, r in enumerate(kids):
-                    if j == len(slots):
-                        slots.append(([], []))
-                    slots[j][0].append(i)
-                    slots[j][1].append(r)
-            slots = [(_rows(rows, len(senders)), _rows(src)) for rows, src in slots]
-        row.update(zip(senders, range(len(senders))))
-        below_full = full
-        yield senders, (layer.ids if full else senders), slots
-
-
-def _rows(rows, count=None):
-    """``rows`` as a slice when it is 0, 1, ..., else as an index array."""
-    if rows == list(range(len(rows))):
-        return slice(None) if len(rows) == count else slice(len(rows))
-    return np.array(rows, dtype=np.intp)
 
 
 class Uniforms:
@@ -194,7 +145,7 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, unifor
     (ascending ids), their payload rows as a fresh float64 matrix, the
     previous layer's message, the child slots (``(rows, src)`` pairs: row
     ``rows[i]`` has as its j-th child the sender in row ``src[i]`` of
-    ``prev``; either may be a slice) and the run's generator; ``send``
+    ``prev``; ``rows`` may be a slice) and the run's generator; ``send``
     gets the vertices, the state and the generator, and returns the
     message and one meter record per row.  With ``uniforms`` both get the
     run's :class:`Uniforms` in the generator's place, for families that
@@ -202,46 +153,44 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, unifor
     nothing else.  ``wire_bits`` maps the records of all sending
     rows, stacked in (layer, id) order, to their wire lengths in one call;
     without it the records are the lengths.  The 1-bit subtree flag is
-    added to each wire length here.  A layer in which no vertex sends
-    skips both calls.  The root's ``combine`` runs whether or not its
-    subtree holds anything.
+    added to each wire length here, and an edge that sends no message
+    costs the flag alone; ``per_edge_bits`` keeps every tree edge in
+    (layer, id) order.  A layer in which no vertex sends skips both
+    calls.  The root's ``combine`` runs whether or not its subtree holds
+    anything.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     schedule = tree.schedule
-    edges = schedule.edges
+    edges = schedule.edges  # every tree edge, in (layer, id) order
     has_data = inputs.any(axis=1)
-    sends = None  # per vertex, whether its subtree holds data; None when all do
     if not has_data.all():
-        sends = has_data.tolist()
+        sends = has_data.tolist()  # per vertex, whether its subtree holds data
         for v, p in edges:  # children before parents
             if sends[v]:
                 sends[p] = True
+        schedule = layer_schedule(tree, sends)
     gen = streams.generator(seed, streams.DOMAIN_NODES)
     if uniforms:
-        sending = len(edges) if sends is None else sum(sends[v] for v, _ in edges)
-        gen = Uniforms(gen, sending * inputs.shape[1])
+        gen = Uniforms(gen, len(schedule.edges) * inputs.shape[1])
     records = []
     prev = None
-    *lower, (top, top_ids, top_slots) = _sending_layers(schedule, tree.children, sends)
-    for senders, ids, slots in lower:
-        if not senders:
+    *lower, top = schedule.layers
+    for layer in lower:
+        if not layer.verts:
             prev = None
             continue
-        state = combine(senders, inputs[ids], prev, slots, gen)
-        prev, record = send(senders, state, gen)
+        state = combine(layer.verts, inputs[layer.ids], prev, layer.slots, gen)
+        prev, record = send(layer.verts, state, gen)
         records.append(record)
-    out = combine(top, inputs[top_ids], prev, top_slots, gen)
+    out = combine(top.verts, inputs[top.ids], prev, top.slots, gen)
 
-    bits = np.ones(len(edges), dtype=np.int64)
+    bits = dict.fromkeys(edges, 1)  # a silent edge costs the flag alone
     if records:
         lengths = np.concatenate(records)
         if wire_bits is not None:
             lengths = wire_bits(lengths)
-        if sends is None:
-            bits += lengths
-        else:
-            bits[[sends[v] for v, _ in edges]] += lengths
-    return out[0], CommStats(per_edge_bits=dict(zip(edges, bits.tolist())), rounds=tree.depth)
+        bits.update(zip(schedule.edges, (lengths + 1).tolist()))
+    return out[0], CommStats(per_edge_bits=bits, rounds=tree.depth)
 
 
 def add_children(verts, own, prev, slots, gen):

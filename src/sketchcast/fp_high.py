@@ -35,6 +35,16 @@ def lower_median(values: np.ndarray) -> float:
     return float(v[(v.size - 1) // 2])
 
 
+def stable_norm(y: np.ndarray, p: float) -> float:
+    """||x||_p estimate from p-stable lanes y = S x.
+
+    The lower median of |y_i| over ``median_abs(p)``, the median of |Z|
+    for a standard p-stable Z.  fp at every p and the log-cosine
+    normaliser decode through here.
+    """
+    return lower_median(np.abs(y)) / median_abs(p)
+
+
 def as_count_matrix(inputs, m: int, t: int | None = None, name: str = "inputs") -> np.ndarray:
     """Validate player inputs as finite, non-negative floats of shape (m, n), or (m, n, t).
 
@@ -145,5 +155,5 @@ def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,
     rounding error.
     """
     vec, stats = _sketch_sum(inputs, tree, cfg, seed, codec)
-    norm = lower_median(np.abs(vec)) / median_abs(cfg.p)
+    norm = stable_norm(vec, cfg.p)
     return norm, norm**cfg.p, stats

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import kernels
 from .engine import CommStats
-from .fp_high import _sketch_sum, lower_median, stream_counts
+from .fp_high import _sketch_sum, stable_norm, stream_counts
 from .morris import counter_base_offset, estimates_signed, signed_updates
-from .stable import build_sketch, median_abs
+from .stable import build_sketch
 from .streams import DOMAIN_DATA, DOMAIN_SKETCH, generator, substream
 from .topology import SpanningTree
 
@@ -55,9 +55,9 @@ class FpLowConfig:
     """Moment p and accuracy target eps of the low-moment protocol.
 
     The constants are fixed: k = max(16, ceil(c_k / eps^2)) sketch rows
-    at precision eta.  delta = 1/(200k) is both the per-row failure
-    budget and the delta' in the stream verb's counter base (the two
-    roles share one symbol upstream, kept literal here).
+    at precision eta.  delta = 1/(200k) is the delta' of the stream
+    verb's counter base, and only ``base_minus_one`` reads it: the
+    network verb rounds at ``FpHighConfig.delta``, as fp p > 1 does.
     """
 
     p: float
@@ -93,7 +93,7 @@ def estimate_fp_low(inputs, tree: SpanningTree, cfg: FpLowConfig, seed,
     ``inputs`` is an (m, n) array of non-negative per-player counts.
     """
     vec, stats = _sketch_sum(inputs, tree, cfg, seed, codec)
-    norm = lower_median(np.abs(vec)) / median_abs(cfg.p)
+    norm = stable_norm(vec, cfg.p)
     return norm**cfg.p, stats
 
 
@@ -131,7 +131,7 @@ def stream_fp_logcosine(stream, p: float, eps: float, mode: str = "exact-y",
     sk_norm = build_sketch(kp, n, p, cfg.eta, substream(seed, DOMAIN_SKETCH, 1))
 
     y_coarse = cfg.eta * sk_norm.apply(x)
-    y_med = lower_median(np.abs(y_coarse)) / median_abs(p)
+    y_med = stable_norm(y_coarse, p)
     if y_med == 0.0:
         return 0.0
 

@@ -329,8 +329,9 @@ def _build_tree(topology: str, m: int, seed: int) -> SpanningTree:
 # The topology seed does not depend on the trial, and only random
 # topologies draw from it.  So every trial of an experiment, and every
 # experiment on the same (topology, m), and the same seed if random, runs
-# on one tree and on the layer schedule cached on it.  SpanningTree is
-# frozen with tuple fields, so sharing it is safe.
+# on one tree.  Runs in which every vertex sends share the layer schedule
+# cached on it; a run with silent vertices builds its own.  SpanningTree
+# is frozen with tuple fields, so sharing it is safe.
 _shared_tree = functools.lru_cache(maxsize=1)(_build_tree)
 
 

@@ -71,13 +71,13 @@ class RoundingParams:
 
 
 def gamma_for(eps: float, delta: float, d: int, n: int, m: int,
-              M: int = 1000) -> RoundingParams:
+              M: float) -> RoundingParams:
     """RoundingParams for a depth-d convergecast on m players over [n].
 
     gamma = eps*delta / (d * log2(max(n*m, 2))), which lies below 1, and
     the floors use K = (M*n*m)^2 / gamma.  The floor of 2 under n*m keeps
-    a one-player, one-coordinate instance off log2(1) = 0.  M defaults to
-    the desk-scale input bound; protocols pass their real one.
+    a one-player, one-coordinate instance off log2(1) = 0.  M bounds the
+    inputs: protocols pass their largest count.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError(f"eps and delta must be in (0,1), got {eps}, {delta}")

@@ -56,9 +56,9 @@ class Layer(NamedTuple):
 
     ``ids`` holds ``verts`` as an intp array.  ``slots`` has one
     ``(rows, src)`` pair per child slot j = 0, 1, ...: row ``rows[i]`` of
-    the layer has as its j-th child (in ``children`` order) row ``src[i]``
-    of the layer below.  ``rows`` is ``slice(None)`` when every row has a
-    j-th child.
+    the layer has as its j-th child (in ``children`` order, counting only
+    the children the schedule keeps) row ``src[i]`` of the layer below.
+    ``rows`` is ``slice(None)`` when every row has a j-th child.
     """
 
     verts: tuple[int, ...]
@@ -69,8 +69,8 @@ class Layer(NamedTuple):
 class Schedule(NamedTuple):
     """A tree's layers, leaves first and the root's last, and its edges.
 
-    ``edges`` holds (v, parent of v) for every non-root vertex in (layer,
-    id) order.
+    ``edges`` holds (v, parent of v) for every non-root vertex the layers
+    hold, in (layer, id) order.
     """
 
     layers: tuple[Layer, ...]
@@ -91,7 +91,7 @@ class SpanningTree:
 
     @functools.cached_property
     def schedule(self) -> Schedule:
-        """The layer schedule a convergecast walks, built on first use."""
+        """The layer schedule of a run in which every vertex sends, built on first use."""
         return layer_schedule(self)
 
 
@@ -192,21 +192,28 @@ def spanning_tree(g: Topology, root: int) -> SpanningTree:
     )
 
 
-def layer_schedule(tree: SpanningTree) -> Schedule:
+def layer_schedule(tree: SpanningTree, sends=None) -> Schedule:
     """Group ``tree``'s vertices by layer and give each layer its child slots.
 
-    ``spanning_tree`` puts every child of a layer-L vertex in layer L-1, so
-    a child's slot row indexes the layer below.
+    ``sends``, one bool per vertex and closed under parents, keeps only
+    the vertices that send and the root, whether or not it sends; a
+    vertex's children are then its sending children, in ``children``
+    order, and ``edges`` its sending edges.  Without it every vertex
+    sends.  ``spanning_tree`` puts every child of a layer-L vertex in
+    layer L-1, so a child's slot row indexes the layer below.
     """
+    keep = [True] * tree.m if sends is None else list(sends)
+    keep[tree.root] = True
     by_layer: list[list[int]] = [[] for _ in range(tree.depth + 1)]
-    row = [0] * tree.m  # a vertex's row in its layer
+    row = [0] * tree.m  # a kept vertex's row in its layer
     for v in range(tree.m):
-        verts = by_layer[tree.layer[v]]
-        row[v] = len(verts)
-        verts.append(v)
+        if keep[v]:
+            verts = by_layer[tree.layer[v]]
+            row[v] = len(verts)
+            verts.append(v)
     layers = []
     for verts in by_layer:
-        kids = [tree.children[v] for v in verts]
+        kids = [[c for c in tree.children[v] if keep[c]] for v in verts]
         slots = []
         for j in range(max(map(len, kids), default=0)):
             rows = [i for i, k in enumerate(kids) if len(k) > j]

@@ -141,7 +141,7 @@ def test_rounded_sum_is_unbiased_end_to_end():
 
 
 def test_rounded_sum_all_zero_ships_flags_only():
-    params = gamma_for(0.1, 0.25, d=1, n=8, m=3)
+    params = gamma_for(0.1, 0.25, d=1, n=8, m=3, M=1000)
     tree = spanning_tree(star(3), 0)
     out, stats = rounded_sum_convergecast(np.zeros((3, 8)), tree, params, seed=0)
     assert np.array_equal(out, np.zeros(8))
@@ -150,7 +150,7 @@ def test_rounded_sum_all_zero_ships_flags_only():
 
 def test_rounded_sum_root_is_not_rounded():
     # A single-vertex tree must return its own payload bit-for-bit.
-    params = gamma_for(0.1, 0.25, d=1, n=4, m=1)
+    params = gamma_for(0.1, 0.25, d=1, n=4, m=1, M=1000)
     tree = spanning_tree(star(1), 0)
     payload = np.array([[0.3, -1.7, 0.0, 2.9]])
     out, stats = rounded_sum_convergecast(payload, tree, params, seed=0)
@@ -392,11 +392,14 @@ def assert_same_run(layered, reference):
     assert layered[1].rounds == reference[1].rounds
 
 
-def assert_families_match(topo, seed, lanes=6, zero_share=0.0):
+def assert_families_match(topo, seed, lanes=6, zero_share=0.0, held=None):
+    # with ``held``, only players 0, ..., held - 1 may hold data
     tree = spanning_tree(topo, center(topo))
     rng = np.random.default_rng(seed)
     payload = rng.standard_normal((topo.m, lanes)) * 30.0
     payload[rng.random(topo.m) < zero_share] = 0.0
+    if held is not None:
+        payload[held:] = 0.0
     params = gamma_for(0.3, 0.25, max(1, tree.depth), lanes, topo.m, M=100)
     assert_same_run(rounded_sum_convergecast(payload, tree, params, seed),
                     reference_rounded(payload, tree, params, seed))
@@ -408,11 +411,19 @@ def assert_families_match(topo, seed, lanes=6, zero_share=0.0):
                     reference_morris(counts, tree, log_b, seed))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (2, 2), (3, 5), (4, 4), (5, 8),
-                                   (7, 7), (6, 11), (12, 12)])
-@pytest.mark.parametrize("zero_share", [0.0, 0.6])
-def test_layers_match_reference_on_grids(shape, zero_share):
-    assert_families_match(grid(*shape), seed=sum(shape), zero_share=zero_share)
+GRID_SHAPES = [(1, 1), (1, 9), (2, 2), (3, 5), (4, 4), (5, 8), (7, 7), (6, 11), (12, 12)]
+
+
+@pytest.mark.parametrize("shape,zero_share,held", [
+    *(pytest.param(shape, share, None, id=f"{share}-shape{i}")
+      for share in (0.0, 0.6) for i, shape in enumerate(GRID_SHAPES)),
+    # the mesh-grid benchmark's runs with silent vertices: hh's data sit
+    # with players 0-999, amp's with players 0-9
+    pytest.param((32, 32), 0.0, 1000, id="grid32x32-held1000"),
+    pytest.param((32, 32), 0.0, 10, id="grid32x32-held10"),
+])
+def test_layers_match_reference_on_grids(shape, zero_share, held):
+    assert_families_match(grid(*shape), seed=sum(shape), zero_share=zero_share, held=held)
 
 
 @pytest.mark.parametrize("m,p_edge,seed", [(2, 0.5, 0), (17, 0.1, 1), (40, 0.05, 2),
@@ -421,11 +432,17 @@ def test_layers_match_reference_on_random_graphs(m, p_edge, seed):
     assert_families_match(random_connected(m, p_edge, seed), seed, zero_share=0.3)
 
 
-@pytest.mark.parametrize("topo", [line(9), line(30), star(12), balanced_binary(31)],
-                         ids=["line9", "line30", "star12", "binary31"])
-def test_layers_match_reference_on_lines_stars_and_trees(topo):
-    assert_families_match(topo, seed=topo.m)
-    assert_families_match(topo, seed=topo.m + 1, zero_share=0.5)
+@pytest.mark.parametrize("topo,held", [
+    pytest.param(line(9), None, id="line9"),
+    pytest.param(line(30), None, id="line30"),
+    pytest.param(star(12), None, id="star12"),
+    pytest.param(balanced_binary(31), None, id="binary31"),
+    # the deep-line benchmark's amp run: data with players 0-9
+    pytest.param(line(257), 10, id="line257-held10"),
+])
+def test_layers_match_reference_on_lines_stars_and_trees(topo, held):
+    assert_families_match(topo, seed=topo.m, held=held)
+    assert_families_match(topo, seed=topo.m + 1, zero_share=0.5, held=held)
 
 
 def test_all_zero_payload_matches_reference():

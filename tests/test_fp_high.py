@@ -16,6 +16,7 @@ from sketchcast.fp_high import (
     as_count_matrix,
     estimate_fp_high,
     lower_median,
+    stable_norm,
 )
 from sketchcast.oracles import frequency_moment, lp_norm
 from sketchcast.rounding import gamma_for
@@ -28,6 +29,12 @@ def test_lower_median_odd_and_even():
     assert lower_median(np.array([3.0, 1.0, 2.0])) == 2.0
     assert lower_median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.0
     assert lower_median(np.array([7.0])) == 7.0
+
+
+def test_stable_norm_is_the_lower_median_magnitude_over_the_stable_median():
+    y = np.array([-4.0, 1.0, -3.0, 2.0])
+    assert stable_norm(y, 1.0) == 2.0  # median_abs(1) = 1
+    assert stable_norm(y, 1.5) == 2.0 / median_abs(1.5)
 
 
 def test_as_count_matrix_passes_arrays_through():

@@ -187,31 +187,32 @@ def test_params_validation():
 
 
 def test_gamma_for_formula_point():
-    params = gamma_for(0.1, 0.1, d=2, n=10**4, m=16)
+    params = gamma_for(0.1, 0.1, d=2, n=10**4, m=16, M=1000)
     expected = 0.01 / (2 * math.log2(160000))
     assert math.isclose(params.gamma, expected, rel_tol=1e-12)
     assert math.isclose(params.gamma, 2.90e-4, rel_tol=5e-3)
 
 
 def test_gamma_for_doubling_depth_halves_gamma():
-    g2 = gamma_for(0.1, 0.1, d=2, n=10**4, m=16).gamma
-    g4 = gamma_for(0.1, 0.1, d=4, n=10**4, m=16).gamma
+    g2 = gamma_for(0.1, 0.1, d=2, n=10**4, m=16, M=1000).gamma
+    g4 = gamma_for(0.1, 0.1, d=4, n=10**4, m=16, M=1000).gamma
     assert math.isclose(g2, 2 * g4, rel_tol=1e-12)
 
 
 def test_gamma_for_one_player_one_coordinate_uses_log2_of_two():
-    assert gamma_for(0.1, 0.1, d=1, n=1, m=1).gamma == gamma_for(0.1, 0.1, d=1, n=2, m=1).gamma
+    one = gamma_for(0.1, 0.1, d=1, n=1, m=1, M=1000)
+    assert one.gamma == gamma_for(0.1, 0.1, d=1, n=2, m=1, M=1000).gamma
 
 
 def test_gamma_for_rejects_out_of_range():
     with pytest.raises(ValueError):
-        gamma_for(0.0, 0.1, d=2, n=10, m=2)
+        gamma_for(0.0, 0.1, d=2, n=10, m=2, M=1000)
     with pytest.raises(ValueError):
-        gamma_for(0.1, 0.1, d=0, n=10, m=2)
+        gamma_for(0.1, 0.1, d=0, n=10, m=2, M=1000)
 
 
 def test_floor_ratio_between_layers():
-    params = gamma_for(0.1, 0.25, d=4, n=1000, m=16)
+    params = gamma_for(0.1, 0.25, d=4, n=1000, m=16, M=1000)
     for layer in range(4):
         assert math.isclose(
             params.log_floor(layer + 1) - params.log_floor(layer),

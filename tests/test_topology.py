@@ -2,6 +2,7 @@
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from sketchcast.topology import (
     center,
     from_spec,
     grid,
+    layer_schedule,
     line,
     make_topology,
     random_connected,
@@ -207,6 +209,57 @@ def test_layer_partition_and_parent_layers():
             if v != tree.root:
                 assert tree.layer[tree.parent[v]] == tree.layer[v] + 1
         assert tree.layer[tree.root] == tree.depth
+
+
+def _plain(schedule):
+    """A schedule as nested lists, a slot's rows kept as a slice where it is one."""
+    return ([(layer.verts, layer.ids.tolist(),
+              [(rows if isinstance(rows, slice) else rows.tolist(), src.tolist())
+               for rows, src in layer.slots])
+             for layer in schedule.layers], schedule.edges)
+
+
+def _children_by_slot(layer, below):
+    """Each row's children, as vertices of ``below``, in slot order."""
+    kids = [[] for _ in layer.verts]
+    for rows, src in layer.slots:
+        for i, r in zip(np.arange(len(kids))[rows].tolist(), src.tolist()):
+            kids[i].append(below.verts[r])
+    return kids
+
+
+def test_an_all_true_mask_gives_the_unmasked_schedule():
+    for g in SAMPLES + [grid(12, 12), random_connected(40, 0.05, 2)]:
+        tree = spanning_tree(g, center(g))
+        assert _plain(layer_schedule(tree, [True] * g.m)) == _plain(tree.schedule)
+
+
+@pytest.mark.parametrize("g", [grid(7, 9), line(20), star(9), balanced_binary(31),
+                               random_connected(40, 0.05, 2), random_connected(60, 0.3, 3)],
+                         ids=["grid7x9", "line20", "star9", "binary31", "random40",
+                              "random60"])
+@pytest.mark.parametrize("share", [0.0, 0.3, 0.8])
+def test_a_masked_schedule_keeps_the_senders_and_their_sending_children(g, share):
+    tree = spanning_tree(g, center(g))
+    rng = np.random.default_rng(g.m)
+    for _ in range(3):
+        sends = (rng.random(g.m) < share).tolist()
+        for v in sorted(range(g.m), key=tree.layer.__getitem__):  # leaves first
+            if sends[v] and v != tree.root:
+                sends[tree.parent[v]] = True
+        schedule = layer_schedule(tree, sends)
+        assert len(schedule.layers) == tree.depth + 1
+        assert schedule.layers[-1].verts == (tree.root,)
+        edges = []
+        for at, layer in enumerate(schedule.layers):
+            kept = [v for v in range(g.m) if tree.layer[v] == at and (sends[v] or v == tree.root)]
+            assert list(layer.verts) == kept
+            assert layer.ids.tolist() == kept
+            # layer 0 holds leaves: no slot, so its rows index nothing below
+            want = [[c for c in tree.children[v] if sends[c]] for v in layer.verts]
+            assert _children_by_slot(layer, schedule.layers[at - 1]) == want
+            edges += [(v, tree.parent[v]) for v in kept if v != tree.root]
+        assert schedule.edges == tuple(edges)
 
 
 def test_center_depth_brackets_diameter():
