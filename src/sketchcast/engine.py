@@ -40,8 +40,11 @@ Kernels run on whole layers: one ``round_to_grid`` call per layer, which
 rounds the layer and returns its rows' meter records, and for
 Morris counters one ``morris_add_batch`` call per layer and one
 ``morris_merge`` call per child slot, on insertions and deletions alike.
-Only the previous layer's messages are kept besides the payloads and the
-per-row meter records: memory is O(widest layer x lanes + vertices).
+Payload rows come only for the vertices that hold data, with their ids,
+and a layer gathers the rows of its own vertices, a zero row for each
+vertex that holds none.  Only the previous layer's messages are kept
+besides those rows and the per-row meter records: memory is
+O((held rows + widest layer) x lanes + vertices).
 
 Addition order.  Child sums are formed by child slot: for j = 0, 1, ...,
 ``x[rows with a j-th child] += msg[j-th child]``, in ``tree.children[v]``
@@ -137,10 +140,14 @@ class Uniforms:
         return out
 
 
-def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, uniforms=False):
+def run_convergecast(tree, payloads, combine, send, seed=0, wire_bits=None, uniforms=False,
+                     ids=None):
     """Run one protocol over ``tree``, a layer at a time; returns (root output, CommStats).
 
-    ``inputs`` holds one payload row per vertex.  For each layer below the
+    ``payloads`` holds the payload rows of the vertices ``ids`` names, in
+    ascending id order; without ``ids`` there is one row per vertex.  A
+    vertex with no row has a zero payload, and the vertices whose subtree
+    holds a nonzero row send.  For each layer below the
     root, ``combine`` gets the layer's vertices that send a message
     (ascending ids), their payload rows as a fresh float64 matrix, the
     previous layer's message, the child slots (``(rows, src)`` pairs: row
@@ -159,19 +166,46 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, unifor
     calls.  The root's ``combine`` runs whether or not its subtree holds
     anything.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    payloads = np.asarray(payloads, dtype=np.float64)
+    m, lanes = tree.m, payloads.shape[1]
+    if ids is not None:
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.shape != payloads.shape[:1] or np.any(np.diff(ids) <= 0) or (
+                ids.size and (ids[0] < 0 or ids[-1] >= m)):
+            raise ValueError(f"ids must be {payloads.shape[0]} ascending vertex ids in [0, {m})")
+        if ids.size == m:  # then ids is 0, ..., m - 1
+            ids = None
+    elif payloads.shape[0] != m:
+        raise ValueError(f"need one payload row per vertex, got {payloads.shape[0]} for {m}")
     schedule = tree.schedule
     edges = schedule.edges  # every tree edge, in (layer, id) order
-    has_data = inputs.any(axis=1)
+    has_data = payloads.any(axis=1)
+    if ids is not None:  # from per row to per vertex
+        held = np.zeros(m, dtype=bool)
+        held[ids[has_data]] = True
+        has_data = held
     if not has_data.all():
         sends = has_data.tolist()  # per vertex, whether its subtree holds data
         for v, p in edges:  # children before parents
             if sends[v]:
                 sends[p] = True
         schedule = layer_schedule(tree, sends)
+    if ids is None:
+        def own(layer):
+            return payloads[layer.ids]
+    else:
+        row_of = np.full(m, -1)
+        row_of[ids] = np.arange(ids.size)
+        some = payloads if ids.size else np.zeros((1, lanes))  # a row to gather, then zero
+
+        def own(layer):
+            at = row_of[layer.ids]  # -1 for a vertex with no row
+            out = some[at]
+            out[at < 0] = 0.0
+            return out
     gen = streams.generator(seed, streams.DOMAIN_NODES)
     if uniforms:
-        gen = Uniforms(gen, len(schedule.edges) * inputs.shape[1])
+        gen = Uniforms(gen, len(schedule.edges) * lanes)
     records = []
     prev = None
     *lower, top = schedule.layers
@@ -179,10 +213,10 @@ def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None, unifor
         if not layer.verts:
             prev = None
             continue
-        state = combine(layer.verts, inputs[layer.ids], prev, layer.slots, gen)
+        state = combine(layer.verts, own(layer), prev, layer.slots, gen)
         prev, record = send(layer.verts, state, gen)
         records.append(record)
-    out = combine(top.verts, inputs[top.ids], prev, top.slots, gen)
+    out = combine(top.verts, own(top), prev, top.slots, gen)
 
     bits = dict.fromkeys(edges, 1)  # a silent edge costs the flag alone
     if records:
@@ -238,17 +272,20 @@ def send_rounded(verts, x, gen, *, tree: SpanningTree, params: RoundingParams):
     return decoded, extents
 
 
-def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed):
+def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed, *,
+                             ids=None):
     """Aggregate per-player value vectors with per-layer truncated rounding.
 
-    Every interior value x_v = own_v + sum of children's rounded values is
+    ``payloads`` holds the rows of the vertices ``ids`` names, or one row
+    per vertex (see :func:`run_convergecast`).  Every interior value
+    x_v = own_v + sum of children's rounded values is
     rounded once on the grid (values under the layer floor truncate to an
     exact zero); the root sum is returned unrounded.
     """
     send = partial(send_rounded, tree=tree, params=params)
     wire_bits = partial(kernels.rounded_bits, lanes=np.shape(payloads)[-1])
     return run_convergecast(tree, payloads, add_children, send, seed, wire_bits,
-                            uniforms=True)
+                            uniforms=True, ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +302,20 @@ def send_exact(verts, values, gen):
     return values, np.full(len(verts), baseline_codec_bits(values.shape[-1]))
 
 
-def exact_sum_convergecast(payloads, tree: SpanningTree, seed=0):
-    """Lossless aggregation; bits metered at 64 per scalar."""
-    return run_convergecast(tree, payloads, add_children, send_exact, seed)
+def exact_sum_convergecast(payloads, tree: SpanningTree, seed=0, *, ids=None):
+    """Lossless aggregation of the rows of the vertices ``ids`` names; 64 bits per scalar."""
+    return run_convergecast(tree, payloads, add_children, send_exact, seed, ids=ids)
 
 
 CODECS = ("rounding", "exact")
 
 
 def sum_convergecast(codec: str, payloads, tree: SpanningTree, seed, *,
-                     eps: float, delta: float, n: int, M: float):
+                     eps: float, delta: float, n: int, M: float, ids=None):
     """Aggregate value vectors with the family ``codec`` names.
 
+    ``payloads`` holds the rows of the vertices ``ids`` names, in
+    ascending order, or one row per vertex without ``ids``.
     ``"rounding"`` runs :func:`rounded_sum_convergecast` on the grid
     ``gamma_for`` sizes for accuracy eps, failure mass delta, the tree's
     depth and player count, n coordinates and input bound M.  ``"exact"``
@@ -284,9 +323,9 @@ def sum_convergecast(codec: str, payloads, tree: SpanningTree, seed, *,
     """
     if codec == "rounding":
         params = gamma_for(eps, delta, max(1, tree.depth), n, tree.m, M=M)
-        return rounded_sum_convergecast(payloads, tree, params, seed)
+        return rounded_sum_convergecast(payloads, tree, params, seed, ids=ids)
     if codec == "exact":
-        return exact_sum_convergecast(payloads, tree, seed)
+        return exact_sum_convergecast(payloads, tree, seed, ids=ids)
     raise ValueError(f"unknown codec {codec!r}")
 
 

@@ -126,8 +126,9 @@ def _sketch_sum(inputs, tree: SpanningTree, cfg, seed, codec: str,
                 lanes_of=_stable_lanes) -> tuple[np.ndarray, CommStats]:
     """Sum ``lanes_of(data, cfg, seed)`` up ``tree`` in the value family ``codec`` names.
 
-    ``data`` is the validated (m, n) player counts.  The rounding grid is
-    ``gamma_for``'s at accuracy ``cfg.eps``, failure mass
+    ``data`` is the rows of the validated (m, n) player counts that hold
+    data, so a player that holds nothing gets no lanes.  The rounding grid
+    is ``gamma_for``'s at accuracy ``cfg.eps``, failure mass
     ``FpHighConfig.delta`` and M the largest count.  fp at every p and
     entropy send their lanes through here.  A lane that is NaN or
     infinite, as a sketch product that overflows float64 is, raises
@@ -136,14 +137,15 @@ def _sketch_sum(inputs, tree: SpanningTree, cfg, seed, codec: str,
     data = as_count_matrix(inputs, tree.m)
     n = data.shape[1]
     M = float(max(1.0, data.max(initial=0.0)))
-    lanes = lanes_of(data, cfg, seed)
+    held = np.flatnonzero(data.any(axis=1))
+    lanes = lanes_of(data if held.size == tree.m else data[held], cfg, seed)
     finite = np.isfinite(lanes)
     if not finite.all():
-        player, lane = np.argwhere(~finite)[0]
-        raise ValueError(f"player {player}, lane {lane}: sketch value "
-                         f"{lanes[player, lane]} is not finite")
+        row, lane = np.argwhere(~finite)[0]
+        raise ValueError(f"player {held[row]}, lane {lane}: sketch value "
+                         f"{lanes[row, lane]} is not finite")
     return sum_convergecast(codec, lanes, tree, seed,
-                            eps=cfg.eps, delta=FpHighConfig.delta, n=n, M=M)
+                            eps=cfg.eps, delta=FpHighConfig.delta, n=n, M=M, ids=held)
 
 
 def estimate_fp_high(inputs, tree: SpanningTree, cfg: FpHighConfig, seed,

@@ -196,7 +196,8 @@ def split_units(x: np.ndarray, m: int) -> np.ndarray:
     """(m, n) player slices of integer aggregate x; slices sum to x."""
     x = np.asarray(x)
     base, rem = np.divmod(x.astype(np.int64), m)
-    out = np.tile(base, (m,) + (1,) * x.ndim).astype(np.float64)
+    out = np.empty((m,) + x.shape)
+    out[...] = base
     idx = np.arange(m).reshape((m,) + (1,) * x.ndim)
     out += idx < rem
     return out

@@ -172,19 +172,22 @@ def point_estimate_all(inputs, tree: SpanningTree, spec: CountSketchSpec, eps: f
                        seed, codec: str = "rounding") -> tuple[np.ndarray, CommStats, float]:
     """Aggregate per-player tables up ``tree``; return (x_tilde, stats, f2).
 
-    A vertex sends rows*width cells rounded on the grid gamma_for builds for
-    failure mass 1/4, or only the 1-bit flag if its subtree's tables are all
-    zero.  codec="exact" reproduces a pooled count-sketch bit-for-bit.
+    Only the players that hold data table their counts.  A vertex sends
+    rows*width cells rounded on the grid gamma_for builds for failure mass
+    1/4, or only the 1-bit flag if its subtree's tables are all zero.
+    codec="exact" reproduces a pooled count-sketch bit-for-bit.
     """
     m = tree.m
     data = as_count_matrix(inputs, m)
     bucket, sign = spec.bucket_of(), spec.sign_of()
 
-    payload = local_table(data, spec, bucket, sign).reshape(m, -1)
+    held = np.flatnonzero(data.any(axis=1))
+    rows = data if held.size == m else data[held]
+    tables = local_table(rows, spec, bucket, sign).reshape(held.size, spec.rows * spec.width)
 
     M = float(max(1.0, data.max(initial=0.0)))
-    vec, stats = sum_convergecast(codec, payload, tree, seed, eps=eps, delta=0.25,
-                                  n=spec.n, M=M)
+    vec, stats = sum_convergecast(codec, tables, tree, seed, eps=eps, delta=0.25,
+                                  n=spec.n, M=M, ids=held)
 
     table = vec.reshape(spec.rows, spec.width)
     f2 = lower_median(np.sum(table**2, axis=1))

@@ -65,26 +65,28 @@ class AmpConfig:
         return math.ceil(self.c_k / (self.delta * self.eps0**2))
 
 
-def sketch_matrix(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarray:
-    """(m, k*(t1+t2)) payload: row v is (S X_v).ravel() followed by (S Y_v).ravel().
+def sketch_matrix(xs: np.ndarray, ys: np.ndarray, k: int,
+                  seed) -> tuple[np.ndarray, np.ndarray]:
+    """(tables, ids): the k*(t1+t2)-cell payload rows of the players that hold data, and their ids.
 
-    S is the one-row count sketch of width k whose hashes are drawn from
-    generator(seed, DOMAIN_SKETCH).  Each side of the players that hold
-    data is tabled by ``heavy_hitters.bucket_sums``; players that hold
-    zero X and Y keep the +0.0 rows the payload starts with.
+    Row i is (S X_v).ravel() followed by (S Y_v).ravel() for v = ids[i],
+    the i-th player, in ascending order, whose X or Y is nonzero; players
+    that hold zero X and Y get no row.  S is the one-row count sketch of
+    width k whose hashes are drawn from generator(seed, DOMAIN_SKETCH),
+    and each side is tabled by ``heavy_hitters.bucket_sums``.
     """
     m, n, t1 = xs.shape
     spec = CountSketchSpec.draw(n, 1, k, generator(seed, DOMAIN_SKETCH))
     bucket, sign = spec.bucket_of(), spec.sign_of()
     held = np.flatnonzero(xs.any(axis=(1, 2)) | ys.any(axis=(1, 2)))
-    payload = np.zeros((m, k * (t1 + ys.shape[2])))
+    tables = np.empty((held.size, k * (t1 + ys.shape[2])))
     start = 0
     for side in (xs, ys):
         cells = k * side.shape[2]
-        table = bucket_sums(side[held], bucket, sign, k)
-        payload[held, start:start + cells] = table.reshape(held.size, cells)
+        table = bucket_sums(side if held.size == m else side[held], bucket, sign, k)
+        tables[:, start:start + cells] = table.reshape(held.size, cells)
         start += cells
-    return payload
+    return tables, held
 
 
 def amp_estimate(x_inputs, y_inputs, tree: SpanningTree, cfg: AmpConfig, seed,
@@ -101,12 +103,12 @@ def amp_estimate(x_inputs, y_inputs, tree: SpanningTree, cfg: AmpConfig, seed,
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"inner dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
     n = xs.shape[1]
-    payload = sketch_matrix(xs, ys, cfg.k, seed)
+    tables, held = sketch_matrix(xs, ys, cfg.k, seed)
     split = cfg.k * cfg.t1
 
     M = float(max(1.0, xs.max(initial=0.0), ys.max(initial=0.0)))
-    vec, stats = sum_convergecast(codec, payload, tree, seed, eps=cfg.eps0, delta=cfg.delta,
-                                  n=n, M=M)
+    vec, stats = sum_convergecast(codec, tables, tree, seed, eps=cfg.eps0, delta=cfg.delta,
+                                  n=n, M=M, ids=held)
 
     rx = vec[:split].reshape(cfg.k, cfg.t1)
     ry = vec[split:].reshape(cfg.k, cfg.t2)

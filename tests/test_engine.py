@@ -1,12 +1,14 @@
 """Convergecast engine: metering, scheduling, determinism, message families."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from bitcodec import encode_counters, encode_rounded
-from sketchcast import kernels, streams, topology
+from helpers import tree_of
+from sketchcast import engine, kernels, streams, topology
 from sketchcast.engine import (
     CommStats,
     CounterOverflowError,
@@ -18,6 +20,11 @@ from sketchcast.engine import (
     run_convergecast,
     send_counters,
 )
+from sketchcast.entropy import EntropyConfig, estimate_entropy
+from sketchcast.fp_high import FpHighConfig, estimate_fp_high
+from sketchcast.fp_low import FpLowConfig, estimate_fp_low
+from sketchcast.heavy_hitters import CountSketchSpec, point_estimate_all
+from sketchcast.matrix_product import AmpConfig, amp_estimate
 from sketchcast.morris import estimates_signed
 from sketchcast.rounding import RoundingParams, gamma_for
 from sketchcast.streams import DOMAIN_NODES, generator
@@ -405,6 +412,12 @@ def assert_families_match(topo, seed, lanes=6, zero_share=0.0, held=None):
                     reference_rounded(payload, tree, params, seed))
     assert_same_run(exact_sum_convergecast(payload, tree, seed),
                     reference_exact(payload, tree, seed))
+    if held is not None:  # the same runs from the rows of players 0, ..., held - 1 alone
+        ids = np.arange(min(held, topo.m))
+        assert_same_run(rounded_sum_convergecast(payload[ids], tree, params, seed, ids=ids),
+                        reference_rounded(payload, tree, params, seed))
+        assert_same_run(exact_sum_convergecast(payload[ids], tree, seed, ids=ids),
+                        reference_exact(payload, tree, seed))
     counts = np.rint(payload)
     log_b = math.log1p(1e-30)
     assert_same_run(morris_sum_convergecast(counts, tree, log_b, seed),
@@ -595,3 +608,87 @@ def test_runs_on_one_tree_build_its_schedule_once(monkeypatch):
     rounded_sum_convergecast(payload, tree, params, seed=0)
     exact_sum_convergecast(payload, tree, seed=1)
     assert len(built) == 1
+
+
+def test_rows_with_ids_must_name_ascending_vertices():
+    tree = tree_of(line(4))
+    run = partial(run_convergecast, tree, column([1, 2]), sum_combine, CountingCodec())
+    assert run(ids=[1, 3])[0][0] == 3.0
+    for ids in ([3, 1], [1, 1], [0], [2, 4], [-1, 2]):
+        with pytest.raises(ValueError, match="ascending vertex ids"):
+            run(ids=ids)
+    with pytest.raises(ValueError, match="one payload row per vertex"):
+        run()
+
+
+class HeldRowsRecorder:
+    """Checks every run against the same run on its rows laid out one per vertex.
+
+    The protocols hand the engine the rows of the players that hold data
+    and their ids; the recorder asserts that no run gets more rows than
+    ``held``, and that the root output and every edge's bits equal those
+    of the engine run on the zero-filled (m, lanes) payload.
+    """
+
+    def __init__(self, monkeypatch, held):
+        self.held = held
+        self.stats = []
+        real = engine.run_convergecast
+
+        def run(tree, rows, combine, send, seed=0, wire_bits=None, uniforms=False, ids=None):
+            assert len(rows) <= self.held
+            got = real(tree, rows, combine, send, seed, wire_bits, uniforms, ids)
+            dense = np.zeros((tree.m, rows.shape[1]))
+            dense[slice(None) if ids is None else ids] = rows
+            assert_same_run(got, real(tree, dense, combine, send, seed, wire_bits, uniforms))
+            self.stats.append(got[1])
+            return got
+
+        monkeypatch.setattr(engine, "run_convergecast", run)
+
+
+def _protocol_runs(xs, ys, tree, seed):
+    """Run fp p=1.5, fp p=0.5, entropy, hh and amp on counts ``xs`` (amp on ``xs`` and ``ys``)."""
+    data = xs[..., 0]
+    n = data.shape[1]
+    yield lambda: estimate_fp_high(data, tree, FpHighConfig(p=1.5, eps=0.25), seed)
+    yield lambda: estimate_fp_low(data, tree, FpLowConfig(p=0.5, eps=0.25), seed)
+    yield lambda: estimate_entropy(data, tree, EntropyConfig(eps=0.25), seed)
+    yield lambda: point_estimate_all(data, tree, CountSketchSpec.build(n, 0.4, seed), 0.4, seed)
+    yield lambda: amp_estimate(xs, ys, tree, AmpConfig(t1=2, t2=2, eps=0.5), seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_protocols_send_only_the_rows_of_players_holding_data(monkeypatch, seed):
+    # on grid 8x8 only players 0-9 hold data; the root's output and every
+    # edge's bits are those of the run on the dense payload
+    m, n, held = 64, 120, 10
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 5, (m, n, 2)) * (rng.random((m, n, 2)) < 0.3)
+    ys = rng.integers(0, 5, (m, n, 2)) * (rng.random((m, n, 2)) < 0.3)
+    xs[held:] = ys[held:] = 0
+    xs[:held, 0, 0] = 1  # every one of them holds data on both sides
+    ys[:held, 0, 0] = 1
+    tree = tree_of(grid(8, 8))
+    recorder = HeldRowsRecorder(monkeypatch, held)
+    for run in _protocol_runs(xs.astype(np.float64), ys.astype(np.float64), tree, seed):
+        run()
+    assert len(recorder.stats) == 5
+    for stats in recorder.stats:
+        assert stats.max_edge_bits > 1  # the players' data do travel
+
+
+def test_protocols_with_no_player_holding_data_send_one_bit_per_edge(monkeypatch):
+    tree = tree_of(grid(8, 8))
+    recorder = HeldRowsRecorder(monkeypatch, 0)
+    zeros = np.zeros((64, 120, 2))
+    for i, run in enumerate(_protocol_runs(zeros, zeros, tree, 3)):
+        if i == 2:  # entropy is undefined on an all-zero aggregate
+            with pytest.raises(ValueError, match="all-zero aggregate"):
+                run()
+        else:
+            run()
+    assert len(recorder.stats) == 5
+    for stats in recorder.stats:
+        assert set(stats.per_edge_bits.values()) == {1}
+        assert len(stats.per_edge_bits) == 63

@@ -96,6 +96,21 @@ def test_non_finite_lane_names_its_player_and_lane(codec, bad):
                     codec, lanes_of)
 
 
+@pytest.mark.parametrize("codec", CODECS)
+def test_non_finite_lane_names_the_vertex_id_of_its_player(codec):
+    # players 0-6 hold nothing, so player 7's lanes are the only row
+    def lanes_of(data, cfg, seed):
+        assert data.shape == (1, 8)
+        lanes = np.ones((1, 5))
+        lanes[0, 3] = math.inf
+        return lanes
+
+    inputs = np.zeros((8, 8))
+    inputs[7] = 1.0
+    with pytest.raises(ValueError, match="player 7, lane 3: sketch value inf is not finite"):
+        _sketch_sum(inputs, tree_of(line(8)), FpHighConfig(p=1.5, eps=0.25), 0, codec, lanes_of)
+
+
 def test_truncate_message_cases():
     cfg = FpHighConfig(p=1.5, eps=0.25)
     params = gamma_for(cfg.eps, cfg.delta, 4, 64, 16, M=10.0)

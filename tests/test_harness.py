@@ -160,7 +160,8 @@ def test_configs_hold_only_the_values_callers_set():
     assert fields(Topology) == ("m", "edges")
     # the rounding grid is sized inside the engine, from values, not a callable
     params = inspect.signature(engine.sum_convergecast).parameters
-    assert list(params) == ["codec", "payloads", "tree", "seed", "eps", "delta", "n", "M"]
+    assert list(params) == ["codec", "payloads", "tree", "seed", "eps", "delta", "n", "M",
+                            "ids"]
     assert list(inspect.signature(CountSketchSpec.build).parameters) == ["n", "eps", "seed"]
     assert list(inspect.signature(morris.counter_base_offset).parameters) == [
         "eps", "delta", "n", "p"]

@@ -35,7 +35,9 @@ def test_sketch_matrix_shape_and_scale():
     eye = np.eye(n)[None]
 
     def sketch(seed):
-        row = sketch_matrix(eye, eye, k, seed)[0]
+        tables, ids = sketch_matrix(eye, eye, k, seed)
+        assert tables.shape == (1, 2 * k * n) and ids.tolist() == [0]
+        row = tables[0]
         assert np.array_equal(row[:k * n], row[k * n:])
         return row[:k * n].reshape(k, n)
 
@@ -59,11 +61,12 @@ def test_blocked_payload_is_within_rounding_of_per_player_products(m, n, t1, t2,
     xs = rng.integers(0, 9, (m, n, t1)) * (rng.random((m, n, t1)) < 0.3)
     ys = rng.integers(0, 9, (m, n, t2)) * (rng.random((m, n, t2)) < 0.3)
     xs, ys = xs.astype(np.float64), ys.astype(np.float64)
-    got = sketch_matrix(xs, ys, k, seed=6)
-    assert np.array_equal(got, dense_amp_payload(xs, ys, k, seed=6))
+    tables, ids = sketch_matrix(xs, ys, k, seed=6)
+    assert np.array_equal(ids, np.arange(m))  # every player holds data
+    assert np.array_equal(tables, dense_amp_payload(xs, ys, k, seed=6))
 
 
-def test_empty_players_keep_zero_rows_and_leave_held_rows_alone():
+def test_empty_players_get_no_rows_and_leave_held_rows_alone():
     m, n, k, t = 64, 40, 1000, 2
     rng = np.random.default_rng(5)
     xs = rng.integers(0, 9, (m, n, t)).astype(np.float64)
@@ -72,12 +75,16 @@ def test_empty_players_keep_zero_rows_and_leave_held_rows_alone():
     held = np.setdiff1d(np.arange(m), empty)
     sparse_x, sparse_y = xs.copy(), ys.copy()
     sparse_x[empty] = sparse_y[empty] = 0.0
-    got = sketch_matrix(sparse_x, sparse_y, k, seed=6)
-    full = sketch_matrix(xs, ys, k, seed=6)
-    assert got[empty].tobytes() == np.zeros((empty.size, k * 2 * t)).tobytes()
-    assert got[held].tobytes() == full[held].tobytes()
+    got, ids = sketch_matrix(sparse_x, sparse_y, k, seed=6)
+    full, every = sketch_matrix(xs, ys, k, seed=6)
+    assert np.array_equal(ids, held)
+    assert np.array_equal(every, np.arange(m))
+    assert got.tobytes() == full[held].tobytes()
     want = dense_amp_payload(sparse_x, sparse_y, k, seed=6)
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    assert np.allclose(got, want[held], rtol=0.0, atol=1e-12 * np.abs(want).max())
+    # with no player holding data there are no rows at all
+    none, no_ids = sketch_matrix(np.zeros_like(xs), np.zeros_like(ys), k, seed=6)
+    assert none.shape == (0, k * 2 * t) and no_ids.size == 0
 
 
 def test_player_matrix_validation():

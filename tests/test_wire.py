@@ -118,10 +118,10 @@ class WireRecorder:
         return send_exact
 
     def _convergecast(self, real):
-        def run_convergecast(tree, inputs, combine, send, seed=0, wire_bits=None,
-                             uniforms=False):
+        def run_convergecast(tree, payloads, combine, send, seed=0, wire_bits=None,
+                             uniforms=False, ids=None):
             self.encoded, self._extents, self._metered = {}, [], 0
-            out, stats = real(tree, inputs, combine, send, seed, wire_bits, uniforms)
+            out, stats = real(tree, payloads, combine, send, seed, wire_bits, uniforms, ids)
             want = {(v, tree.parent[v]): 1 + self.encoded.get(v, 0)
                     for v in range(tree.m) if v != tree.root}
             assert stats.per_edge_bits == want
