@@ -2,7 +2,9 @@
 
 The protocol entry points below run one convergecast on a SpanningTree
 and return an estimate together with per-edge bit counts; build the
-tree from a Topology with ``spanning_tree(topo, center(topo))``.  The
+tree from a Topology with ``spanning_tree(topo, center(topo))``.  amp
+takes each matrix's per-player slices as ``Cells``, which
+``nonzero_cells`` makes from a dense (m, n, t) array.  The
 stream_* functions are their single-machine counterparts: stream_entropy
 decodes the network verb's lanes, F_1 lane included, summed exactly.
 Everything is deterministic given the seed.
@@ -13,7 +15,7 @@ from .entropy import EntropyConfig, entropy_to_bits, estimate_entropy, stream_en
 from .fp_high import FpHighConfig, estimate_fp_high
 from .fp_low import FpLowConfig, estimate_fp_low, stream_fp_logcosine
 from .harness import ExperimentSpec, run_experiment
-from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
+from .heavy_hitters import Cells, CountSketchSpec, heavy_hitters, nonzero_cells, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
 from .topology import (
     SpanningTree,
@@ -28,6 +30,7 @@ from .topology import (
 
 __all__ = [
     "AmpConfig",
+    "Cells",
     "CommStats",
     "CounterOverflowError",
     "CountSketchSpec",
@@ -47,6 +50,7 @@ __all__ = [
     "heavy_hitters",
     "line",
     "make_topology",
+    "nonzero_cells",
     "point_estimate_all",
     "run_experiment",
     "spanning_tree",

@@ -37,14 +37,16 @@ its tree (``SpanningTree.schedule``); a run with silent vertices builds
 its own from the mask of vertices whose subtree holds data, so each layer
 holds its senders and each sender's slots its sending children.
 Kernels run on whole layers: one ``round_to_grid`` call per layer, which
-rounds the layer and returns its rows' meter records, and for
-Morris counters one ``morris_add_batch`` call per layer and one
+rounds the layer in blocks of rows and returns its rows' meter records,
+and for Morris counters one ``morris_add_batch`` call per layer and one
 ``morris_merge`` call per child slot, on insertions and deletions alike.
 Payload rows come only for the vertices that hold data, with their ids,
 and a layer gathers the rows of its own vertices, a zero row for each
 vertex that holds none.  Only the previous layer's messages are kept
-besides those rows and the per-row meter records: memory is
-O((held rows + widest layer) x lanes + vertices).
+besides those rows and the per-row meter records, and the rounding holds
+one block's temporaries, of at most ``kernels.ROUND_BLOCK_LANES`` lanes
+or one row: memory is O((held rows + widest layer) x lanes + vertices),
+with a small constant on the widest layer.
 
 Addition order.  Child sums are formed by child slot: for j = 0, 1, ...,
 ``x[rows with a j-th child] += msg[j-th child]``, in ``tree.children[v]``

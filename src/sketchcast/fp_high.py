@@ -45,20 +45,15 @@ def stable_norm(y: np.ndarray, p: float) -> float:
     return lower_median(np.abs(y)) / median_abs(p)
 
 
-def as_count_matrix(inputs, m: int, t: int | None = None, name: str = "inputs") -> np.ndarray:
-    """Validate player inputs as finite, non-negative floats of shape (m, n), or (m, n, t).
-
-    Errors name the argument ``name``.
-    """
+def as_count_matrix(inputs, m: int) -> np.ndarray:
+    """Validate player inputs as finite, non-negative floats of shape (m, n)."""
     data = np.asarray(inputs, dtype=np.float64)
-    dims = (m,) if t is None else (m, t)
-    if data.ndim != len(dims) + 1 or data.shape[:1] + data.shape[2:] != dims:
-        want = "n" if t is None else f"n, t={t}"
-        raise ValueError(f"{name} must be (m={m}, {want}), got {data.shape}")
+    if data.ndim != 2 or data.shape[0] != m:
+        raise ValueError(f"inputs must be (m={m}, n), got {data.shape}")
     if not np.isfinite(data).all():
-        raise ValueError(f"{name} entries must be finite, got NaN or inf")
+        raise ValueError("inputs entries must be finite, got NaN or inf")
     if np.any(data < 0):
-        raise ValueError(f"{name} entries must be non-negative")
+        raise ValueError("inputs entries must be non-negative")
     return data
 
 

@@ -20,7 +20,9 @@ Distribution specs:
 Stream specs for the stream protocols: zipf:s:COUNT draws a fresh
 COUNT-token multinomial per trial; file:PATH replays "index delta" lines.
 Aggregates are split across players deterministically: player v gets
-floor(x/m) plus one unit when v < x mod m, coordinate-wise.
+floor(x/m) plus one unit when v < x mod m, coordinate-wise.  amp's
+matrices reach the players by the same rule as their nonzero cells
+(``split_cells``), never as a dense (m, n, t) array.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .entropy import EntropyConfig, estimate_entropy, stream_entropy
 from .fp_high import FpHighConfig, estimate_fp_high, stream_counts
 from .fp_low import (LOGCOSINE_MODES, NETWORK_MIN_P, FpLowConfig, estimate_fp_low,
                      stream_fp_logcosine)
-from .heavy_hitters import CountSketchSpec, heavy_hitters, point_estimate_all
+from .heavy_hitters import Cells, CountSketchSpec, heavy_hitters, point_estimate_all
 from .matrix_product import AmpConfig, amp_estimate
 from .streams import DOMAIN_DATA, DOMAIN_TOPOLOGY, DOMAIN_TRIAL, generator, substream
 from .topology import SpanningTree, center, from_spec, parse_spec, spanning_tree
@@ -201,6 +203,31 @@ def split_units(x: np.ndarray, m: int) -> np.ndarray:
     idx = np.arange(m).reshape((m,) + (1,) * x.ndim)
     out += idx < rem
     return out
+
+
+def split_cells(x: np.ndarray, m: int) -> Cells:
+    """The nonzero cells of ``split_units(x, m)`` for an (n, t) integer aggregate x.
+
+    No (m, n, t) array is built.  A cell of value a goes to every player
+    when a >= m, and otherwise to players 0 .. a-1: player v gets
+    floor(a/m) plus one unit when v < a mod m.
+    """
+    n, t = x.shape
+    flat = x.ravel()
+    at = np.flatnonzero(flat)  # q * t + c
+    base, rem = np.divmod(flat[at].astype(np.int64), m)
+    shares = np.where(base > 0, m, rem)
+    # (cell, player) pairs cell by cell, each cell's players 0 .. shares-1,
+    # then stably sorted by player into (player, coordinate, column) order;
+    # numpy sorts keys of at most 16 bits by radix, so the key is the
+    # smallest unsigned type that holds m - 1
+    cell = np.repeat(np.arange(at.size), shares)
+    player = np.arange(cell.size) - np.repeat(np.cumsum(shares) - shares, shares)
+    order = np.argsort(player.astype(np.min_scalar_type(m - 1)), kind="stable")
+    cell, player = cell[order], player[order]
+    coord, column = np.divmod(at[cell], t)
+    value = base[cell] + (player < rem[cell])
+    return Cells((m, n, t), player, coord, column, value.astype(np.float64))
 
 
 def zipf_weights(n: int, s: float) -> np.ndarray:
@@ -381,7 +408,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialReport:
         if spec.protocol == "amp":
             xmat = generate_matrix(spec, spec.t1, data_rng)
             ymat = generate_matrix(spec, spec.t2, data_rng)
-            r, comm = amp_estimate(split_units(xmat, spec.m), split_units(ymat, spec.m),
+            r, comm = amp_estimate(split_cells(xmat, spec.m), split_cells(ymat, spec.m),
                                    tree, spec.config(), pseed, codec=spec.codec)
             exact_mat = oracles.matrix_product(xmat, ymat)
             est = float(np.linalg.norm(r - exact_mat))

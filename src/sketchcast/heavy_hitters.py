@@ -20,13 +20,16 @@ aggregation is bit-identical to a count-sketch of the pooled vector.
 
 ``matrix_product`` shares these hash families and this tabler: amp's
 sketch is a one-row ``CountSketchSpec`` of width k, drawn by
-``CountSketchSpec.draw`` and tabled by ``bucket_sums``.
+``CountSketchSpec.draw`` and tabled by ``bucket_sums``.  The tabler
+reads data as ``Cells``, its nonzero entries; ``nonzero_cells`` takes
+them from a dense array, which hh's ``local_table`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,28 +116,50 @@ class CountSketchSpec:
         return 2.0 * odd - 1.0
 
 
-def bucket_sums(data: np.ndarray, bucket: np.ndarray, sign: np.ndarray,
+class Cells(NamedTuple):
+    """The nonzero entries of (players, n, t) data, as four arrays in row-major order.
+
+    Entry i holds ``value[i]`` at (``player[i]``, ``coord[i]``,
+    ``column[i]``), and the entries run in ascending (player, coord,
+    column) order; ``shape`` is the (players, n, t) of the data.
+    """
+
+    shape: tuple[int, int, int]
+    player: np.ndarray
+    coord: np.ndarray
+    column: np.ndarray
+    value: np.ndarray
+
+
+def nonzero_cells(data: np.ndarray) -> Cells:
+    """The ``Cells`` of (players, n, t) array ``data``: its entries other than +-0."""
+    players, n, t = data.shape
+    flat = data.ravel()
+    at = np.flatnonzero(flat != 0)  # (v * n + q) * t + c
+    row, column = np.divmod(at, t)
+    player, coord = np.divmod(row, n)
+    return Cells((players, n, t), player, coord, column, flat[at])
+
+
+def bucket_sums(cells: Cells, bucket: np.ndarray, sign: np.ndarray,
                 width: int) -> np.ndarray:
-    """(P, rows, width, t) count-sketch tables of (P, n, t) data.
+    """(players, rows, width, t) count-sketch tables of ``cells``.
 
     Cell (v, i, b, c) sums sign[i, q] * data[v, q, c] over the q with
     bucket[i, q] == b.  Each sketch row is one ``bincount`` over
-    (v * width + bucket) * t + c, fed only the nonzero entries in row-major
+    (v * width + bucket) * t + c, fed the nonzero entries in row-major
     order, so each cell adds its terms in ascending q.  The skipped terms
     are +-0, and adding them never changes a sum that starts at +0 (a sum
     of nonzero terms rounds to +0, never -0), so every cell is
-    bit-identical to the plain ascending sum over all its terms.
+    bit-identical to the plain ascending sum over all its terms.  The work
+    is O(rows * (nnz + players * width * t)).
     """
-    players, n, t = data.shape
-    cells = data.ravel()
-    at = np.flatnonzero(cells != 0)  # (v * n + q) * t + c
-    row, col = np.divmod(at, t)
-    player, coord = np.divmod(row, n)
-    values = cells[at]
-    offset = player * (width * t) + col
+    players, _, t = cells.shape
+    offset = cells.player * (width * t) + cells.column
     table = np.empty((players, bucket.shape[0], width, t))
     for i in range(bucket.shape[0]):
-        sums = np.bincount(offset + bucket[i, coord] * t, weights=sign[i, coord] * values,
+        sums = np.bincount(offset + bucket[i, cells.coord] * t,
+                           weights=sign[i, cells.coord] * cells.value,
                            minlength=players * width * t)
         table[:, i] = sums.reshape(players, width, t)
     return table
@@ -153,7 +178,7 @@ def local_table(x: np.ndarray, spec: CountSketchSpec,
         raise ValueError(f"expected length-{spec.n} vectors, got {x.shape}")
     bucket = spec.bucket_of() if bucket is None else bucket
     sign = spec.sign_of() if sign is None else sign
-    table = bucket_sums(x.reshape(-1, spec.n, 1), bucket, sign, spec.width)
+    table = bucket_sums(nonzero_cells(x.reshape(-1, spec.n, 1)), bucket, sign, spec.width)
     return table.reshape(x.shape[:-1] + (spec.rows, spec.width))
 
 

@@ -145,6 +145,11 @@ def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Lanes per ``round_to_grid`` block: a block holds whole rows, as many as
+# fit in this many lanes, and at least one.
+ROUND_BLOCK_LANES = 1 << 15
+
+
 def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: float):
     """Round each lane of ``x`` and meter each row; returns (exponents, is_zero, decoded, extents).
 
@@ -152,12 +157,36 @@ def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: 
     shape ``x.shape[:-1] + (3,)``, float64: each row's zero-lane count and
     its lowest and highest live exponent, NaN for a row with no live lane
     (see :func:`rounded_bits`).  Lanes must be finite: a NaN lane would
-    come out as a zero lane.
+    come out as a zero lane.  ``unif`` has the shape of ``x``, and lane i
+    compares against ``unif``'s lane i.
+
+    The rows are rounded in blocks of at most ``ROUND_BLOCK_LANES``
+    lanes, and at least one row, each written into the full-size outputs:
+    the engine rounds a whole tree layer per call, and a call holds only
+    one block's temporaries.  Every step is per lane or per row, so the
+    blocks change no bit.
     """
-    # The engine rounds a whole tree layer per call, so layer-sized
-    # temporaries set its memory: the work happens in place where it can.
+    lanes = x.shape[-1]
+    if x.size <= max(ROUND_BLOCK_LANES, lanes):  # one block: most layers
+        return _round_rows(x, unif, log_gamma, log_floor)
+    rows = x.size // lanes
+    step = max(1, ROUND_BLOCK_LANES // lanes)
+    out = (np.empty(x.shape), np.empty(x.shape, dtype=bool), np.empty(x.shape),
+           np.empty(x.shape[:-1] + (3,)))
+    flat = [a.reshape(rows, a.shape[-1]) for a in (x, unif, *out)]
+    for start in range(0, rows, step):
+        block = [a[start:start + step] for a in flat]
+        _round_rows(*block[:2], log_gamma, log_floor, *block[2:])
+    return out
+
+
+def _round_rows(x, unif, log_gamma, log_floor, exponents=None, is_zero=None, decoded=None,
+                extents=None):
+    """``round_to_grid`` on one block of rows, into the outputs given or new ones."""
+    # A block's temporaries set the rounding's memory: the work happens in
+    # place where it can.
     ax = np.abs(x)
-    is_zero = ax == 0.0
+    is_zero = np.equal(ax, 0.0, out=is_zero)
     # ln|x|, with ln 1 = 0 in an exact zero's place: exact zeros stay zero
     # even when there is no floor (log_floor = -inf).  A NaN lane fails the
     # floor test, so it is cut with the lanes under the floor.
@@ -168,12 +197,13 @@ def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: 
     np.putmask(lv, cut, 0.0)
     # Exponents stay float64 throughout: integers far below 2^53, so every
     # product with log_gamma is the one an int64 exponent would give.
-    e0 = np.divide(lv, log_gamma)
+    e0 = np.divide(lv, log_gamma, out=exponents)
     np.floor(e0, out=e0)
     # ln lo and ln hi as the products e0 * log_gamma and (e0 + 1) *
     # log_gamma (e0 + 1 is exact).  The float division is off by at most
-    # 1, which one check against both products finds.
-    lo = np.multiply(e0, log_gamma)
+    # 1, which one check against both products finds.  lo's buffer later
+    # holds the decoded values.
+    lo = np.multiply(e0, log_gamma, out=decoded)
     hi = np.add(e0, 1.0)
     hi *= log_gamma
     off = lo > lv
@@ -212,7 +242,8 @@ def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: 
 
     # the extents, from the live exponents in hi's buffer: NaN in a zero
     # lane drops it from fmin and fmax, and a row of NaN reduces to NaN
-    extents = np.empty(x.shape[:-1] + (3,))
+    if extents is None:
+        extents = np.empty(x.shape[:-1] + (3,))
     np.add.reduce(is_zero, axis=-1, dtype=np.float64, out=extents[..., 0])
     live = hi
     np.copyto(live, exponents)

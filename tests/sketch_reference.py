@@ -13,10 +13,11 @@ draw their group's first column once, scaled to the law of the group's
 sum before the rounding (``grouped_entries``).
 ``count_sketch`` is amp's count sketch as a dense matrix, and
 ``dense_amp_payload`` and ``sketch_product`` multiply by it: the per-player
-payload and the pooled sketch product.  The stable samplers here are the test
-suite's source of plain i.i.d. stable draws from any F(p, beta, gamma,
-loc), described by a ``StableLaw`` record, and ``montecarlo_median_abs``
-is the sampling oracle for ``stable.median_abs``.
+payload and the pooled sketch product; ``dense_amp_estimate`` runs amp's
+convergecast on the payload of dense player slices.  The stable samplers
+here are the test suite's source of plain i.i.d. stable draws from any
+F(p, beta, gamma, loc), described by a ``StableLaw`` record, and
+``montecarlo_median_abs`` is the sampling oracle for ``stable.median_abs``.
 
 ``cms_symmetric`` and ``cms_skewed_one`` are the tangent expressions the
 kernels evaluate, written with fresh temporaries, so the in-place kernels
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sketchcast import kernels
+from sketchcast.engine import sum_convergecast
 from sketchcast.heavy_hitters import CountSketchSpec
 from sketchcast.streams import DOMAIN_SKETCH, as_seed_sequence, generator
 
@@ -274,6 +276,24 @@ def dense_amp_payload(xs: np.ndarray, ys: np.ndarray, k: int, seed) -> np.ndarra
     s = count_sketch(xs.shape[1], k, seed)
     return np.stack([np.concatenate([(s @ x).ravel(), (s @ y).ravel()])
                      for x, y in zip(xs, ys)])
+
+
+def dense_amp_estimate(xs: np.ndarray, ys: np.ndarray, tree, cfg, seed,
+                       codec: str) -> tuple[np.ndarray, object]:
+    """amp from dense (m, n, t1) and (m, n, t2) player slices, as it ran before cells.
+
+    The players with a nonzero slice send their ``dense_amp_payload``
+    rows, and M is the largest slice entry.  On integer data every payload
+    cell is an exact sum, so this is the run ``amp_estimate`` must make
+    from the slices' nonzero cells, bit for bit.
+    """
+    held = np.flatnonzero(xs.any(axis=(1, 2)) | ys.any(axis=(1, 2)))
+    payload = dense_amp_payload(xs[held], ys[held], cfg.k, seed)
+    M = float(max(1.0, xs.max(initial=0.0), ys.max(initial=0.0)))
+    vec, stats = sum_convergecast(codec, payload, tree, seed, eps=cfg.eps0, delta=cfg.delta,
+                                  n=xs.shape[1], M=M, ids=held)
+    split = cfg.k * cfg.t1
+    return vec[:split].reshape(cfg.k, cfg.t1).T @ vec[split:].reshape(cfg.k, cfg.t2), stats
 
 
 def sketch_product(x_total: np.ndarray, y_total: np.ndarray, cfg, seed) -> np.ndarray:

@@ -23,7 +23,7 @@ from sketchcast.engine import (
 from sketchcast.entropy import EntropyConfig, estimate_entropy
 from sketchcast.fp_high import FpHighConfig, estimate_fp_high
 from sketchcast.fp_low import FpLowConfig, estimate_fp_low
-from sketchcast.heavy_hitters import CountSketchSpec, point_estimate_all
+from sketchcast.heavy_hitters import CountSketchSpec, nonzero_cells, point_estimate_all
 from sketchcast.matrix_product import AmpConfig, amp_estimate
 from sketchcast.morris import estimates_signed
 from sketchcast.rounding import RoundingParams, gamma_for
@@ -655,7 +655,8 @@ def _protocol_runs(xs, ys, tree, seed):
     yield lambda: estimate_fp_low(data, tree, FpLowConfig(p=0.5, eps=0.25), seed)
     yield lambda: estimate_entropy(data, tree, EntropyConfig(eps=0.25), seed)
     yield lambda: point_estimate_all(data, tree, CountSketchSpec.build(n, 0.4, seed), 0.4, seed)
-    yield lambda: amp_estimate(xs, ys, tree, AmpConfig(t1=2, t2=2, eps=0.5), seed)
+    yield lambda: amp_estimate(nonzero_cells(xs), nonzero_cells(ys), tree,
+                               AmpConfig(t1=2, t2=2, eps=0.5), seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

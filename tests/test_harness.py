@@ -35,13 +35,14 @@ from sketchcast.harness import (
     generate_stream,
     run_experiment,
     run_trial,
+    split_cells,
     split_units,
     summarize,
     write_csv,
     write_summary,
     zipf_weights,
 )
-from sketchcast.heavy_hitters import CountSketchSpec
+from sketchcast.heavy_hitters import CountSketchSpec, nonzero_cells
 from sketchcast.stable import StableSketch
 from sketchcast.topology import Topology, line, star
 
@@ -177,6 +178,22 @@ def test_split_units_conserves_and_balances(values, m):
     assert np.array_equal(out.sum(axis=0), x)
     assert out.min() >= 0
     assert (out.max(axis=0) - out.min(axis=0)).max() <= 1
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=24),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=12),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_split_cells_are_the_nonzero_cells_of_split_units(values, t, m, zero):
+    # values below, at and above m; m = 1; and, with ``zero``, an all-zero aggregate
+    x = np.resize(np.array(values, dtype=np.float64), (-(-len(values) // t), t))
+    if zero:
+        x[:] = 0.0
+    got = split_cells(x, m)
+    want = nonzero_cells(split_units(x, m))
+    assert got.shape == want.shape == (m,) + x.shape
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_zipf_weights():

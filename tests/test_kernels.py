@@ -102,6 +102,36 @@ def test_round_to_grid_matches_reference_bit_for_bit(shape, gamma, floor, window
     assert np.all((window[0] <= live) & (live <= window[1])) == (want_ok or x.size == 0)
 
 
+# A layer of three blocks and a ragged fourth, and rows wider than a block,
+# which round one row per block.
+@pytest.mark.parametrize("rows, lanes", [
+    (3 * (kernels.ROUND_BLOCK_LANES // 3000) + 2, 3000),
+    (3, kernels.ROUND_BLOCK_LANES + 123),
+])
+def test_round_to_grid_in_blocks_equals_row_by_row_calls(rows, lanes):
+    rng = np.random.default_rng(rows)
+    x = np.exp(rng.uniform(-30.0, 30.0, (rows, lanes))) * rng.choice([-1.0, 1.0], (rows, lanes))
+    special = rng.random(x.shape)
+    x[special < 0.05] = 0.0
+    x[(0.05 <= special) & (special < 0.1)] = -0.0
+    x[(0.1 <= special) & (special < 0.2)] *= 1e-30  # under the floor
+    x[1] = 0.0  # rows with no live lane: NaN extents
+    x[-1, ::2] = -0.0
+    x[-1, 1::2] = 1e-40
+    unif = rng.random(x.shape)
+    args = (math.log1p(1e-3), math.log(1e-6))
+    got = kernels.round_to_grid(x, unif, *args)
+    # each row on its own consumes that row's uniforms, in lane order
+    by_row = [kernels.round_to_grid(x[r], unif[r], *args) for r in range(rows)]
+    for g, w in zip(got, zip(*by_row)):
+        assert g.tobytes() == np.stack(w).tobytes()
+    assert np.isnan(got[3][[1, -1], 1:]).all() and not np.isnan(got[3][0]).any()
+    want = reference_round_to_grid(x, unif, *args)
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+    assert np.array_equal(got[3], rounded_extents(*want[:2]), equal_nan=True)
+
+
 # numpy's AVX-512 exp, log, tan and power give other last bits than libm;
 # the session turns them off (conftest.py), the benchmark runs with them on.
 # On that path the child checks the rounding kernel against its reference
