@@ -37,16 +37,18 @@ its tree (``SpanningTree.schedule``); a run with silent vertices builds
 its own from the mask of vertices whose subtree holds data, so each layer
 holds its senders and each sender's slots its sending children.
 Kernels run on whole layers: one ``round_to_grid`` call per layer, which
-rounds the layer in blocks of rows and returns its rows' meter records,
-and for Morris counters one ``morris_add_batch`` call per layer and one
+rounds only the nonzero lanes of a layer that is mostly exact zeros, as
+count-sketch tables are, and any other layer in blocks of rows, and
+returns its rows' meter records; and for Morris counters one ``morris_add_batch`` call per layer and one
 ``morris_merge`` call per child slot, on insertions and deletions alike.
 Payload rows come only for the vertices that hold data, with their ids,
 and a layer gathers the rows of its own vertices, a zero row for each
 vertex that holds none.  Only the previous layer's messages are kept
 besides those rows and the per-row meter records, and the rounding holds
-one block's temporaries, of at most ``kernels.ROUND_BLOCK_LANES`` lanes
-or one row: memory is O((held rows + widest layer) x lanes + vertices),
-with a small constant on the widest layer.
+the temporaries of one block, of at most ``kernels.ROUND_BLOCK_LANES``
+lanes or one row, or of a mostly zero layer's nonzero lanes, under a
+quarter of its lanes: memory is O((held rows + widest layer) x lanes +
+vertices), with a small constant on the widest layer.
 
 Addition order.  Child sums are formed by child slot: for j = 0, 1, ...,
 ``x[rows with a j-th child] += msg[j-th child]``, in ``tree.children[v]``
@@ -244,8 +246,12 @@ def add_children(verts, own, prev, slots, gen):
 # ---------------------------------------------------------------------------
 
 
-def send_rounded(verts, x, gen, *, tree: SpanningTree, params: RoundingParams):
+def send_rounded(verts, x, gen, *, tree: SpanningTree, log_gamma: float, floors):
     """Round a layer's sums once on the grid; the message is the decoded values.
+
+    ``log_gamma`` is ln(1 + gamma) and ``floors[layer]`` the ln of the
+    truncation floor of each sending layer (``RoundingParams``), both
+    computed once per run.
 
     Wire format, one two-part code per message of L lanes:
 
@@ -269,9 +275,8 @@ def send_rounded(verts, x, gen, *, tree: SpanningTree, params: RoundingParams):
     ``kernels.rounded_bits`` meters the whole run's records in one call
     at its end.  ``gen`` is the run's :class:`Uniforms`.
     """
-    _, _, decoded, extents = kernels.round_to_grid(
-        x, gen.random(x.shape), params.log_gamma, params.log_floor(tree.layer[verts[0]]))
-    return decoded, extents
+    return kernels.round_to_grid(x, gen.random(x.shape), log_gamma,
+                                 floors[tree.layer[verts[0]]])
 
 
 def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed, *,
@@ -284,7 +289,8 @@ def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParam
     rounded once on the grid (values under the layer floor truncate to an
     exact zero); the root sum is returned unrounded.
     """
-    send = partial(send_rounded, tree=tree, params=params)
+    floors = [params.log_floor(layer) for layer in range(tree.depth)]
+    send = partial(send_rounded, tree=tree, log_gamma=params.log_gamma, floors=floors)
     wire_bits = partial(kernels.rounded_bits, lanes=np.shape(payloads)[-1])
     return run_convergecast(tree, payloads, add_children, send, seed, wire_bits,
                             uniforms=True, ids=ids)

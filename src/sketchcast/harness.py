@@ -220,14 +220,27 @@ def split_cells(x: np.ndarray, m: int) -> Cells:
     # (cell, player) pairs cell by cell, each cell's players 0 .. shares-1,
     # then stably sorted by player into (player, coordinate, column) order;
     # numpy sorts keys of at most 16 bits by radix, so the key is the
-    # smallest unsigned type that holds m - 1
-    cell = np.repeat(np.arange(at.size), shares)
-    player = np.arange(cell.size) - np.repeat(np.cumsum(shares) - shares, shares)
-    order = np.argsort(player.astype(np.min_scalar_type(m - 1)), kind="stable")
-    cell, player = cell[order], player[order]
-    coord, column = np.divmod(at[cell], t)
-    value = base[cell] + (player < rem[cell])
-    return Cells((m, n, t), player, coord, column, value.astype(np.float64))
+    # smallest unsigned type that holds m - 1.  Each temporary goes as
+    # soon as it is used, which keeps the peak near the result's size.
+    key = np.arange(shares.sum())
+    key -= np.repeat(np.cumsum(shares) - shares, shares)
+    key = key.astype(np.min_scalar_type(m - 1))
+    order = np.argsort(key, kind="stable")
+    del key
+    cell = np.repeat(np.arange(at.size), shares)[order]
+    del order
+    # player v holds the cells with more than v shares, so the sorted
+    # players need no gather
+    held = np.cumsum(np.bincount(shares, minlength=m + 1)[::-1])[-2::-1]
+    player = np.repeat(np.arange(m), held)
+    value = base[cell]
+    value += player < rem[cell]
+    value = value.astype(np.float64)
+    coord = at[cell]
+    del cell
+    column = coord % t
+    coord //= t
+    return Cells((m, n, t), player, coord, column, value)
 
 
 def zipf_weights(n: int, s: float) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Seven kernels carry every protocol's arithmetic: the Chambers-Mallows-Stuck
 stable transforms (``cms_symmetric``, ``cms_skewed_one``), stochastic
-rounding onto the (1+gamma) grid, which also returns each rounded
-message's extents (``round_to_grid``, once per layer), the wire lengths of
+rounding onto the (1+gamma) grid, which returns each lane's decoded value
+and each rounded message's extents (``round_to_grid``, once per layer,
+over the nonzero lanes alone in a mostly zero layer), the wire lengths of
 rounded messages in their two-part code from those extents
 (``rounded_bits``, once per run) and of a counter message in Elias delta
 codes (``counter_bits``), and the Morris counter batch update and merge
@@ -139,65 +140,122 @@ def cms_skewed_one(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 # and round up with probability p_r = (|r| - lo)/(hi - lo), which makes the
 # rounding exactly unbiased.  Values below the floor are truncated to an
 # exact zero.  Exponents are not bounded: the message code carries any
-# exponent a finite lane can reach (see the ``rounding`` module).  A zero
-# lane's log is taken as 0, so its exponent is 0: with a floor of at most
-# 1, as every layer floor is, |x| < 1 = lo leaves it nothing to round up.
+# exponent a finite lane can reach (see the ``rounding`` module).  Exact
+# zeros are found by comparing with 0, so no subnormal lane is taken for
+# one.
 # ---------------------------------------------------------------------------
 
 
-# Lanes per ``round_to_grid`` block: a block holds whole rows, as many as
-# fit in this many lanes, and at least one.
+# Lanes per dense ``round_to_grid`` block: a block holds whole rows, as
+# many as fit in this many lanes, and at least one.
 ROUND_BLOCK_LANES = 1 << 15
+# A layer with fewer than this share of its lanes nonzero rounds in the
+# sparse layout.
+ROUND_SPARSE_SHARE = 0.25
 
 
 def round_to_grid(x: np.ndarray, unif: np.ndarray, log_gamma: float, log_floor: float):
-    """Round each lane of ``x`` and meter each row; returns (exponents, is_zero, decoded, extents).
+    """Round each lane of ``x`` and meter each row; returns (decoded, extents).
 
-    ``exponents`` are float64 integers, 0 in zero lanes.  ``extents`` has
-    shape ``x.shape[:-1] + (3,)``, float64: each row's zero-lane count and
-    its lowest and highest live exponent, NaN for a row with no live lane
-    (see :func:`rounded_bits`).  Lanes must be finite: a NaN lane would
-    come out as a zero lane.  ``unif`` has the shape of ``x``, and lane i
-    compares against ``unif``'s lane i.
+    ``decoded`` has the shape of ``x``: each lane's grid value, with the
+    sign of its input, and +0.0 in a zero lane (an exact zero or a lane
+    under the floor).  ``extents`` has shape ``x.shape[:-1] + (3,)``,
+    float64: each row's zero-lane count and its lowest and highest live
+    exponent, NaN for a row with no live lane (see :func:`rounded_bits`).
+    Lanes must be finite: a NaN lane would come out as a zero lane.
+    ``unif`` has the shape of ``x``, and lane i compares against
+    ``unif``'s lane i.
 
-    The rows are rounded in blocks of at most ``ROUND_BLOCK_LANES``
-    lanes, and at least one row, each written into the full-size outputs:
-    the engine rounds a whole tree layer per call, and a call holds only
-    one block's temporaries.  Every step is per lane or per row, so the
-    blocks change no bit.
+    Two layouts share one rounding core, and neither changes a bit.  A
+    layer with fewer than ``ROUND_SPARSE_SHARE`` of its lanes nonzero
+    rounds only those lanes, gathered with their uniforms into one flat
+    run, and scatters them back: count-sketch tables are mostly exact
+    zeros, which then cost no log or exp.  Every other layer rounds its
+    rows in blocks of at most ``ROUND_BLOCK_LANES`` lanes, and at least
+    one row, each written into the full-size outputs.  The engine rounds
+    a whole tree layer per call, and a call holds the temporaries of one
+    block, or of its nonzero lanes, under a quarter of the layer's.
     """
+    zero = np.equal(x, 0.0)
+    if x.size - np.count_nonzero(zero) < ROUND_SPARSE_SHARE * x.size:
+        return _round_sparse(x, unif, log_gamma, log_floor, zero)
     lanes = x.shape[-1]
     if x.size <= max(ROUND_BLOCK_LANES, lanes):  # one block: most layers
-        return _round_rows(x, unif, log_gamma, log_floor)
+        return _round_block(x, unif, log_gamma, log_floor, zero)
     rows = x.size // lanes
     step = max(1, ROUND_BLOCK_LANES // lanes)
-    out = (np.empty(x.shape), np.empty(x.shape, dtype=bool), np.empty(x.shape),
-           np.empty(x.shape[:-1] + (3,)))
-    flat = [a.reshape(rows, a.shape[-1]) for a in (x, unif, *out)]
+    out = np.empty(x.shape), np.empty(x.shape[:-1] + (3,))
+    flat = [a.reshape(rows, a.shape[-1]) for a in (x, unif, zero, *out)]
     for start in range(0, rows, step):
         block = [a[start:start + step] for a in flat]
-        _round_rows(*block[:2], log_gamma, log_floor, *block[2:])
+        _round_block(*block[:2], log_gamma, log_floor, *block[2:])
     return out
 
 
-def _round_rows(x, unif, log_gamma, log_floor, exponents=None, is_zero=None, decoded=None,
-                extents=None):
+def _round_block(x, unif, log_gamma, log_floor, zero, decoded=None, extents=None):
     """``round_to_grid`` on one block of rows, into the outputs given or new ones."""
-    # A block's temporaries set the rounding's memory: the work happens in
-    # place where it can.
+    decoded, exponents, dead = _round_rows(x, unif, log_gamma, log_floor, zero, decoded)
+    if extents is None:
+        extents = np.empty(x.shape[:-1] + (3,))
+    # the exponents are NaN in the dead lanes, which fmin and fmax drop; a
+    # row of NaN reduces to NaN
+    np.add.reduce(dead, axis=-1, dtype=np.float64, out=extents[..., 0])
+    np.fmin.reduce(exponents, axis=-1, out=extents[..., 1])
+    np.fmax.reduce(exponents, axis=-1, out=extents[..., 2])
+    return decoded, extents
+
+
+def _round_sparse(x, unif, log_gamma, log_floor, zero):
+    """``round_to_grid`` on the nonzero lanes alone."""
+    lanes = x.shape[-1]
+    rows = x.size // lanes
+    at = np.flatnonzero(np.logical_not(zero, out=zero))
+    values, exponents, dead = _round_rows(np.take(x, at), np.take(unif, at), log_gamma,
+                                          log_floor)
+    decoded = np.zeros(x.shape)
+    np.put(decoded, at, values)
+    row = at // lanes
+    extents = np.full((rows, 3), np.nan)
+    extents[:, 0] = lanes - np.bincount(row, weights=~dead, minlength=rows)
+    if at.size:
+        # the gathered lanes run row by row, each held row's from its first
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        held = row[first]
+        extents[held, 1] = np.fmin.reduceat(exponents, first)
+        extents[held, 2] = np.fmax.reduceat(exponents, first)
+    return decoded, extents.reshape(x.shape[:-1] + (3,))
+
+
+def _round_rows(x, unif, log_gamma, log_floor, zero=None, decoded=None):
+    """The rounding core, on lanes of any shape: returns (decoded, exponents, dead).
+
+    ``zero`` flags the exact zeros; without it no lane is one.
+    ``exponents`` are float64 integers, NaN in the dead lanes, which
+    ``dead`` flags: exact zeros, lanes under the floor and NaN lanes.
+    ``decoded`` is written into the array given, if any.  The work
+    happens in place where it can: the core's temporaries set the
+    rounding's memory.
+    """
     ax = np.abs(x)
-    is_zero = np.equal(ax, 0.0, out=is_zero)
-    # ln|x|, with ln 1 = 0 in an exact zero's place: exact zeros stay zero
-    # even when there is no floor (log_floor = -inf).  A NaN lane fails the
-    # floor test, so it is cut with the lanes under the floor.
-    lv = np.add(ax, is_zero)
-    np.log(lv, out=lv)
-    cut = ~(lv >= log_floor)
-    is_zero |= cut
-    np.putmask(lv, cut, 0.0)
+    # ln|x|, with ln 1 = 0 in an exact zero's place, which keeps the log
+    # off its slow path for 0: exact zeros stay dead even when there is no
+    # floor (log_floor = -inf).  A NaN lane fails the floor test, so it is
+    # cut with the lanes under the floor.
+    if zero is None:
+        lv = np.log(ax)
+    else:
+        lv = np.add(ax, zero)
+        np.log(lv, out=lv)
+    dead = np.greater_equal(lv, log_floor)
+    np.logical_not(dead, out=dead)
+    if zero is not None:
+        dead |= zero
+    # NaN carries the dead lanes through every step below: no comparison
+    # holds for it, and fmin and fmax skip it
+    np.putmask(lv, dead, np.nan)
     # Exponents stay float64 throughout: integers far below 2^53, so every
     # product with log_gamma is the one an int64 exponent would give.
-    e0 = np.divide(lv, log_gamma, out=exponents)
+    e0 = np.divide(lv, log_gamma)
     np.floor(e0, out=e0)
     # ln lo and ln hi as the products e0 * log_gamma and (e0 + 1) *
     # log_gamma (e0 + 1 is exact).  The float division is off by at most
@@ -231,26 +289,14 @@ def _round_rows(x, unif, log_gamma, log_floor, exponents=None, is_zero=None, dec
     np.exp(hi, out=hi)
     pr = np.subtract(ax, lo, out=ax)
     pr /= np.subtract(hi, lo, out=lv)
-    exponents = e0
-    exponents += unif < pr
+    e0 += np.less(unif, pr, out=off)
     # exp(exponents * log_gamma) is lo or hi: the same product of the same
     # float64 operands
-    decoded = np.multiply(exponents, log_gamma, out=lo)
+    decoded = np.multiply(e0, log_gamma, out=lo)
     np.exp(decoded, out=decoded)
     np.copysign(decoded, x, out=decoded)
-    np.putmask(decoded, is_zero, 0.0)
-
-    # the extents, from the live exponents in hi's buffer: NaN in a zero
-    # lane drops it from fmin and fmax, and a row of NaN reduces to NaN
-    if extents is None:
-        extents = np.empty(x.shape[:-1] + (3,))
-    np.add.reduce(is_zero, axis=-1, dtype=np.float64, out=extents[..., 0])
-    live = hi
-    np.copyto(live, exponents)
-    np.putmask(live, is_zero, np.nan)
-    np.fmin.reduce(live, axis=-1, out=extents[..., 1])
-    np.fmax.reduce(live, axis=-1, out=extents[..., 2])
-    return exponents, is_zero, decoded, extents
+    np.putmask(decoded, dead, 0.0)
+    return decoded, e0, dead
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Test-only helpers: the tree a protocol runs on, the topology file
-writer, the paper's exponent bracket, the reference extents and metered
-length of whole rounded messages, and the Morris counter's closed-form
-estimate and variance."""
+writer, the paper's exponent bracket, the grid exponents of decoded
+lanes, the reference extents and metered length of whole rounded
+messages, and the Morris counter's closed-form estimate and variance."""
 
 from __future__ import annotations
 
@@ -36,6 +36,24 @@ def paper_exponent_bracket(params, m: int) -> tuple[int, int]:
     log_k = params.log_mk - math.log(m)
     return (math.floor(params.log_floor(0) / params.log_gamma),
             math.ceil(6.0 * log_k / params.log_gamma))
+
+
+def grid_exponents(decoded, log_gamma):
+    """Each lane's grid exponent, read back from its decoded value; 0 in a zero lane.
+
+    ``kernels.round_to_grid`` returns decoded values alone.  A live lane
+    decodes to +-exp(e * log_gamma) for its exponent e, so e is
+    rint(ln|d| / log_gamma); the assertion that exp(e * log_gamma) gives
+    |d| back bit for bit makes e the exponent the kernel rounded to.
+    Float64 integers, as the kernel keeps them; the zero flags are
+    ``decoded == 0``.
+    """
+    magnitude = np.abs(np.asarray(decoded, dtype=np.float64))
+    live = magnitude != 0.0
+    exponents = np.zeros(magnitude.shape)
+    exponents[live] = np.rint(np.log(magnitude[live]) / log_gamma)
+    assert np.exp(exponents[live] * log_gamma).tobytes() == magnitude[live].tobytes()
+    return exponents
 
 
 def rounded_extents(exponents, is_zero):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bitcodec import encode_counters, encode_rounded
-from helpers import tree_of
+from helpers import grid_exponents, tree_of
 from sketchcast import engine, kernels, streams, topology
 from sketchcast.engine import (
     CommStats,
@@ -338,9 +338,10 @@ def reference_rounded(payloads, tree, params, seed):
         if all(c is ZERO for c in children) and not np.any(x):
             return ZERO, 0
         unif = gen.random(x.shape[0])
-        exponents, is_zero, decoded, _ = kernels.round_to_grid(
-            x, unif, params.log_gamma, params.log_floor(tree.layer[v]))
-        return decoded, len(encode_rounded(is_zero, decoded < 0, exponents))
+        decoded, _ = kernels.round_to_grid(x, unif, params.log_gamma,
+                                           params.log_floor(tree.layer[v]))
+        exponents = grid_exponents(decoded, params.log_gamma)
+        return decoded, len(encode_rounded(decoded == 0.0, decoded < 0, exponents))
 
     def root(v, own, children, gen):
         return _accumulate(own, children)

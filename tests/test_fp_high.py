@@ -76,9 +76,9 @@ def test_config_row_count():
 def truncated_at(x, layer, params):
     """Zero-flag lanes of one layer's rounding, as the convergecast runs it."""
     x = np.asarray(x, dtype=np.float64)
-    _, is_zero, decoded, _ = kernels.round_to_grid(x, np.full(x.shape, 0.5), params.log_gamma,
-                                                   params.log_floor(layer))
-    return is_zero, decoded
+    decoded, _ = kernels.round_to_grid(x, np.full(x.shape, 0.5), params.log_gamma,
+                                       params.log_floor(layer))
+    return decoded == 0.0, decoded
 
 
 @pytest.mark.parametrize("codec", CODECS)

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import rounded_extents
+from helpers import grid_exponents, rounded_extents
 from sketchcast import kernels
 
 KERNELS = ("cms_symmetric", "cms_skewed_one", "round_to_grid", "rounded_bits",
@@ -28,12 +30,13 @@ def test_active_backend_is_known():
 def test_round_to_grid_truncates_below_floor():
     x = np.array([0.0, 1e-9, 5.0])
     unif = np.full(3, 0.5)
-    exponents, is_zero, decoded, extents = kernels.round_to_grid(x, unif, math.log1p(0.5),
-                                                                 math.log(1e-6))
-    assert list(is_zero) == [True, True, False]
-    assert decoded[0] == decoded[1] == 0.0
+    decoded, extents = kernels.round_to_grid(x, unif, math.log1p(0.5), math.log(1e-6))
+    assert list(decoded == 0.0) == [True, True, False]
+    assert decoded.tobytes()[:16] == bytes(16)  # +0.0 twice
     assert decoded[2] > 0.0
-    assert extents.tolist() == [2.0, exponents[2], exponents[2]]
+    exponent = grid_exponents(decoded, math.log1p(0.5))[2]
+    assert exponent == 4  # 1.5^3 <= 5 < 1.5^4, and rounds up under a uniform of 1/2
+    assert extents.tolist() == [2.0, exponent, exponent]
 
 
 def reference_round_to_grid(x, unif, log_gamma, log_floor):
@@ -68,17 +71,22 @@ def reference_round_to_grid(x, unif, log_gamma, log_floor):
 
 # ``window`` is a bracket the live exponents are checked against, and
 # ``want_ok`` says whether they all fall inside it: the kernel neither clips
-# nor flags an exponent outside it.
+# nor flags an exponent outside it.  Every layer with rows has a last row
+# with no live lane, and all but the subnormal one are dense enough to
+# round in row blocks.
 @pytest.mark.parametrize("shape", [(2, 192), (32, 608), (0, 5)])
 @pytest.mark.parametrize("gamma, floor, window, spread, want_ok", [
     (1e-3, 1e-6, (-40_000, 40_000), (-20.0, 20.0), True),
     (0.05, 0.0, (-10**4, 10**4), (-300.0, 300.0), True),   # no floor
     (0.05, 1e-3, (50, 10**4), (5.0, 30.0), True),           # zero lanes sit outside
     (0.3, 1e-9, (-10, 10), (-20.0, 20.0), False),           # exponents escape
+    # subnormal lanes, from 5e-320 up, no floor: a tenth of the lanes are live,
+    # so the layer rounds in the sparse layout
+    (1e-3, 0.0, (-740_000, -700_000), (-735.0, -709.0), True),
 ])
 def test_round_to_grid_matches_reference_bit_for_bit(shape, gamma, floor, window, spread,
                                                       want_ok):
-    rng = np.random.default_rng(abs(hash((shape, gamma))) % 2**32)
+    rng = np.random.default_rng(abs(hash((shape, gamma, spread))) % 2**32)
     x = np.exp(rng.uniform(*spread, shape)) * rng.choice([-1.0, 1.0], shape)
     special = rng.random(shape)
     x[special < 0.05] = 0.0
@@ -86,19 +94,26 @@ def test_round_to_grid_matches_reference_bit_for_bit(shape, gamma, floor, window
     x[(0.1 <= special) & (special < 0.12)] = np.nan
     if floor > 0.0:  # lanes under the floor truncate to zero
         x[(0.12 <= special) & (special < 0.2)] *= 1e-30
+    if spread[1] < -708.0:
+        x[special >= 0.22] = 0.0
+        assert (np.abs(x[(0.12 <= special) & (special < 0.22)]) < np.finfo(float).tiny).all()
+    if len(x):
+        x[-1, ::2] = -0.0
+        x[-1, 1::2] = 1e-300 if floor > 0.0 else 0.0
     unif = rng.random(shape)
     unif[special > 0.98] = 0.0
     args = (math.log1p(gamma), math.log(floor) if floor > 0.0 else -math.inf)
     got = kernels.round_to_grid(x, unif, *args)
-    want = reference_round_to_grid(x, unif, *args)
-    assert len(got) == 4
-    # the kernel keeps its exponents as float64 integers
-    assert got[0].dtype == np.float64 and np.array_equal(got[0], want[0])
-    for g, w in zip(got[1:3], want[1:]):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert got[3].shape == shape[:-1] + (3,)
-    assert np.array_equal(got[3], rounded_extents(*want[:2]), equal_nan=True)
-    live = got[0][~got[1]]
+    exponents, is_zero, decoded = reference_round_to_grid(x, unif, *args)
+    assert len(got) == 2
+    assert got[0].dtype == np.float64 and got[0].tobytes() == decoded.tobytes()
+    assert np.array_equal(got[0] == 0.0, is_zero)
+    assert got[1].shape == shape[:-1] + (3,)
+    assert np.array_equal(got[1], rounded_extents(exponents, is_zero), equal_nan=True)
+    if len(x):
+        assert np.isnan(got[1][-1, 1:]).all() and got[1][-1, 0] == shape[-1]
+    live = grid_exponents(got[0], args[0])[~is_zero]
+    assert np.array_equal(live, exponents[~is_zero])
     assert np.all((window[0] <= live) & (live <= window[1])) == (want_ok or x.size == 0)
 
 
@@ -125,45 +140,99 @@ def test_round_to_grid_in_blocks_equals_row_by_row_calls(rows, lanes):
     by_row = [kernels.round_to_grid(x[r], unif[r], *args) for r in range(rows)]
     for g, w in zip(got, zip(*by_row)):
         assert g.tobytes() == np.stack(w).tobytes()
-    assert np.isnan(got[3][[1, -1], 1:]).all() and not np.isnan(got[3][0]).any()
-    want = reference_round_to_grid(x, unif, *args)
-    assert np.array_equal(got[0], want[0])
-    assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
-    assert np.array_equal(got[3], rounded_extents(*want[:2]), equal_nan=True)
+    assert np.isnan(got[1][[1, -1], 1:]).all() and not np.isnan(got[1][0]).any()
+    exponents, is_zero, decoded = reference_round_to_grid(x, unif, *args)
+    assert got[0].tobytes() == decoded.tobytes()
+    assert np.array_equal(got[0] == 0.0, is_zero)
+    assert np.array_equal(grid_exponents(got[0], args[0])[~is_zero], exponents[~is_zero])
+    assert np.array_equal(got[1], rounded_extents(exponents, is_zero), equal_nan=True)
+
+
+def _round_in_layout(x, unif, args, sparse_share, block_lanes):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "ROUND_SPARSE_SHARE", sparse_share)
+        patch.setattr(kernels, "ROUND_BLOCK_LANES", block_lanes)
+        return kernels.round_to_grid(x, unif, *args)
+
+
+# Nonzero lanes per layer: none, one, just under and just over the sparse
+# cut, and all of them.
+_LIVE = {
+    "none": lambda size: 0,
+    "one": lambda size: 1,
+    "under": lambda size: math.ceil(kernels.ROUND_SPARSE_SHARE * size) - 1,
+    "over": lambda size: math.ceil(kernels.ROUND_SPARSE_SHARE * size),
+    "all": lambda size: size,
+}
+
+
+@given(rows=st.integers(1, 7), lanes=st.integers(1, 90), live=st.sampled_from(sorted(_LIVE)),
+       cut=st.sampled_from([0.0, 0.3]), dead_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_sparse_and_dense_layouts_agree_bit_for_bit(rows, lanes, live, cut, dead_row, seed):
+    # Each layer rounds in the sparse layout (every layer under a share of
+    # 1.01), in dense blocks (no layer under a share of 0) and as the
+    # module's cut picks; blocks of 32 lanes make rows wider than a block
+    # and layers of many blocks.  All three must agree bit for bit.
+    rng = np.random.default_rng(seed)
+    size = rows * lanes
+    nonzero = max(0, _LIVE[live](size))
+    x = rng.choice([0.0, -0.0], size)
+    at = rng.choice(size, nonzero, replace=False)
+    x[at] = np.exp(rng.uniform(-20.0, 20.0, nonzero)) * rng.choice([-1.0, 1.0], nonzero)
+    x[at[rng.random(nonzero) < cut]] *= 1e-30  # under the floor: cut lanes
+    x = x.reshape(rows, lanes)
+    if dead_row:  # a row with nonzero lanes, none of them live
+        x[rows // 2] *= 1e-30
+    unif = rng.random(x.shape)
+    args = (math.log1p(1e-3), math.log(1e-9))
+    sparse = _round_in_layout(x, unif, args, 1.01, 32)
+    dense = _round_in_layout(x, unif, args, 0.0, 32)
+    picked = kernels.round_to_grid(x, unif, *args)
+    for got in (dense, picked):
+        assert got[0].tobytes() == sparse[0].tobytes()
+        assert got[1].tobytes() == sparse[1].tobytes()
+    exponents, is_zero, decoded = reference_round_to_grid(x, unif, *args)
+    assert sparse[0].tobytes() == decoded.tobytes()
+    assert np.array_equal(sparse[1], rounded_extents(exponents, is_zero), equal_nan=True)
+    if dead_row:
+        assert np.isnan(sparse[1][rows // 2, 1:]).all()
 
 
 # numpy's AVX-512 exp, log, tan and power give other last bits than libm;
 # the session turns them off (conftest.py), the benchmark runs with them on.
 # On that path the child checks the rounding kernel against its reference
-# (exponents, zero flags and decoded bytes, with -0.0, NaN, sub-floor and
-# all-zero rows, and the extents), and at two chunk sizes a sketch's held
-# columns against the dense oracle and its product on data holding about
-# half the columns against the blocked oracle.  On a host without AVX-512
+# in both layouts (zero flags and decoded bytes, with -0.0, NaN, sub-floor
+# and all-zero rows, and the extents), and at two chunk sizes a sketch's
+# held columns against the dense oracle and its product on data holding
+# about half the columns against the blocked oracle.  On a host without AVX-512
 # it checks the libm path again.
 _NATIVE = r"""
 import math, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from helpers import rounded_extents
+from helpers import grid_exponents, rounded_extents
 from test_kernels import reference_round_to_grid
 from sketchcast import kernels, stable
 
 rng = np.random.default_rng(16)
-for shape, gamma, floor in [((2, 192), 1e-3, 1e-6), ((32, 608), 0.05, 0.0),
-                            ((3, 2048), 3e-4, 1e-30), ((1, 5), 0.3, 1e-9)]:
+for shape, gamma, floor, live in [((2, 192), 1e-3, 1e-6, 1.0), ((32, 608), 0.05, 0.0, 1.0),
+                                  ((3, 2048), 3e-4, 1e-30, 1.0), ((1, 5), 0.3, 1e-9, 1.0),
+                                  ((32, 608), 1e-3, 1e-6, 0.05)]:
     x = np.exp(rng.uniform(-40.0, 40.0, shape)) * rng.choice([-1.0, 1.0], shape)
     special = rng.random(shape)
     x[special < 0.05] = 0.0
     x[(0.05 <= special) & (special < 0.1)] = -0.0
     x[(0.1 <= special) & (special < 0.12)] = np.nan
     x[(0.12 <= special) & (special < 0.2)] *= 1e-30
+    x[special > 0.2 + live] = 0.0
     x[-1, :] = -0.0
     unif = rng.random(shape)
     args = (math.log1p(gamma), math.log(floor) if floor > 0.0 else -math.inf)
-    exponents, is_zero, decoded, extents = kernels.round_to_grid(x, unif, *args)
+    decoded, extents = kernels.round_to_grid(x, unif, *args)
     want = reference_round_to_grid(x, unif, *args)
-    print(shape, np.array_equal(exponents, want[0]) and is_zero.tobytes() == want[1].tobytes()
-          and decoded.tobytes() == want[2].tobytes()
+    print(shape, np.array_equal(decoded == 0.0, want[1]) and decoded.tobytes() == want[2].tobytes()
           and np.array_equal(extents, rounded_extents(*want[:2]), equal_nan=True))
 
 from sketch_reference import data_groups, dense_entries, grouped_product, streamed_entries
@@ -198,7 +267,7 @@ def test_rounding_and_chunked_sketches_hold_with_avx512_kernels_on():
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.split("\n")[:-1]
-    assert len(lines) == 7 and all(line.endswith("True") for line in lines), proc.stdout
+    assert len(lines) == 8 and all(line.endswith("True") for line in lines), proc.stdout
 
 
 def test_rounded_bits_formula():
@@ -210,10 +279,10 @@ def test_rounded_bits_formula():
     # its probability of rounding up is within rounding of 0 from e, or of
     # 1 from e - 1
     x = np.where(is_zero, 0.0, 2.0 ** exponents)
-    got_e, got_zero, _, extents = kernels.round_to_grid(x, np.full(x.shape, 0.5),
-                                                        math.log(2.0), -math.inf)
-    assert np.array_equal(got_zero, is_zero)
-    assert np.array_equal(got_e[~is_zero], exponents[~is_zero])
+    decoded, extents = kernels.round_to_grid(x, np.full(x.shape, 0.5), math.log(2.0),
+                                             -math.inf)
+    assert np.array_equal(decoded == 0.0, is_zero)
+    assert np.array_equal(grid_exponents(decoded, math.log(2.0))[~is_zero], exponents[~is_zero])
     # NaN is the lowest and highest exponent of a row without live lanes
     want_extents = [[1, -3, 17], [0, 9, 9], [4, np.nan, np.nan]]
     assert np.array_equal(extents, want_extents, equal_nan=True)

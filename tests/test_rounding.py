@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bitcodec import (decode_rounded, encode_rounded, gamma_len, rounded_len_bound,
                       zigzag)
-from helpers import message_bits, paper_exponent_bracket
+from helpers import grid_exponents, message_bits, paper_exponent_bracket
 from sketchcast import kernels
 from sketchcast.rounding import RoundingParams, gamma_for
 
@@ -17,10 +17,14 @@ WIDE = RoundingParams(gamma=1.0)
 
 
 def round_lanes(x, params, unif, log_floor=-math.inf):
-    """kernels.round_to_grid on float lanes under ``params``: (exponents, is_zero, decoded)."""
+    """kernels.round_to_grid on float lanes under ``params``: (exponents, is_zero, decoded).
+
+    The exponents and zero flags are read back from the decoded values.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return kernels.round_to_grid(x, np.broadcast_to(unif, x.shape), params.log_gamma,
-                                 log_floor)[:3]
+    decoded, _ = kernels.round_to_grid(x, np.broadcast_to(unif, x.shape), params.log_gamma,
+                                       log_floor)
+    return grid_exponents(decoded, params.log_gamma), decoded == 0.0, decoded
 
 
 def stratified(k):

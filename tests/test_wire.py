@@ -7,7 +7,8 @@ grid ratio.  A rounded run is metered once, from the extents
 ``kernels.round_to_grid`` returns for each layer: a hook around
 ``kernels.rounded_bits`` checks that it runs once per run, on every
 layer's extents in order, and each layer's extents must equal the
-reference extents of its exponents and zero flags.
+reference extents of its exponents and zero flags, read back from its
+decoded values (``helpers.grid_exponents``).
 The encoding must be exactly as long as the edge's metered bits less the
 1-bit subtree flag, and it must decode to the message the engine passes to
 the parent; for a rounded message the decoded lanes must also be the
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from bitcodec import decode_exact, decode_rounded, encode_exact, encode_rounded
-from helpers import rounded_extents
+from helpers import grid_exponents, rounded_extents
 from sketchcast import engine, kernels
 from sketchcast.harness import ExperimentSpec, run_experiment
 
@@ -76,11 +77,12 @@ class WireRecorder:
             self.messages[family] += 1
 
     def _send_rounded(self, real):
-        def send_rounded(verts, x, gen, *, tree, params):
-            msg, extents = real(verts, x, gen, tree=tree, params=params)
-            exponents, is_zero, _, rounded = self._rounded.pop()
+        def send_rounded(verts, x, gen, *, tree, log_gamma, floors):
+            msg, extents = real(verts, x, gen, tree=tree, log_gamma=log_gamma, floors=floors)
+            decoded, rounded = self._rounded.pop()
             assert not self._rounded
-            assert extents is rounded
+            assert msg is decoded and extents is rounded
+            exponents, is_zero = grid_exponents(decoded, log_gamma), decoded == 0.0
             assert np.array_equal(extents, rounded_extents(exponents, is_zero), equal_nan=True)
             self._extents.append(extents)
             lanes = x.shape[-1]
@@ -96,7 +98,7 @@ class WireRecorder:
                 assert np.array_equal(np.array(got_neg)[live], (x[r] < 0)[live])
                 assert np.array_equal(np.array(got_e)[live], exponents[r][live])
                 # the receiver rebuilds the parent's addend from the bits alone
-                value = np.exp(np.array(got_e) * params.log_gamma)
+                value = np.exp(np.array(got_e) * log_gamma)
                 value[np.array(got_neg)] *= -1.0
                 value[np.array(got_zero)] = 0.0
                 assert np.array_equal(value, msg[r])
