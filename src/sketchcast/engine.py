@@ -39,8 +39,16 @@ holds its senders and each sender's slots its sending children.
 Kernels run on whole layers: one ``round_to_grid`` call per layer, which
 rounds only the nonzero lanes of a layer that is mostly exact zeros, as
 count-sketch tables are, and any other layer in blocks of rows, and
-returns its rows' meter records; and for Morris counters one ``morris_add_batch`` call per layer and one
-``morris_merge`` call per child slot, on insertions and deletions alike.
+returns its rows' meter records; and for Morris counters one
+``morris_add_batch`` call per layer and one ``morris_merge`` call per child
+slot, on insertions and deletions alike.  A relay layer is one in which
+no sender holds a payload row and each has exactly one sending child, so
+its sums are its children's messages; the run finds its stretches of
+consecutive relay layers once, from the schedule's slots.  A family whose
+sends give such messages back unchanged, as the rounded family's do while
+its lanes clear the floors, forwards each child's message and meter
+record through a whole stretch after one check on the stretch, and makes
+no kernel call there; where the check refuses, the layer rounds.
 Payload rows come only for the vertices that hold data, with their ids,
 and a layer gathers the rows of its own vertices, a zero row for each
 vertex that holds none.  Only the previous layer's messages are kept
@@ -65,13 +73,15 @@ rounded family draws nothing but uniforms, so it gets them from
 :class:`Uniforms`, which draws them from the generator in batches of at
 least 32K doubles, capped at what the run still needs (a uniform per
 lane of each sending row below the root), and hands them out in
-(layer, id) order:
-``send_rounded`` takes the next uniforms of the layer's shape, which
-equal what one ``gen.random`` of that shape draws, and one draw per
-vertex in (layer, id) order.  The Morris family gets the generator
-itself, and its kernels draw for the lanes of all the layer's rows
-together.  A vertex whose subtree is all zero draws nothing.  A run is
-thus fully determined by (seed, tree, inputs), drawn layer by layer.
+(layer, id) order: ``send_rounded`` takes the next uniforms of the
+layer's shape, which equal what one ``gen.random`` of that shape draws,
+and one draw per vertex in (layer, id) order.  A relay layer that
+forwards draws no uniforms: it skips its share of the stream
+(``Uniforms.skip``), so every later layer draws what it would have
+drawn.  The Morris family gets the generator itself, and its kernels
+draw for the lanes of all the layer's rows together.  A vertex whose
+subtree is all zero draws nothing.  A run is thus fully determined by
+(seed, tree, inputs), drawn layer by layer.
 """
 
 from __future__ import annotations
@@ -143,9 +153,25 @@ class Uniforms:
         self._pos = end
         return out
 
+    def skip(self, size):
+        """Pass over the next ``size`` uniforms, as ``random((size,))`` would.
+
+        The batch in hand goes first; the rest is skipped in the generator
+        itself with ``PCG64.advance``, one step per double, so later
+        uniforms and the generator's end state are those of drawing them.
+        """
+        rest = self._buf.size - self._pos
+        if size <= rest:
+            self._pos += size
+            return
+        size -= rest
+        self._buf, self._pos = np.empty(0), 0
+        self._gen.bit_generator.advance(int(size))
+        self._left -= size
+
 
 def run_convergecast(tree, payloads, combine, send, seed=0, wire_bits=None, uniforms=False,
-                     ids=None):
+                     ids=None, relay=None):
     """Run one protocol over ``tree``, a layer at a time; returns (root output, CommStats).
 
     ``payloads`` holds the payload rows of the vertices ``ids`` names, in
@@ -169,6 +195,15 @@ def run_convergecast(tree, payloads, combine, send, seed=0, wire_bits=None, unif
     (layer, id) order.  A layer in which no vertex sends skips both
     calls.  The root's ``combine`` runs whether or not its subtree holds
     anything.
+
+    ``relay(record, first, last)``, given with ``uniforms``, says whether
+    ``send`` would give back the messages ``record`` meters (the records
+    of the layer below ``first``) at every relay layer from ``first`` to
+    ``last``, a stretch in which no sender holds a payload row and each
+    has one sending child.  If it does, those layers make no ``combine``
+    or ``send`` call: each forwards its child's message and record, and
+    skips the uniforms it would have drawn.  If not, layer ``first``
+    runs as any other, and the rest of the stretch is checked anew.
     """
     payloads = np.asarray(payloads, dtype=np.float64)
     m, lanes = tree.m, payloads.shape[1]
@@ -188,8 +223,10 @@ def run_convergecast(tree, payloads, combine, send, seed=0, wire_bits=None, unif
         held = np.zeros(m, dtype=bool)
         held[ids[has_data]] = True
         has_data = held
+    holds = None  # per vertex, whether it holds data, when some vertex does not
     if not has_data.all():
-        sends = has_data.tolist()  # per vertex, whether its subtree holds data
+        holds = has_data.tolist()
+        sends = holds.copy()  # per vertex, whether its subtree holds data
         for v, p in edges:  # children before parents
             if sends[v]:
                 sends[p] = True
@@ -210,16 +247,38 @@ def run_convergecast(tree, payloads, combine, send, seed=0, wire_bits=None, unif
     gen = streams.generator(seed, streams.DOMAIN_NODES)
     if uniforms:
         gen = Uniforms(gen, len(schedule.edges) * lanes)
-    records = []
-    prev = None
     *lower, top = schedule.layers
-    for layer in lower:
-        if not layer.verts:
-            prev = None
+    # for a relay layer, the last layer of the stretch of relay layers it starts
+    ends = [None] * (len(lower) + 1)
+    if relay is not None and holds is not None:
+        for i in reversed(range(len(lower))):
+            slots = lower[i].slots
+            if (len(slots) == 1 and isinstance(slots[0][0], slice)
+                    and not any(holds[v] for v in lower[i].verts)):
+                ends[i] = i if ends[i + 1] is None else ends[i + 1]
+    records = []
+    prev = record = None
+    i = 0
+    while i < len(lower):
+        layer, last = lower[i], ends[i]
+        if last is not None and relay(record, i, last):
+            # each layer's message and records are its child's, rows in slot order
+            at = []
+            for relayed in lower[i:last + 1]:
+                src = relayed.slots[0][1]
+                at.append(src if not at else at[-1][src])
+            records.append(record[np.concatenate(at)])
+            prev, record = prev[at[-1]], record[at[-1]]
+            gen.skip(len(layer.verts) * lanes * len(at))
+            i = last + 1
             continue
-        state = combine(layer.verts, own(layer), prev, layer.slots, gen)
-        prev, record = send(layer.verts, state, gen)
-        records.append(record)
+        if layer.verts:
+            state = combine(layer.verts, own(layer), prev, layer.slots, gen)
+            prev, record = send(layer.verts, state, gen)
+            records.append(record)
+        else:
+            prev = record = None
+        i += 1
     out = combine(top.verts, own(top), prev, top.slots, gen)
 
     bits = dict.fromkeys(edges, 1)  # a silent edge costs the flag alone
@@ -274,9 +333,27 @@ def send_rounded(verts, x, gen, *, tree: SpanningTree, log_gamma: float, floors)
     rounding (its zero-lane count, lo and hi), and
     ``kernels.rounded_bits`` meters the whole run's records in one call
     at its end.  ``gen`` is the run's :class:`Uniforms`.
+
+    A relay layer's sums are its children's messages, values already on
+    the grid, and rounding such a value gives it back whatever the
+    uniform while it clears the layer floor (the ``rounding`` module
+    gives the proof).  :func:`relay_rounded` tells the engine when that
+    holds, and the engine then forwards the messages and their extents
+    unrounded.
     """
     return kernels.round_to_grid(x, gen.random(x.shape), log_gamma,
                                  floors[tree.layer[verts[0]]])
+
+
+def relay_rounded(record, first, last, *, log_gamma: float, floors):
+    """Whether layers ``first`` to ``last`` would send back the messages ``record`` meters.
+
+    ``record`` holds the extents of the messages that reach layer
+    ``first``; rounding them again is exact at every layer of the stretch
+    when ``kernels.rounds_to_itself`` accepts them at the stretch's
+    highest floor.
+    """
+    return kernels.rounds_to_itself(record, log_gamma, max(floors[first:last + 1]))
 
 
 def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParams, seed, *,
@@ -291,9 +368,10 @@ def rounded_sum_convergecast(payloads, tree: SpanningTree, params: RoundingParam
     """
     floors = [params.log_floor(layer) for layer in range(tree.depth)]
     send = partial(send_rounded, tree=tree, log_gamma=params.log_gamma, floors=floors)
+    relay = partial(relay_rounded, log_gamma=params.log_gamma, floors=floors)
     wire_bits = partial(kernels.rounded_bits, lanes=np.shape(payloads)[-1])
     return run_convergecast(tree, payloads, add_children, send, seed, wire_bits,
-                            uniforms=True, ids=ids)
+                            uniforms=True, ids=ids, relay=relay)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ over the nonzero lanes alone in a mostly zero layer), the wire lengths of
 rounded messages in their two-part code from those extents
 (``rounded_bits``, once per run) and of a counter message in Elias delta
 codes (``counter_bits``), and the Morris counter batch update and merge
-(``morris_add_batch``, ``morris_merge``).
+(``morris_add_batch``, ``morris_merge``).  ``rounds_to_itself`` tells
+from a rounded layer's extents whether rounding it again would give it
+back, which lets the engine forward a relay layer's messages.
 Of the counter kernels only ``morris_add_batch`` runs in a protocol, the
 stream verb; ``morris_merge`` and ``counter_bits`` serve the engine's
 counter family, which no protocol runs (see ``engine``).
@@ -20,6 +22,7 @@ kernels draw from the generator they are given.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -219,7 +222,7 @@ def _round_sparse(x, unif, log_gamma, log_floor, zero):
     extents[:, 0] = lanes - np.bincount(row, weights=~dead, minlength=rows)
     if at.size:
         # the gathered lanes run row by row, each held row's from its first
-        first = np.flatnonzero(np.diff(row, prepend=-1))
+        first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
         held = row[first]
         extents[held, 1] = np.fmin.reduceat(exponents, first)
         extents[held, 2] = np.fmax.reduceat(exponents, first)
@@ -297,6 +300,36 @@ def _round_rows(x, unif, log_gamma, log_floor, zero=None, decoded=None):
     np.copysign(decoded, x, out=decoded)
     np.putmask(decoded, dead, 0.0)
     return decoded, e0, dead
+
+
+# A grid value rounds to itself on the same grid when its ln clears the
+# floor, it is a normal float and gamma is not tiny (the ``rounding`` module
+# has the proof); the margin, in ln units, covers the rounding error of
+# ln(exp(e ln(1 + gamma))), under 1e-12 for any finite exponent.
+REROUND_MARGIN = 1e-6
+REROUND_GAMMA_MIN = 1e-9
+_LN_NORMAL = math.log(sys.float_info.min)  # the smallest normal float
+_LN_MAX = math.log(sys.float_info.max)
+
+
+def rounds_to_itself(extents: np.ndarray, log_gamma: float, log_floor: float) -> bool:
+    """Whether ``round_to_grid`` gives back the rows these extents meter, bit for bit.
+
+    ``extents`` are the rows' ``round_to_grid`` extents at the same
+    ``log_gamma``; the rows are its decoded output.  True when gamma is
+    at least ``REROUND_GAMMA_MIN`` and every live lane's ln lies at least
+    ``REROUND_MARGIN`` above both ``log_floor`` and the ln of the smallest
+    normal float, and as far below the ln of the largest float.  The
+    rounding then returns the same decoded values and extents whatever
+    its uniforms.  Rows with no live lane always pass.
+    """
+    if log_gamma < math.log1p(REROUND_GAMMA_MIN):
+        return False
+    lo = np.fmin.reduce(extents[..., 1], axis=None) * log_gamma
+    hi = np.fmax.reduce(extents[..., 2], axis=None) * log_gamma
+    # NaN extents (no live lane anywhere) fail neither test
+    return not (lo < max(log_floor, _LN_NORMAL) + REROUND_MARGIN
+                or hi > _LN_MAX - REROUND_MARGIN)
 
 
 # ---------------------------------------------------------------------------

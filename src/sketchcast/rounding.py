@@ -27,6 +27,24 @@ exponents differ by less than 1490 / ln(1+gamma).  That is under 2^53,
 below which ``kernels.rounded_bits`` reduces exponents exactly as
 float64, for every gamma above 2e-13.  The protocols check that their
 lanes are finite before they send them (``fp_high._sketch_sum``).
+
+A grid value rounds to itself.  A live decoded lane is x = ±exp(q), where
+q = e*ln(1+gamma) is the float product ``kernels.round_to_grid`` forms
+from the lane's integer exponent e.  Round x again on the same grid, at
+a floor that ln|x| clears, with any uniform u in [0, 1).  ln|x| lies
+within 1e-12 of q, far less than ln(1+gamma) for gamma of at least 1e-9,
+so the bracket the kernel settles on, floor(ln|x| / ln(1+gamma)) after
+its corrections, is e or e-1.  At e, lo = exp(q) = |x|, so
+p_r = 0 / (hi - lo) = 0 and u < p_r fails: the lane stays at e.  At e-1,
+hi = exp(q) = |x|, so p_r = (|x| - lo) / (|x| - lo) = 1 exactly, the two
+differences being the same nonzero float, and u < p_r holds: the lane
+goes up to e.  Either way the lane decodes to exp(q) with x's sign, and
+its exponent is e, so the row's extents come back too; exact zeros stay
+zero.  This needs a margin above the floor wider than |ln|x| - q|, so
+that no lane truncates, and |x| a normal finite float, so that exp and
+log keep their relative precision and lo < |x|.
+``kernels.rounds_to_itself`` checks these from a row's extents, and the
+engine then forwards a relay layer's messages without rounding them.
 """
 
 from __future__ import annotations

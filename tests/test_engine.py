@@ -23,6 +23,7 @@ from sketchcast.engine import (
 from sketchcast.entropy import EntropyConfig, estimate_entropy
 from sketchcast.fp_high import FpHighConfig, estimate_fp_high
 from sketchcast.fp_low import FpLowConfig, estimate_fp_low
+from sketchcast.harness import ExperimentSpec, run_trial
 from sketchcast.heavy_hitters import CountSketchSpec, nonzero_cells, point_estimate_all
 from sketchcast.matrix_product import AmpConfig, amp_estimate
 from sketchcast.morris import estimates_signed
@@ -496,6 +497,75 @@ def test_counter_overflow_matches_reference():
 
 
 # ---------------------------------------------------------------------------
+# Relay layers: every sending vertex holds no data and has one sending child.
+# ---------------------------------------------------------------------------
+
+
+def relay_layers(tree, payload, stats):
+    """(relay layers, sending layers) of a run: in a relay layer no sender
+    holds data and each has one sending child."""
+    sending = {v for (v, _), bits in stats.per_edge_bits.items() if bits > 1}
+    layers = {tree.layer[v] for v in sending}
+    relays = {layer for layer in layers
+              if all(not payload[v].any()
+                     and sum(c in sending for c in tree.children[v]) == 1
+                     for v in sending if tree.layer[v] == layer)}
+    return relays, layers
+
+
+@pytest.mark.parametrize("topo", [line(9), line(30), line(257), grid(5, 8), grid(12, 12)],
+                         ids=["line9", "line30", "line257", "grid5x8", "grid12x12"])
+@pytest.mark.parametrize("holders", ["end", "random"])
+@pytest.mark.parametrize("floors", ["protocol", "forcing"])
+def test_relay_layers_forward_what_the_reference_rounds(monkeypatch, topo, holders, floors):
+    # A tenth of the players hold data, the lowest ids or a random set;
+    # lane j's magnitudes lie within a factor e of e^(-(d + 3)(1 - j/11))
+    # on a tree of depth d.  At the protocol's floors every relay layer
+    # forwards its child's messages.  Floors of e^-(d + 3 - layer) cut
+    # those lanes one by one on the way up, so relay layers must round.
+    # Either way the root and every edge's bits and order are those of the
+    # vertex-at-a-time reference, which rounds every vertex.
+    tree = spanning_tree(topo, center(topo))
+    rng = np.random.default_rng(topo.m)
+    lanes, count = 12, max(1, topo.m // 10)
+    held = (np.arange(count) if holders == "end"
+            else np.sort(rng.choice(topo.m, count, replace=False)))
+    payload = np.zeros((topo.m, lanes))
+    scale = np.linspace(-tree.depth - 3.0, 0.0, lanes)
+    payload[held] = (np.exp(rng.uniform(-1.0, 1.0, (count, lanes)) + scale)
+                     * rng.choice([-1.0, 1.0], (count, lanes)))
+    if floors == "protocol":
+        params = gamma_for(0.3, 0.25, tree.depth, lanes, topo.m, M=100)
+    else:
+        params = RoundingParams(gamma=0.01, log_mk=1.0, depth=tree.depth)
+    rounds = _count_calls(monkeypatch, "round_to_grid")
+    runs = [rounded_sum_convergecast(payload, tree, params, seed=5),
+            rounded_sum_convergecast(payload[held], tree, params, seed=5, ids=held)]
+    calls = len(rounds)
+    for run in runs:
+        assert_same_run(run, reference_rounded(payload, tree, params, seed=5))
+    relays, layers = relay_layers(tree, payload, runs[0][1])
+    assert relays or (topo.m < 257 and holders == "random")
+    if floors == "protocol":
+        assert calls == 2 * len(layers - relays)
+    elif relays:
+        assert calls > 2 * len(layers - relays)
+
+
+def test_deep_line_amp_rounds_only_its_holders_layers(monkeypatch):
+    # the deep-line benchmark's amp shape: data with players 0-9 of a line
+    # of 257, so 118 of the 128 sending layers are relays, which forward
+    # rather than round
+    spec = ExperimentSpec("amp", topology="line", m=257, n=200, eps=0.5, t1=2, t2=2,
+                          dist="sparse:0.1", trials=1, seed=4)
+    rounds = _count_calls(monkeypatch, "round_to_grid")
+    runs = _count_calls(monkeypatch, "run_convergecast", engine)
+    run_trial(spec, 0)
+    assert len(runs) == 1
+    assert len(rounds) <= 12
+
+
+# ---------------------------------------------------------------------------
 # One kernel call per layer.
 # ---------------------------------------------------------------------------
 
@@ -541,6 +611,36 @@ def test_uniforms_hand_out_the_generator_stream_in_order():
         got = uniforms.random(shape)
         assert got.shape == shape
         assert got.tobytes() == gen.random(shape).tobytes()
+
+
+BATCH = Uniforms.BATCH
+
+
+@pytest.mark.parametrize("takes", [
+    pytest.param([("random", 10), ("skip", 100), ("random", 50), ("skip", 0),
+                  ("random", 3)], id="inside-the-batch"),
+    pytest.param([("random", 10), ("skip", BATCH), ("random", 5), ("skip", 3 * BATCH + 7),
+                  ("random", 2 * BATCH), ("skip", 11)], id="across-its-end"),
+    pytest.param([("skip", 2 * BATCH + 5)], id="the-whole-run"),
+    pytest.param([("random", 3), ("skip", BATCH + 20), ("random", BATCH - 3)],
+                 id="to-the-run-total"),
+])
+def test_uniforms_skip_passes_over_what_random_would_draw(takes):
+    # skip(a) then random(b) hands out random(a + b)[a:], and the generator
+    # ends where one that draws all of the run's uniforms ends
+    total = sum(size for _, size in takes)
+    gen = generator(6, DOMAIN_NODES)
+    uniforms = Uniforms(gen, total)
+    drawn = generator(6, DOMAIN_NODES)
+    want = drawn.random(total)
+    at = 0
+    for kind, size in takes:
+        if kind == "skip":
+            uniforms.skip(size)
+        else:
+            assert uniforms.random((size,)).tobytes() == want[at:at + size].tobytes()
+        at += size
+    assert gen.bit_generator.state == drawn.bit_generator.state
 
 
 @pytest.mark.parametrize("topo", [grid(12, 12), line(257)], ids=["grid12x12", "line257"])
@@ -636,12 +736,14 @@ class HeldRowsRecorder:
         self.stats = []
         real = engine.run_convergecast
 
-        def run(tree, rows, combine, send, seed=0, wire_bits=None, uniforms=False, ids=None):
+        def run(tree, rows, combine, send, seed=0, wire_bits=None, uniforms=False, ids=None,
+                relay=None):
             assert len(rows) <= self.held
-            got = real(tree, rows, combine, send, seed, wire_bits, uniforms, ids)
+            got = real(tree, rows, combine, send, seed, wire_bits, uniforms, ids, relay)
             dense = np.zeros((tree.m, rows.shape[1]))
             dense[slice(None) if ids is None else ids] = rows
-            assert_same_run(got, real(tree, dense, combine, send, seed, wire_bits, uniforms))
+            assert_same_run(got, real(tree, dense, combine, send, seed, wire_bits, uniforms,
+                                      relay=relay))
             self.stats.append(got[1])
             return got
 

@@ -200,6 +200,59 @@ def test_sparse_and_dense_layouts_agree_bit_for_bit(rows, lanes, live, cut, dead
         assert np.isnan(sparse[1][rows // 2, 1:]).all()
 
 
+_MARGIN = kernels.REROUND_MARGIN
+_FLOAT = np.finfo(np.float64)
+
+
+# The floor sits below the lowest live lane by each offset: inside the
+# margin, just past it, well below, or at -inf.  Lanes reach into the
+# subnormals and up to where rounding up overflows.
+@given(rows=st.integers(1, 5), lanes=st.integers(1, 40), gamma=st.floats(1e-9, 1.0),
+       centre=st.floats(-740.0, 705.0), spread=st.floats(0.0, 40.0), zeros=st.floats(0.0, 0.9),
+       offset=st.sampled_from([_MARGIN / 2, 2 * _MARGIN, 1.0, math.inf]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_a_rounded_layer_rounds_to_itself_where_rounds_to_itself_accepts(
+        rows, lanes, gamma, centre, spread, zeros, offset, seed):
+    rng = np.random.default_rng(seed)
+    shape = (rows, lanes)
+    ln = np.clip(rng.uniform(centre - spread, centre + spread, shape), -744.0, 709.0)
+    x = np.exp(ln) * rng.choice([-1.0, 1.0], shape)
+    x[rng.random(shape) < zeros] = 0.0
+    log_gamma = math.log1p(gamma)
+    decoded, extents = kernels.round_to_grid(x, rng.random(shape), log_gamma, -math.inf)
+    lo = np.fmin.reduce(extents[..., 1], axis=None)
+    floor = -math.inf if np.isnan(lo) or offset == math.inf else float(lo * log_gamma - offset)
+    accepted = kernels.rounds_to_itself(extents, log_gamma, floor)
+    live = np.abs(decoded[decoded != 0.0])
+    if live.size and offset < _MARGIN:
+        assert not accepted
+    elif not live.size or (live.min() >= 2 * _FLOAT.tiny and live.max() <= _FLOAT.max / 2):
+        assert accepted
+    if accepted:
+        again = kernels.round_to_grid(decoded, rng.random(shape), log_gamma, floor)
+        assert again[0].tobytes() == decoded.tobytes()
+        assert np.array_equal(again[1], extents, equal_nan=True)
+
+
+def test_rounds_to_itself_refuses_subnormal_lanes_lanes_near_the_floor_and_tiny_gamma():
+    log_gamma = math.log1p(1e-3)
+    e = -20_000  # a lane near e^-20
+    extents = np.array([[1.0, e, e + 7], [3.0, np.nan, np.nan]])
+    assert kernels.rounds_to_itself(extents, log_gamma, e * log_gamma - 2 * _MARGIN)
+    assert not kernels.rounds_to_itself(extents, log_gamma, e * log_gamma - _MARGIN / 2)
+    # rows without a live lane pass any floor
+    assert kernels.rounds_to_itself(extents[1:], log_gamma, 1.0)
+    # a lane under the smallest normal float fails at any floor
+    sub = math.floor(math.log(1e-310) / log_gamma)
+    assert not kernels.rounds_to_itself(np.array([[0.0, sub, e]]), log_gamma, -math.inf)
+    # gamma at its minimum passes, and under it fails
+    for gamma, want in [(kernels.REROUND_GAMMA_MIN, True), (kernels.REROUND_GAMMA_MIN / 2, False)]:
+        g = math.log1p(gamma)
+        e = round(-20.0 / g)
+        assert kernels.rounds_to_itself(np.array([[0.0, e, e]]), g, -math.inf) == want
+
+
 # numpy's AVX-512 exp, log, tan and power give other last bits than libm;
 # the session turns them off (conftest.py), the benchmark runs with them on.
 # On that path the child checks the rounding kernel against its reference

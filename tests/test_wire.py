@@ -13,7 +13,9 @@ The encoding must be exactly as long as the edge's metered bits less the
 1-bit subtree flag, and it must decode to the message the engine passes to
 the parent; for a rounded message the decoded lanes must also be the
 row's zero mask, signs and exponents.  The hooked runs' reports must equal
-those of unhooked runs.
+those of unhooked runs.  Hooked runs round every layer, relay layers too,
+where unhooked runs forward a relay layer's messages unrounded, so the
+two agreeing also checks that forwarding changes no report.
 """
 
 import dataclasses
@@ -121,7 +123,9 @@ class WireRecorder:
 
     def _convergecast(self, real):
         def run_convergecast(tree, payloads, combine, send, seed=0, wire_bits=None,
-                             uniforms=False, ids=None):
+                             uniforms=False, ids=None, relay=None):
+            # every layer rounds, so that every message passes send_rounded:
+            # a relay layer forwards a message checked a layer below
             self.encoded, self._extents, self._metered = {}, [], 0
             out, stats = real(tree, payloads, combine, send, seed, wire_bits, uniforms, ids)
             want = {(v, tree.parent[v]): 1 + self.encoded.get(v, 0)
